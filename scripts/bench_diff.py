@@ -11,7 +11,9 @@ Direction is inferred from the unit: throughput units (items/s) are
 higher-is-better; everything else (time, pages, bytes, counts) is
 lower-is-better. A metric that moved in the bad direction by more than
 --threshold (relative) is a regression; the script lists every regression
-and exits non-zero if any were found. Metrics present only in the new run
+and exits non-zero if any were found. A baseline value of 0 has no
+relative scale: any move off 0 in the bad direction is a regression (a
+zero-fetch counter that starts fetching must fail the gate). Metrics present only in the new run
 are reported but never fail the diff — benches grow new counters over
 time. Metrics present in the baseline but missing from the new run FAIL
 the diff (silent key drift would otherwise let a renamed or dropped gate
@@ -59,7 +61,16 @@ def diff_metrics(old, new, threshold):
         old_value, unit = old[name]
         new_value, _ = new[name]
         if old_value == 0.0:
-            continue  # no meaningful relative change
+            # No relative scale: only the direction of the move counts.
+            moved = new_value if unit not in HIGHER_BETTER_UNITS \
+                else -new_value
+            if moved > 0.0:
+                regressions.append(
+                    (name, old_value, new_value, float("inf"), unit))
+            elif moved < 0.0:
+                improvements.append(
+                    (name, old_value, new_value, float("-inf"), unit))
+            continue
         rel = (new_value - old_value) / abs(old_value)
         if unit in HIGHER_BETTER_UNITS:
             rel = -rel  # a drop in throughput is the bad direction
@@ -124,19 +135,21 @@ def self_test():
         "io/misses": (500.0, "pages"),
         "gone_metric": (1.0, "count"),
         "zero_metric": (0.0, "count"),
+        "zero_kept": (0.0, "pages"),
     }
     new = {
         "scan/real_time": (130.0, "ns"),        # 30% slower: regression
         "scan/items_per_second": (2.5e6, "items/s"),  # faster: improvement
         "io/misses": (505.0, "pages"),           # within threshold
         "new_metric": (7.0, "count"),
-        "zero_metric": (3.0, "count"),           # old==0: skipped
+        "zero_metric": (3.0, "count"),           # off 0, bad: regression
+        "zero_kept": (0.0, "pages"),             # stays 0: fine
     }
     regressions, improvements, only_old, only_new = diff_metrics(
         old, new, threshold=0.10)
 
     failures = []
-    if [r[0] for r in regressions] != ["scan/real_time"]:
+    if [r[0] for r in regressions] != ["scan/real_time", "zero_metric"]:
         failures.append(f"regressions: {regressions}")
     if [i[0] for i in improvements] != ["scan/items_per_second"]:
         failures.append(f"improvements: {improvements}")

@@ -288,4 +288,37 @@ Status CheckReaderResolutionRaw(const VersionedSchema& vs,
   return CheckReaderResolution(session_vn, slots, vs.n(), res);
 }
 
+Status CheckGcVictims(const VersionedSchema& vs, const Table& heap,
+                      Vn current_vn, Vn min_active_session_vn,
+                      const std::vector<Rid>& victims) {
+  std::vector<Rid> expected;
+  for (PageId page : heap.heap()->PageIds()) {
+    for (size_t slot = 0; slot < heap.rows_per_page(); ++slot) {
+      const Rid rid{page, static_cast<uint16_t>(slot)};
+      Result<Row> phys = heap.GetRow(rid);
+      if (!phys.ok()) {
+        if (phys.status().code() == StatusCode::kNotFound) continue;
+        return phys.status();
+      }
+      Result<Op> op = vs.Operation(*phys, 0);
+      if (!op.ok()) return op.status();
+      const Vn vn = vs.TupleVn(*phys, 0);
+      if (op.value() == Op::kDelete && vn <= current_vn &&
+          min_active_session_vn >= vn) {
+        expected.push_back(rid);
+      }
+    }
+  }
+  if (expected != victims) {
+    return Status::Internal(StrPrintf(
+        "GC victims diverge from the full-heap rule: tombstone set yields "
+        "%zu, heap holds %zu reclaimable corpses (currentVN %lld, "
+        "minActiveSessionVN %lld)",
+        victims.size(), expected.size(),
+        static_cast<long long>(current_vn),
+        static_cast<long long>(min_active_session_vn)));
+  }
+  return Status::OK();
+}
+
 }  // namespace wvm::core

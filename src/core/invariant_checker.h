@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/table.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "core/decision_tables.h"
@@ -80,6 +81,18 @@ Status CheckReaderResolutionRow(const VersionedSchema& vs, const Row& phys,
 Status CheckReaderResolutionRaw(const VersionedSchema& vs,
                                 const uint8_t* rec, Vn session_vn,
                                 const VersionResolution& res);
+
+// --- Garbage collection (§7) ---------------------------------------------
+
+// Oracle for the tombstone-driven collector: `victims` must be exactly the
+// tuples the full-heap rule selects — slot-0 operation delete, tupleVN <=
+// currentVN and minActiveSessionVN >= tupleVN — in Rid order. Every heap
+// slot is read through Table::GetRow, so a pool that cannot serve the
+// heap returns its (non-kInternal) error instead of aborting; a differing
+// set is kInternal.
+Status CheckGcVictims(const VersionedSchema& vs, const Table& heap,
+                      Vn current_vn, Vn min_active_session_vn,
+                      const std::vector<Rid>& victims);
 
 }  // namespace wvm::core
 

@@ -156,14 +156,19 @@ Result<VnlEngine::GcStats> VnlEngine::CollectGarbage() {
   // tuple. Holding mu_ keeps BeginMaintenance out for the duration; if a
   // transaction is already active, defer to the next gap — the paper's
   // "periodically running a process" (§3.3) runs between transactions.
-  if (active_txn_ != nullptr) return GcStats{};
-  const Vn current = version_relation_->current_vn();
-  const Vn min_session = sessions_.MinActiveSessionVn(/*fallback=*/current);
   GcStats stats;
+  if (active_txn_ == nullptr) {
+    const Vn current = version_relation_->current_vn();
+    const Vn min_session =
+        sessions_.MinActiveSessionVn(/*fallback=*/current);
+    for (auto& [name, table] : tables_) {
+      WVM_ASSIGN_OR_RETURN(size_t reclaimed,
+                           table->CollectGarbage(current, min_session));
+      stats.tuples_reclaimed += reclaimed;
+    }
+  }
   for (auto& [name, table] : tables_) {
-    WVM_ASSIGN_OR_RETURN(size_t reclaimed,
-                         table->CollectGarbage(current, min_session));
-    stats.tuples_reclaimed += reclaimed;
+    stats.tuples_pending += table->tombstone_count();
   }
   return stats;
 }

@@ -91,10 +91,16 @@ class VnlEngine {
 
   struct GcStats {
     size_t tuples_reclaimed = 0;
+    // The GC backlog: logically deleted tuples left in the heap after the
+    // call — versions a pinned session may still read, or, while a
+    // maintenance transaction is active (the pass is then deferred), the
+    // whole backlog. An O(1) read per table.
+    size_t tuples_pending = 0;
   };
   // Physically removes logically deleted tuples no active or future
-  // session can read. Safe to run concurrently with readers. Heap I/O
-  // failures surface as a non-OK status.
+  // session can read. Each table visits only its tombstone set, never the
+  // whole heap. Safe to run concurrently with readers. Heap I/O failures
+  // surface as a non-OK status; unreclaimed tuples stay tombstoned.
   Result<GcStats> CollectGarbage() EXCLUDES(mu_);
 
   // --- Scan configuration -----------------------------------------------------

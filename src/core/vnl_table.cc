@@ -180,7 +180,14 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
     phys[vschema_.OperationIndex(0)] =
         Value::String(OpToString(*d.new_op));
   }
-  if (d.pop_slot) vschema_.PushForward(&phys);
+  // An nVNL pop undoes a same-transaction revive, so slot 0 may be the
+  // corpse's delete stamp again; it is the one update whose resulting op
+  // the decision does not name.
+  std::optional<Op> popped_op;
+  if (d.pop_slot) {
+    vschema_.PushForward(&phys);
+    WVM_ASSIGN_OR_RETURN(popped_op, vschema_.Operation(phys, 0));
+  }
 
 #ifdef WVM_PARANOID_CHECKS
   {
@@ -217,6 +224,19 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
       }
       // Plain in-place version updates never touch postings: indexes cover
       // only non-updatable attributes (§4.3).
+      // Tombstones follow slot 0 from what the decision already says — a
+      // plain update that keeps a live op costs no decode and no lookup.
+      if (popped_op.has_value()) {
+        if (*popped_op == Op::kDelete) {
+          MarkTombstone(rid, vschema_.TupleVn(phys, 0));
+        } else {
+          ClearTombstone(rid);
+        }
+      } else if (d.new_op == Op::kDelete) {
+        MarkTombstone(rid, vschema_.TupleVn(phys, 0));
+      } else if (revive) {
+        ClearTombstone(rid);
+      }
       ++txn->stats_.physical_updates;
       return Status::OK();
     }
@@ -228,6 +248,7 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
           CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
       IndexTupleErased(phys, rid);
       WVM_RETURN_IF_ERROR(phys_->DeleteRow(rid));
+      ClearTombstone(rid);
       ++txn->stats_.physical_deletes;
       return Status::OK();
     }
@@ -1449,9 +1470,11 @@ Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
         // them exactly (CV of a deleted tuple is never read).
         vschema_.PushForward(&phys);
         WVM_RETURN_IF_ERROR(phys_->UpdateRow(rid, phys));
+        WVM_RETURN_IF_ERROR(SyncTombstone(rid, phys));
       } else {
         IndexTupleErased(phys, rid);
         WVM_RETURN_IF_ERROR(phys_->DeleteRow(rid));
+        ClearTombstone(rid);
         // A 2VNL insert over a logically deleted key destroyed the
         // pre-delete values; older sessions cannot be reconstructed.
         // A genuinely fresh insert is lossless, but the two cases are
@@ -1480,8 +1503,34 @@ Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
       lossless = false;
     }
     WVM_RETURN_IF_ERROR(phys_->UpdateRow(rid, phys));
+    WVM_RETURN_IF_ERROR(SyncTombstone(rid, phys));
   }
   return lossless;
+}
+
+void VnlTable::MarkTombstone(Rid rid, Vn vn) {
+  MutexLock lock(tomb_mu_);
+  tombstones_[rid] = vn;
+}
+
+void VnlTable::ClearTombstone(Rid rid) {
+  MutexLock lock(tomb_mu_);
+  tombstones_.erase(rid);
+}
+
+Status VnlTable::SyncTombstone(Rid rid, const Row& phys) {
+  WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));
+  if (op == Op::kDelete) {
+    MarkTombstone(rid, vschema_.TupleVn(phys, 0));
+  } else {
+    ClearTombstone(rid);
+  }
+  return Status::OK();
+}
+
+size_t VnlTable::tombstone_count() const {
+  MutexLock lock(tomb_mu_);
+  return tombstones_.size();
 }
 
 Result<size_t> VnlTable::CollectGarbage(Vn current_vn,
@@ -1489,30 +1538,43 @@ Result<size_t> VnlTable::CollectGarbage(Vn current_vn,
   // A logically deleted tuple is reclaimable once every session that could
   // still see any of its versions is gone: active sessions all have
   // sessionVN >= tupleVN (so they ignore it), and new sessions start at
-  // currentVN >= tupleVN.
-  Status status;
-  std::vector<std::pair<Rid, Row>> victims;
-  phys_->ScanRows([&](Rid rid, const Row& phys) {
-    Result<Op> op = vschema_.Operation(phys, 0);
-    if (!op.ok()) {
-      status = op.status();
-      return false;
+  // currentVN >= tupleVN. Only tombstoned tuples can qualify.
+  std::vector<Rid> victims;
+  {
+    MutexLock lock(tomb_mu_);
+    for (const auto& [rid, vn] : tombstones_) {
+      if (vn <= current_vn && min_active_session_vn >= vn) {
+        victims.push_back(rid);
+      }
     }
-    const Vn vn = vschema_.TupleVn(phys, 0);
-    if (op.value() == Op::kDelete && vn <= current_vn &&
-        min_active_session_vn >= vn) {
-      victims.emplace_back(rid, phys);
+  }
+#ifdef WVM_PARANOID_CHECKS
+  {
+    // The oracle re-derives the victims with the full-heap rule. A heap
+    // the pool cannot serve is GC's error to report; a differing set is a
+    // broken tombstone invariant.
+    const Status oracle = CheckGcVictims(vschema_, *phys_, current_vn,
+                                         min_active_session_vn, victims);
+    if (oracle.code() == StatusCode::kInternal) {
+      WVM_PARANOID_ASSERT_OK(oracle);
     }
-    return true;
-  });
-  WVM_RETURN_IF_ERROR(status);
-  for (auto& [rid, phys] : victims) {
+    WVM_RETURN_IF_ERROR(oracle);
+  }
+#endif
+  for (Rid rid : victims) {
+    WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
     // Postings go first, atomically with reclamation from a reader's view:
     // GC runs under the engine mutex (no concurrent maintenance), so an
     // index probe sees either the posting plus a live heap slot, or
     // neither — never a posting whose slot has been reused.
     IndexTupleErased(phys, rid);
-    WVM_RETURN_IF_ERROR(phys_->DeleteRow(rid));
+    const Status deleted = phys_->DeleteRow(rid);
+    if (!deleted.ok()) {
+      // The corpse stays: restore its postings; its tombstone was kept.
+      IndexTupleInserted(phys, rid);
+      return deleted;
+    }
+    ClearTombstone(rid);
   }
   return victims.size();
 }

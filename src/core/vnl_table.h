@@ -2,6 +2,7 @@
 #define OPENWVM_CORE_VNL_TABLE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -329,9 +330,24 @@ class VnlTable {
   Result<bool> RollbackTxn(Vn txn_vn, Vn current_vn);
 
   // Garbage collection (§7): physically removes logically deleted tuples
-  // whose versions no active or future session can read. Heap I/O
-  // failures surface as a non-OK status instead of aborting.
-  Result<size_t> CollectGarbage(Vn current_vn, Vn min_active_session_vn);
+  // whose versions no active or future session can read, visiting only
+  // the tombstone set — O(logically deleted tuples), not O(heap). Victims
+  // are reclaimed in Rid order. Heap I/O failures surface as a non-OK
+  // status instead of aborting; tuples not yet reclaimed keep their
+  // tombstones, so a later pass reclaims them.
+  Result<size_t> CollectGarbage(Vn current_vn, Vn min_active_session_vn)
+      EXCLUDES(tomb_mu_);
+
+  // Logically deleted tuples still in the heap (the GC backlog).
+  size_t tombstone_count() const EXCLUDES(tomb_mu_);
+
+  // Tombstone-set maintenance: MarkTombstone records that slot 0 of the
+  // tuple at `rid` is a delete stamped `vn`; ClearTombstone that it is
+  // not (or that the tuple is physically gone).
+  void MarkTombstone(Rid rid, Vn vn) EXCLUDES(tomb_mu_);
+  void ClearTombstone(Rid rid) EXCLUDES(tomb_mu_);
+  // Marks or clears `rid` from the slot 0 of its current image `phys`.
+  Status SyncTombstone(Rid rid, const Row& phys) EXCLUDES(tomb_mu_);
 
   std::string name_;
   VersionedSchema vschema_;
@@ -351,6 +367,13 @@ class VnlTable {
   std::unordered_map<Row, Rid, RowHash, RowEq> key_index_
       GUARDED_BY(index_mu_);
   std::vector<PostingMap> secondary_postings_ GUARDED_BY(index_mu_);
+
+  // Tombstone set: Rid -> tupleVN for exactly the tuples whose slot-0
+  // operation is delete. Mutated only where the heap is (ApplyDecision,
+  // RollbackTxn, CollectGarbage); ordered so GC reclaims in Rid order,
+  // which is the heap's page order.
+  mutable Mutex tomb_mu_;
+  std::map<Rid, Vn> tombstones_ GUARDED_BY(tomb_mu_);
 };
 
 }  // namespace wvm::core

@@ -77,9 +77,10 @@ TEST_P(GcTest, KeepsTuplesVisibleToActiveSessions) {
   DeleteIds(0, 4);                                      // VN 2
 
   // old_session (VN 1) still reads the pre-delete versions: GC must not
-  // touch them.
+  // touch them. They stay as the GC backlog.
   VnlEngine::GcStats stats = engine_->CollectGarbage().value();
   EXPECT_EQ(stats.tuples_reclaimed, 0u);
+  EXPECT_EQ(stats.tuples_pending, 5u);
 
   Result<std::vector<Row>> rows = table_->SnapshotRows(old_session);
   ASSERT_TRUE(rows.ok());
@@ -89,6 +90,89 @@ TEST_P(GcTest, KeepsTuplesVisibleToActiveSessions) {
   engine_->CloseSession(old_session);
   stats = engine_->CollectGarbage().value();
   EXPECT_EQ(stats.tuples_reclaimed, 5u);
+  EXPECT_EQ(stats.tuples_pending, 0u);
+}
+
+TEST_P(GcTest, BacklogCountsUncommittedDeletesWhileGcIsDeferred) {
+  Load(6);
+  DeleteIds(0, 1);
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(table_->DeleteByKey(txn, {Value::Int64(5)}).ok());
+  // A transaction is active: the pass is deferred, the backlog reported.
+  VnlEngine::GcStats stats = engine_->CollectGarbage().value();
+  EXPECT_EQ(stats.tuples_reclaimed, 0u);
+  EXPECT_EQ(stats.tuples_pending, 3u);
+  Commit(txn);
+  stats = engine_->CollectGarbage().value();
+  EXPECT_EQ(stats.tuples_reclaimed, 3u);
+  EXPECT_EQ(stats.tuples_pending, 0u);
+}
+
+// A pool that cannot serve a victim's page fails the pass with a status
+// (the old full-heap sweep aborted the process) and loses no tombstone:
+// once frames free up, the same tuples are reclaimed.
+TEST_P(GcTest, PoolFailureReturnsStatusAndKeepsTombstones) {
+  DiskManager disk;
+  BufferPool pool(8, &disk);
+  auto engine_or = VnlEngine::Create(&pool, GetParam());
+  ASSERT_TRUE(engine_or.ok());
+  VnlEngine* engine = engine_or.value().get();
+  auto table_or = engine->CreateTable("items", ItemSchema());
+  ASSERT_TRUE(table_or.ok());
+  VnlTable* table = table_or.value();
+
+  constexpr int64_t kRows = 400;  // several heap pages
+  {
+    auto txn = engine->BeginMaintenance();
+    ASSERT_TRUE(txn.ok());
+    for (int64_t i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(table->Insert(*txn, Item(i, i)).ok());
+    }
+    ASSERT_TRUE(engine->Commit(*txn).ok());
+  }
+  ASSERT_GT(table->physical_pages(), 2u);
+  {
+    auto txn = engine->BeginMaintenance();
+    ASSERT_TRUE(txn.ok());
+    for (int64_t i : {int64_t{0}, int64_t{1}, kRows - 1}) {
+      ASSERT_TRUE(table->DeleteByKey(*txn, {Value::Int64(i)}).ok());
+    }
+    ASSERT_TRUE(engine->Commit(*txn).ok());
+  }
+
+  // Pin every frame with fresh pages: the victims' pages are evicted and
+  // cannot come back.
+  std::vector<Page*> pinned;
+  for (;;) {
+    Result<Page*> page = pool.NewPage();
+    if (!page.ok()) break;
+    pinned.push_back(*page);
+  }
+  ASSERT_EQ(pinned.size(), pool.pool_size());
+
+  Result<VnlEngine::GcStats> failed = engine->CollectGarbage();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+
+  for (Page* page : pinned) pool.Unpin(page, /*dirty=*/false);
+  EXPECT_EQ(table->physical_rows(), static_cast<uint64_t>(kRows));
+  VnlEngine::GcStats stats = engine->CollectGarbage().value();
+  EXPECT_EQ(stats.tuples_reclaimed, 3u);
+  EXPECT_EQ(stats.tuples_pending, 0u);
+  EXPECT_EQ(table->physical_rows(), static_cast<uint64_t>(kRows - 3));
+
+  ReaderSession s = engine->OpenSession();
+  for (int64_t i : {int64_t{0}, int64_t{1}, kRows - 1}) {
+    Result<std::optional<Row>> row =
+        table->SnapshotLookup(s, {Value::Int64(i)});
+    ASSERT_TRUE(row.ok());
+    EXPECT_FALSE(row->has_value());
+  }
+  Result<std::optional<Row>> kept =
+      table->SnapshotLookup(s, {Value::Int64(2)});
+  ASSERT_TRUE(kept.ok());
+  EXPECT_TRUE(kept->has_value());
+  engine->CloseSession(s);
 }
 
 TEST_P(GcTest, ReclaimedKeysCanBeReinsertedFresh) {
