@@ -2,7 +2,8 @@
 // a unique key and one secondary index, then measures the same queries
 // down both read paths — hash-index routing vs the full heap scan — with
 // and without maintenance overlap, plus the projection-pushdown saving on
-// narrow SELECTs. The interesting metrics are deterministic counters
+// narrow SELECTs. A second, 2VNL table keyed on (store, day) covers point
+// reads that bind a DATE key column, at gap 0 and one commit behind. The interesting metrics are deterministic counters
 // (rows scanned, bytes copied, probes issued): those go in the committed
 // baseline. Wall-clock speedups are printed and emitted for humans but
 // excluded from the baseline, since bench_diff.py never fails on
@@ -25,6 +26,8 @@ constexpr int kGroups = 1000;  // ~100 rows per group: a selective query
 constexpr int kPointProbes = 400;
 constexpr int kPointScans = 20;  // heap-scan point reads are slow; sample
 constexpr size_t kPoolPages = 8192;
+constexpr int64_t kDatedRows = 20000;
+constexpr int kDays = 28;  // one row per (store, day)
 
 Schema SummarySchema() {
   Schema s({Column::Int64("id"), Column::String("grp", 8),
@@ -39,6 +42,18 @@ Row MakeRow(int64_t id, int64_t qty) {
   return {Value::Int64(id), Value::String("g" + std::to_string(id % kGroups)),
           Value::String("dim-" + std::to_string(id % 9973)),
           Value::Int64(qty)};
+}
+
+Schema DatedSchema() {
+  return Schema({Column::Int64("store"), Column::Date("day"),
+                 Column::Int64("qty", /*updatable=*/true)},
+                {0, 1});
+}
+
+Row MakeDatedRow(int64_t i) {
+  return {Value::Int64(i / kDays),
+          Value::Date(1996, 2, static_cast<int>(i % kDays) + 1),
+          Value::Int64(i)};
 }
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
@@ -114,9 +129,9 @@ void Report(const char* label, const PathCost& scan, const PathCost& route,
 void Run() {
   DiskManager disk;
   BufferPool pool(kPoolPages, &disk);
-  // n = 3 so a session one maintenance transaction behind still clears
-  // the no-expiration eligibility gap (gap <= n-2) and routes; under
-  // 2VNL the old-session case below would legitimately fall back.
+  // n = 3: the old-session case below reads one commit behind; under
+  // 3VNL that stays routable even while maintenance is active. The 2VNL
+  // gap-1 case is RunDatedKey's.
   auto engine_or = core::VnlEngine::Create(&pool, 3);
   WVM_CHECK(engine_or.ok());
   core::VnlEngine& engine = **engine_or;
@@ -224,10 +239,66 @@ void Run() {
                 "routed point reads are not >=10x faster than heap scans");
 }
 
+// Point reads that bind a key including a DATE column, on a 2VNL engine:
+// at gap 0, and from a session one commit behind with no maintenance
+// active — still inside the §4.1 version window, so it routes too.
+void RunDatedKey() {
+  DiskManager disk;
+  BufferPool pool(kPoolPages, &disk);
+  auto engine_or = core::VnlEngine::Create(&pool, 2);
+  WVM_CHECK(engine_or.ok());
+  core::VnlEngine& engine = **engine_or;
+  auto table_or = engine.CreateTable("dated", DatedSchema());
+  WVM_CHECK(table_or.ok());
+  core::VnlTable& table = *table_or.value();
+  {
+    Result<core::MaintenanceTxn*> txn = engine.BeginMaintenance();
+    WVM_CHECK(txn.ok());
+    for (int64_t i = 0; i < kDatedRows; ++i) {
+      WVM_CHECK(table.Insert(txn.value(), MakeDatedRow(i)).ok());
+    }
+    WVM_CHECK(engine.Commit(txn.value()).ok());
+  }
+  Result<sql::SelectStmt> point = sql::ParseSelect(
+      "SELECT store, day, qty FROM dated WHERE store = :s AND day = :d");
+  WVM_CHECK(point.ok());
+  const Row key = MakeDatedRow(kDatedRows / 2);
+  const query::ParamMap params = {{"s", key[0]}, {"d", key[1]}};
+
+  core::ReaderSession old = engine.OpenSession();
+  PathCost scan =
+      RunPath(&engine, &table, old, *point, params, false, kPointScans);
+  PathCost route =
+      RunPath(&engine, &table, old, *point, params, true, kPointProbes);
+  Report("date_key/quiescent", scan, route, /*baseline_counters=*/true);
+
+  {
+    Result<core::MaintenanceTxn*> txn = engine.BeginMaintenance();
+    WVM_CHECK(txn.ok());
+    for (int64_t i = 0; i < kDatedRows; i += 20) {
+      const Row k = MakeDatedRow(i);
+      Result<bool> r = table.UpdateByKey(
+          txn.value(), {k[0], k[1]}, [](const Row& row) -> Result<Row> {
+            Row next = row;
+            next[2] = Value::Int64(next[2].AsInt64() + 1);
+            return next;
+          });
+      WVM_CHECK(r.ok() && r.value());
+    }
+    WVM_CHECK(engine.Commit(txn.value()).ok());
+  }
+  WVM_CHECK(engine.current_vn() - old.session_vn == 1);
+  scan = RunPath(&engine, &table, old, *point, params, false, kPointScans);
+  route = RunPath(&engine, &table, old, *point, params, true, kPointProbes);
+  Report("point/gap1_2vnl", scan, route, /*baseline_counters=*/true);
+  engine.CloseSession(old);
+}
+
 }  // namespace
 }  // namespace wvm
 
 int main() {
   wvm::Run();
+  wvm::RunDatedKey();
   return wvm::bench::WriteBenchJson("bench_index_reads") ? 0 : 1;
 }

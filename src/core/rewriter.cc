@@ -231,8 +231,18 @@ bool BindEqualityLeaf(const sql::Expr& e, const Schema& schema,
       // the scan path evaluates that to constant-false exactly.
       if (v.AsString().size() > col.width) return false;
       break;
+    case TypeId::kDate:
+      // A string comparand is coerced exactly as CompareValues does; one
+      // ParseDate rejects stays on the scan path, which reports the error.
+      if (v.type() == TypeId::kString) {
+        Result<Value> parsed = Value::ParseDate(v.AsString());
+        if (!parsed.ok()) return false;
+        v = std::move(parsed).value();
+      }
+      if (v.type() != TypeId::kDate) return false;
+      break;
     default:
-      return false;  // bool/date/double: codec vs SQL equality mismatch
+      return false;  // bool/double: codec vs SQL equality mismatch
   }
   *col_out = idx.value();
   *value_out = NormalizeValueForColumn(col, v);

@@ -60,12 +60,16 @@ sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
 // values normalized through the column codec (so probing a hash index keyed
 // by heap-deserialized rows is exact).
 //
+// DATE columns bind a DATE comparand or a string that Value::ParseDate
+// accepts (the coercion CompareValues applies).
+//
 // Returns nullopt — caller falls back to the heap scan — when any column
 // stays unbound, a binding's type cannot be matched losslessly to the
-// column (doubles, dates, bools, NULLs, over-width strings), or the product
-// exceeds `max_candidates`. Bindings are an access-path hint only: the
-// caller must still evaluate every conjunct on the candidate rows, so a
-// conservative nullopt is always safe.
+// column (doubles, bools, NULLs, over-width strings, unparseable dates,
+// any other type mix), or the product exceeds `max_candidates`. Bindings
+// are an access-path hint only: the caller must still evaluate every
+// conjunct on the candidate rows, so a conservative nullopt is always
+// safe.
 std::optional<std::vector<Row>> BindIndexKeys(
     const std::vector<const sql::Expr*>& conjuncts, const Schema& schema,
     const std::vector<size_t>& columns, const query::ParamMap& params,

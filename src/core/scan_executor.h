@@ -30,7 +30,8 @@ struct ScanOptions {
   ScanMergeMode merge = ScanMergeMode::kArrivalOrder;
   // Route SnapshotSelect through the unique-key / secondary hash indexes
   // when the WHERE clause binds them with equality (IN-list) conjuncts and
-  // the session is young enough that per-tuple expiration is impossible.
+  // the session is inside the §4.1 version window, where per-tuple
+  // expiration is impossible.
   // Off forces every query down the heap-scan path (differential testing).
   bool index_routing = true;
 };

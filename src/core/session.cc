@@ -39,16 +39,8 @@ Status SessionManager::CheckNotExpired(const ReaderSession& session) const {
           "session invalidated by a maintenance rollback");
     }
   }
-  // Generalized §4.1 condition: with n versions a session survives n-1
-  // maintenance commits, one fewer while a maintenance txn is active.
-  // For n = 2 this is exactly: sessionVN == currentVN, or
-  // (sessionVN == currentVN - 1 and not maintenanceActive).
   const VersionRelation::Snapshot snap = version_relation_->Read();
-  const Vn oldest_valid =
-      snap.current_vn - (n_ - 1) + (snap.maintenance_active ? 1 : 0);
-  const bool valid = session.session_vn >= oldest_valid &&
-                     session.session_vn <= snap.current_vn;
-  if (valid) return Status::OK();
+  if (snap.Admits(session.session_vn, n_)) return Status::OK();
   return Status::SessionExpired(StrPrintf(
       "sessionVN=%lld expired (currentVN=%lld, maintenanceActive=%s)",
       static_cast<long long>(session.session_vn),

@@ -44,7 +44,7 @@ class SessionManager {
 
   void Close(const ReaderSession& session) EXCLUDES(mu_);
 
-  // The paper's §4.1 global check:
+  // The paper's §4.1 global check (VersionRelation::Snapshot::Admits):
   //   valid iff sessionVN == currentVN, or
   //             (sessionVN == currentVN - 1 and not maintenanceActive).
   // Additionally a session forcibly expired by an abort is invalid.

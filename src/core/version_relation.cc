@@ -46,6 +46,11 @@ VersionRelation::Snapshot VersionRelation::Read() const {
   return {row.value()[0].AsInt64(), row.value()[1].AsBool()};
 }
 
+VersionRelation::Snapshot VersionRelation::Peek() const {
+  MutexLock lock(mu_);
+  return {current_vn_, maintenance_active_};
+}
+
 Result<Vn> VersionRelation::BeginMaintenance() {
   MutexLock lock(mu_);
   if (maintenance_active_) {

@@ -32,8 +32,23 @@ class VersionRelation {
   struct Snapshot {
     Vn current_vn;
     bool maintenance_active;
+
+    // The §4.1 version window, generalized to nVNL (§5): a session stays
+    // valid while it overlaps at most n-1 maintenance transactions, one
+    // fewer while a maintenance transaction is active. For n = 2 this is
+    // exactly: sessionVN == currentVN, or (sessionVN == currentVN - 1 and
+    // not maintenanceActive).
+    bool Admits(Vn session_vn, int n) const {
+      const Vn oldest = current_vn - (n - 1) + (maintenance_active ? 1 : 0);
+      return session_vn >= oldest && session_vn <= current_vn;
+    }
   };
+  // Reads the stored tuple through the buffer pool (one counted fetch).
   Snapshot Read() const EXCLUDES(mu_);
+  // The same two attributes from the in-memory copy, taken under the
+  // latch without touching the stored tuple: for engine-internal
+  // decisions that must not show up as a Version-relation read.
+  Snapshot Peek() const EXCLUDES(mu_);
 
   // Marks a maintenance transaction active. Fails if one already is —
   // the "external protocol" of §2.2 that serializes writers.

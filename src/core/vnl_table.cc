@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -924,7 +925,21 @@ struct ParallelScanState {
   };
 
   std::vector<Partition> partitions;
-  std::atomic<bool> cancel{false};
+  // Partitions after this index stop early. A failing partition cancels
+  // only the ones behind it: an earlier partition may still meet an
+  // earlier failure, which is the one the serial scan reports. A consumer
+  // that stops feeding cancels every partition (-1).
+  std::atomic<int> cancel_after{std::numeric_limits<int>::max()};
+
+  bool Cancelled(int p) const {
+    return p > cancel_after.load(std::memory_order_relaxed);
+  }
+  void CancelAfter(int p) {
+    int cur = cancel_after.load(std::memory_order_relaxed);
+    while (p < cur && !cancel_after.compare_exchange_weak(
+                          cur, p, std::memory_order_relaxed)) {
+    }
+  }
 
   Mutex mu;
   CondVar cv;
@@ -1000,7 +1015,7 @@ Status VnlTable::StreamSnapshotParallel(
                   &reconstructed_filter, &params, &logical, &projection]() {
       ParallelScanState::Partition& part = state->partitions[p];
       heap->ScanPages(slice, [&](Rid, const uint8_t* rec) {
-        if (state->cancel.load(std::memory_order_relaxed)) return false;
+        if (state->Cancelled(p)) return false;
         ++part.scanned;
         const VersionResolution res =
             ResolveVersionRaw(vschema_, rec, session_vn);
@@ -1015,7 +1030,7 @@ Status VnlTable::StreamSnapshotParallel(
                 "session at VN %lld hit a tuple modified more than %d "
                 "maintenance transactions ago",
                 static_cast<long long>(session_vn), vschema_.n() - 1));
-            state->cancel.store(true, std::memory_order_relaxed);
+            state->CancelAfter(p);
             return false;
           case ReadOutcome::kRow:
             break;
@@ -1035,7 +1050,7 @@ Status VnlTable::StreamSnapshotParallel(
                 query::EvalPredicate(*e, logical, phys_row, params);
             if (!keep.ok()) {
               part.status = keep.status();
-              state->cancel.store(true, std::memory_order_relaxed);
+              state->CancelAfter(p);
               return false;
             }
             if (!keep.value()) {
@@ -1052,7 +1067,7 @@ Status VnlTable::StreamSnapshotParallel(
               query::EvalPredicate(*e, logical, out, params);
           if (!keep.ok()) {
             part.status = keep.status();
-            state->cancel.store(true, std::memory_order_relaxed);
+            state->CancelAfter(p);
             return false;
           }
           if (!keep.value()) return true;
@@ -1078,7 +1093,7 @@ Status VnlTable::StreamSnapshotParallel(
       ++emitted;
       if (!sink(row)) {
         feeding = false;
-        state->cancel.store(true, std::memory_order_relaxed);
+        state->CancelAfter(-1);
         break;
       }
     }
@@ -1301,14 +1316,17 @@ bool VnlTable::TryStreamViaIndex(
     Status* status) const {
   if (engine_ == nullptr) return false;
   const Schema& logical = vschema_.logical();
-  // Eligibility: with gap = currentVN - sessionVN in [0, n-2], every slot
-  // VN a reader can meet is inside the retained window, so no tuple can
-  // resolve kExpired and skipping unprobed tuples cannot change the read's
-  // status. Older sessions must take the scan path, which decides
+  // Eligibility is the §4.1 version window itself (gap <= n-1, one less
+  // while maintenance is active): inside it no tuple the session can meet
+  // resolves kExpired, so skipping unprobed tuples cannot change the
+  // read's status. Sessions outside it take the scan path, which decides
   // expiration on every heap tuple — including ones the WHERE rejects —
-  // keeping the two paths status-identical.
-  const Vn gap = engine_->current_vn() - session.session_vn;
-  if (gap < 0 || gap > static_cast<Vn>(vschema_.n() - 2)) return false;
+  // keeping the two paths status-identical. Peek() reads the window under
+  // the Version relation's latch without fetching its page.
+  if (!engine_->version_relation()->Peek().Admits(session.session_vn,
+                                                  vschema_.n())) {
+    return false;
+  }
 
   // Bindings are access-path hints only: every absorbed conjunct is
   // re-evaluated on each candidate below, so a superset of the matching
@@ -1349,21 +1367,10 @@ bool VnlTable::TryStreamViaIndex(
   }
   if (!bound) return false;
 
-  // Emit in heap order (page position, then slot) so the routed stream is
-  // byte-identical to the serial scan's. Pages a candidate no longer
-  // belongs to sort last and resolve to kNotFound below.
-  const std::vector<PageId> pages = phys_->heap()->PageIds();
-  std::unordered_map<PageId, size_t> page_pos;
-  page_pos.reserve(pages.size());
-  for (size_t i = 0; i < pages.size(); ++i) page_pos.emplace(pages[i], i);
-  std::sort(candidates.begin(), candidates.end(), [&](Rid a, Rid b) {
-    auto ia = page_pos.find(a.page_id);
-    auto ib = page_pos.find(b.page_id);
-    const size_t pa = ia == page_pos.end() ? pages.size() : ia->second;
-    const size_t pb = ib == page_pos.end() ? pages.size() : ib->second;
-    if (pa != pb) return pa < pb;
-    return a.slot < b.slot;
-  });
+  // Emit in heap order so the routed stream is byte-identical to the
+  // serial scan's. A heap appends pages in allocation order and page ids
+  // only grow, so Rid order is heap order.
+  std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
@@ -1393,8 +1400,9 @@ bool VnlTable::TryStreamViaIndex(
       continue;
     }
     if (res.outcome == ReadOutcome::kExpired) {
-      // Unreachable under the gap guard; kept with the scan path's exact
-      // message so a defect here is indistinguishable to callers.
+      // Reachable when a maintenance transaction begins after the window
+      // check and rewrites a candidate the session can no longer
+      // reconstruct; same message as the scan path's.
       st = Status::SessionExpired(StrPrintf(
           "session at VN %lld hit a tuple modified more than %d "
           "maintenance transactions ago",

@@ -284,14 +284,17 @@ class VnlTable {
 
   // §4.3 index-routed read: serves the same row stream as StreamSnapshot
   // out of the unique-key index (or a secondary posting list) when the
-  // invariant conjuncts bind one with equalities, and the session is young
-  // enough (currentVN - sessionVN <= n-2) that no tuple can resolve
-  // kExpired — the scan path decides expiration per heap tuple, including
-  // tuples the WHERE rejects, so older sessions must take the scan to keep
-  // the two paths status-identical. Returns false (leaving *status
+  // invariant conjuncts bind one with equalities, and the session is inside
+  // the §4.1 version window (currentVN - sessionVN <= n-1, one less while
+  // maintenance is active; VersionRelation::Snapshot::Admits), where no
+  // tuple can resolve kExpired — the scan path decides expiration per heap
+  // tuple, including tuples the WHERE rejects, so sessions outside the
+  // window must take the scan to keep the two paths status-identical. A
+  // maintenance transaction that begins after the check can still expire
+  // the read on a candidate it rewrote. Returns false (leaving *status
   // untouched) when no index applies; true with the read's status in
-  // *status otherwise. Candidates are emitted in heap order, so output is
-  // byte-identical to the serial scan.
+  // *status otherwise. Candidates are emitted in Rid order, which is heap
+  // order, so output is byte-identical to the serial scan.
   bool TryStreamViaIndex(
       const ReaderSession& session,
       const std::vector<const sql::Expr*>& invariant_filter,

@@ -22,6 +22,11 @@ Result<Value> CompareValues(const Value& a_in, const Value& b_in,
   WVM_ASSIGN_OR_RETURN(Value a, CoerceForComparison(a_in, b_in));
   WVM_ASSIGN_OR_RETURN(Value b, CoerceForComparison(b_in, a_in));
   if (a.is_null() || b.is_null()) return Value::Null(TypeId::kBool);
+  if (a.type() != b.type() && !(a.IsNumeric() && b.IsNumeric())) {
+    return Status::InvalidArgument(
+        "cannot compare " + std::string(TypeIdToString(a.type())) + " with " +
+        TypeIdToString(b.type()));
+  }
   const bool lt = a < b;
   const bool gt = b < a;
   const bool eq = !lt && !gt;

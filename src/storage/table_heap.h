@@ -94,7 +94,11 @@ class TableHeap {
   mutable Mutex mu_;  // guards chain tail + free set + id mirror
   PageId first_page_id_ = kInvalidPageId;  // written once in the ctor
   PageId last_page_id_ GUARDED_BY(mu_) = kInvalidPageId;
-  std::vector<PageId> page_ids_ GUARDED_BY(mu_);  // chain in heap order
+  // The chain in heap order. Pages are appended in allocation order under
+  // mu_, and DiskManager page ids only grow, so this list is strictly
+  // ascending even when heaps sharing a pool allocate interleaved: Rid
+  // order is heap order (index-routed reads sort candidates by Rid).
+  std::vector<PageId> page_ids_ GUARDED_BY(mu_);
   std::unordered_set<PageId> pages_with_space_ GUARDED_BY(mu_);
 
   std::atomic<uint64_t> live_records_{0};

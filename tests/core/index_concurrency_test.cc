@@ -8,6 +8,12 @@
 // lose one it should. Registered against the TSan/ASan/UBSan/paranoid
 // library twins so races and protocol violations fail loudly.
 //
+// Edge readers hold a session until it is exactly n-1 commits behind —
+// the oldest gap the §4.1 version window admits, and only while no
+// maintenance transaction is active — and keep reading until it ages out,
+// so their routed reads race the writer's next BeginMaintenance. Each
+// such read must return the session's snapshot rows or kSessionExpired.
+//
 // Each id's group is pinned (grp = g(id % kGroups)): a revive that CHANGED
 // a non-updatable attribute would rewrite the tuple's shared attribute
 // region for every retained version, so concurrently-open older sessions
@@ -77,6 +83,42 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
       sql::ParseSelect("SELECT id, grp, qty FROM t WHERE grp = :g");
   ASSERT_TRUE(by_key.ok() && by_grp.ok());
 
+  enum class Outcome { kChecked, kExpired, kMismatch };
+  // One routed read, judged against the reference model at the session's
+  // VN. A read at a version the model has not published yet is unchecked.
+  auto read_once = [&](const ReaderSession& session, Rng* rng) {
+    const bool point = rng->Bernoulli(0.5);
+    const int64_t k = rng->Uniform(0, kKeySpace - 1);
+    const std::string g = "g" + std::to_string(rng->Uniform(0, kGroups - 1));
+    const query::ParamMap params = {{"k", Value::Int64(k)},
+                                    {"g", Value::String(g)}};
+    Result<query::QueryResult> res =
+        table.SnapshotSelect(session, point ? *by_key : *by_grp, params);
+    if (!res.ok()) {
+      return res.status().code() == StatusCode::kSessionExpired
+                 ? Outcome::kExpired
+                 : Outcome::kMismatch;
+    }
+    State got;
+    for (const Row& row : res->rows) {
+      got[row[0].AsInt64()] = {row[1].AsString(), row[2].AsInt64()};
+    }
+    State want;
+    {
+      std::lock_guard lock(model_mu);
+      const size_t vn = static_cast<size_t>(session.session_vn);
+      if (vn >= states.size()) return Outcome::kChecked;
+      for (const auto& [id, gv] : states[vn]) {
+        if (point ? id == k : gv.first == g) want[id] = gv;
+      }
+    }
+    if (got == want) return Outcome::kChecked;
+    // Force-expired by a lossy abort (§7): reads are no longer served
+    // faithfully, by design.
+    if (!engine.CheckSession(session).ok()) return Outcome::kExpired;
+    return Outcome::kMismatch;
+  };
+
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
@@ -84,48 +126,35 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
       while (!stop.load(std::memory_order_relaxed)) {
         ReaderSession session = engine.OpenSession();
         for (int q = 0; q < 4; ++q) {
-          const bool point = rng.Bernoulli(0.5);
-          const int64_t k = rng.Uniform(0, kKeySpace - 1);
-          const std::string g = "g" + std::to_string(rng.Uniform(0, kGroups - 1));
-          const query::ParamMap params = {{"k", Value::Int64(k)},
-                                          {"g", Value::String(g)}};
-          Result<query::QueryResult> res = table.SnapshotSelect(
-              session, point ? *by_key : *by_grp, params);
-          if (!res.ok()) {
-            if (res.status().code() == StatusCode::kSessionExpired) {
-              expirations.fetch_add(1);
-              break;
-            }
-            mismatches.fetch_add(1);
-            break;
-          }
-          State got;
-          for (const Row& row : res->rows) {
-            got[row[0].AsInt64()] = {row[1].AsString(), row[2].AsInt64()};
-          }
-          State want;
-          bool known_version = true;
-          {
-            std::lock_guard lock(model_mu);
-            const size_t vn = static_cast<size_t>(session.session_vn);
-            if (vn >= states.size()) {
-              known_version = false;
-            } else {
-              for (const auto& [id, gv] : states[vn]) {
-                if (point ? id == k : gv.first == g) want[id] = gv;
-              }
-            }
-          }
-          if (!known_version || got == want) {
+          const Outcome o = read_once(session, &rng);
+          if (o == Outcome::kChecked) {
             reads_checked.fetch_add(1);
-          } else if (!engine.CheckSession(session).ok()) {
-            // Force-expired by a lossy abort (§7): reads are no longer
-            // served faithfully, by design.
-            expirations.fetch_add(1);
-            break;
-          } else {
-            mismatches.fetch_add(1);
+            continue;
           }
+          (o == Outcome::kExpired ? expirations : mismatches).fetch_add(1);
+          break;
+        }
+        engine.CloseSession(session);
+      }
+    });
+  }
+
+  std::atomic<uint64_t> edge_reads{0};
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(7200 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        ReaderSession session = engine.OpenSession();
+        auto gap = [&] { return engine.current_vn() - session.session_vn; };
+        while (gap() < n - 1 && !stop.load(std::memory_order_relaxed)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        while (gap() == n - 1 && !stop.load(std::memory_order_relaxed)) {
+          const Outcome o = read_once(session, &rng);
+          if (o == Outcome::kMismatch) mismatches.fetch_add(1);
+          if (o != Outcome::kChecked) break;
+          reads_checked.fetch_add(1);
+          edge_reads.fetch_add(1);
         }
         engine.CloseSession(session);
       }
@@ -200,6 +229,7 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(reads_checked.load(), 0u);
+  EXPECT_GT(edge_reads.load(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllN, IndexConcurrencyTest,

@@ -3,11 +3,14 @@
 // deleted keys), and predicates, SnapshotSelect with index routing ON must
 // return byte-identical rows — in the same order — as the forced heap-scan
 // path, before, during, and after maintenance transactions, and fail with
-// the same status when the scan path fails (session expiration). The
-// routed path emits candidates in heap order precisely so this holds.
+// the same status when the scan path fails (session expiration, type
+// errors). The routed path emits candidates in heap order precisely so
+// this holds. Each routed read is also checked to have taken the index
+// exactly when the session is inside the §4.1 version window.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -22,17 +25,18 @@ namespace wvm::core {
 namespace {
 
 // Unique key on id; secondary indexes on the non-updatable group prefix
-// (grp) and on the sometimes-NULL tag column. cnt is indexed nowhere, so
-// equality on it must fall back to the scan. qty/amt force
-// reconstructed-side filters.
+// (grp), on the sometimes-NULL tag column and on the DATE column day. cnt
+// is indexed nowhere, so equality on it must fall back to the scan.
+// qty/amt force reconstructed-side filters.
 Schema DiffSchema() {
   Schema s({Column::Int64("id"), Column::String("grp", 4),
             Column::String("tag", 6), Column::Int32("cnt"),
             Column::Int64("qty", /*updatable=*/true),
-            Column::Double("amt", /*updatable=*/true)},
+            Column::Double("amt", /*updatable=*/true), Column::Date("day")},
            {0});
   WVM_CHECK(s.AddSecondaryIndex("by_grp", {"grp"}).ok());
   WVM_CHECK(s.AddSecondaryIndex("by_tag", {"tag"}).ok());
+  WVM_CHECK(s.AddSecondaryIndex("by_day", {"day"}).ok());
   return s;
 }
 
@@ -50,48 +54,74 @@ Row MakeItem(Rng* rng, int64_t id) {
   row.push_back(Value::Int32(static_cast<int32_t>(rng->Uniform(0, 100))));
   row.push_back(Value::Int64(rng->Uniform(-1000, 1000)));
   row.push_back(Value::Double(rng->UniformDouble(-10.0, 10.0)));
+  row.push_back(
+      Value::Date(1996, 10, static_cast<int>(rng->Uniform(1, 6))));
   return row;
 }
 
 // Query pool. Covers: unique-key point reads and IN-lists (hit, miss,
 // param-bound, literal-on-the-left), composite conjunctions with residual
 // predicates on updatable and unindexed columns, secondary-index routing
-// (grp, tag) with narrow projections and aggregation, contradictory
-// equalities, mixed-column ORs and non-equality shapes (fallback), and an
-// over-width string literal (declined binding, constant-false filter).
-const char* kQueries[] = {
-    "SELECT * FROM t WHERE id = 17",
-    "SELECT * FROM t WHERE 23 = id",
-    "SELECT id, qty FROM t WHERE id = :k",
-    "SELECT * FROM t WHERE id = 100000",
-    "SELECT id, amt FROM t WHERE id = 3 OR id = 7 OR id = 11 OR id = 3",
-    "SELECT * FROM t WHERE id = 5 AND qty > 0",
-    "SELECT * FROM t WHERE id = 5 AND cnt < 50",
-    "SELECT * FROM t WHERE id = 5 AND id = 6",
-    "SELECT id FROM t WHERE grp = 'g1'",
-    "SELECT id, qty FROM t WHERE grp = 'g2' AND qty > :q",
-    "SELECT grp, COUNT(*) AS c, SUM(qty) AS s FROM t "
-    "WHERE grp = 'g0' OR grp = 'g3' GROUP BY grp",
-    "SELECT id FROM t WHERE tag = 'alpha'",
-    "SELECT id FROM t WHERE tag = 'alpha' OR tag = 'beta'",
-    "SELECT id FROM t WHERE grp = 'g1' AND tag = 'gamma'",
-    "SELECT id FROM t WHERE grp = 'g1xxxxxx'",
-    "SELECT id FROM t WHERE id = 4 OR grp = 'g1'",
-    "SELECT id FROM t WHERE cnt = 42",
-    "SELECT id FROM t WHERE id > 10 AND id < 14",
-    "SELECT COUNT(*) AS c FROM t",
+// (grp, tag, day) with narrow projections and aggregation, DATE bindings
+// from a DATE param and from parseable string literals, contradictory
+// equalities, mixed-column ORs and non-equality shapes (fallback), an
+// over-width string literal (declined binding, constant-false filter), and
+// type-mismatched or unparseable comparands (declined binding; both paths
+// fail with InvalidArgument). `routable` marks the queries the index
+// serves whenever the session is inside the version window.
+struct PoolQuery {
+  const char* sql;
+  bool routable;
+};
+
+const PoolQuery kQueries[] = {
+    {"SELECT * FROM t WHERE id = 17", true},
+    {"SELECT * FROM t WHERE 23 = id", true},
+    {"SELECT id, qty FROM t WHERE id = :k", true},
+    {"SELECT * FROM t WHERE id = 100000", true},
+    {"SELECT id, amt FROM t WHERE id = 3 OR id = 7 OR id = 11 OR id = 3",
+     true},
+    {"SELECT * FROM t WHERE id = 5 AND qty > 0", true},
+    {"SELECT * FROM t WHERE id = 5 AND cnt < 50", true},
+    {"SELECT * FROM t WHERE id = 5 AND id = 6", true},
+    {"SELECT id FROM t WHERE grp = 'g1'", true},
+    {"SELECT id, qty FROM t WHERE grp = 'g2' AND qty > :q", true},
+    {"SELECT grp, COUNT(*) AS c, SUM(qty) AS s FROM t "
+     "WHERE grp = 'g0' OR grp = 'g3' GROUP BY grp",
+     true},
+    {"SELECT id FROM t WHERE tag = 'alpha'", true},
+    {"SELECT id FROM t WHERE tag = 'alpha' OR tag = 'beta'", true},
+    {"SELECT id FROM t WHERE grp = 'g1' AND tag = 'gamma'", true},
+    {"SELECT id, day FROM t WHERE day = :d", true},
+    {"SELECT id, qty FROM t WHERE day = '10/03/96' AND qty > :q", true},
+    {"SELECT day, COUNT(*) AS c FROM t "
+     "WHERE day = '10/02/1996' OR day = :d GROUP BY day",
+     true},
+    {"SELECT id FROM t WHERE tag = 'beta' AND day = :d", true},
+    {"SELECT id FROM t WHERE grp = 'g1xxxxxx'", false},
+    {"SELECT id FROM t WHERE id = 4 OR grp = 'g1'", false},
+    {"SELECT id FROM t WHERE cnt = 42", false},
+    {"SELECT id FROM t WHERE id > 10 AND id < 14", false},
+    {"SELECT COUNT(*) AS c FROM t", false},
+    {"SELECT id FROM t WHERE day = '10/32/96'", false},
+    {"SELECT id FROM t WHERE day = 5", false},
+    {"SELECT id FROM t WHERE grp = 5", false},
+    {"SELECT id FROM t WHERE qty = 'x'", false},
 };
 
 class IndexReadDiffTest : public ::testing::Test {
  protected:
   // Every pool query through the forced-scan path (serial and parallel)
-  // and through the index-routed path; all must agree row for row.
+  // and through the index-routed path; all must agree row for row. With
+  // `in_window` each routable query must take the index (one avoided scan
+  // per routed read); without it every read must fall back to the scan.
   void ExpectRoutedMatchesScan(VnlEngine* engine, VnlTable* table,
                                const ReaderSession& session,
-                               const query::ParamMap& params) {
-    for (const char* sql : kQueries) {
-      SCOPED_TRACE(std::string("query: ") + sql);
-      Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
+                               const query::ParamMap& params,
+                               bool in_window) {
+    for (const PoolQuery& q : kQueries) {
+      SCOPED_TRACE(std::string("query: ") + q.sql);
+      Result<sql::SelectStmt> stmt = sql::ParseSelect(q.sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
 
       engine->SetScanOptions(
@@ -103,8 +133,11 @@ class IndexReadDiffTest : public ::testing::Test {
         SCOPED_TRACE(StrPrintf("threads=%d", threads));
         engine->SetScanOptions(
             {threads, ScanMergeMode::kHeapOrder, /*index_routing=*/true});
+        const uint64_t avoided = engine->scan_metrics().scans_avoided;
         Result<query::QueryResult> routed =
             table->SnapshotSelect(session, *stmt, params);
+        EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,
+                  in_window && q.routable ? 1u : 0u);
 
         ASSERT_EQ(scan.ok(), routed.ok())
             << (scan.ok() ? routed.status() : scan.status()).ToString();
@@ -157,9 +190,10 @@ class IndexReadDiffTest : public ::testing::Test {
 
     const query::ParamMap params = {
         {"q", Value::Int64(rng.Uniform(-500, 500))},
-        {"k", Value::Int64(rng.Uniform(0, rows))}};
+        {"k", Value::Int64(rng.Uniform(0, rows))},
+        {"d", Value::Date(1996, 10, static_cast<int>(rng.Uniform(1, 6)))}};
     ReaderSession before = engine->OpenSession();
-    ExpectRoutedMatchesScan(engine, table, before, params);
+    ExpectRoutedMatchesScan(engine, table, before, params, true);
 
     Result<MaintenanceTxn*> churn = engine->BeginMaintenance();
     ASSERT_TRUE(churn.ok());
@@ -185,8 +219,8 @@ class IndexReadDiffTest : public ::testing::Test {
           ASSERT_TRUE(table->DeleteByKey(*churn, key).ok());
         } else {
           // A re-insert over a logically deleted key is the Table-2 revive:
-          // the fresh random grp/tag move secondary postings. Over a live
-          // key it is a legitimate uniqueness error.
+          // the fresh random grp/tag/day move secondary postings. Over a
+          // live key it is a legitimate uniqueness error.
           const Status s = table->Insert(*churn, MakeItem(&rng, id));
           ASSERT_TRUE(s.ok() || s.code() == StatusCode::kAlreadyExists)
               << s.ToString();
@@ -195,38 +229,47 @@ class IndexReadDiffTest : public ::testing::Test {
     };
     apply_random_ops(static_cast<int>(rng.Uniform(15, 50)));
 
+    // Gap 0 stays inside the window while maintenance is active.
     ReaderSession during = engine->OpenSession();
-    ExpectRoutedMatchesScan(engine, table, before, params);
-    ExpectRoutedMatchesScan(engine, table, during, params);
+    ExpectRoutedMatchesScan(engine, table, before, params, true);
+    ExpectRoutedMatchesScan(engine, table, during, params, true);
 
     apply_random_ops(static_cast<int>(rng.Uniform(5, 20)));
     ASSERT_TRUE(engine->Commit(*churn).ok());
 
+    // `before` is now one commit behind with no maintenance active: inside
+    // the §4.1 window for every n, so it is served off the index too.
     ReaderSession after = engine->OpenSession();
-    ExpectRoutedMatchesScan(engine, table, before, params);
-    ExpectRoutedMatchesScan(engine, table, after, params);
+    ExpectRoutedMatchesScan(engine, table, before, params, true);
+    ExpectRoutedMatchesScan(engine, table, after, params, true);
 
     // GC with `after` still open: reclaimable tuples vanish from both the
     // heap and the indexes; the routed path must keep agreeing.
     engine->CloseSession(before);
     ASSERT_TRUE(engine->CollectGarbage().ok());
-    ExpectRoutedMatchesScan(engine, table, after, params);
+    ExpectRoutedMatchesScan(engine, table, after, params, true);
 
-    if (rng.Bernoulli(0.5)) {
-      // A second churn drives sessions pinned two commits back into
-      // expiration for n = 2: the routed path must fail with the same
-      // status code as the scan (its gap guard forces the scan path, which
-      // expires at tuple granularity).
-      ReaderSession stale = after;
-      Result<MaintenanceTxn*> churn2 = engine->BeginMaintenance();
-      ASSERT_TRUE(churn2.ok());
-      churn = churn2;  // apply_random_ops writes through `churn`
-      apply_random_ops(static_cast<int>(rng.Uniform(10, 30)));
-      ASSERT_TRUE(engine->Commit(*churn2).ok());
-      ExpectRoutedMatchesScan(engine, table, stale, params);
-      ReaderSession fresh = engine->OpenSession();
-      ExpectRoutedMatchesScan(engine, table, fresh, params);
+    // Window edge: age `after` to gap n-1 (the oldest the window admits
+    // with no maintenance active), where it still routes. A new
+    // maintenance transaction shrinks the window past it, so the same
+    // session must fall back to the scan, which expires it at tuple
+    // granularity whenever it meets a tuple the transaction rewrote; the
+    // routed path must fail with the same status.
+    while (engine->current_vn() - after.session_vn < n - 1) {
+      churn = engine->BeginMaintenance();
+      ASSERT_TRUE(churn.ok());
+      apply_random_ops(static_cast<int>(rng.Uniform(5, 15)));
+      ASSERT_TRUE(engine->Commit(*churn).ok());
     }
+    ExpectRoutedMatchesScan(engine, table, after, params, true);
+    churn = engine->BeginMaintenance();
+    ASSERT_TRUE(churn.ok());
+    apply_random_ops(static_cast<int>(rng.Uniform(10, 30)));
+    ExpectRoutedMatchesScan(engine, table, after, params, false);
+    ASSERT_TRUE(engine->Commit(*churn).ok());
+    ExpectRoutedMatchesScan(engine, table, after, params, false);
+    ReaderSession fresh = engine->OpenSession();
+    ExpectRoutedMatchesScan(engine, table, fresh, params, true);
   }
 };
 
@@ -286,6 +329,58 @@ TEST(IndexReadStatsTest, RoutedSelectRecordsLookupsAndAvoidedScans) {
   EXPECT_EQ(m.scans_avoided, 1u);
   // The routed read touched one candidate tuple, not the whole heap.
   EXPECT_EQ(m.rows_scanned, 1u);
+}
+
+// A comparison between incompatible types is a query error, never a
+// process abort, and both read paths report it alike: the routed path
+// when a candidate's conjunct fails to evaluate, the scan when its first
+// row does.
+TEST(IndexReadStatsTest, TypeMismatchedWhereFailsAlikeOnBothPaths) {
+  Rng rng(13);
+  DiskManager disk;
+  BufferPool pool(256, &disk);
+  auto engine_or = VnlEngine::Create(&pool, 2);
+  ASSERT_TRUE(engine_or.ok());
+  VnlEngine* engine = engine_or.value().get();
+  auto table_or = engine->CreateTable("t", DiffSchema());
+  ASSERT_TRUE(table_or.ok());
+  VnlTable* table = table_or.value();
+  {
+    Result<MaintenanceTxn*> load = engine->BeginMaintenance();
+    ASSERT_TRUE(load.ok());
+    for (int64_t id = 0; id < 10; ++id) {
+      ASSERT_TRUE(table->Insert(*load, MakeItem(&rng, id)).ok());
+    }
+    ASSERT_TRUE(engine->Commit(*load).ok());
+  }
+  ReaderSession s = engine->OpenSession();
+  // {query, served off the index}
+  const std::pair<const char*, bool> kMismatched[] = {
+      {"SELECT id FROM t WHERE day = 5", false},
+      {"SELECT id FROM t WHERE grp = 5", false},
+      {"SELECT id FROM t WHERE qty = 'x'", false},
+      {"SELECT id FROM t WHERE id = 'x'", false},
+      {"SELECT id FROM t WHERE id = 3 AND day = 5", true},
+      {"SELECT id FROM t WHERE id = 3 AND qty = 'x'", true},
+  };
+  for (const auto& [sql, routable] : kMismatched) {
+    SCOPED_TRACE(sql);
+    Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok());
+    engine->SetScanOptions(
+        {1, ScanMergeMode::kArrivalOrder, /*index_routing=*/false});
+    Result<query::QueryResult> scan = table->SnapshotSelect(s, *stmt, {});
+    engine->SetScanOptions(
+        {1, ScanMergeMode::kArrivalOrder, /*index_routing=*/true});
+    const uint64_t avoided = engine->scan_metrics().scans_avoided;
+    Result<query::QueryResult> routed = table->SnapshotSelect(s, *stmt, {});
+    EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,
+              routable ? 1u : 0u);
+    EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument)
+        << scan.status().ToString();
+    EXPECT_EQ(routed.status().code(), StatusCode::kInvalidArgument)
+        << routed.status().ToString();
+  }
 }
 
 TEST(IndexReadStatsTest, SnapshotLookupRecordsIndexProbes) {

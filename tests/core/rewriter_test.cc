@@ -102,7 +102,8 @@ TEST(RewriterTest, SelectStarExpandsToLogicalColumns) {
 Schema KeyedSchema() {
   return Schema({Column::Int64("id"), Column::String("grp", 4),
                  Column::Int32("cnt"), Column::Double("wt"),
-                 Column::Int64("qty", /*updatable=*/true)},
+                 Column::Int64("qty", /*updatable=*/true),
+                 Column::Date("day")},
                 {0});
 }
 
@@ -198,6 +199,50 @@ TEST(BindIndexKeysTest, NormalizesCrossWidthIntegers) {
   ASSERT_EQ(keys->size(), 1u);
   EXPECT_EQ((*keys)[0][0].type(), TypeId::kInt32);
   EXPECT_TRUE((*keys)[0][0] == Value::Int32(5));
+}
+
+// DATE columns bind exactly what the scan's comparison would match: a
+// DATE value, or a string CompareValues would coerce with ParseDate.
+TEST(BindIndexKeysTest, BindsDateParamOnKeyWithDate) {
+  auto keys = Bind("id = 4 AND day = :d", {0, 5},
+                   {{"d", Value::Date(1996, 10, 14)}});
+  ASSERT_TRUE(keys.has_value());
+  ASSERT_EQ(keys->size(), 1u);
+  EXPECT_TRUE((*keys)[0][0] == Value::Int64(4));
+  EXPECT_EQ((*keys)[0][1].type(), TypeId::kDate);
+  EXPECT_TRUE((*keys)[0][1] == Value::Date(1996, 10, 14));
+}
+
+TEST(BindIndexKeysTest, BindsParseableDateStringToParsedDate) {
+  auto keys = Bind("id = 4 AND day = '10/14/96'", {0, 5});
+  ASSERT_TRUE(keys.has_value());
+  ASSERT_EQ(keys->size(), 1u);
+  EXPECT_EQ((*keys)[0][1].type(), TypeId::kDate);
+  EXPECT_TRUE((*keys)[0][1] == Value::Date(1996, 10, 14));
+}
+
+TEST(BindIndexKeysTest, UnparseableDateStringIsDeclined) {
+  EXPECT_FALSE(Bind("id = 4 AND day = 'soon'", {0, 5}).has_value());
+  EXPECT_FALSE(Bind("id = 4 AND day = '13/01/96'", {0, 5}).has_value());
+}
+
+TEST(BindIndexKeysTest, NonDateComparandOnDateIsDeclined) {
+  EXPECT_FALSE(Bind("id = 4 AND day = 19961014", {0, 5}).has_value());
+  EXPECT_FALSE(Bind("id = 4 AND day = 1.5", {0, 5}).has_value());
+  EXPECT_FALSE(Bind("id = 4 AND day = :d", {0, 5},
+                    {{"d", Value::Int64(19961014)}})
+                   .has_value());
+}
+
+TEST(BindIndexKeysTest, BindsEveryDateInAnInList) {
+  // Two spellings of the same date collapse to one key.
+  auto keys = Bind(
+      "id = 4 AND (day = '10/14/96' OR day = :d OR day = '10/14/1996')",
+      {0, 5}, {{"d", Value::Date(1996, 10, 15)}});
+  ASSERT_TRUE(keys.has_value());
+  ASSERT_EQ(keys->size(), 2u);
+  EXPECT_TRUE((*keys)[0][1] == Value::Date(1996, 10, 14));
+  EXPECT_TRUE((*keys)[1][1] == Value::Date(1996, 10, 15));
 }
 
 TEST(BindIndexKeysTest, CandidateCapDeclinesWideInLists) {

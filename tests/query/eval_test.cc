@@ -70,6 +70,27 @@ TEST_F(EvalTest, DateStringCoercion) {
   EXPECT_FALSE(Eval("date = '10/13/96'", row).AsBool());
 }
 
+// Comparing incompatible non-NULL types is a query error, not an abort.
+TEST_F(EvalTest, IncompatibleComparisonIsError) {
+  Row row = MakeRow("a", 1);
+  for (const char* expr :
+       {"date = 5", "city = 5", "sales = 'x'", "5 < date", "city >= sales",
+        "date <> 1.5", "date = 'not a date'"}) {
+    SCOPED_TRACE(expr);
+    EXPECT_EQ(EvalError(expr, row).code(), StatusCode::kInvalidArgument);
+  }
+  // Cross-width and int/double comparisons stay legal.
+  EXPECT_TRUE(Eval("vn = 3.0", row).AsBool());
+  EXPECT_TRUE(Eval("vn < sales + 10", row).AsBool());
+}
+
+TEST_F(EvalTest, IncompatibleComparisonWithNullYieldsNull) {
+  Row row = {Value::Null(TypeId::kString), Value::Null(TypeId::kInt64),
+             Value::Date(1996, 1, 1), Value::Int32(0)};
+  EXPECT_TRUE(Eval("city = 5", row).is_null());
+  EXPECT_TRUE(Eval("sales = 'x'", row).is_null());
+}
+
 TEST_F(EvalTest, Params) {
   Row row = MakeRow("a", 1);
   ParamMap params = {{"sessionVN", Value::Int64(3)}};

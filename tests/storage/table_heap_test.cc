@@ -145,6 +145,33 @@ TEST_F(TableHeapTest, ScanSkipsDeleted) {
   for (uint64_t tag : seen) EXPECT_EQ(tag % 2, 1u);
 }
 
+// Index-routed reads sort candidates by Rid to emit them in heap order.
+// That holds because a heap appends pages in allocation order and page
+// ids only grow: each heap's chain is strictly ascending even when heaps
+// sharing one pool allocate their pages interleaved.
+TEST_F(TableHeapTest, PageIdsAscendWhenHeapsInterleaveAllocation) {
+  TableHeap a(&pool_, 1000);
+  TableHeap b(&pool_, 1000);
+  auto rec = MakeRecord(1000, 1);
+  for (size_t i = 0; i < 6 * a.records_per_page(); ++i) {
+    ASSERT_TRUE(a.Insert(rec.data()).ok());
+    ASSERT_TRUE(b.Insert(rec.data()).ok());
+  }
+  const std::vector<PageId> pa = a.PageIds();
+  const std::vector<PageId> pb = b.PageIds();
+  ASSERT_GE(pa.size(), 6u);
+  ASSERT_GE(pb.size(), 6u);
+  for (const std::vector<PageId>* ids : {&pa, &pb}) {
+    for (size_t i = 1; i < ids->size(); ++i) {
+      EXPECT_LT((*ids)[i - 1], (*ids)[i]);
+    }
+  }
+  // The allocations really interleaved: each heap's chain skips ids the
+  // other heap took.
+  EXPECT_LT(pa.front(), pb.front());
+  EXPECT_LT(pb.front(), pa[1]);
+}
+
 TEST_F(TableHeapTest, RecordsPerPageMatchesLayout) {
   TableHeap heap(&pool_, 100);
   // capacity = (4096 - 8) / (100 + 1) = 40
