@@ -64,7 +64,7 @@ void Run() {
   });
 
   const VersionedSchema& vs = table.versioned_schema();
-  std::vector<Row> rows = table.physical_table().AllRows();
+  std::vector<Row> rows = table.physical_table().AllRows().value();
   WVM_CHECK(rows.size() == 1);
   const Row& t = rows[0];
 

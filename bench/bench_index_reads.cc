@@ -76,8 +76,7 @@ PathCost RunPath(core::VnlEngine* engine, core::VnlTable* table,
                  const core::ReaderSession& session,
                  const sql::SelectStmt& stmt, const query::ParamMap& params,
                  bool routed, int reps) {
-  engine->SetScanOptions(
-      {1, core::ScanMergeMode::kArrivalOrder, /*index_routing=*/routed});
+  engine->SetScanOptions({1, /*index_routing=*/routed});
   const core::ScanMetrics m0 = engine->scan_metrics();
   const auto t0 = std::chrono::steady_clock::now();
   size_t rows = 0;
@@ -207,7 +206,7 @@ void Run() {
   engine.CloseSession(fresh);
 
   // --- Projection pushdown: bytes copied by narrow vs wide scans ---------
-  engine.SetScanOptions({1, core::ScanMergeMode::kArrivalOrder, false});
+  engine.SetScanOptions({1, false});
   core::ScanMetrics m0 = engine.scan_metrics();
   Result<query::QueryResult> r = table.SnapshotSelect(current, *wide);
   WVM_CHECK(r.ok());

@@ -162,8 +162,7 @@ void RunEngine(const std::string& name) {
     Result<sql::SelectStmt> stmt = sql::ParseSelect("SELECT * FROM t");
     WVM_CHECK(stmt.ok());
     for (int threads : {1, 2, 4}) {
-      vnl->engine()->SetScanOptions(
-          {threads, core::ScanMergeMode::kArrivalOrder});
+      vnl->engine()->SetScanOptions({threads});
       b0 = pool.stats();
       d0 = disk.stats();
       Result<query::QueryResult> r =
@@ -178,7 +177,7 @@ void RunEngine(const std::string& name) {
       bench::Emit(name + "/parallel_scan_misses_t" + std::to_string(threads),
                   static_cast<double>(par.misses), "pages");
     }
-    vnl->engine()->SetScanOptions({1, core::ScanMergeMode::kArrivalOrder});
+    vnl->engine()->SetScanOptions({1});
     vnl->engine()->CloseSession(session);
   }
 

@@ -113,8 +113,10 @@ void Mv2plGc(double update_fraction, int rounds) {
 
   const uint64_t pool_before = engine.pool_records();
   const auto t0 = std::chrono::steady_clock::now();
-  const size_t reclaimed = engine.CollectPoolGarbage();
+  const Result<size_t> gc = engine.CollectPoolGarbage();
   const double ms = MsSince(t0);
+  WVM_CHECK(gc.ok());
+  const size_t reclaimed = gc.value();
   std::printf(
       "mv2pl  updated=%5.0f%% x%d rounds    pool-records=%6llu -> "
       "reclaimed=%6zu  time=%7.2fms\n",

@@ -175,14 +175,12 @@ BENCHMARK(BM_VnlSelectiveWhereStreaming)->Arg(2)->Arg(1);
 // and evaluate the compiled grp predicate on serialized attributes, so a
 // rejected tuple costs roughly one memcmp — the per-tuple saving shows up
 // even at threads=1, and page-range parallelism stacks on top of it on
-// multi-core hosts. Axis: {threads, sessionVN}.
+// multi-core hosts. Partitions feed the sink in heap order. Axis:
+// {threads, sessionVN}.
 void BM_VnlSelectiveWhereParallel(benchmark::State& state) {
   VnlFixture& fx = Fixture();
   const int threads = static_cast<int>(state.range(0));
-  const core::ScanMergeMode merge = state.range(2) != 0
-                                        ? core::ScanMergeMode::kHeapOrder
-                                        : core::ScanMergeMode::kArrivalOrder;
-  fx.engine->SetScanOptions({threads, merge});
+  fx.engine->SetScanOptions({threads});
   core::ReaderSession session;
   session.session_vn = state.range(1);
   Result<sql::SelectStmt> stmt = sql::ParseSelect(kSelectiveSql);
@@ -196,23 +194,20 @@ void BM_VnlSelectiveWhereParallel(benchmark::State& state) {
   }
   const core::ScanMetrics m = fx.engine->scan_metrics();
   WVM_CHECK(m.full_materializations == 0);
-  fx.engine->SetScanOptions({1, core::ScanMergeMode::kArrivalOrder});
+  fx.engine->SetScanOptions({1});
   state.SetItemsProcessed(state.iterations() * kRows);
   state.counters["threads"] = threads;
   state.counters["parallel_scans_per_iter"] =
       static_cast<double>(m.parallel_scans) /
       static_cast<double>(state.iterations());
-  state.SetLabel(merge == core::ScanMergeMode::kHeapOrder
-                     ? "partitioned raw-byte scan, heap-order merge"
-                     : "partitioned raw-byte scan, arrival-order merge");
+  state.SetLabel("partitioned raw-byte scan");
 }
 BENCHMARK(BM_VnlSelectiveWhereParallel)
-    ->Args({1, 2, 0})
-    ->Args({2, 2, 0})
-    ->Args({4, 2, 0})
-    ->Args({8, 2, 0})
-    ->Args({4, 2, 1})
-    ->Args({4, 1, 0});
+    ->Args({1, 2})
+    ->Args({2, 2})
+    ->Args({4, 2})
+    ->Args({8, 2})
+    ->Args({4, 1});
 
 // Aggregate scan on the partitioned path: every live tuple must be
 // materialized (no selective predicate), so this isolates the raw-byte
@@ -220,8 +215,7 @@ BENCHMARK(BM_VnlSelectiveWhereParallel)
 void BM_VnlNativeSnapshotAggregateParallel(benchmark::State& state) {
   VnlFixture& fx = Fixture();
   const int threads = static_cast<int>(state.range(0));
-  fx.engine->SetScanOptions(
-      {threads, core::ScanMergeMode::kArrivalOrder});
+  fx.engine->SetScanOptions({threads});
   core::ReaderSession session;
   session.session_vn = state.range(1);
   Result<sql::SelectStmt> stmt = sql::ParseSelect(kAggregateSql);
@@ -232,7 +226,7 @@ void BM_VnlNativeSnapshotAggregateParallel(benchmark::State& state) {
     WVM_CHECK(r.ok());
     benchmark::DoNotOptimize(r.value().rows);
   }
-  fx.engine->SetScanOptions({1, core::ScanMergeMode::kArrivalOrder});
+  fx.engine->SetScanOptions({1});
   state.SetItemsProcessed(state.iterations() * kRows);
   state.counters["threads"] = threads;
   state.SetLabel(state.range(1) == 2 ? "current-version reads"

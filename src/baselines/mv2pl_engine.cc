@@ -144,10 +144,10 @@ Result<std::vector<Row>> Mv2plEngine::ReadAll(uint64_t reader) {
     ts = it->second;
   }
   std::vector<Row> mains;
-  main_table_->ScanRows([&](Rid, const Row& row) {
+  WVM_RETURN_IF_ERROR(main_table_->ScanRows([&](Rid, const Row& row) {
     mains.push_back(row);
     return true;
-  });
+  }));
   std::vector<Row> rows;
   for (const Row& main : mains) {
     WVM_ASSIGN_OR_RETURN(std::optional<Row> v, VersionAt(main, ts));
@@ -314,7 +314,7 @@ Status Mv2plEngine::CommitMaintenance() {
   return Status::OK();
 }
 
-size_t Mv2plEngine::CollectPoolGarbage() {
+Result<size_t> Mv2plEngine::CollectPoolGarbage() {
   MutexLock lock(mu_);
   int64_t min_ts = committed_vn_;
   for (const auto& [id, ts] : readers_) min_ts = std::min(min_ts, ts);
@@ -323,10 +323,10 @@ size_t Mv2plEngine::CollectPoolGarbage() {
   // min_ts; everything older is unreachable by current or future readers.
   size_t reclaimed = 0;
   std::vector<std::pair<Rid, Row>> mains;
-  main_table_->ScanRows([&](Rid rid, const Row& row) {
+  WVM_RETURN_IF_ERROR(main_table_->ScanRows([&](Rid rid, const Row& row) {
     mains.emplace_back(rid, row);
     return true;
-  });
+  }));
   for (auto& [rid, main] : mains) {
     // Find the cut point: walk the chain, stop after the first node with
     // create_vn <= min_ts.

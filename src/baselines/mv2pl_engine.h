@@ -60,8 +60,9 @@ class Mv2plEngine : public WarehouseEngine {
   EngineStorageStats StorageStats() const override;
 
   // Reclaims pool versions no active reader can need; returns the number
-  // of pool records removed.
-  size_t CollectPoolGarbage();
+  // of pool records removed, or the buffer pool's error when the main
+  // table cannot be scanned.
+  Result<size_t> CollectPoolGarbage();
 
   // Number of version-pool records fetched on behalf of readers — the
   // "additional I/Os to access the correct version" cost of §6.

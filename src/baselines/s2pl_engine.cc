@@ -30,10 +30,10 @@ Result<std::vector<Row>> S2plEngine::ReadAll(uint64_t reader) {
   // Collect rids first, then lock + read each (locking inside the scan
   // callback would hold a page latch across a blocking wait).
   std::vector<Rid> rids;
-  table_->ScanRows([&](Rid rid, const Row&) {
+  WVM_RETURN_IF_ERROR(table_->ScanRows([&](Rid rid, const Row&) {
     rids.push_back(rid);
     return true;
-  });
+  }));
   std::vector<Row> rows;
   rows.reserve(rids.size());
   for (Rid rid : rids) {

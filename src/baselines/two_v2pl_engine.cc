@@ -53,10 +53,10 @@ Result<std::vector<Row>> TwoV2plEngine::ReadAll(uint64_t reader) {
   // block on certification). Pass 3: read the values — the locks prevent
   // a writer from certifying these tuples underneath us.
   std::vector<std::pair<Rid, Row>> entries;  // rid, key
-  table_->ScanRows([&](Rid rid, const Row& row) {
+  WVM_RETURN_IF_ERROR(table_->ScanRows([&](Rid rid, const Row& row) {
     entries.emplace_back(rid, schema_.KeyOf(row));
     return true;
-  });
+  }));
   {
     MutexLock lock(mu_);
     if (reader_reads_.count(reader) == 0) {

@@ -29,18 +29,19 @@ Result<Row> Table::GetRow(Rid rid) const {
   return DeserializeRow(schema_, buf.data());
 }
 
-void Table::ScanRows(const std::function<bool(Rid, const Row&)>& fn) const {
-  heap_->Scan([&](Rid rid, const uint8_t* rec) {
+Status Table::ScanRows(
+    const std::function<bool(Rid, const Row&)>& fn) const {
+  return heap_->Scan([&](Rid rid, const uint8_t* rec) {
     return fn(rid, DeserializeRow(schema_, rec));
   });
 }
 
-std::vector<Row> Table::AllRows() const {
+Result<std::vector<Row>> Table::AllRows() const {
   std::vector<Row> rows;
-  ScanRows([&](Rid, const Row& row) {
+  WVM_RETURN_IF_ERROR(ScanRows([&](Rid, const Row& row) {
     rows.push_back(row);
     return true;
-  });
+  }));
   return rows;
 }
 

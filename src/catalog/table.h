@@ -29,11 +29,12 @@ class Table {
   Result<Row> GetRow(Rid rid) const;
 
   // Invokes `fn` for every live row; return false to stop early.
-  // Rows are deserialized copies, safe to keep.
-  void ScanRows(const std::function<bool(Rid, const Row&)>& fn) const;
+  // Rows are deserialized copies, safe to keep. Fails with the buffer
+  // pool's error when a page cannot be fetched.
+  Status ScanRows(const std::function<bool(Rid, const Row&)>& fn) const;
 
   // Convenience: all rows in page order.
-  std::vector<Row> AllRows() const;
+  Result<std::vector<Row>> AllRows() const;
 
   uint64_t num_rows() const { return heap_->live_records(); }
   uint64_t num_pages() const { return heap_->num_pages(); }

@@ -260,20 +260,6 @@ Status CheckReaderResolution(Vn session_vn,
   return Status::Internal("unknown read outcome");
 }
 
-Status CheckReaderResolutionRow(const VersionedSchema& vs, const Row& phys,
-                                Vn session_vn,
-                                const VersionResolution& res) {
-  const int m = vs.PopulatedSlots(phys);
-  std::vector<SlotStamp> slots;
-  slots.reserve(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    Result<Op> op = vs.Operation(phys, i);
-    if (!op.ok()) return op.status();
-    slots.push_back({vs.TupleVn(phys, i), op.value()});
-  }
-  return CheckReaderResolution(session_vn, slots, vs.n(), res);
-}
-
 Status CheckReaderResolutionRaw(const VersionedSchema& vs,
                                 const uint8_t* rec, Vn session_vn,
                                 const VersionResolution& res) {

@@ -74,10 +74,8 @@ Status CheckReaderResolution(Vn session_vn,
                              const std::vector<SlotStamp>& slots, int n,
                              const VersionResolution& res);
 
-// Convenience wrappers: extract the populated slot stamps from a physical
-// row / serialized record, then check.
-Status CheckReaderResolutionRow(const VersionedSchema& vs, const Row& phys,
-                                Vn session_vn, const VersionResolution& res);
+// Convenience wrapper: extracts the populated slot stamps from a
+// serialized physical record, then checks.
 Status CheckReaderResolutionRaw(const VersionedSchema& vs,
                                 const uint8_t* rec, Vn session_vn,
                                 const VersionResolution& res);

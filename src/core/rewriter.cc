@@ -324,4 +324,13 @@ std::optional<std::vector<Row>> BindIndexKeys(
   return keys;
 }
 
+bool BindsIndexColumn(const sql::Expr& conjunct, const Schema& schema,
+                      const query::ParamMap& params) {
+  size_t col = 0;
+  bool col_set = false;
+  std::vector<Value> values;
+  return CollectOrEqualities(conjunct, schema, params, &col, &col_set,
+                             &values);
+}
+
 }  // namespace wvm::core

@@ -75,6 +75,12 @@ std::optional<std::vector<Row>> BindIndexKeys(
     const std::vector<size_t>& columns, const query::ParamMap& params,
     size_t max_candidates = 64);
 
+// True when `conjunct` alone is a shape BindIndexKeys binds (an equality,
+// or an OR of equalities, over one column with a matching comparand). Such
+// a conjunct never fails to evaluate.
+bool BindsIndexColumn(const sql::Expr& conjunct, const Schema& schema,
+                      const query::ParamMap& params);
+
 }  // namespace wvm::core
 
 #endif  // OPENWVM_CORE_REWRITER_H_

@@ -12,22 +12,10 @@
 
 namespace wvm::core {
 
-// How a partitioned scan merges per-partition row buffers into the single
-// consumer sink (which always runs on the scanning thread, never
-// concurrently).
-enum class ScanMergeMode {
-  // Feed partitions as they finish — fastest, row order nondeterministic.
-  kArrivalOrder,
-  // Feed partitions in heap order — deterministic, matches the serial
-  // scan's emission order exactly.
-  kHeapOrder,
-};
-
 // Engine-level knobs for the snapshot read path.
 struct ScanOptions {
   // Worker threads a SnapshotSelect heap pass fans across. 1 = serial.
   int parallelism = 1;
-  ScanMergeMode merge = ScanMergeMode::kArrivalOrder;
   // Route SnapshotSelect through the unique-key / secondary hash indexes
   // when the WHERE clause binds them with equality (IN-list) conjuncts and
   // the session is inside the §4.1 version window, where per-tuple
@@ -42,7 +30,7 @@ struct ScanOptions {
 // push per partition — no thread spawn on the read path.
 //
 // The pool is deliberately dumb: it runs opaque jobs. Partitioning, result
-// buffering, merge order, and cancellation all live with the caller
+// buffering, feed order, and cancellation all live with the caller
 // (VnlTable), which owns the scan's shared state and must not return until
 // every job it submitted has signalled completion.
 class ScanExecutor {

@@ -278,63 +278,19 @@ VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
   return {ReadOutcome::kRow, j};
 }
 
-Row MaterializeVersionRaw(const VersionedSchema& vs, const uint8_t* rec,
-                          const VersionResolution& res) {
-  WVM_CHECK(res.outcome == ReadOutcome::kRow);
-  const Schema& phys = vs.physical();
-  const size_t logical_cols = vs.logical().num_columns();
-  Row out;
-  out.reserve(logical_cols);
-  for (size_t i = 0; i < logical_cols; ++i) {
-    size_t src = i;
-    if (res.slot >= 0) {
-      const int u = vs.UpdatableOrdinal(i);
-      if (u >= 0) src = vs.PreIndex(static_cast<size_t>(u), res.slot);
-    }
-    out.push_back(DeserializeColumn(phys, rec, src));
-  }
-  return out;
-}
-
-Row MaterializeVersionProjected(const VersionedSchema& vs, const Row& phys,
-                                const VersionResolution& res,
-                                const std::vector<bool>& needed) {
-  if (needed.empty()) return MaterializeVersion(vs, phys, res);
-  WVM_CHECK(res.outcome == ReadOutcome::kRow);
-  const Schema& logical = vs.logical();
-  const size_t logical_cols = logical.num_columns();
-  WVM_CHECK(needed.size() == logical_cols);
-  Row out;
-  out.reserve(logical_cols);
-  for (size_t i = 0; i < logical_cols; ++i) {
-    if (!needed[i]) {
-      out.push_back(Value::Null(logical.column(i).type));
-      continue;
-    }
-    size_t src = i;
-    if (res.slot >= 0) {
-      const int u = vs.UpdatableOrdinal(i);
-      if (u >= 0) src = vs.PreIndex(static_cast<size_t>(u), res.slot);
-    }
-    out.push_back(phys[src]);
-  }
-  return out;
-}
-
 Row MaterializeVersionRawProjected(const VersionedSchema& vs,
                                    const uint8_t* rec,
                                    const VersionResolution& res,
                                    const std::vector<bool>& needed) {
-  if (needed.empty()) return MaterializeVersionRaw(vs, rec, res);
   WVM_CHECK(res.outcome == ReadOutcome::kRow);
   const Schema& phys = vs.physical();
   const Schema& logical = vs.logical();
   const size_t logical_cols = logical.num_columns();
-  WVM_CHECK(needed.size() == logical_cols);
+  WVM_CHECK(needed.empty() || needed.size() == logical_cols);
   Row out;
   out.reserve(logical_cols);
   for (size_t i = 0; i < logical_cols; ++i) {
-    if (!needed[i]) {
+    if (!needed.empty() && !needed[i]) {
       out.push_back(Value::Null(logical.column(i).type));
       continue;
     }

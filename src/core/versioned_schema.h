@@ -50,9 +50,9 @@ class VersionedSchema {
 
   // --- Raw-record accessors ---------------------------------------------
   // Byte-level equivalents of the Row accessors above, operating on a
-  // serialized physical record. The parallel scan's per-tuple hot loop
-  // classifies tuples on raw bytes and defers every Value construction
-  // until a version is known to be both visible and unfiltered.
+  // serialized physical record. The reader's per-tuple step classifies
+  // tuples on raw bytes and defers every Value construction until a
+  // version is known to be both visible and unfiltered.
 
   Vn RawTupleVn(const uint8_t* rec, int slot) const;
   Result<Op> RawOperation(const uint8_t* rec, int slot) const;
@@ -133,6 +133,8 @@ struct VersionResolution {
   ReadOutcome outcome;
   int slot = -1;
 };
+// Row form: the Table-1 reference the byte-level resolver is tested
+// against (readers classify records with ResolveVersionRaw).
 VersionResolution ResolveVersion(const VersionedSchema& vs, const Row& phys,
                                  Vn session_vn);
 
@@ -141,25 +143,19 @@ VersionResolution ResolveVersion(const VersionedSchema& vs, const Row& phys,
 VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
                                     const uint8_t* rec, Vn session_vn);
 
-// Byte-level twin of MaterializeVersion: deserializes only the logical
-// columns the resolved version actually projects (current values, with the
-// resolved slot's pre-update values substituted for updatable attributes).
-Row MaterializeVersionRaw(const VersionedSchema& vs, const uint8_t* rec,
-                          const VersionResolution& res);
-
 // Materializes the logical row a resolution refers to. Only valid when
-// `res.outcome == kRow`.
+// `res.outcome == kRow`. Row reference form, kept as the Table-1 oracle
+// the byte-level reader is tested against.
 Row MaterializeVersion(const VersionedSchema& vs, const Row& phys,
                        const VersionResolution& res);
 
-// Projection-pushdown twins: copy only the logical columns marked in
-// `needed` (size = logical column count; empty = all). Unneeded positions
-// hold typed NULL placeholders, so the row keeps logical arity and every
-// downstream column index stays valid while narrow SELECTs skip the copy
-// (and, on the raw path, the deserialization) of wide unused attributes.
-Row MaterializeVersionProjected(const VersionedSchema& vs, const Row& phys,
-                                const VersionResolution& res,
-                                const std::vector<bool>& needed);
+// Byte-level materialization, the reader's only form: deserializes the
+// logical columns marked in `needed` (size = logical column count; empty =
+// all) — current values, with the resolved slot's pre-update values
+// substituted for updatable attributes. Unneeded positions hold typed NULL
+// placeholders, so the row keeps logical arity and every downstream column
+// index stays valid while narrow SELECTs skip decoding wide unused
+// attributes.
 Row MaterializeVersionRawProjected(const VersionedSchema& vs,
                                    const uint8_t* rec,
                                    const VersionResolution& res,

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <limits>
+#include <memory>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -58,18 +59,11 @@ std::vector<Row> VnlTable::SecondaryKeysOf(const Row& row) const {
 }
 
 std::optional<Rid> VnlTable::IndexLookup(const Row& key) const {
-  const Schema& logical = vschema_.logical();
-  if (!logical.has_unique_key()) return std::nullopt;
+  if (!vschema_.logical().has_unique_key()) return std::nullopt;
   // Normalize through the column codec: heap rows only ever carry
   // round-tripped values, so an over-width probe string must be truncated
   // the same way to hit.
-  Row normalized;
-  normalized.reserve(key.size());
-  for (size_t i = 0; i < key.size() && i < logical.key_indices().size();
-       ++i) {
-    normalized.push_back(NormalizeValueForColumn(
-        logical.column(logical.key_indices()[i]), key[i]));
-  }
+  const Row normalized = NormalizeKey(key);
   MutexLock lock(index_mu_);
   auto it = key_index_.find(normalized);
   if (it == key_index_.end()) return std::nullopt;
@@ -315,7 +309,7 @@ Result<std::vector<Rid>> VnlTable::CollectCursor(
     Vn maintenance_vn, const RowPredicate& pred) const {
   std::vector<Rid> matches;
   Status status;
-  phys_->ScanRows([&](Rid rid, const Row& phys) {
+  const Status scanned = phys_->ScanRows([&](Rid rid, const Row& phys) {
     // Single-writer protocol cross-check: no tuple may carry a VN the
     // maintenance transaction has not reached yet.
     if (vschema_.TupleVn(phys, 0) > maintenance_vn) {
@@ -344,6 +338,7 @@ Result<std::vector<Rid>> VnlTable::CollectCursor(
     if (keep.value()) matches.push_back(rid);
     return true;
   });
+  WVM_RETURN_IF_ERROR(scanned);
   WVM_RETURN_IF_ERROR(status);
   return matches;
 }
@@ -688,93 +683,13 @@ uint64_t ProjectedAttributeBytes(const Schema& logical,
   return bytes;
 }
 
-}  // namespace
-
-Status VnlTable::StreamSnapshot(
-    const ReaderSession& session,
-    const std::vector<const sql::Expr*>& invariant_filter,
-    const std::vector<const sql::Expr*>& reconstructed_filter,
-    const query::ParamMap& params, const std::vector<bool>& projection,
-    const std::function<bool(const Row&)>& sink,
-    SnapshotScanStats* stats) const {
-  const Schema& logical = vschema_.logical();
-  const uint64_t logical_bytes = ProjectedAttributeBytes(logical, projection);
-  uint64_t scanned = 0;
-  uint64_t reconstructed = 0;
-  uint64_t filtered = 0;
-  uint64_t emitted = 0;
-  Status status;
-  phys_->ScanRows([&](Rid, const Row& phys) {
-    ++scanned;
-    // Table-1 classification happens before any filtering, so expiration
-    // semantics are identical to an unfiltered scan: a too-old session
-    // fails even when the offending tuple would have been filtered out.
-    const VersionResolution res =
-        ResolveVersion(vschema_, phys, session.session_vn);
-    WVM_PARANOID_ASSERT_OK(CheckReaderResolutionRow(
-        vschema_, phys, session.session_vn, res));
-    switch (res.outcome) {
-      case ReadOutcome::kIgnore:
-        if (stats != nullptr) ++stats->ignored;
-        return true;
-      case ReadOutcome::kExpired:
-        status = Status::SessionExpired(StrPrintf(
-            "session at VN %lld hit a tuple modified more than %d "
-            "maintenance transactions ago",
-            static_cast<long long>(session.session_vn),
-            vschema_.n() - 1));
-        return false;
-      case ReadOutcome::kRow:
-        break;
-    }
-    if (stats != nullptr) {
-      ++(res.slot < 0 ? stats->current_reads : stats->pre_update_reads);
-    }
-    // Version-invariant conjuncts evaluate on the raw physical row (the
-    // logical attributes are its prefix, and non-updatable values are the
-    // same in every version) — a rejected tuple is never copied.
-    for (const sql::Expr* e : invariant_filter) {
-      Result<bool> keep = query::EvalPredicate(*e, logical, phys, params);
-      if (!keep.ok()) {
-        status = keep.status();
-        return false;
-      }
-      if (!keep.value()) {
-        ++filtered;
-        return true;
-      }
-    }
-    Row out = MaterializeVersionProjected(vschema_, phys, res, projection);
-    ++reconstructed;
-    for (const sql::Expr* e : reconstructed_filter) {
-      Result<bool> keep = query::EvalPredicate(*e, logical, out, params);
-      if (!keep.ok()) {
-        status = keep.status();
-        return false;
-      }
-      // Post-materialization rejections are not "filtered" — the copy was
-      // already paid; they show up as reconstructed - emitted.
-      if (!keep.value()) return true;
-    }
-    ++emitted;
-    return sink(out);
-  });
-  if (metrics_ != nullptr) {
-    metrics_->RecordScan(scanned, reconstructed, filtered, emitted,
-                         reconstructed * logical_bytes);
-  }
-  return status;
-}
-
-namespace {
-
 // A WHERE conjunct of the shape `column cmp literal-or-param` over a
-// version-invariant int or string column, lowered to a direct comparison
-// on the serialized record bytes. This is the parallel workers' fast
-// path: a rejected tuple costs one memcmp / integer load, no Value, no
-// Row. Conjuncts that don't fit the shape (arithmetic, IS NULL, doubles,
-// dates, NULL operands) fall back to generic evaluation on a deserialized
-// row, with identical semantics.
+// version-invariant int, DATE or string column, lowered to a direct
+// comparison on the serialized record bytes: a rejected tuple costs one
+// memcmp / integer load, no Value, no Row. Conjuncts that don't fit the
+// shape (arithmetic, IS NULL, doubles, NULL operands, comparands of
+// another type) stay generic, evaluated on a deserialized row with
+// identical semantics.
 struct CompiledPredicate {
   enum class Kind { kInt, kString };
   Kind kind = Kind::kInt;
@@ -846,12 +761,11 @@ sql::BinaryOp MirrorOp(sql::BinaryOp op) {
   }
 }
 
-bool TryCompilePredicate(const sql::Expr& e, const Schema& logical,
-                         const Schema& physical,
-                         const query::ParamMap& params,
-                         CompiledPredicate* out) {
+std::optional<CompiledPredicate> TryCompilePredicate(
+    const sql::Expr& e, const Schema& logical, const Schema& physical,
+    const query::ParamMap& params) {
   if (e.kind != sql::ExprKind::kBinary || !IsComparisonOp(e.binary_op)) {
-    return false;
+    return std::nullopt;
   }
   const sql::Expr* lhs = e.child0.get();
   const sql::Expr* rhs = e.child1.get();
@@ -865,295 +779,383 @@ bool TryCompilePredicate(const sql::Expr& e, const Schema& logical,
       std::swap(lhs, rhs);
       op = MirrorOp(op);
     } else {
-      return false;
+      return std::nullopt;
     }
   }
   Result<size_t> idx = logical.IndexOf(lhs->column);
-  if (!idx.ok()) return false;
+  if (!idx.ok()) return std::nullopt;
   Value v;
   if (rhs->kind == sql::ExprKind::kLiteral) {
     v = rhs->literal;
   } else {
     auto it = params.find(rhs->param);
-    if (it == params.end()) return false;  // generic path reports the error
+    if (it == params.end()) return std::nullopt;  // generic path reports it
     v = it->second;
   }
-  if (v.is_null()) return false;
+  if (v.is_null()) return std::nullopt;
 
+  CompiledPredicate out;
   const Column& col = logical.column(idx.value());
   switch (col.type) {
     case TypeId::kInt32:
     case TypeId::kInt64:
       if (v.type() != TypeId::kInt32 && v.type() != TypeId::kInt64) {
-        return false;  // double comparand: keep CompareValues' semantics
+        return std::nullopt;  // double comparand: keep CompareValues' rules
       }
-      out->kind = CompiledPredicate::Kind::kInt;
-      out->is_int32 = col.type == TypeId::kInt32;
-      out->rhs_int = v.AsInt64();
+      out.is_int32 = col.type == TypeId::kInt32;
+      out.rhs_int = v.AsInt64();
+      break;
+    case TypeId::kDate:
+      // The packed yyyymmdd int32 orders exactly like the date.
+      if (v.type() != TypeId::kDate) return std::nullopt;
+      out.is_int32 = true;
+      out.rhs_int = v.AsDateRaw();
       break;
     case TypeId::kString: {
-      if (v.type() != TypeId::kString) return false;
+      if (v.type() != TypeId::kString) return std::nullopt;
       const std::string& s = v.AsString();
-      out->kind = CompiledPredicate::Kind::kString;
-      out->width = col.width;
-      out->rhs_longer = s.size() > col.width;
-      out->rhs_str = s.substr(0, std::min<size_t>(s.size(), col.width));
-      out->rhs_str.resize(col.width, '\0');
+      out.kind = CompiledPredicate::Kind::kString;
+      out.width = col.width;
+      out.rhs_longer = s.size() > col.width;
+      out.rhs_str = s.substr(0, std::min<size_t>(s.size(), col.width));
+      out.rhs_str.resize(col.width, '\0');
       break;
     }
     default:
-      return false;  // bool/date/double: generic evaluation
+      return std::nullopt;  // bool/double: generic evaluation
   }
-  out->col = idx.value();
-  out->offset = physical.ColumnOffset(idx.value());
-  out->op = op;
-  return true;
+  out.col = idx.value();
+  out.offset = physical.ColumnOffset(idx.value());
+  out.op = op;
+  return out;
 }
-
-// Everything the partitions of one parallel scan share. Heap-allocated so
-// a worker that signals completion a beat after the scanning thread moves
-// on cannot touch freed memory.
-struct ParallelScanState {
-  struct Partition {
-    std::vector<Row> rows;
-    uint64_t scanned = 0;
-    uint64_t reconstructed = 0;
-    uint64_t filtered = 0;
-    SnapshotScanStats stats;
-    Status status;
-    bool done = false;  // guarded by mu
-  };
-
-  std::vector<Partition> partitions;
-  // Partitions after this index stop early. A failing partition cancels
-  // only the ones behind it: an earlier partition may still meet an
-  // earlier failure, which is the one the serial scan reports. A consumer
-  // that stops feeding cancels every partition (-1).
-  std::atomic<int> cancel_after{std::numeric_limits<int>::max()};
-
-  bool Cancelled(int p) const {
-    return p > cancel_after.load(std::memory_order_relaxed);
-  }
-  void CancelAfter(int p) {
-    int cur = cancel_after.load(std::memory_order_relaxed);
-    while (p < cur && !cancel_after.compare_exchange_weak(
-                          cur, p, std::memory_order_relaxed)) {
-    }
-  }
-
-  Mutex mu;
-  CondVar cv;
-  std::deque<int> completed GUARDED_BY(mu);  // arrival order
-
-  void MarkDone(int p) EXCLUDES(mu) {
-    {
-      MutexLock lock(mu);
-      partitions[p].done = true;
-      completed.push_back(p);
-      // Notify under the lock: after unlocking, the worker never touches
-      // this state again, so the consumer can safely tear it down.
-      cv.NotifyOne();
-    }
-  }
-};
 
 }  // namespace
 
-Status VnlTable::StreamSnapshotParallel(
-    const ReaderSession& session,
-    const std::vector<const sql::Expr*>& invariant_filter,
-    const std::vector<const sql::Expr*>& reconstructed_filter,
-    const query::ParamMap& params, const std::vector<bool>& projection,
-    const std::function<bool(const Row&)>& sink,
-    SnapshotScanStats* stats, const ScanOptions& opts) const {
-  ScanExecutor* exec =
-      engine_ != nullptr ? engine_->scan_executor() : nullptr;
-  const std::vector<PageId> pages = phys_->heap()->PageIds();
-  const int nparts = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(std::max(opts.parallelism, 1)),
-                       pages.size()));
-  if (exec == nullptr || nparts <= 1) {
-    return StreamSnapshot(session, invariant_filter, reconstructed_filter,
-                          params, projection, sink, stats);
-  }
-
-  // Lower eligible invariant conjuncts to byte comparisons once per scan;
-  // the remainder runs generically on a deserialized physical row.
-  const Schema& logical = vschema_.logical();
-  const Schema& physical = vschema_.physical();
-  std::vector<CompiledPredicate> compiled;
-  std::vector<const sql::Expr*> generic_invariant;
-  for (const sql::Expr* e : invariant_filter) {
-    CompiledPredicate p;
-    if (TryCompilePredicate(*e, logical, physical, params, &p)) {
-      compiled.push_back(std::move(p));
-    } else {
-      generic_invariant.push_back(e);
+// The Table-1 reader step: all per-tuple read logic, on record bytes. One
+// instance serves one read (one per partition of a partitioned read).
+class VnlTable::ReaderStep {
+ public:
+  ReaderStep(const VersionedSchema& vs, Vn session_vn,
+             const std::vector<const sql::Expr*>& invariant,
+             std::vector<const sql::Expr*> reconstructed,
+             const query::ParamMap& params, std::vector<bool> projection)
+      : vs_(vs),
+        session_vn_(session_vn),
+        reconstructed_(std::move(reconstructed)),
+        params_(params),
+        projection_(std::move(projection)),
+        row_bytes_(ProjectedAttributeBytes(vs.logical(), projection_)) {
+    invariant_.reserve(invariant.size());
+    for (const sql::Expr* e : invariant) {
+      invariant_.push_back(
+          {e, TryCompilePredicate(*e, vs.logical(), vs.physical(), params)});
     }
   }
 
-  auto state = std::make_shared<ParallelScanState>();
-  state->partitions.resize(nparts);
-  exec->EnsureWorkers(static_cast<size_t>(nparts));
+  // Runs one physical record through Table 1 and the pushed-down WHERE.
+  // True when a row survives (in *out); false when the tuple is invisible
+  // or filtered out, or when the read failed (status() is then non-OK and
+  // the source must stop).
+  bool Visit(const uint8_t* rec, Row* out) {
+    ++scanned_;
+    // Table-1 classification happens before any filtering, so expiration
+    // semantics are identical to an unfiltered scan: a too-old session
+    // fails even when the offending tuple would have been filtered out.
+    const VersionResolution res = ResolveVersionRaw(vs_, rec, session_vn_);
+    WVM_PARANOID_ASSERT_OK(
+        CheckReaderResolutionRaw(vs_, rec, session_vn_, res));
+    switch (res.outcome) {
+      case ReadOutcome::kIgnore:
+        ++counts_.ignored;
+        return false;
+      case ReadOutcome::kExpired:
+        return Fail(Status::SessionExpired(StrPrintf(
+            "session at VN %lld hit a tuple modified more than %d "
+            "maintenance transactions ago",
+            static_cast<long long>(session_vn_), vs_.n() - 1)));
+      case ReadOutcome::kRow:
+        break;
+    }
+    ++(res.slot < 0 ? counts_.current_reads : counts_.pre_update_reads);
+    // Version-invariant conjuncts, in WHERE order. Their columns hold the
+    // same value in every version, so a generic one evaluates on the
+    // current logical row, decoded at most once per tuple and only when
+    // one is reached; a rejected tuple is never materialized.
+    Row current;
+    for (const Conjunct& c : invariant_) {
+      bool keep;
+      if (c.compiled.has_value()) {
+        keep = c.compiled->Eval(rec);
+      } else {
+        if (current.empty()) {
+          current = MaterializeVersionRawProjected(
+              vs_, rec, {ReadOutcome::kRow, -1}, {});
+        }
+        Result<bool> r =
+            query::EvalPredicate(*c.expr, vs_.logical(), current, params_);
+        if (!r.ok()) return Fail(r.status());
+        keep = r.value();
+      }
+      if (!keep) {
+        ++filtered_;
+        return false;
+      }
+    }
+    *out = MaterializeVersionRawProjected(vs_, rec, res, projection_);
+    ++reconstructed_rows_;
+    for (const sql::Expr* e : reconstructed_) {
+      Result<bool> keep =
+          query::EvalPredicate(*e, vs_.logical(), *out, params_);
+      if (!keep.ok()) return Fail(keep.status());
+      // Post-materialization rejections are not "filtered" — the copy was
+      // already paid; they show up as reconstructed - emitted.
+      if (!keep.value()) return false;
+    }
+    return true;
+  }
 
-  const Vn session_vn = session.session_vn;
+  // Stops the read with `st` (also a source's heap-read failure). Always
+  // false, so Visit can return it.
+  bool Fail(Status st) {
+    status_ = std::move(st);
+    return false;
+  }
+  const Status& status() const { return status_; }
+
+  // Whether invariant conjunct `i` is a byte comparison (which, unlike a
+  // generic conjunct, never fails to evaluate).
+  bool compiled(size_t i) const {
+    return invariant_[i].compiled.has_value();
+  }
+
+  // Folds a partition's counters into this step.
+  void Add(const ReaderStep& o) {
+    scanned_ += o.scanned_;
+    reconstructed_rows_ += o.reconstructed_rows_;
+    filtered_ += o.filtered_;
+    counts_.current_reads += o.counts_.current_reads;
+    counts_.pre_update_reads += o.counts_.pre_update_reads;
+    counts_.ignored += o.counts_.ignored;
+  }
+
+  // Reports the read once: `emitted` rows reached the sink.
+  void Publish(ScanMetricsSink* metrics, SnapshotScanStats* stats,
+               uint64_t emitted) const {
+    if (stats != nullptr) {
+      stats->current_reads += counts_.current_reads;
+      stats->pre_update_reads += counts_.pre_update_reads;
+      stats->ignored += counts_.ignored;
+    }
+    if (metrics != nullptr) {
+      metrics->RecordScan(scanned_, reconstructed_rows_, filtered_, emitted,
+                          reconstructed_rows_ * row_bytes_);
+    }
+  }
+
+ private:
+  struct Conjunct {
+    const sql::Expr* expr;
+    std::optional<CompiledPredicate> compiled;
+  };
+
+  const VersionedSchema& vs_;
+  Vn session_vn_;
+  std::vector<Conjunct> invariant_;
+  std::vector<const sql::Expr*> reconstructed_;
+  const query::ParamMap& params_;
+  std::vector<bool> projection_;  // empty = every logical column
+  uint64_t row_bytes_;
+
+  uint64_t scanned_ = 0;
+  uint64_t reconstructed_rows_ = 0;
+  uint64_t filtered_ = 0;
+  SnapshotScanStats counts_;
+  Status status_;
+};
+
+Status VnlTable::StreamSnapshot(ReaderStep* step, int parallelism,
+                                const RowSink& sink,
+                                SnapshotScanStats* stats) const {
+  ScanExecutor* exec =
+      engine_ != nullptr && parallelism > 1 ? engine_->scan_executor()
+                                            : nullptr;
+  const std::vector<PageId> pages =
+      exec != nullptr ? phys_->heap()->PageIds() : std::vector<PageId>{};
+  const int nparts = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(parallelism), pages.size()));
+  uint64_t emitted = 0;
+  if (nparts <= 1) {
+    Row row;
+    const Status scanned =
+        phys_->heap()->Scan([&](Rid, const uint8_t* rec) {
+          if (step->Visit(rec, &row)) {
+            ++emitted;
+            return sink(row);
+          }
+          return step->status().ok();
+        });
+    if (!scanned.ok()) step->Fail(scanned);
+    step->Publish(metrics_, stats, emitted);
+    return step->status();
+  }
+
+  // Everything the partitions share. Heap-allocated so a worker that
+  // signals completion a beat after the scanning thread moves on cannot
+  // touch freed memory.
+  struct Shared {
+    // Cache-line aligned: each worker bumps its own step's counters per
+    // tuple, and neighbouring partitions must not share those lines.
+    struct alignas(64) Partition {
+      ReaderStep step;
+      std::vector<Row> rows;
+      bool done = false;  // guarded by mu
+    };
+    std::vector<Partition> partitions;
+    // Partitions after this index stop early. A failing partition cancels
+    // only the ones behind it: an earlier partition may still meet an
+    // earlier failure, which is the one the serial pass reports. A
+    // consumer that stops feeding cancels every partition (-1).
+    std::atomic<int> cancel_after{std::numeric_limits<int>::max()};
+    Mutex mu;
+    CondVar cv;
+
+    bool Cancelled(int p) const {
+      return p > cancel_after.load(std::memory_order_relaxed);
+    }
+    void CancelAfter(int p) {
+      int cur = cancel_after.load(std::memory_order_relaxed);
+      while (p < cur && !cancel_after.compare_exchange_weak(
+                            cur, p, std::memory_order_relaxed)) {
+      }
+    }
+  };
+  auto shared = std::make_shared<Shared>();
+  shared->partitions.reserve(nparts);
+  for (int p = 0; p < nparts; ++p) {
+    shared->partitions.push_back({*step, {}});
+  }
+  exec->EnsureWorkers(static_cast<size_t>(nparts));
   const TableHeap* heap = phys_->heap();
   // Balanced proportional split: partition p gets pages [p*N/k, (p+1)*N/k).
   // Ranges are contiguous, cover every page exactly once, and are all
-  // non-empty because nparts <= pages.size().
+  // non-empty because nparts <= pages.size(). A worker references state
+  // the caller owns (the step's conjuncts and params); the loop below
+  // never returns before every partition signalled completion.
   for (int p = 0; p < nparts; ++p) {
-    const size_t begin =
-        static_cast<size_t>(p) * pages.size() / static_cast<size_t>(nparts);
-    const size_t end = (static_cast<size_t>(p) + 1) * pages.size() /
-                       static_cast<size_t>(nparts);
-    std::vector<PageId> slice(pages.begin() + begin, pages.begin() + end);
-    // The worker references caller-owned filter vectors and params; the
-    // consumer loop below never returns before every partition signalled
-    // completion, so those outlive the job.
-    exec->Submit([this, state, p, slice = std::move(slice), heap,
-                  session_vn, &compiled, &generic_invariant,
-                  &reconstructed_filter, &params, &logical, &projection]() {
-      ParallelScanState::Partition& part = state->partitions[p];
-      heap->ScanPages(slice, [&](Rid, const uint8_t* rec) {
-        if (state->Cancelled(p)) return false;
-        ++part.scanned;
-        const VersionResolution res =
-            ResolveVersionRaw(vschema_, rec, session_vn);
-        WVM_PARANOID_ASSERT_OK(
-            CheckReaderResolutionRaw(vschema_, rec, session_vn, res));
-        switch (res.outcome) {
-          case ReadOutcome::kIgnore:
-            ++part.stats.ignored;
-            return true;
-          case ReadOutcome::kExpired:
-            part.status = Status::SessionExpired(StrPrintf(
-                "session at VN %lld hit a tuple modified more than %d "
-                "maintenance transactions ago",
-                static_cast<long long>(session_vn), vschema_.n() - 1));
-            state->CancelAfter(p);
-            return false;
-          case ReadOutcome::kRow:
-            break;
-        }
-        ++(res.slot < 0 ? part.stats.current_reads
-                        : part.stats.pre_update_reads);
-        for (const CompiledPredicate& cp : compiled) {
-          if (!cp.Eval(rec)) {
-            ++part.filtered;
-            return true;
-          }
-        }
-        if (!generic_invariant.empty()) {
-          const Row phys_row = DeserializeRow(vschema_.physical(), rec);
-          for (const sql::Expr* e : generic_invariant) {
-            Result<bool> keep =
-                query::EvalPredicate(*e, logical, phys_row, params);
-            if (!keep.ok()) {
-              part.status = keep.status();
-              state->CancelAfter(p);
+    std::vector<PageId> slice(pages.begin() + p * pages.size() / nparts,
+                              pages.begin() + (p + 1) * pages.size() / nparts);
+    exec->Submit([shared, p, slice = std::move(slice), heap]() {
+      Shared::Partition& part = shared->partitions[p];
+      Row row;
+      const Status scanned =
+          heap->ScanPages(slice, [&](Rid, const uint8_t* rec) {
+            if (shared->Cancelled(p)) return false;
+            if (part.step.Visit(rec, &row)) {
+              part.rows.push_back(std::move(row));
+            } else if (!part.step.status().ok()) {
+              shared->CancelAfter(p);
               return false;
             }
-            if (!keep.value()) {
-              ++part.filtered;
-              return true;
-            }
-          }
-        }
-        Row out =
-            MaterializeVersionRawProjected(vschema_, rec, res, projection);
-        ++part.reconstructed;
-        for (const sql::Expr* e : reconstructed_filter) {
-          Result<bool> keep =
-              query::EvalPredicate(*e, logical, out, params);
-          if (!keep.ok()) {
-            part.status = keep.status();
-            state->CancelAfter(p);
-            return false;
-          }
-          if (!keep.value()) return true;
-        }
-        part.rows.push_back(std::move(out));
-        return true;
-      });
-      state->MarkDone(p);
+            return true;
+          });
+      if (!scanned.ok()) {
+        part.step.Fail(scanned);
+        shared->CancelAfter(p);
+      }
+      // Notify under the lock: after unlocking, the worker never touches
+      // the shared state again, so the consumer can safely tear it down.
+      MutexLock lock(shared->mu);
+      part.done = true;
+      shared->cv.NotifyOne();
     });
   }
 
-  // Single-threaded consumption: the sink only ever runs here, on the
-  // scanning thread, whichever merge mode is active.
-  uint64_t emitted = 0;
+  // The sink only ever runs here, on the scanning thread, fed in heap
+  // order; the read reports the first failure in heap order.
   bool feeding = true;
-  auto feed = [&](int p) {
-    ParallelScanState::Partition& part = state->partitions[p];
-    if (!feeding || !part.status.ok()) {
-      feeding = feeding && part.status.ok();
-      return;
+  for (int p = 0; p < nparts; ++p) {
+    Shared::Partition& part = shared->partitions[p];
+    {
+      MutexLock lock(shared->mu);
+      shared->cv.Wait(shared->mu, [&] { return part.done; });
     }
-    for (Row& row : part.rows) {
+    step->Add(part.step);
+    if (!feeding) continue;
+    if (!part.step.status().ok()) {
+      step->Fail(part.step.status());
+      feeding = false;
+      continue;
+    }
+    for (const Row& row : part.rows) {
       ++emitted;
       if (!sink(row)) {
         feeding = false;
-        state->CancelAfter(-1);
+        shared->CancelAfter(-1);
         break;
       }
     }
-    part.rows.clear();
-  };
+  }
+  step->Publish(metrics_, stats, emitted);
+  if (metrics_ != nullptr) metrics_->RecordParallelScan();
+  return step->status();
+}
 
-  if (opts.merge == ScanMergeMode::kHeapOrder) {
-    for (int p = 0; p < nparts; ++p) {
-      {
-        MutexLock lock(state->mu);
-        state->cv.Wait(state->mu,
-                       [&] { return state->partitions[p].done; });
-      }
-      feed(p);
+Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
+                                  const Row* key, uint64_t lookups,
+                                  uint64_t scans_avoided, ReaderStep* step,
+                                  const RowSink& sink,
+                                  SnapshotScanStats* stats) const {
+  const Schema& physical = vschema_.physical();
+  const std::vector<size_t>& key_cols = vschema_.logical().key_indices();
+  std::vector<uint8_t> rec(phys_->heap()->record_size());
+  uint64_t emitted = 0;
+  Row row;
+  for (Rid rid : rids) {
+    const Status read = phys_->heap()->Read(rid, rec.data());
+    // Reclaimed between probe and read: the heap pass would not see it
+    // either.
+    if (read.code() == StatusCode::kNotFound) continue;
+    if (!read.ok()) {
+      step->Fail(read);
+      break;
     }
-  } else {
-    for (int consumed = 0; consumed < nparts; ++consumed) {
-      int p;
-      {
-        MutexLock lock(state->mu);
-        state->cv.Wait(state->mu, [&] {
-          state->mu.AssertHeld();  // predicate runs under the wait's lock
-          return !state->completed.empty();
-        });
-        p = state->completed.front();
-        state->completed.pop_front();
+    // Slot-reuse guard: between the probe and the read, GC may reclaim the
+    // tuple and an insert may recycle its Rid for a different key. A
+    // record that no longer carries the probed key is, for this read,
+    // simply absent.
+    if (key != nullptr) {
+      bool same = key->size() == key_cols.size();
+      for (size_t i = 0; same && i < key_cols.size(); ++i) {
+        same = DeserializeColumn(physical, rec.data(), key_cols[i]) ==
+               (*key)[i];
       }
-      feed(p);
+      if (!same) continue;
+    }
+    if (step->Visit(rec.data(), &row)) {
+      ++emitted;
+      if (!sink(row)) break;
+    } else if (!step->status().ok()) {
+      break;
     }
   }
-
-  // All partitions are done: aggregate counters and publish once.
-  uint64_t scanned = 0;
-  uint64_t reconstructed = 0;
-  uint64_t filtered = 0;
-  Status status;
-  for (const ParallelScanState::Partition& part : state->partitions) {
-    scanned += part.scanned;
-    reconstructed += part.reconstructed;
-    filtered += part.filtered;
-    if (stats != nullptr) {
-      stats->current_reads += part.stats.current_reads;
-      stats->pre_update_reads += part.stats.pre_update_reads;
-      stats->ignored += part.stats.ignored;
-    }
-    if (status.ok() && !part.status.ok()) status = part.status;
+  step->Publish(metrics_, stats, emitted);
+  if (stats != nullptr) {
+    stats->index_lookups += lookups;
+    stats->index_served_rows += emitted;
   }
   if (metrics_ != nullptr) {
-    metrics_->RecordScan(
-        scanned, reconstructed, filtered, emitted,
-        reconstructed * ProjectedAttributeBytes(logical, projection));
-    metrics_->RecordParallelScan();
+    metrics_->RecordIndexRoute(lookups, emitted, scans_avoided);
   }
-  return status;
+  return step->status();
 }
 
 Status VnlTable::SnapshotScan(const ReaderSession& session,
                               const std::function<bool(const Row&)>& sink,
                               SnapshotScanStats* stats) const {
-  return StreamSnapshot(session, {}, {}, {}, {}, sink, stats);
+  const query::ParamMap no_params;
+  ReaderStep step(vschema_, session.session_vn, {}, {}, no_params, {});
+  return StreamSnapshot(&step, 1, sink, stats);
 }
 
 Result<std::vector<Row>> VnlTable::SnapshotRows(
@@ -1175,68 +1177,27 @@ Result<std::vector<Row>> VnlTable::SnapshotRows(
 Result<std::optional<Row>> VnlTable::SnapshotLookup(
     const ReaderSession& session, const Row& key,
     SnapshotScanStats* stats) const {
-  const Schema& logical = vschema_.logical();
-  if (!logical.has_unique_key()) {
+  if (!vschema_.logical().has_unique_key()) {
     return Status::FailedPrecondition("table has no unique key");
   }
-  if (stats != nullptr) ++stats->index_lookups;
-  std::optional<Rid> rid = IndexLookup(key);
-  if (!rid.has_value()) {
-    if (metrics_ != nullptr) metrics_->RecordIndexRoute(1, 0, 0);
-    return std::optional<Row>();
+  const Row probe = NormalizeKey(key);
+  std::vector<Rid> candidates;
+  {
+    MutexLock lock(index_mu_);
+    auto it = key_index_.find(probe);
+    if (it != key_index_.end()) candidates.push_back(it->second);
   }
-  Result<Row> phys = phys_->GetRow(*rid);
-  if (!phys.ok()) {
-    // Physically reclaimed between index lookup and read: invisible.
-    if (phys.status().code() == StatusCode::kNotFound) {
-      if (metrics_ != nullptr) metrics_->RecordIndexRoute(1, 0, 0);
-      return std::optional<Row>();
-    }
-    return phys.status();
-  }
-  // Slot-reuse guard: between the probe and the read, GC may reclaim the
-  // tuple and an insert may recycle its Rid for a different key. The row
-  // actually fetched must still carry the probed key, else the probed key
-  // is (for this race window) simply absent.
-  Row probe;
-  probe.reserve(logical.key_indices().size());
-  for (size_t i = 0; i < logical.key_indices().size() && i < key.size();
-       ++i) {
-    probe.push_back(NormalizeValueForColumn(
-        logical.column(logical.key_indices()[i]), key[i]));
-  }
-  if (!RowEq()(probe, ExtractNormalizedKey(*phys, logical.key_indices()))) {
-    if (metrics_ != nullptr) metrics_->RecordIndexRoute(1, 0, 0);
-    return std::optional<Row>();
-  }
-  const VersionResolution res =
-      ResolveVersion(vschema_, *phys, session.session_vn);
-  WVM_PARANOID_ASSERT_OK(CheckReaderResolutionRow(
-      vschema_, *phys, session.session_vn, res));
-  switch (res.outcome) {
-    case ReadOutcome::kRow: {
-      if (stats != nullptr) {
-        ++(res.slot < 0 ? stats->current_reads : stats->pre_update_reads);
-        ++stats->index_served_rows;
-      }
-      Row out = MaterializeVersion(vschema_, *phys, res);
-      if (metrics_ != nullptr) {
-        metrics_->RecordScan(1, 1, 0, 1, logical.AttributeBytes());
-        metrics_->RecordIndexRoute(1, 1, 0);
-      }
-      return std::optional<Row>(std::move(out));
-    }
-    case ReadOutcome::kIgnore:
-      if (stats != nullptr) ++stats->ignored;
-      if (metrics_ != nullptr) {
-        metrics_->RecordScan(1, 0, 0, 0, 0);
-        metrics_->RecordIndexRoute(1, 0, 0);
-      }
-      return std::optional<Row>();
-    case ReadOutcome::kExpired:
-      return Status::SessionExpired("session expired during lookup");
-  }
-  WVM_UNREACHABLE("bad read outcome");
+  const query::ParamMap no_params;
+  ReaderStep step(vschema_, session.session_vn, {}, {}, no_params, {});
+  std::optional<Row> found;
+  WVM_RETURN_IF_ERROR(StreamCandidates(
+      candidates, &probe, /*lookups=*/1, /*scans_avoided=*/0, &step,
+      [&found](const Row& row) {
+        found = row;
+        return false;
+      },
+      stats));
+  return found;
 }
 
 Result<query::QueryResult> VnlTable::SnapshotSelect(
@@ -1245,11 +1206,11 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
   const Schema& logical = vschema_.logical();
   // WHERE conjuncts the scan absorbs, split by pushdown eligibility:
   // `invariant` conjuncts touch only non-updatable logical columns (same
-  // value in every version — evaluable pre-reconstruction on the physical
-  // row); `reconstructed` conjuncts touch updatable columns and must wait
-  // for the version's logical row. Conjuncts referencing anything outside
-  // the logical schema, or containing aggregates, stay in the executor's
-  // residual WHERE.
+  // value in every version — evaluable pre-reconstruction on the record);
+  // `reconstructed` conjuncts touch updatable columns and must wait for
+  // the version's logical row. Conjuncts referencing anything outside the
+  // logical schema, or containing aggregates, stay in the executor's
+  // residual WHERE. Both lists keep WHERE order.
   std::vector<const sql::Expr*> invariant;
   std::vector<const sql::Expr*> reconstructed;
   query::PushdownSource source;
@@ -1276,8 +1237,7 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
     // The scan evaluates the absorbed `reconstructed` conjuncts on the
     // materialized row itself, so their columns must survive projection
     // even when the SELECT list never mentions them. (`invariant`
-    // conjuncts run on the physical row before materialization and need
-    // nothing kept.)
+    // conjuncts run before materialization and need nothing kept.)
     for (const sql::Expr* e : reconstructed) {
       sql::ForEachColumnRef(*e, [&](const sql::Expr& ref) {
         Result<size_t> idx = logical.IndexOf(ref.column);
@@ -1287,22 +1247,19 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
       });
     }
   };
-  source.scan = [&](const std::function<bool(const Row&)>& sink) {
+  source.scan = [&](const RowSink& sink) {
     const ScanOptions opts =
         engine_ != nullptr ? engine_->scan_options() : ScanOptions{};
+    ReaderStep step(vschema_, session.session_vn, invariant, reconstructed,
+                    params, projection);
     if (opts.index_routing) {
       Status routed;
-      if (TryStreamViaIndex(session, invariant, reconstructed, params,
-                            projection, sink, stats, &routed)) {
+      if (TryStreamViaIndex(session, invariant, params, &step, sink, stats,
+                            &routed)) {
         return routed;
       }
     }
-    if (opts.parallelism > 1) {
-      return StreamSnapshotParallel(session, invariant, reconstructed,
-                                    params, projection, sink, stats, opts);
-    }
-    return StreamSnapshot(session, invariant, reconstructed, params,
-                          projection, sink, stats);
+    return StreamSnapshot(&step, opts.parallelism, sink, stats);
   };
   return query::ExecuteSelect(stmt, logical, source, params);
 }
@@ -1310,16 +1267,14 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
 bool VnlTable::TryStreamViaIndex(
     const ReaderSession& session,
     const std::vector<const sql::Expr*>& invariant_filter,
-    const std::vector<const sql::Expr*>& reconstructed_filter,
-    const query::ParamMap& params, const std::vector<bool>& projection,
-    const std::function<bool(const Row&)>& sink, SnapshotScanStats* stats,
-    Status* status) const {
+    const query::ParamMap& params, ReaderStep* step, const RowSink& sink,
+    SnapshotScanStats* stats, Status* status) const {
   if (engine_ == nullptr) return false;
   const Schema& logical = vschema_.logical();
   // Eligibility is the §4.1 version window itself (gap <= n-1, one less
   // while maintenance is active): inside it no tuple the session can meet
   // resolves kExpired, so skipping unprobed tuples cannot change the
-  // read's status. Sessions outside it take the scan path, which decides
+  // read's status. Sessions outside it take the heap pass, which decides
   // expiration on every heap tuple — including ones the WHERE rejects —
   // keeping the two paths status-identical. Peek() reads the window under
   // the Version relation's latch without fetching its page.
@@ -1327,10 +1282,23 @@ bool VnlTable::TryStreamViaIndex(
                                                   vschema_.n())) {
     return false;
   }
+  // The heap pass evaluates invariant conjuncts in WHERE order on every
+  // visible tuple, so one that can fail to evaluate (generic, and not a
+  // binding shape) raises its error on tuples a later binding conjunct
+  // would reject — tuples the index never fetches. Such reads take the
+  // heap pass too.
+  bool may_fail = false;
+  for (size_t i = 0; i < invariant_filter.size(); ++i) {
+    if (!may_fail && step->compiled(i)) continue;
+    const bool binds =
+        BindsIndexColumn(*invariant_filter[i], logical, params);
+    if (may_fail && binds) return false;
+    may_fail = !binds;
+  }
 
   // Bindings are access-path hints only: every absorbed conjunct is
-  // re-evaluated on each candidate below, so a superset of the matching
-  // keys is safe. The unique key wins over secondary indexes (at most one
+  // re-evaluated on each candidate, so a superset of the matching keys is
+  // safe. The unique key wins over secondary indexes (at most one
   // candidate per bound key).
   std::vector<Rid> candidates;
   uint64_t lookups = 0;
@@ -1348,113 +1316,31 @@ bool VnlTable::TryStreamViaIndex(
       }
     }
   }
-  if (!bound) {
-    for (size_t s = 0; s < secondary_specs_.size() && !bound; ++s) {
-      std::optional<std::vector<Row>> keys = BindIndexKeys(
-          invariant_filter, logical, secondary_specs_[s].column_indices,
-          params);
-      if (!keys.has_value()) continue;
-      bound = true;
-      MutexLock lock(index_mu_);
-      for (const Row& k : *keys) {
-        ++lookups;
-        auto it = secondary_postings_[s].find(k);
-        if (it == secondary_postings_[s].end()) continue;
-        candidates.insert(candidates.end(), it->second.begin(),
-                          it->second.end());
-      }
+  for (size_t s = 0; s < secondary_specs_.size() && !bound; ++s) {
+    std::optional<std::vector<Row>> keys = BindIndexKeys(
+        invariant_filter, logical, secondary_specs_[s].column_indices,
+        params);
+    if (!keys.has_value()) continue;
+    bound = true;
+    MutexLock lock(index_mu_);
+    for (const Row& k : *keys) {
+      ++lookups;
+      auto it = secondary_postings_[s].find(k);
+      if (it == secondary_postings_[s].end()) continue;
+      candidates.insert(candidates.end(), it->second.begin(),
+                        it->second.end());
     }
   }
   if (!bound) return false;
 
   // Emit in heap order so the routed stream is byte-identical to the
-  // serial scan's. A heap appends pages in allocation order and page ids
+  // heap pass's. A heap appends pages in allocation order and page ids
   // only grow, so Rid order is heap order.
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-
-  const uint64_t projected_bytes =
-      ProjectedAttributeBytes(logical, projection);
-  uint64_t scanned = 0;
-  uint64_t reconstructed = 0;
-  uint64_t filtered = 0;
-  uint64_t emitted = 0;
-  Status st;
-  for (Rid rid : candidates) {
-    Result<Row> phys = phys_->GetRow(rid);
-    if (!phys.ok()) {
-      // Reclaimed between probe and read: the scan would not have seen it
-      // either.
-      if (phys.status().code() == StatusCode::kNotFound) continue;
-      st = phys.status();
-      break;
-    }
-    ++scanned;
-    const VersionResolution res =
-        ResolveVersion(vschema_, *phys, session.session_vn);
-    WVM_PARANOID_ASSERT_OK(CheckReaderResolutionRow(
-        vschema_, *phys, session.session_vn, res));
-    if (res.outcome == ReadOutcome::kIgnore) {
-      if (stats != nullptr) ++stats->ignored;
-      continue;
-    }
-    if (res.outcome == ReadOutcome::kExpired) {
-      // Reachable when a maintenance transaction begins after the window
-      // check and rewrites a candidate the session can no longer
-      // reconstruct; same message as the scan path's.
-      st = Status::SessionExpired(StrPrintf(
-          "session at VN %lld hit a tuple modified more than %d "
-          "maintenance transactions ago",
-          static_cast<long long>(session.session_vn), vschema_.n() - 1));
-      break;
-    }
-    if (stats != nullptr) {
-      ++(res.slot < 0 ? stats->current_reads : stats->pre_update_reads);
-    }
-    bool keep = true;
-    for (const sql::Expr* e : invariant_filter) {
-      Result<bool> k = query::EvalPredicate(*e, logical, *phys, params);
-      if (!k.ok()) {
-        st = k.status();
-        break;
-      }
-      if (!k.value()) {
-        ++filtered;
-        keep = false;
-        break;
-      }
-    }
-    if (!st.ok()) break;
-    if (!keep) continue;
-    Row out = MaterializeVersionProjected(vschema_, *phys, res, projection);
-    ++reconstructed;
-    for (const sql::Expr* e : reconstructed_filter) {
-      Result<bool> k = query::EvalPredicate(*e, logical, out, params);
-      if (!k.ok()) {
-        st = k.status();
-        break;
-      }
-      if (!k.value()) {
-        keep = false;
-        break;
-      }
-    }
-    if (!st.ok()) break;
-    if (!keep) continue;
-    ++emitted;
-    if (!sink(out)) break;
-  }
-  if (stats != nullptr) {
-    stats->index_lookups += lookups;
-    stats->index_served_rows += emitted;
-  }
-  if (metrics_ != nullptr) {
-    metrics_->RecordScan(scanned, reconstructed, filtered, emitted,
-                         reconstructed * projected_bytes);
-    metrics_->RecordIndexRoute(lookups, emitted, 1);
-  }
-  *status = st;
+  *status = StreamCandidates(candidates, /*key=*/nullptr, lookups,
+                             /*scans_avoided=*/1, step, sink, stats);
   return true;
 }
 
@@ -1462,10 +1348,10 @@ Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
   bool lossless = true;
   // Materialize the victims first; reverts mutate the heap.
   std::vector<std::pair<Rid, Row>> victims;
-  phys_->ScanRows([&](Rid rid, const Row& phys) {
+  WVM_RETURN_IF_ERROR(phys_->ScanRows([&](Rid rid, const Row& phys) {
     if (vschema_.TupleVn(phys, 0) == txn_vn) victims.emplace_back(rid, phys);
     return true;
-  });
+  }));
 
   for (auto& [rid, phys] : victims) {
     WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));

@@ -174,8 +174,10 @@ class VnlTable {
   Result<std::vector<Row>> SnapshotRows(
       const ReaderSession& session, SnapshotScanStats* stats = nullptr) const;
 
-  // Key lookup within the session's snapshot. Point reads participate in
-  // the same SnapshotScanStats accounting as scans.
+  // Key lookup within the session's snapshot: a one-candidate index read
+  // through the same reader step as SnapshotSelect, so point reads share
+  // its counters and expiration status. Unlike a routed SELECT it does not
+  // consult the §4.1 window; its one candidate decides expiration.
   Result<std::optional<Row>> SnapshotLookup(
       const ReaderSession& session, const Row& key,
       SnapshotScanStats* stats = nullptr) const;
@@ -184,20 +186,20 @@ class VnlTable {
   // full query layer). Statement table name is not checked against this
   // table — the engine routes by name.
   //
-  // The read is fully streaming: Table-1 version resolution, predicate
-  // evaluation, and projection happen per tuple inside one heap pass.
-  // WHERE conjuncts that reference only base (logical) columns are pushed
-  // into the scan; conjuncts over version-invariant (non-updatable)
-  // columns are evaluated before the logical row is even materialized, so
+  // The read is fully streaming and runs on serialized records: Table-1
+  // version resolution, predicate evaluation, and projection happen per
+  // tuple inside one pass. WHERE conjuncts that reference only base
+  // (logical) columns are pushed into the pass. Conjuncts over
+  // version-invariant (non-updatable) columns are evaluated, in WHERE
+  // order, before the logical row is materialized — `column cmp constant`
+  // shapes over int, string and DATE columns as byte comparisons — so
   // filtered-out tuples cost zero Row copies.
   //
-  // When the engine's ScanOptions request parallelism > 1, the heap pass
-  // is partitioned into contiguous page ranges and fanned across the
-  // engine's ScanExecutor: each worker classifies tuples on raw record
-  // bytes (ResolveVersionRaw), evaluates compiled invariant predicates on
-  // serialized attributes, and materializes only surviving versions; the
-  // executor sink always runs on the calling thread, fed per-partition in
-  // heap order or arrival order per ScanOptions::merge.
+  // The pass is fed by the unique-key or a secondary index when routing
+  // applies (see TryStreamViaIndex), else by the heap — split into page
+  // ranges across the engine's ScanExecutor when ScanOptions request
+  // parallelism > 1. Every source emits rows in heap order, and the
+  // executor sink always runs on the calling thread.
   Result<query::QueryResult> SnapshotSelect(
       const ReaderSession& session, const sql::SelectStmt& stmt,
       const query::ParamMap& params = {},
@@ -256,52 +258,53 @@ class VnlTable {
   Result<std::vector<Rid>> CollectCursor(Vn maintenance_vn,
                                          const RowPredicate& pred) const;
 
-  // The single streaming read pass all snapshot reads funnel through:
-  // per heap tuple, Table-1 resolution, then `invariant_filter` on the
-  // raw physical row (logical prefix — no copy), then materialization of
-  // the columns marked in `projection` (empty = all; unneeded positions
-  // hold typed NULLs), then `reconstructed_filter` on the logical row,
-  // then `sink`.
-  Status StreamSnapshot(
-      const ReaderSession& session,
-      const std::vector<const sql::Expr*>& invariant_filter,
-      const std::vector<const sql::Expr*>& reconstructed_filter,
-      const query::ParamMap& params, const std::vector<bool>& projection,
-      const std::function<bool(const Row&)>& sink,
-      SnapshotScanStats* stats) const;
+  // The one Table-1 reader step (defined in vnl_table.cc): every snapshot
+  // read runs each physical record, as serialized bytes, through it —
+  // classification, invariant conjuncts in WHERE order, projected
+  // materialization, reconstructed conjuncts — and it counts what it did.
+  // Three record sources feed it: the serial heap pass and page-range
+  // partitions (StreamSnapshot) and sorted Rid candidates
+  // (StreamCandidates).
+  class ReaderStep;
+  using RowSink = std::function<bool(const Row&)>;
 
-  // Partitioned twin of StreamSnapshot: same contract (single sink, same
-  // counters, same expiration semantics), executed as one raw-byte pass
-  // per contiguous page range on `opts.parallelism` pool workers. Falls
-  // back to the serial pass when the table is too small to split.
-  Status StreamSnapshotParallel(
-      const ReaderSession& session,
-      const std::vector<const sql::Expr*>& invariant_filter,
-      const std::vector<const sql::Expr*>& reconstructed_filter,
-      const query::ParamMap& params, const std::vector<bool>& projection,
-      const std::function<bool(const Row&)>& sink,
-      SnapshotScanStats* stats, const ScanOptions& opts) const;
+  // Heap pass. With `parallelism` <= 1 (or a heap too small to split) the
+  // sink runs inside the heap callback; otherwise the heap is split into
+  // contiguous page ranges, each classified by its own copy of `step` on
+  // a ScanExecutor worker and buffered, and the sink is fed partition by
+  // partition in heap order on the calling thread, so every path emits
+  // the serial order. Publishes the read's counters.
+  Status StreamSnapshot(ReaderStep* step, int parallelism,
+                        const RowSink& sink, SnapshotScanStats* stats) const;
 
-  // §4.3 index-routed read: serves the same row stream as StreamSnapshot
+  // Index-candidate source: reads each Rid (ascending = heap order) into
+  // one reused buffer and runs it through `step`; a Rid reclaimed since
+  // the probe is skipped. With `key` set (point lookups) a record must
+  // still carry that normalized unique key — the slot-reuse guard. Records
+  // the read's counters, `lookups` hash probes and `scans_avoided`.
+  Status StreamCandidates(const std::vector<Rid>& rids, const Row* key,
+                          uint64_t lookups, uint64_t scans_avoided,
+                          ReaderStep* step, const RowSink& sink,
+                          SnapshotScanStats* stats) const;
+
+  // §4.3 index-routed read: serves the same row stream as the heap pass
   // out of the unique-key index (or a secondary posting list) when the
   // invariant conjuncts bind one with equalities, and the session is inside
   // the §4.1 version window (currentVN - sessionVN <= n-1, one less while
   // maintenance is active; VersionRelation::Snapshot::Admits), where no
-  // tuple can resolve kExpired — the scan path decides expiration per heap
+  // tuple can resolve kExpired — the heap pass decides expiration per
   // tuple, including tuples the WHERE rejects, so sessions outside the
-  // window must take the scan to keep the two paths status-identical. A
-  // maintenance transaction that begins after the check can still expire
-  // the read on a candidate it rewrote. Returns false (leaving *status
-  // untouched) when no index applies; true with the read's status in
-  // *status otherwise. Candidates are emitted in Rid order, which is heap
-  // order, so output is byte-identical to the serial scan.
-  bool TryStreamViaIndex(
-      const ReaderSession& session,
-      const std::vector<const sql::Expr*>& invariant_filter,
-      const std::vector<const sql::Expr*>& reconstructed_filter,
-      const query::ParamMap& params, const std::vector<bool>& projection,
-      const std::function<bool(const Row&)>& sink, SnapshotScanStats* stats,
-      Status* status) const EXCLUDES(index_mu_);
+  // window must take it to keep the two paths status-identical. For the
+  // same reason a conjunct that can fail to evaluate must not precede a
+  // binding one. A maintenance transaction that begins after the check can
+  // still expire the read on a candidate it rewrote. Returns false
+  // (leaving *status untouched) when no index applies; true with the
+  // read's status in *status otherwise.
+  bool TryStreamViaIndex(const ReaderSession& session,
+                         const std::vector<const sql::Expr*>& invariant_filter,
+                         const query::ParamMap& params, ReaderStep* step,
+                         const RowSink& sink, SnapshotScanStats* stats,
+                         Status* status) const EXCLUDES(index_mu_);
 
   std::optional<Rid> IndexLookup(const Row& key) const EXCLUDES(index_mu_);
 

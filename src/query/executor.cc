@@ -334,8 +334,9 @@ Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
 Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                   const Table& table,
                                   const ParamMap& params) {
-  RowSource source = [&table](const std::function<bool(const Row&)>& sink) {
-    table.ScanRows([&](Rid, const Row& row) { return sink(row); });
+  PushdownSource source;
+  source.scan = [&table](const std::function<bool(const Row&)>& sink) {
+    return table.ScanRows([&](Rid, const Row& row) { return sink(row); });
   };
   return ExecuteSelect(stmt, table.schema(), source, params);
 }

@@ -171,29 +171,20 @@ Status TableHeap::Read(Rid rid, uint8_t* out) const {
   return Status::OK();
 }
 
-void TableHeap::Scan(
+Status TableHeap::Scan(
     const std::function<bool(Rid, const uint8_t*)>& fn) const {
   PageId pid = first_page_id_;
   while (pid != kInvalidPageId) {
-    Result<Page*> fetched = pool_->FetchPage(pid);
-    WVM_CHECK_MSG(fetched.ok(), "scan fetch failed");
-    Page* page = fetched.value();
+    WVM_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(pid));
     page->RLatch();
-    const uint8_t* flags = SlotFlags(page->data());
-    bool keep_going = true;
-    for (uint16_t slot = 0; slot < capacity_ && keep_going; ++slot) {
-      if (!flags[slot]) continue;
-      keep_going = fn(
-          Rid{pid, slot},
-          reinterpret_cast<const uint8_t*>(
-              RecordAt(page->data(), capacity_, record_size_, slot)));
-    }
+    const bool keep_going = ScanPage(page, fn);
     const PageId next = GetNextPageId(page->data());
     page->RUnlatch();
     pool_->Unpin(page, /*dirty=*/false);
-    if (!keep_going) return;
+    if (!keep_going) break;
     pid = next;
   }
+  return Status::OK();
 }
 
 std::vector<PageId> TableHeap::PageIds() const {
@@ -201,27 +192,32 @@ std::vector<PageId> TableHeap::PageIds() const {
   return page_ids_;
 }
 
-void TableHeap::ScanPages(
+Status TableHeap::ScanPages(
     const std::vector<PageId>& pages,
     const std::function<bool(Rid, const uint8_t*)>& fn) const {
   for (PageId pid : pages) {
-    Result<Page*> fetched = pool_->FetchPage(pid);
-    WVM_CHECK_MSG(fetched.ok(), "scan fetch failed");
-    Page* page = fetched.value();
+    WVM_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(pid));
     page->RLatch();
-    const uint8_t* flags = SlotFlags(page->data());
-    bool keep_going = true;
-    for (uint16_t slot = 0; slot < capacity_ && keep_going; ++slot) {
-      if (!flags[slot]) continue;
-      keep_going = fn(
-          Rid{pid, slot},
-          reinterpret_cast<const uint8_t*>(
-              RecordAt(page->data(), capacity_, record_size_, slot)));
-    }
+    const bool keep_going = ScanPage(page, fn);
     page->RUnlatch();
     pool_->Unpin(page, /*dirty=*/false);
-    if (!keep_going) return;
+    if (!keep_going) break;
   }
+  return Status::OK();
+}
+
+bool TableHeap::ScanPage(
+    Page* page, const std::function<bool(Rid, const uint8_t*)>& fn) const {
+  const uint8_t* flags = SlotFlags(page->data());
+  for (uint16_t slot = 0; slot < capacity_; ++slot) {
+    if (!flags[slot]) continue;
+    if (!fn(Rid{page->page_id(), slot},
+            reinterpret_cast<const uint8_t*>(
+                RecordAt(page->data(), capacity_, record_size_, slot)))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace wvm

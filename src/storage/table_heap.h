@@ -50,8 +50,9 @@ class TableHeap {
 
   // Invokes `fn(rid, record_bytes)` for every live record, in page order,
   // under a shared page latch. Return false from `fn` to stop the scan.
-  // The record pointer is only valid during the callback.
-  void Scan(
+  // The record pointer is only valid during the callback. A page the
+  // buffer pool cannot serve ends the scan with the pool's error.
+  Status Scan(
       const std::function<bool(Rid, const uint8_t*)>& fn) const;
 
   // Snapshot of the page chain in heap order, served from an in-memory
@@ -65,7 +66,7 @@ class TableHeap {
   // from multiple threads concurrently with disjoint ranges: records are
   // fixed-size and updated strictly in place, and each page is visited
   // under its shared latch.
-  void ScanPages(
+  Status ScanPages(
       const std::vector<PageId>& pages,
       const std::function<bool(Rid, const uint8_t*)>& fn) const;
 
@@ -83,6 +84,11 @@ class TableHeap {
 
  private:
   struct PageHeader;
+
+  // Runs `fn` over the live records of a pinned, read-latched page; false
+  // when `fn` stopped the scan.
+  bool ScanPage(Page* page,
+                const std::function<bool(Rid, const uint8_t*)>& fn) const;
 
   // Picks a page to insert into (may allocate), pinned. Out: page id.
   Result<Page*> PageForInsert(PageId* page_id) EXCLUDES(mu_);

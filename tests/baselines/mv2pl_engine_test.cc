@@ -148,8 +148,9 @@ TEST_P(Mv2plEngineTest, PoolGarbageCollection) {
   }
   EXPECT_GT(engine_.pool_records(), 0u);
   // No readers: everything but the newest version is reclaimable.
-  const size_t reclaimed = engine_.CollectPoolGarbage();
-  EXPECT_GT(reclaimed, 0u);
+  const Result<size_t> reclaimed = engine_.CollectPoolGarbage();
+  ASSERT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+  EXPECT_GT(*reclaimed, 0u);
   EXPECT_EQ(engine_.pool_records(), 0u);
 
   Result<uint64_t> reader = engine_.OpenReader();
@@ -167,7 +168,7 @@ TEST_P(Mv2plEngineTest, GcKeepsVersionsLiveReadersNeed) {
     ASSERT_TRUE(engine_.MaintUpdate(Key(0), Item(0, v)).ok());
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
-  engine_.CollectPoolGarbage();
+  ASSERT_TRUE(engine_.CollectPoolGarbage().ok());
   // The version the old reader needs must survive.
   Result<std::optional<Row>> row = engine_.ReadKey(*old_reader, Key(0));
   ASSERT_TRUE(row.ok());

@@ -76,13 +76,15 @@ TEST_F(CatalogTest, ScanRowsAndAllRows) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(table->InsertRow({Value::Int64(i)}).ok());
   }
-  EXPECT_EQ(table->AllRows().size(), 10u);
+  EXPECT_EQ(table->AllRows().value().size(), 10u);
 
   int seen = 0;
-  table->ScanRows([&](Rid, const Row&) {
-    ++seen;
-    return seen < 4;  // early stop
-  });
+  ASSERT_TRUE(table
+                  ->ScanRows([&](Rid, const Row&) {
+                    ++seen;
+                    return seen < 4;  // early stop
+                  })
+                  .ok());
   EXPECT_EQ(seen, 4);
 }
 

@@ -41,11 +41,13 @@ using HeapImage = std::map<Rid, std::string>;
 HeapImage Image(const VnlTable& table) {
   const TableHeap* heap = table.physical_table().heap();
   HeapImage image;
-  heap->Scan([&](Rid rid, const uint8_t* rec) {
-    image.emplace(rid, std::string(reinterpret_cast<const char*>(rec),
-                                   heap->record_size()));
-    return true;
-  });
+  WVM_CHECK(heap->Scan([&](Rid rid, const uint8_t* rec) {
+                  image.emplace(rid,
+                                std::string(reinterpret_cast<const char*>(rec),
+                                            heap->record_size()));
+                  return true;
+                })
+                .ok());
   return image;
 }
 
@@ -59,17 +61,19 @@ ReferenceGc ReferenceVictims(const VnlTable& table, Vn current_vn,
                              Vn min_active_session_vn) {
   const VersionedSchema& vs = table.versioned_schema();
   ReferenceGc ref;
-  table.physical_table().ScanRows([&](Rid rid, const Row& phys) {
-    Result<Op> op = vs.Operation(phys, 0);
-    WVM_CHECK(op.ok());
-    if (op.value() != Op::kDelete) return true;
-    ++ref.corpses;
-    const Vn vn = vs.TupleVn(phys, 0);
-    if (vn <= current_vn && min_active_session_vn >= vn) {
-      ref.victims.push_back(rid);
-    }
-    return true;
-  });
+  const Status scanned =
+      table.physical_table().ScanRows([&](Rid rid, const Row& phys) {
+        Result<Op> op = vs.Operation(phys, 0);
+        WVM_CHECK(op.ok());
+        if (op.value() != Op::kDelete) return true;
+        ++ref.corpses;
+        const Vn vn = vs.TupleVn(phys, 0);
+        if (vn <= current_vn && min_active_session_vn >= vn) {
+          ref.victims.push_back(rid);
+        }
+        return true;
+      });
+  WVM_CHECK(scanned.ok());
   return ref;
 }
 

@@ -175,6 +175,81 @@ TEST_P(GcTest, PoolFailureReturnsStatusAndKeepsTombstones) {
   engine->CloseSession(s);
 }
 
+// Every SELECT source — the serial heap pass, page-range partitions and
+// index candidates — returns the pool's error when the table's pages
+// cannot be fetched (no process abort), and reads correctly once frames
+// free up.
+TEST_P(GcTest, PoolFailureFailsEverySelectPathWithStatus) {
+  DiskManager disk;
+  BufferPool pool(8, &disk);
+  auto engine_or = VnlEngine::Create(&pool, GetParam());
+  ASSERT_TRUE(engine_or.ok());
+  VnlEngine* engine = engine_or.value().get();
+  auto table_or = engine->CreateTable("items", ItemSchema());
+  ASSERT_TRUE(table_or.ok());
+  VnlTable* table = table_or.value();
+  constexpr int64_t kRows = 400;  // several heap pages
+  {
+    auto txn = engine->BeginMaintenance();
+    ASSERT_TRUE(txn.ok());
+    for (int64_t i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(table->Insert(*txn, Item(i, i)).ok());
+    }
+    ASSERT_TRUE(engine->Commit(*txn).ok());
+  }
+  ASSERT_GT(table->physical_pages(), 2u);
+  ReaderSession s = engine->OpenSession();
+
+  // {sql, parallelism, index routing, rows once the pool recovers}
+  struct Path {
+    const char* sql;
+    int threads;
+    bool routing;
+    int64_t rows;
+  };
+  const Path kPaths[] = {
+      {"SELECT COUNT(*) AS c FROM items", 1, false, 1},
+      {"SELECT id FROM items WHERE qty >= 0", 4, false, kRows},
+      {"SELECT * FROM items WHERE id = 3", 1, true, 1},
+  };
+  auto run = [&](const Path& path) {
+    Result<sql::SelectStmt> stmt = sql::ParseSelect(path.sql);
+    WVM_CHECK(stmt.ok());
+    engine->SetScanOptions({path.threads, path.routing});
+    return table->SnapshotSelect(s, *stmt);
+  };
+
+  std::vector<Page*> pinned;
+  for (;;) {
+    Result<Page*> page = pool.NewPage();
+    if (!page.ok()) break;
+    pinned.push_back(*page);
+  }
+  ASSERT_EQ(pinned.size(), pool.pool_size());
+  for (const Path& path : kPaths) {
+    SCOPED_TRACE(path.sql);
+    const uint64_t avoided = engine->scan_metrics().scans_avoided;
+    Result<query::QueryResult> failed = run(path);
+    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+        << failed.status().ToString();
+    EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,
+              path.routing ? 1u : 0u);
+  }
+
+  for (Page* page : pinned) pool.Unpin(page, /*dirty=*/false);
+  for (const Path& path : kPaths) {
+    SCOPED_TRACE(path.sql);
+    Result<query::QueryResult> ok = run(path);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(ok->rows.size()), path.rows);
+  }
+  Result<query::QueryResult> count = run(kPaths[0]);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->rows[0][0].AsInt64(), kRows);
+  engine->SetScanOptions({});
+  engine->CloseSession(s);
+}
+
 TEST_P(GcTest, ReclaimedKeysCanBeReinsertedFresh) {
   Load(3);
   DeleteIds(0, 2);
@@ -271,9 +346,9 @@ TEST_P(GcTest, IndexRoutedReadsAgreeWithScansAfterGc) {
     Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
     ASSERT_TRUE(stmt.ok());
     ReaderSession s = engine->OpenSession();
-    engine->SetScanOptions({1, ScanMergeMode::kArrivalOrder, true});
+    engine->SetScanOptions({1, true});
     Result<query::QueryResult> routed = table->SnapshotSelect(s, *stmt);
-    engine->SetScanOptions({1, ScanMergeMode::kArrivalOrder, false});
+    engine->SetScanOptions({1, false});
     Result<query::QueryResult> scanned = table->SnapshotSelect(s, *stmt);
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();

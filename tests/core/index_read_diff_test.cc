@@ -65,10 +65,12 @@ Row MakeItem(Rng* rng, int64_t id) {
 // (grp, tag, day) with narrow projections and aggregation, DATE bindings
 // from a DATE param and from parseable string literals, contradictory
 // equalities, mixed-column ORs and non-equality shapes (fallback), an
-// over-width string literal (declined binding, constant-false filter), and
+// over-width string literal (declined binding, constant-false filter),
 // type-mismatched or unparseable comparands (declined binding; both paths
-// fail with InvalidArgument). `routable` marks the queries the index
-// serves whenever the session is inside the version window.
+// fail with InvalidArgument), and a failing conjunct ahead of a binding one
+// (the heap pass fails on every visible tuple in WHERE order, so routing
+// declines). `routable` marks the queries the index serves whenever the
+// session is inside the version window.
 struct PoolQuery {
   const char* sql;
   bool routable;
@@ -107,6 +109,7 @@ const PoolQuery kQueries[] = {
     {"SELECT id FROM t WHERE day = 5", false},
     {"SELECT id FROM t WHERE grp = 5", false},
     {"SELECT id FROM t WHERE qty = 'x'", false},
+    {"SELECT id FROM t WHERE id = 'x' AND grp = 'zz'", false},
 };
 
 class IndexReadDiffTest : public ::testing::Test {
@@ -124,15 +127,13 @@ class IndexReadDiffTest : public ::testing::Test {
       Result<sql::SelectStmt> stmt = sql::ParseSelect(q.sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
 
-      engine->SetScanOptions(
-          {1, ScanMergeMode::kArrivalOrder, /*index_routing=*/false});
+      engine->SetScanOptions({1, /*index_routing=*/false});
       Result<query::QueryResult> scan =
           table->SnapshotSelect(session, *stmt, params);
 
       for (int threads : {1, 4}) {
         SCOPED_TRACE(StrPrintf("threads=%d", threads));
-        engine->SetScanOptions(
-            {threads, ScanMergeMode::kHeapOrder, /*index_routing=*/true});
+        engine->SetScanOptions({threads, /*index_routing=*/true});
         const uint64_t avoided = engine->scan_metrics().scans_avoided;
         Result<query::QueryResult> routed =
             table->SnapshotSelect(session, *stmt, params);
@@ -157,7 +158,7 @@ class IndexReadDiffTest : public ::testing::Test {
           }
         }
       }
-      engine->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+      engine->SetScanOptions({1});
     }
   }
 
@@ -367,11 +368,9 @@ TEST(IndexReadStatsTest, TypeMismatchedWhereFailsAlikeOnBothPaths) {
     SCOPED_TRACE(sql);
     Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
     ASSERT_TRUE(stmt.ok());
-    engine->SetScanOptions(
-        {1, ScanMergeMode::kArrivalOrder, /*index_routing=*/false});
+    engine->SetScanOptions({1, /*index_routing=*/false});
     Result<query::QueryResult> scan = table->SnapshotSelect(s, *stmt, {});
-    engine->SetScanOptions(
-        {1, ScanMergeMode::kArrivalOrder, /*index_routing=*/true});
+    engine->SetScanOptions({1, /*index_routing=*/true});
     const uint64_t avoided = engine->scan_metrics().scans_avoided;
     Result<query::QueryResult> routed = table->SnapshotSelect(s, *stmt, {});
     EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,

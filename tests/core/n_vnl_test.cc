@@ -96,7 +96,7 @@ class NVnlTest : public ::testing::Test {
 TEST_F(NVnlTest, Figure7TupleState) {
   BuildExample51();
   const VersionedSchema& vs = table_->versioned_schema();
-  std::vector<Row> rows = table_->physical_table().AllRows();
+  std::vector<Row> rows = table_->physical_table().AllRows().value();
   ASSERT_EQ(rows.size(), 1u);
   const Row& t = rows[0];
 

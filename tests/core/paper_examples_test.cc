@@ -102,7 +102,7 @@ class PaperExamplesTest : public ::testing::Test {
 
   void ExpectPhysicalState(std::vector<PaperTuple> expected) {
     const VersionedSchema& vs = table_->versioned_schema();
-    std::vector<Row> phys = table_->physical_table().AllRows();
+    std::vector<Row> phys = table_->physical_table().AllRows().value();
     ASSERT_EQ(phys.size(), expected.size());
     for (const Row& row : phys) {
       const std::string city = row[0].AsString();

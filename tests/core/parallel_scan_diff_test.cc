@@ -1,13 +1,12 @@
 // Differential suite for the parallel partitioned snapshot scan: for
 // randomly generated tables, maintenance histories, and predicates, the
-// parallel SnapshotSelect (threads ∈ {1,2,4,8}, both merge modes) must
-// return the exact row multiset of the serial streaming path — before,
-// during, and after a maintenance transaction — and fail with the same
-// status when the serial path fails (e.g. session expiration). Heap-order
-// merge must additionally reproduce the serial emission order.
+// parallel SnapshotSelect (threads ∈ {1,2,4,8}) must return exactly the
+// rows of the serial streaming path, in the same order — before, during,
+// and after a maintenance transaction — and fail with the same status
+// when the serial path fails (session expiration, a type error in a WHERE
+// conjunct).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,22 +20,6 @@
 
 namespace wvm::core {
 namespace {
-
-// Lexicographic row order for multiset comparison.
-struct RowOrder {
-  bool operator()(const Row& a, const Row& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
-
-std::vector<Row> Sorted(std::vector<Row> rows) {
-  std::sort(rows.begin(), rows.end(), RowOrder{});
-  return rows;
-}
 
 // Logical schema exercising every predicate-compilation path: compiled
 // string (grp, tag — tag is sometimes NULL), compiled int64/int32 (id,
@@ -74,7 +57,8 @@ Row MakeItem(Rng* rng, int64_t id) {
 // (including literal-on-the-left and literal-longer-than-width), NULL
 // columns under comparison, parameter bindings, generic invariant
 // fallback (double column), reconstructed-side predicates (updatable
-// columns), and grouped aggregation.
+// columns), grouped aggregation, and a failing conjunct ahead of a
+// compiled one.
 const char* kQueries[] = {
     "SELECT * FROM t",
     "SELECT id, qty FROM t WHERE grp = 'g1'",
@@ -89,12 +73,15 @@ const char* kQueries[] = {
     "SELECT id FROM t WHERE cnt >= 20 AND qty > :q",
     "SELECT grp, COUNT(*) AS c, SUM(qty) AS s FROM t GROUP BY grp",
     "SELECT COUNT(*) AS c FROM t WHERE grp = 'g3' AND qty < :q",
+    // A type error ahead of a compiled conjunct: WHERE order decides that
+    // every visible tuple fails, on every path.
+    "SELECT id FROM t WHERE id = 'x' AND grp = 'zz'",
 };
 
 class ParallelScanDiffTest : public ::testing::Test {
  protected:
   // Runs every pool query through the serial path and through each
-  // {threads, merge} combination; all must agree.
+  // partition count; all must agree row for row, in the same order.
   void ExpectParallelMatchesSerial(VnlEngine* engine, VnlTable* table,
                                    const ReaderSession& session,
                                    const query::ParamMap& params) {
@@ -103,47 +90,31 @@ class ParallelScanDiffTest : public ::testing::Test {
       Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
 
-      engine->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+      engine->SetScanOptions({1});
       Result<query::QueryResult> serial =
           table->SnapshotSelect(session, *stmt, params);
 
       for (int threads : {1, 2, 4, 8}) {
-        for (ScanMergeMode merge :
-             {ScanMergeMode::kArrivalOrder, ScanMergeMode::kHeapOrder}) {
-          SCOPED_TRACE(StrPrintf(
-              "threads=%d merge=%s", threads,
-              merge == ScanMergeMode::kHeapOrder ? "heap" : "arrival"));
-          engine->SetScanOptions({threads, merge});
-          Result<query::QueryResult> parallel =
-              table->SnapshotSelect(session, *stmt, params);
+        SCOPED_TRACE(StrPrintf("threads=%d", threads));
+        engine->SetScanOptions({threads});
+        Result<query::QueryResult> parallel =
+            table->SnapshotSelect(session, *stmt, params);
 
-          ASSERT_EQ(serial.ok(), parallel.ok())
-              << (serial.ok() ? parallel.status() : serial.status())
-                     .ToString();
-          if (!serial.ok()) {
-            EXPECT_EQ(serial.status().code(), parallel.status().code());
-            continue;
-          }
-          EXPECT_EQ(serial->column_names, parallel->column_names);
-          ASSERT_EQ(serial->rows.size(), parallel->rows.size());
-          if (merge == ScanMergeMode::kHeapOrder) {
-            // Heap-order merge reproduces the serial emission order
-            // exactly, row for row.
-            for (size_t i = 0; i < serial->rows.size(); ++i) {
-              EXPECT_TRUE(serial->rows[i] == parallel->rows[i])
-                  << "row " << i << " differs under heap-order merge";
-            }
-          } else {
-            const std::vector<Row> a = Sorted(serial->rows);
-            const std::vector<Row> b = Sorted(parallel->rows);
-            for (size_t i = 0; i < a.size(); ++i) {
-              EXPECT_TRUE(a[i] == b[i])
-                  << "multiset mismatch at sorted position " << i;
-            }
-          }
+        ASSERT_EQ(serial.ok(), parallel.ok())
+            << (serial.ok() ? parallel.status() : serial.status())
+                   .ToString();
+        if (!serial.ok()) {
+          EXPECT_EQ(serial.status().code(), parallel.status().code());
+          continue;
+        }
+        EXPECT_EQ(serial->column_names, parallel->column_names);
+        ASSERT_EQ(serial->rows.size(), parallel->rows.size());
+        for (size_t i = 0; i < serial->rows.size(); ++i) {
+          EXPECT_TRUE(serial->rows[i] == parallel->rows[i])
+              << "row " << i << " differs";
         }
       }
-      engine->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+      engine->SetScanOptions({1});
     }
   }
 

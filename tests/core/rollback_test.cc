@@ -91,7 +91,8 @@ TEST_P(RollbackTest, AbortRestoresLogicalState) {
 
   // The reverted version numbers never exceed currentVN.
   const VersionedSchema& vs = table_->versioned_schema();
-  for (const Row& row : table_->physical_table().AllRows()) {
+  const std::vector<Row> rows = table_->physical_table().AllRows().value();
+  for (const Row& row : rows) {
     EXPECT_LE(vs.TupleVn(row, 0), 1);
   }
 }

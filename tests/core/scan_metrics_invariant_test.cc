@@ -120,7 +120,7 @@ TEST_P(ScanMetricsInvariantTest, InvariantsHoldForEveryScan) {
       SCOPED_TRACE(std::string("query: ") + sql);
       for (int threads : {1, 2, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        engine_->SetScanOptions({threads, ScanMergeMode::kHeapOrder});
+        engine_->SetScanOptions({threads});
         const ScanMetrics m = RunAndSnapshot(*s, sql);
         EXPECT_GE(m.rows_scanned, m.rows_reconstructed + m.rows_filtered);
         EXPECT_LE(m.rows_emitted, m.rows_reconstructed);
@@ -130,7 +130,7 @@ TEST_P(ScanMetricsInvariantTest, InvariantsHoldForEveryScan) {
       }
     }
   }
-  engine_->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+  engine_->SetScanOptions({1});
 }
 
 TEST_P(ScanMetricsInvariantTest, ParallelTotalsEqualSerialTotals) {
@@ -140,25 +140,22 @@ TEST_P(ScanMetricsInvariantTest, ParallelTotalsEqualSerialTotals) {
   for (const ReaderSession* s : {&old_s, &fresh}) {
     for (const char* sql : kQueries) {
       SCOPED_TRACE(std::string("query: ") + sql);
-      engine_->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+      engine_->SetScanOptions({1});
       const ScanMetrics serial = RunAndSnapshot(*s, sql);
       EXPECT_EQ(serial.parallel_scans, 0u);
 
-      for (ScanMergeMode merge :
-           {ScanMergeMode::kArrivalOrder, ScanMergeMode::kHeapOrder}) {
-        engine_->SetScanOptions({4, merge});
-        const ScanMetrics parallel = RunAndSnapshot(*s, sql);
-        EXPECT_EQ(parallel.rows_scanned, serial.rows_scanned);
-        EXPECT_EQ(parallel.rows_reconstructed, serial.rows_reconstructed);
-        EXPECT_EQ(parallel.rows_filtered, serial.rows_filtered);
-        EXPECT_EQ(parallel.rows_emitted, serial.rows_emitted);
-        EXPECT_EQ(parallel.bytes_copied, serial.bytes_copied);
-        EXPECT_EQ(parallel.full_materializations, 0u);
-        EXPECT_EQ(parallel.parallel_scans, 1u);
-      }
+      engine_->SetScanOptions({4});
+      const ScanMetrics parallel = RunAndSnapshot(*s, sql);
+      EXPECT_EQ(parallel.rows_scanned, serial.rows_scanned);
+      EXPECT_EQ(parallel.rows_reconstructed, serial.rows_reconstructed);
+      EXPECT_EQ(parallel.rows_filtered, serial.rows_filtered);
+      EXPECT_EQ(parallel.rows_emitted, serial.rows_emitted);
+      EXPECT_EQ(parallel.bytes_copied, serial.bytes_copied);
+      EXPECT_EQ(parallel.full_materializations, 0u);
+      EXPECT_EQ(parallel.parallel_scans, 1u);
     }
   }
-  engine_->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+  engine_->SetScanOptions({1});
 }
 
 // A row rejected by an updatable-column predicate was already copied, so
@@ -167,7 +164,7 @@ TEST_P(ScanMetricsInvariantTest, ParallelTotalsEqualSerialTotals) {
 TEST_P(ScanMetricsInvariantTest, PostMaterializationRejectionsAreNotFiltered) {
   Churn();
   ReaderSession s = engine_->OpenSession();
-  engine_->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+  engine_->SetScanOptions({1});
   const ScanMetrics m =
       RunAndSnapshot(s, "SELECT id FROM items WHERE qty > 700");
   // qty is updatable: nothing can be rejected pre-materialization.
@@ -180,7 +177,7 @@ TEST_P(ScanMetricsInvariantTest, PostMaterializationRejectionsAreNotFiltered) {
 // inequalities become exact for a scan with no ignored tuples.
 TEST_P(ScanMetricsInvariantTest, InvariantRejectionsAreFilteredNotCopied) {
   ReaderSession s = engine_->OpenSession();  // before churn: no ignores
-  engine_->SetScanOptions({1, ScanMergeMode::kArrivalOrder});
+  engine_->SetScanOptions({1});
   const ScanMetrics m =
       RunAndSnapshot(s, "SELECT id FROM items WHERE grp = 'g3'");
   EXPECT_EQ(m.rows_scanned, m.rows_filtered + m.rows_reconstructed);

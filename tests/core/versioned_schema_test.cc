@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace wvm::core {
 namespace {
 
@@ -159,6 +162,80 @@ TEST(VersionedSchemaTest, ReadVersionInsertAndDelete) {
   EXPECT_EQ(ReadVersion(*vs, deleted, 4, &out), ReadOutcome::kIgnore);
   EXPECT_EQ(ReadVersion(*vs, deleted, 3, &out), ReadOutcome::kRow);
   EXPECT_EQ(out[4].AsInt32(), 8000);
+}
+
+// The byte-level resolver the reader runs (ResolveVersionRaw +
+// MaterializeVersionRawProjected) against the Row reference of Table 1
+// (ResolveVersion / ReadVersion), over every populated-slot configuration
+// for n in {2, 3, 4}: each slot's operation and a strictly decreasing VN
+// per slot, which includes the Table-2 revive shapes (an insert stamped
+// over a delete) and histories whose oldest entry is not the insert. Every
+// session VN in range must classify and materialize alike.
+TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
+  constexpr Op kOps[] = {Op::kInsert, Op::kUpdate, Op::kDelete};
+  constexpr Vn kMaxVn = 6;
+  size_t checked = 0;
+  for (int n : {2, 3, 4}) {
+    Result<VersionedSchema> vs = VersionedSchema::Create(DailySales(), n);
+    ASSERT_TRUE(vs.ok());
+    const Schema& phys_schema = vs->physical();
+    std::vector<uint8_t> rec(phys_schema.RowByteSize());
+    for (int m = 1; m <= n - 1; ++m) {
+      // Slot VNs: all strictly decreasing m-subsets of {1..kMaxVn}.
+      // Ops: all 3^m assignments.
+      for (uint32_t vn_mask = 0; vn_mask < (1u << kMaxVn); ++vn_mask) {
+        if (__builtin_popcount(vn_mask) != m) continue;
+        std::vector<Vn> vns;
+        for (Vn v = kMaxVn; v >= 1; --v) {
+          if (vn_mask & (1u << (v - 1))) vns.push_back(v);
+        }
+        int op_combos = 1;
+        for (int i = 0; i < m; ++i) op_combos *= 3;
+        for (int combo = 0; combo < op_combos; ++combo) {
+          Row phys = vs->MakeInsertRow(DailyRow("Berkeley", "racquetball",
+                                                14, 1000),
+                                       vns[0]);
+          int c = combo;
+          for (int slot = 0; slot < m; ++slot) {
+            vs->SetSlot(&phys, slot, vns[slot], kOps[c % 3]);
+            c /= 3;
+            // Distinct pre-update values per slot; an insert's PV is NULL.
+            phys[vs->PreIndex(0, slot)] =
+                vs->Operation(phys, slot).value() == Op::kInsert
+                    ? Value::Null(TypeId::kInt32)
+                    : Value::Int32(100 * (slot + 1));
+          }
+          SerializeRow(phys_schema, phys, rec.data());
+          for (Vn session = 0; session <= kMaxVn + 1; ++session) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " m=" << m << " vns=" << vn_mask
+                         << " ops=" << combo << " session=" << session);
+            const VersionResolution row_res =
+                ResolveVersion(*vs, phys, session);
+            const VersionResolution raw_res =
+                ResolveVersionRaw(*vs, rec.data(), session);
+            ASSERT_EQ(raw_res.outcome, row_res.outcome);
+            ASSERT_EQ(raw_res.slot, row_res.slot);
+            Row expected;
+            if (ReadVersion(*vs, phys, session, &expected) !=
+                ReadOutcome::kRow) {
+              continue;
+            }
+            const Row got =
+                MaterializeVersionRawProjected(*vs, rec.data(), raw_res, {});
+            ASSERT_EQ(got.size(), expected.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+              EXPECT_TRUE(got[i] == expected[i])
+                  << "column " << i << ": " << got[i].ToString() << " vs "
+                  << expected[i].ToString();
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

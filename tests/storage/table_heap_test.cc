@@ -101,10 +101,11 @@ TEST_F(TableHeapTest, ScanVisitsAllLiveRecordsOnce) {
     ASSERT_TRUE(heap.Insert(rec.data()).ok());
   }
   std::set<uint64_t> seen;
-  heap.Scan([&](Rid, const uint8_t* rec) {
-    EXPECT_TRUE(seen.insert(TagOf(rec)).second);
-    return true;
-  });
+  ASSERT_TRUE(heap.Scan([&](Rid, const uint8_t* rec) {
+                    EXPECT_TRUE(seen.insert(TagOf(rec)).second);
+                    return true;
+                  })
+                  .ok());
   EXPECT_EQ(seen.size(), kCount);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), kCount - 1);
@@ -117,10 +118,11 @@ TEST_F(TableHeapTest, ScanEarlyStop) {
     ASSERT_TRUE(heap.Insert(rec.data()).ok());
   }
   int visited = 0;
-  heap.Scan([&](Rid, const uint8_t*) {
-    ++visited;
-    return visited < 3;
-  });
+  ASSERT_TRUE(heap.Scan([&](Rid, const uint8_t*) {
+                    ++visited;
+                    return visited < 3;
+                  })
+                  .ok());
   EXPECT_EQ(visited, 3);
 }
 
@@ -137,12 +139,39 @@ TEST_F(TableHeapTest, ScanSkipsDeleted) {
     ASSERT_TRUE(heap.Delete(rids[i]).ok());
   }
   std::set<uint64_t> seen;
-  heap.Scan([&](Rid, const uint8_t* rec) {
-    seen.insert(TagOf(rec));
-    return true;
-  });
+  ASSERT_TRUE(heap.Scan([&](Rid, const uint8_t* rec) {
+                    seen.insert(TagOf(rec));
+                    return true;
+                  })
+                  .ok());
   EXPECT_EQ(seen.size(), 5u);
   for (uint64_t tag : seen) EXPECT_EQ(tag % 2, 1u);
+}
+
+// A page the pool cannot bring back fails the scan with the pool's error
+// instead of aborting the process; once frames free up the scan works.
+TEST_F(TableHeapTest, ScanReturnsPoolErrorWhenFramesArePinned) {
+  DiskManager disk;
+  BufferPool pool(4, &disk);
+  TableHeap heap(&pool, 256);
+  for (uint64_t i = 0; heap.num_pages() < 3; ++i) {
+    auto rec = MakeRecord(256, i);
+    ASSERT_TRUE(heap.Insert(rec.data()).ok());
+  }
+  std::vector<Page*> pinned;
+  for (;;) {
+    Result<Page*> page = pool.NewPage();
+    if (!page.ok()) break;
+    pinned.push_back(*page);
+  }
+  ASSERT_EQ(pinned.size(), pool.pool_size());
+  auto visit = [](Rid, const uint8_t*) { return true; };
+  EXPECT_EQ(heap.Scan(visit).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(heap.ScanPages(heap.PageIds(), visit).code(),
+            StatusCode::kResourceExhausted);
+  for (Page* page : pinned) pool.Unpin(page, /*dirty=*/false);
+  EXPECT_TRUE(heap.Scan(visit).ok());
+  EXPECT_TRUE(heap.ScanPages(heap.PageIds(), visit).ok());
 }
 
 // Index-routed reads sort candidates by Rid to emit them in heap order.
@@ -239,11 +268,12 @@ TEST_F(TableHeapTest, ConcurrentReadersDuringWrites) {
   });
   // Readers must never observe torn records (tag always a valid round).
   for (int iter = 0; iter < 50; ++iter) {
-    heap.Scan([&](Rid, const uint8_t* rec) {
-      uint64_t tag = TagOf(rec);
-      EXPECT_LT(tag, 1u << 20);
-      return true;
-    });
+    EXPECT_TRUE(heap.Scan([&](Rid, const uint8_t* rec) {
+                      uint64_t tag = TagOf(rec);
+                      EXPECT_LT(tag, 1u << 20);
+                      return true;
+                    })
+                    .ok());
   }
   stop.store(true);
   writer.join();

@@ -208,10 +208,12 @@ std::string RowKey(const Row& row) {
 
 std::vector<std::string> PhysicalImage(const VnlTable* table) {
   std::vector<std::string> rows;
-  table->physical_table().ScanRows([&](Rid, const Row& phys) {
-    rows.push_back(RowKey(phys));
-    return true;
-  });
+  WVM_CHECK(table->physical_table()
+                .ScanRows([&](Rid, const Row& phys) {
+                  rows.push_back(RowKey(phys));
+                  return true;
+                })
+                .ok());
   std::sort(rows.begin(), rows.end());
   return rows;
 }
