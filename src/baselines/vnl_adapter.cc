@@ -87,46 +87,7 @@ Status VnlAdapter::MaintDelete(const Row& key) {
 
 Result<WarehouseEngine::MaintBatchStats> VnlAdapter::MaintApplyBatch(
     const std::vector<MaintBatchOp>& ops) {
-  std::vector<core::VnlTable::BatchKeyOp> batch;
-  batch.reserve(ops.size());
-  for (const MaintBatchOp& op : ops) {
-    core::VnlTable::BatchKeyOp key_op;
-    key_op.key = op.key;
-    key_op.decide = [decide = op.decide](const std::optional<Row>& current)
-        -> Result<core::NetEffect> {
-      WVM_ASSIGN_OR_RETURN(MaintNetAction action, decide(current));
-      core::NetEffect effect;
-      switch (action.kind) {
-        case MaintNetAction::Kind::kNone:
-          effect.kind = core::NetEffect::Kind::kNone;
-          break;
-        case MaintNetAction::Kind::kInsert:
-          effect.kind = core::NetEffect::Kind::kInsert;
-          effect.row = std::move(action.row);
-          break;
-        case MaintNetAction::Kind::kUpdate:
-          effect.kind = core::NetEffect::Kind::kUpdate;
-          effect.row = std::move(action.row);
-          break;
-        case MaintNetAction::Kind::kDelete:
-          effect.kind = core::NetEffect::Kind::kDelete;
-          break;
-      }
-      return effect;
-    };
-    batch.push_back(std::move(key_op));
-  }
-  WVM_ASSIGN_OR_RETURN(core::VnlTable::BatchApplyStats stats,
-                       table_->ApplyBatch(CurrentTxn(), batch));
-  MaintBatchStats out;
-  out.keys = stats.keys;
-  out.noops = stats.noops;
-  out.inserts = stats.inserts;
-  out.updates = stats.updates;
-  out.deletes = stats.deletes;
-  out.index_probes = stats.index_probes;
-  out.page_pins = stats.page_pins;
-  return out;
+  return table_->ApplyBatch(CurrentTxn(), ops);
 }
 
 Status VnlAdapter::CommitMaintenance() {

@@ -39,8 +39,8 @@ class VnlAdapter : public WarehouseEngine {
   Status MaintUpdate(const Row& key, const Row& row) override;
   Status MaintDelete(const Row& key) override;
   Status CommitMaintenance() override;
-  // Native batched path: one core ApplyBatch call, real probe/pin
-  // counters from the maintenance transaction.
+  // Forwards to core ApplyBatch: real probe/pin counters from the
+  // maintenance transaction.
   Result<MaintBatchStats> MaintApplyBatch(
       const std::vector<MaintBatchOp>& ops) override;
 

@@ -7,8 +7,7 @@ Result<WarehouseEngine::MaintBatchStats> WarehouseEngine::MaintApplyBatch(
   // Serial fallback: one facade call sequence per key. Counter accounting
   // mirrors what the calls cost on a key-indexed engine — every call pays
   // an index probe, and every row actually read or rewritten pays a page
-  // pin — so batched-vs-serial comparisons stay meaningful even for
-  // engines without a native batched path.
+  // pin — so engines compare on the same counts.
   MaintBatchStats stats;
   for (const MaintBatchOp& op : ops) {
     ++stats.keys;

@@ -3,13 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "common/result.h"
+#include "core/decision_tables.h"
 
 namespace wvm::baselines {
 
@@ -64,41 +64,21 @@ class WarehouseEngine {
 
   // --- Batched maintenance ----------------------------------------------------
 
-  // The net maintenance action for one key, decided from the key's current
-  // row. kNone touches nothing; kInsert/kUpdate carry the full new row;
-  // kDelete removes the key.
-  struct MaintNetAction {
-    enum class Kind { kNone, kInsert, kUpdate, kDelete };
-    Kind kind = Kind::kNone;
-    Row row;
-  };
+  // The per-key maintenance types are the core engine's (see
+  // core/decision_tables.h): a net action of none / insert / update /
+  // delete plus its row, an op pairing a key with the callback that
+  // decides that action from the key's current row, and the batch's
+  // counts.
+  using MaintNetAction = core::NetEffect;
+  using MaintBatchOp = core::BatchKeyOp;
+  using MaintBatchStats = core::BatchApplyStats;
 
-  // One coalesced key of a delta batch: the engine reads the key's current
-  // row (nullopt when absent) exactly once and hands it to `decide`.
-  struct MaintBatchOp {
-    Row key;
-    std::function<Result<MaintNetAction>(const std::optional<Row>& current)>
-        decide;
-  };
-
-  // What a batch cost. For engines without a batched fast path the counts
-  // reflect the serial fallback's facade calls (one probe per call, one
-  // pin per row actually read or mutated); the 2VNL adapter reports the
-  // core engine's real counters.
-  struct MaintBatchStats {
-    size_t keys = 0;
-    size_t noops = 0;
-    size_t inserts = 0;
-    size_t updates = 0;
-    size_t deletes = 0;
-    size_t index_probes = 0;
-    size_t page_pins = 0;
-  };
-
-  // Applies one per-key decision per op, amortizing lookups where the
-  // engine can. The default implementation is the serial fallback:
-  // MaintReadKey + MaintInsert/MaintUpdate/MaintDelete per key, so every
-  // engine accepts batches through the same entry point.
+  // Applies one per-key decision per op. The default implementation is
+  // the serial fallback the locking and offline engines run:
+  // MaintReadKey + MaintInsert/MaintUpdate/MaintDelete per key, with
+  // facade-call accounting (one probe per call, one pin per row actually
+  // read or rewritten). The 2VNL adapter runs core ApplyBatch and reports
+  // the engine's real counters.
   virtual Result<MaintBatchStats> MaintApplyBatch(
       const std::vector<MaintBatchOp>& ops);
 

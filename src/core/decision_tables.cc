@@ -1,8 +1,5 @@
 #include "core/decision_tables.h"
 
-#include <unordered_map>
-#include <utility>
-
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -126,171 +123,6 @@ Result<MaintenanceDecision> DecideDelete(Vn maintenance_vn,
   d.action = PhysicalAction::kUpdateTuple;
   d.new_op = Op::kDelete;
   return d;
-}
-
-namespace {
-
-// Demotes the accumulated fold to exact serial re-execution: the events
-// folded so far (re-expanded from the net effect) followed by `next`.
-// Every re-expansion below is the *shortest* serial sequence with the same
-// effect as the fold, so replay cost stays proportional to the original
-// batch in the worst case.
-NetEffect Demote(NetEffect acc, LogicalEvent next) {
-  NetEffect out;
-  out.kind = NetEffect::Kind::kReplay;
-  switch (acc.kind) {
-    case NetEffect::Kind::kNone:
-      break;
-    case NetEffect::Kind::kInsert:
-      out.replay.push_back({Op::kInsert, std::move(*acc.row)});
-      break;
-    case NetEffect::Kind::kUpdate:
-      out.replay.push_back({Op::kUpdate, std::move(*acc.row)});
-      break;
-    case NetEffect::Kind::kDelete:
-      if (acc.row.has_value()) {
-        out.replay.push_back({Op::kUpdate, std::move(*acc.row)});
-      }
-      out.replay.push_back({Op::kDelete, {}});
-      break;
-    case NetEffect::Kind::kRevive:
-      out.replay.push_back({Op::kDelete, {}});
-      out.replay.push_back({Op::kInsert, std::move(*acc.row)});
-      break;
-    case NetEffect::Kind::kCancelled:
-      out.replay.push_back({Op::kInsert, std::move(*acc.row)});
-      out.replay.push_back({Op::kDelete, {}});
-      break;
-    case NetEffect::Kind::kReplay:
-      out.replay = std::move(acc.replay);
-      break;
-  }
-  out.replay.push_back(std::move(next));
-  return out;
-}
-
-}  // namespace
-
-NetEffect ComposeNetEffect(NetEffect acc, LogicalEvent next) {
-  using Kind = NetEffect::Kind;
-  switch (acc.kind) {
-    case Kind::kNone:
-      switch (next.op) {
-        case Op::kInsert:
-          return {Kind::kInsert, std::move(next.row), {}};
-        case Op::kUpdate:
-          return {Kind::kUpdate, std::move(next.row), {}};
-        case Op::kDelete:
-          return {Kind::kDelete, std::nullopt, {}};
-      }
-      break;
-    case Kind::kInsert:
-      switch (next.op) {
-        case Op::kInsert:
-          // Serial would reject the second insert after applying the
-          // first; replay reproduces that exactly.
-          return Demote(std::move(acc), std::move(next));
-        case Op::kUpdate:
-          // insert + update = insert of the updated values (the paper's
-          // Table 3 line 2: the net-effect operation stays insert).
-          return {Kind::kInsert, std::move(next.row), {}};
-        case Op::kDelete:
-          // insert + delete cancel — except over a logically deleted
-          // corpse, where the serial pair physically removes the corpse.
-          return {Kind::kCancelled, std::move(acc.row), {}};
-      }
-      break;
-    case Kind::kUpdate:
-      switch (next.op) {
-        case Op::kInsert:
-          return Demote(std::move(acc), std::move(next));
-        case Op::kUpdate:
-          return {Kind::kUpdate, std::move(next.row), {}};
-        case Op::kDelete:
-          // The serial pair leaves the intermediate update's values as the
-          // dead CV; carry them so the fused delete stays byte-identical.
-          return {Kind::kDelete, std::move(acc.row), {}};
-      }
-      break;
-    case Kind::kDelete:
-      switch (next.op) {
-        case Op::kInsert:
-          // delete + insert: Table 4 line 1 then Table 2 line 2 (revive).
-          // Any CV the delete would have left is overwritten by the
-          // insert's values, so acc.row is dropped.
-          return {Kind::kRevive, std::move(next.row), {}};
-        case Op::kUpdate:
-        case Op::kDelete:
-          // Serial errors on the key it just deleted (NotFound).
-          return Demote(std::move(acc), std::move(next));
-      }
-      break;
-    case Kind::kRevive:
-      switch (next.op) {
-        case Op::kInsert:
-          return Demote(std::move(acc), std::move(next));
-        case Op::kUpdate:
-          return {Kind::kRevive, std::move(next.row), {}};
-        case Op::kDelete:
-          // delete+insert+delete looks like a net delete, but the revive
-          // may have rewritten non-updatable attributes (a delete+insert
-          // pair legally replaces the whole tuple) and a fused delete
-          // cannot reproduce that overwrite — it would either reject the
-          // row or leave the stored non-updatable bytes stale. Replay the
-          // shortest serial form instead.
-          return Demote(std::move(acc), std::move(next));
-      }
-      break;
-    case Kind::kCancelled:
-      // Anything after a cancelled pair depends on physical state the fold
-      // cannot see (did the pair run over a corpse?); replay serially.
-      return Demote(std::move(acc), std::move(next));
-    case Kind::kReplay:
-      return Demote(std::move(acc), std::move(next));
-  }
-  WVM_UNREACHABLE("bad net-effect composition");
-}
-
-Result<std::vector<CoalescedOp>> CoalesceBatch(
-    const Schema& logical, const std::vector<LogicalEvent>& events) {
-  if (!logical.has_unique_key()) {
-    return Status::FailedPrecondition(
-        "batched maintenance requires a unique key");
-  }
-  const std::vector<size_t>& key_cols = logical.key_indices();
-  std::vector<CoalescedOp> ops;
-  std::unordered_map<Row, size_t, RowHash, RowEq> slot_of;  // key -> index
-  for (const LogicalEvent& event : events) {
-    // Deletes address the key directly; inserts/updates carry a full row
-    // whose key columns are picked out. Both go through the codec
-    // normalization the hash index uses.
-    Row key;
-    key.reserve(key_cols.size());
-    if (event.op == Op::kDelete) {
-      if (event.row.size() < key_cols.size()) {
-        return Status::InvalidArgument(StrPrintf(
-            "delete event carries %zu key values; key has %zu columns",
-            event.row.size(), key_cols.size()));
-      }
-      for (size_t i = 0; i < key_cols.size(); ++i) {
-        key.push_back(
-            NormalizeValueForColumn(logical.column(key_cols[i]),
-                                    event.row[i]));
-      }
-    } else {
-      WVM_RETURN_IF_ERROR(logical.ValidateRow(event.row));
-      for (size_t c : key_cols) {
-        key.push_back(
-            NormalizeValueForColumn(logical.column(c), event.row[c]));
-      }
-    }
-    auto [it, fresh] = slot_of.try_emplace(key, ops.size());
-    if (fresh) ops.push_back({std::move(key), NetEffect{}, 0});
-    CoalescedOp& op = ops[it->second];
-    op.effect = ComposeNetEffect(std::move(op.effect), event);
-    ++op.events;
-  }
-  return ops;
 }
 
 }  // namespace wvm::core

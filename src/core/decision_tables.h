@@ -1,8 +1,8 @@
 #ifndef OPENWVM_CORE_DECISION_TABLES_H_
 #define OPENWVM_CORE_DECISION_TABLES_H_
 
+#include <functional>
 #include <optional>
-#include <vector>
 
 #include "catalog/schema.h"
 #include "common/result.h"
@@ -71,74 +71,46 @@ Result<MaintenanceDecision> DecideUpdate(Vn maintenance_vn,
 Result<MaintenanceDecision> DecideDelete(Vn maintenance_vn,
                                          const TupleVersionState& state);
 
-// --- Net-effect coalescing (batched maintenance application) ----------------
+// --- Per-key maintenance actions --------------------------------------------
 //
-// Tables 2-4 track a per-tuple net-effect operation so repeated touches of
-// the same key inside one maintenance transaction collapse to at most one
-// physical action. The batched apply path exploits that at the *delta*
-// level: a key's event sequence is folded into its net effect first, so
-// the key costs one index probe and one page pin instead of one per event.
+// Tables 2-4 record a tuple's net-effect operation, so repeated touches of
+// one key inside a maintenance transaction already collapse onto a single
+// physical tuple (a second touch is an in-place CV <- MV). Key-addressed
+// maintenance therefore needs no event-level fold: the caller decides one
+// action per key from the key's current row, and VnlTable runs it through
+// the decision tables.
 
-// One logical maintenance event addressed to a unique key. For inserts and
-// updates `row` is the full logical row; for deletes it carries the
-// unique-key values (the batched apply layer addresses deletes by the
-// group's key, so the row is never consulted).
-struct LogicalEvent {
-  Op op = Op::kInsert;
+// The net maintenance action for one key. kInsert and kUpdate carry the
+// full new logical row; kNone and kDelete leave `row` empty.
+struct NetEffect {
+  enum class Kind { kNone, kInsert, kUpdate, kDelete };
+  Kind kind = Kind::kNone;
   Row row;
 };
 
-// The folded net effect of a key's event sequence. `row` holds, per kind:
-//   kInsert / kUpdate / kRevive — the final logical row;
-//   kDelete   — the CV bytes a serial application would leave on the
-//               logically deleted tuple (set when an update preceded the
-//               delete in the same batch; the fused Table-4 decision adds
-//               CV <- MV so the heap stays byte-identical to serial);
-//   kCancelled — the folded insert's values (needed to replay the
-//                insert+delete pair over a logically deleted corpse, where
-//                the serial pair physically removes the corpse and a plain
-//                no-op would not).
-// kReplay falls back to exact serial re-execution of `replay` — taken for
-// sequences that serial application would reject mid-way (insert over a
-// live key, operations on a key deleted earlier in the batch and then
-// cancelled, ...), so batched error behavior, including which prefix got
-// applied, matches serial exactly.
-struct NetEffect {
-  enum class Kind {
-    kNone,       // no events folded yet
-    kInsert,     // net logical insert (Table 2 decides fresh vs revive)
-    kUpdate,     // net logical update
-    kDelete,     // net logical delete
-    kRevive,     // delete-then-insert: Table 4 line 1 + Table 2 line 2
-    kCancelled,  // insert-then-delete: no-op unless the key holds a corpse
-    kReplay,     // fold not paper-legal as one action: re-execute serially
-  };
-  Kind kind = Kind::kNone;
-  std::optional<Row> row;
-  std::vector<LogicalEvent> replay;  // kReplay only, in arrival order
+// Decides a key's net effect from its current logical row as the
+// maintenance transaction sees it (nullopt when the key is absent or
+// logically deleted).
+using KeyDecider =
+    std::function<Result<NetEffect>(const std::optional<Row>& current)>;
+
+// One key of a batched apply.
+struct BatchKeyOp {
+  Row key;
+  KeyDecider decide;
 };
 
-// Folds the next event of a key's sequence into the accumulated net
-// effect. Never fails: compositions that serial application would reject
-// (e.g. insert after insert) degrade to kReplay, which reproduces the
-// serial error and the serially-applied prefix at apply time.
-NetEffect ComposeNetEffect(NetEffect acc, LogicalEvent next);
-
-// One key's coalesced slot in a delta batch.
-struct CoalescedOp {
-  Row key;            // normalized unique-key values
-  NetEffect effect;
-  size_t events = 0;  // how many events folded into this key
+// What a batched apply did, per action kind, and what it cost in
+// maintenance-path index probes and heap page pins.
+struct BatchApplyStats {
+  size_t keys = 0;
+  size_t noops = 0;
+  size_t inserts = 0;
+  size_t updates = 0;
+  size_t deletes = 0;
+  size_t index_probes = 0;
+  size_t page_pins = 0;
 };
-
-// Groups `events` by normalized unique key (the same codec normalization
-// the hash index uses, so over-width probe strings agree with heap rows)
-// and folds each key's sequence with ComposeNetEffect. Keys come out in
-// first-seen order — the same order a serial application first touches
-// them, which keeps physical insert order, and therefore heap layout,
-// identical between the two paths.
-Result<std::vector<CoalescedOp>> CoalesceBatch(
-    const Schema& logical, const std::vector<LogicalEvent>& events);
 
 }  // namespace wvm::core
 

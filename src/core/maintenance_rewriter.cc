@@ -1,6 +1,5 @@
 #include "core/maintenance_rewriter.h"
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -86,49 +85,11 @@ Result<size_t> MaintenanceRewriter::ExecuteInsert(
     MaintenanceTxn* txn, const sql::InsertStmt& stmt,
     const query::ParamMap& params) {
   WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.table));
-  const size_t batch_size = engine_->maintenance_options().batch_size;
-  if (batch_size == 0 || stmt.rows.size() < 2 ||
-      !table->logical_schema().has_unique_key()) {
-    for (size_t r = 0; r < stmt.rows.size(); ++r) {
-      WVM_ASSIGN_OR_RETURN(
-          Row row, BindInsertRow(table->logical_schema(), stmt, r, params));
-      WVM_RETURN_IF_ERROR(table->Insert(txn, row));
-    }
-    return stmt.rows.size();
-  }
-  // Batched cursor loop: bind every VALUES row, coalesce by unique key
-  // (repeated keys fold to their net effect — including the serial error
-  // a duplicate key would raise, via the replay fallback), then apply
-  // batch_size keys per ApplyBatch pass.
-  std::vector<LogicalEvent> events;
-  events.reserve(stmt.rows.size());
   for (size_t r = 0; r < stmt.rows.size(); ++r) {
     WVM_ASSIGN_OR_RETURN(
         Row row, BindInsertRow(table->logical_schema(), stmt, r, params));
-    events.push_back({Op::kInsert, std::move(row)});
+    WVM_RETURN_IF_ERROR(table->Insert(txn, row));
   }
-  WVM_ASSIGN_OR_RETURN(
-      std::vector<CoalescedOp> coalesced,
-      CoalesceBatch(table->logical_schema(), events));
-  std::vector<VnlTable::BatchKeyOp> ops;
-  auto flush = [&]() -> Status {
-    if (ops.empty()) return Status::OK();
-    Result<VnlTable::BatchApplyStats> applied = table->ApplyBatch(txn, ops);
-    WVM_RETURN_IF_ERROR(applied.status());
-    ops.clear();
-    return Status::OK();
-  };
-  for (CoalescedOp& op : coalesced) {
-    VnlTable::BatchKeyOp key_op;
-    key_op.key = std::move(op.key);
-    key_op.decide = [effect = std::move(op.effect)](
-                        const std::optional<Row>&) -> Result<NetEffect> {
-      return effect;
-    };
-    ops.push_back(std::move(key_op));
-    if (ops.size() >= batch_size) WVM_RETURN_IF_ERROR(flush());
-  }
-  WVM_RETURN_IF_ERROR(flush());
   return stmt.rows.size();
 }
 
@@ -248,13 +209,6 @@ Result<std::string> MaintenanceRewriter::Explain(
       out += "      Update r\n";
       out += "        set r.<updatable> = t.<updatable>\n";
       out += "        set r.operation = 'update'\n";
-      const size_t batch = engine_->maintenance_options().batch_size;
-      if (batch > 0) {
-        out += StrPrintf(
-            "(multi-row VALUES lists are grouped by unique key, folded to "
-            "net effects,\n and applied %zu keys per batched cursor pass)\n",
-            batch);
-      }
       return out;
     }
     case sql::StatementKind::kUpdate: {

@@ -14,12 +14,9 @@ namespace wvm::core {
 // the cursor approach of Examples 4.2-4.4 — each affected tuple is
 // dispatched through the decision tables so both versions are preserved.
 //
-// Multi-row INSERT VALUES lists take the batched cursor loop when the
-// engine's MaintenanceOptions::batch_size is nonzero: rows are grouped by
-// unique key, folded to net effects, and applied through
-// VnlTable::ApplyBatch in batch_size chunks — semantics (including
-// duplicate-key errors and the applied prefix) identical to the per-row
-// loop.
+// INSERT runs the per-row loop of Example 4.2 for every VALUES list: each
+// row is one VnlTable::Insert, so a failing row (e.g. a duplicate key)
+// returns its error with the rows before it applied.
 //
 // Explain() renders the cursor pseudocode for a statement in the style of
 // the paper's examples, which doubles as executable documentation.

@@ -50,16 +50,6 @@ ScanOptions VnlEngine::scan_options() const {
   return scan_options_;
 }
 
-void VnlEngine::SetMaintenanceOptions(const MaintenanceOptions& opts) {
-  MutexLock lock(scan_mu_);
-  maintenance_options_ = opts;
-}
-
-MaintenanceOptions VnlEngine::maintenance_options() const {
-  MutexLock lock(scan_mu_);
-  return maintenance_options_;
-}
-
 ScanExecutor* VnlEngine::scan_executor() {
   MutexLock lock(scan_mu_);
   if (scan_executor_ == nullptr) {

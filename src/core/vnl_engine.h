@@ -16,14 +16,6 @@
 
 namespace wvm::core {
 
-// Knobs for the batched maintenance apply path. `batch_size` bounds how
-// many coalesced keys one VnlTable::ApplyBatch call receives (multi-row
-// rewriter INSERTs and view-maintenance deltas chunk by it); 0 disables
-// coalescing entirely — every event runs the serial per-event path.
-struct MaintenanceOptions {
-  size_t batch_size = 64;
-};
-
 // The paper's warehouse database under nVNL concurrency control:
 //  * a set of versioned relations sharing one Version relation and one
 //    session manager,
@@ -115,14 +107,6 @@ class VnlEngine {
   // The engine's shared scan worker pool (created on first use).
   ScanExecutor* scan_executor() EXCLUDES(scan_mu_);
 
-  // --- Maintenance configuration ----------------------------------------------
-
-  // Same read-once contract as the scan options: a batched apply in
-  // flight never sees a concurrent change.
-  void SetMaintenanceOptions(const MaintenanceOptions& opts)
-      EXCLUDES(scan_mu_);
-  MaintenanceOptions maintenance_options() const EXCLUDES(scan_mu_);
-
   // --- Observability ---------------------------------------------------------
 
   // Engine-wide snapshot-read counters (aggregated over every table).
@@ -151,9 +135,8 @@ class VnlEngine {
   std::map<std::string, std::unique_ptr<VnlTable>> tables_ GUARDED_BY(mu_);
   std::unique_ptr<MaintenanceTxn> active_txn_ GUARDED_BY(mu_);
 
-  mutable Mutex scan_mu_;  // guards the option blocks and scan_executor_
+  mutable Mutex scan_mu_;  // guards scan_options_ and scan_executor_
   ScanOptions scan_options_ GUARDED_BY(scan_mu_);
-  MaintenanceOptions maintenance_options_ GUARDED_BY(scan_mu_);
   std::unique_ptr<ScanExecutor> scan_executor_ GUARDED_BY(scan_mu_);
 };
 

@@ -257,52 +257,126 @@ Result<TupleVersionState> VnlTable::StateOf(const Row& phys) const {
                            vschema_.n() > 2 && !vschema_.SlotEmpty(phys, 1)};
 }
 
-Status VnlTable::CheckUpdatablesOnly(const Row& current,
+Status VnlTable::CheckUpdatablesOnly(const Row& phys,
                                      const Row& next) const {
-  for (size_t i = 0; i < current.size(); ++i) {
-    if (!vschema_.logical().column(i).updatable &&
-        !(current[i] == next[i])) {
+  const Schema& logical = vschema_.logical();
+  for (size_t i = 0; i < logical.num_columns(); ++i) {
+    if (!logical.column(i).updatable && !(phys[i] == next[i])) {
       return Status::InvalidArgument(
           "update changes non-updatable attribute '" +
-          vschema_.logical().column(i).name + "'");
+          logical.column(i).name + "'");
     }
   }
   return Status::OK();
 }
 
-Status VnlTable::Insert(MaintenanceTxn* txn, const Row& logical_row) {
-  WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(logical_row));
-  ++txn->stats_.logical_inserts;
+Result<VnlTable::Target> VnlTable::FetchTarget(MaintenanceTxn* txn,
+                                               Rid rid) const {
+  WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
+  ++txn->stats_.page_pins;
+  WVM_ASSIGN_OR_RETURN(TupleVersionState state, StateOf(phys));
+  return Target{rid, std::move(phys), state};
+}
 
-  std::optional<TupleVersionState> existing;
-  Rid rid{};
-  Row phys;
-  if (vschema_.logical().has_unique_key()) {
-    const Row key = vschema_.logical().KeyOf(logical_row);
-    std::optional<Rid> found = IndexLookup(key);
-    ++txn->stats_.index_probes;
-    if (found.has_value()) {
-      rid = *found;
-      WVM_ASSIGN_OR_RETURN(phys, phys_->GetRow(rid));
-      ++txn->stats_.page_pins;
-      WVM_ASSIGN_OR_RETURN(existing, StateOf(phys));
+Status VnlTable::InsertFresh(MaintenanceTxn* txn, const Row& logical_row) {
+  // MakeInsertRow already writes slot 0 and the null PV, so the physical
+  // insert carries none of the cell's bookkeeping steps.
+  MaintenanceDecision fresh;
+  fresh.action = PhysicalAction::kInsertTuple;
+  return ApplyDecision(txn, fresh, Rid{},
+                       vschema_.MakeInsertRow(logical_row, txn->vn()),
+                       nullptr);
+}
+
+Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
+                             const NetEffect& effect,
+                             std::optional<Target> target) {
+  // Updates and deletes address only tuples the maintenance cursor would
+  // see: present and not a logically deleted corpse.
+  const bool visible =
+      target.has_value() && target->state.op != Op::kDelete;
+  const Schema& logical = vschema_.logical();
+  switch (effect.kind) {
+    case NetEffect::Kind::kNone:
+      return Status::OK();
+    case NetEffect::Kind::kInsert: {
+      WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
+      if (key != nullptr &&
+          !RowEq()(ExtractNormalizedKey(effect.row, logical.key_indices()),
+                   NormalizeKey(*key))) {
+        return Status::InvalidArgument(
+            "inserted row's key differs from the key it is applied to");
+      }
+      ++txn->stats_.logical_inserts;
+      std::optional<TupleVersionState> existing;
+      if (target.has_value()) existing = target->state;
+      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
+                           DecideInsert(txn->vn(), existing));
+      if (d.action == PhysicalAction::kInsertTuple) {
+        return InsertFresh(txn, effect.row);
+      }
+      return ApplyDecision(txn, d, target->rid, std::move(target->phys),
+                           &effect.row);
+    }
+    case NetEffect::Kind::kUpdate: {
+      if (!visible) return Status::NotFound("no such key");
+      WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
+      // Non-updatable attributes (including the unique key) must not
+      // change.
+      WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(target->phys, effect.row));
+      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
+                           DecideUpdate(txn->vn(), target->state));
+      ++txn->stats_.logical_updates;
+      return ApplyDecision(txn, d, target->rid, std::move(target->phys),
+                           &effect.row);
+    }
+    case NetEffect::Kind::kDelete: {
+      if (!visible) return Status::NotFound("no such key");
+      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
+                           DecideDelete(txn->vn(), target->state));
+      ++txn->stats_.logical_deletes;
+      return ApplyDecision(txn, d, target->rid, std::move(target->phys),
+                           nullptr);
     }
   }
+  WVM_UNREACHABLE("bad net-effect kind");
+}
 
-  WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                       DecideInsert(txn->vn(), existing));
-  if (d.action == PhysicalAction::kInsertTuple) {
-    phys = vschema_.MakeInsertRow(logical_row, txn->vn());
-    // MakeInsertRow already wrote slot 0 / PV; clear the redundant steps.
-    MaintenanceDecision fresh = d;
-    fresh.pv_null = false;
-    fresh.cv_from_mv = false;
-    fresh.set_tuple_vn = false;
-    fresh.new_op = std::nullopt;
-    return ApplyDecision(txn, fresh, rid, std::move(phys), nullptr);
+Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
+                                           const Row& key,
+                                           const KeyDecider& decide) {
+  std::optional<Rid> rid = IndexLookup(key);
+  ++txn->stats_.index_probes;
+  std::optional<Target> target;
+  if (rid.has_value()) {
+    WVM_ASSIGN_OR_RETURN(target, FetchTarget(txn, *rid));
   }
-  return ApplyDecision(txn, d, rid, std::move(phys), &logical_row);
+  // The decider sees what MaintenanceLookup would return: the current
+  // logical row, or nullopt for absent keys and corpses.
+  std::optional<Row> current;
+  if (target.has_value() && target->state.op != Op::kDelete) {
+    current = vschema_.CurrentLogical(target->phys);
+  }
+  WVM_ASSIGN_OR_RETURN(NetEffect effect, decide(current));
+  WVM_RETURN_IF_ERROR(ApplyEffect(txn, &key, effect, std::move(target)));
+  return effect.kind;
+}
+
+Status VnlTable::Insert(MaintenanceTxn* txn, const Row& logical_row) {
+  WVM_RETURN_IF_ERROR(CheckTxn(txn));
+  const Schema& logical = vschema_.logical();
+  WVM_RETURN_IF_ERROR(logical.ValidateRow(logical_row));
+  if (!logical.has_unique_key()) {
+    // No key can conflict: always Table 2 line 3.
+    ++txn->stats_.logical_inserts;
+    return InsertFresh(txn, logical_row);
+  }
+  return ApplyKey(txn, logical.KeyOf(logical_row),
+                  [&logical_row](const std::optional<Row>&)
+                      -> Result<NetEffect> {
+                    return NetEffect{NetEffect::Kind::kInsert, logical_row};
+                  })
+      .status();
 }
 
 Result<std::vector<Rid>> VnlTable::CollectCursor(
@@ -352,18 +426,12 @@ Result<size_t> VnlTable::Update(MaintenanceTxn* txn,
   for (Rid rid : cursor) {
     // Deferred fetch: the cursor holds Rids only; the row is read when the
     // decision procedure actually needs it.
-    WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
-    ++txn->stats_.page_pins;
-    const Row current = vschema_.CurrentLogical(phys);
-    WVM_ASSIGN_OR_RETURN(Row next, transform(current));
-    WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(next));
-    // Non-updatable attributes (including the unique key) must not change.
-    WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(current, next));
-    WVM_ASSIGN_OR_RETURN(TupleVersionState state, StateOf(phys));
-    WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                         DecideUpdate(txn->vn(), state));
-    WVM_RETURN_IF_ERROR(ApplyDecision(txn, d, rid, std::move(phys), &next));
-    ++txn->stats_.logical_updates;
+    WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
+    WVM_ASSIGN_OR_RETURN(Row next,
+                         transform(vschema_.CurrentLogical(target.phys)));
+    WVM_RETURN_IF_ERROR(
+        ApplyEffect(txn, nullptr, {NetEffect::Kind::kUpdate, std::move(next)},
+                    std::move(target)));
   }
   return cursor.size();
 }
@@ -374,14 +442,9 @@ Result<size_t> VnlTable::Delete(MaintenanceTxn* txn,
   WVM_ASSIGN_OR_RETURN(std::vector<Rid> cursor,
                        CollectCursor(txn->vn(), pred));
   for (Rid rid : cursor) {
-    WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
-    ++txn->stats_.page_pins;
-    WVM_ASSIGN_OR_RETURN(TupleVersionState state, StateOf(phys));
-    WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                         DecideDelete(txn->vn(), state));
-    WVM_RETURN_IF_ERROR(
-        ApplyDecision(txn, d, rid, std::move(phys), nullptr));
-    ++txn->stats_.logical_deletes;
+    WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
+    WVM_RETURN_IF_ERROR(ApplyEffect(
+        txn, nullptr, {NetEffect::Kind::kDelete, {}}, std::move(target)));
   }
   return cursor.size();
 }
@@ -389,40 +452,62 @@ Result<size_t> VnlTable::Delete(MaintenanceTxn* txn,
 Result<bool> VnlTable::UpdateByKey(MaintenanceTxn* txn, const Row& key,
                                    const RowTransform& transform) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  std::optional<Rid> rid = IndexLookup(key);
-  ++txn->stats_.index_probes;
-  if (!rid.has_value()) return false;
-  WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(*rid));
-  ++txn->stats_.page_pins;
-  WVM_ASSIGN_OR_RETURN(TupleVersionState state, StateOf(phys));
-  if (state.op == Op::kDelete) return false;
-
-  const Row current = vschema_.CurrentLogical(phys);
-  WVM_ASSIGN_OR_RETURN(Row next, transform(current));
-  WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(next));
-  WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(current, next));
-  WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                       DecideUpdate(txn->vn(), state));
-  WVM_RETURN_IF_ERROR(ApplyDecision(txn, d, *rid, std::move(phys), &next));
-  ++txn->stats_.logical_updates;
-  return true;
+  WVM_ASSIGN_OR_RETURN(
+      NetEffect::Kind applied,
+      ApplyKey(txn, key,
+               [&transform](const std::optional<Row>& current)
+                   -> Result<NetEffect> {
+                 if (!current.has_value()) return NetEffect{};
+                 WVM_ASSIGN_OR_RETURN(Row next, transform(*current));
+                 return NetEffect{NetEffect::Kind::kUpdate, std::move(next)};
+               }));
+  return applied != NetEffect::Kind::kNone;
 }
 
 Result<bool> VnlTable::DeleteByKey(MaintenanceTxn* txn, const Row& key) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  std::optional<Rid> rid = IndexLookup(key);
-  ++txn->stats_.index_probes;
-  if (!rid.has_value()) return false;
-  WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(*rid));
-  ++txn->stats_.page_pins;
-  WVM_ASSIGN_OR_RETURN(TupleVersionState state, StateOf(phys));
-  if (state.op == Op::kDelete) return false;
-  WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                       DecideDelete(txn->vn(), state));
-  WVM_RETURN_IF_ERROR(
-      ApplyDecision(txn, d, *rid, std::move(phys), nullptr));
-  ++txn->stats_.logical_deletes;
-  return true;
+  WVM_ASSIGN_OR_RETURN(
+      NetEffect::Kind applied,
+      ApplyKey(txn, key,
+               [](const std::optional<Row>& current) -> Result<NetEffect> {
+                 if (!current.has_value()) return NetEffect{};
+                 return NetEffect{NetEffect::Kind::kDelete, {}};
+               }));
+  return applied != NetEffect::Kind::kNone;
+}
+
+Result<BatchApplyStats> VnlTable::ApplyBatch(
+    MaintenanceTxn* txn, const std::vector<BatchKeyOp>& ops) {
+  WVM_RETURN_IF_ERROR(CheckTxn(txn));
+  if (!vschema_.logical().has_unique_key()) {
+    return Status::FailedPrecondition(
+        "batched maintenance requires a unique key");
+  }
+  const size_t probes_before = txn->stats_.index_probes;
+  const size_t pins_before = txn->stats_.page_pins;
+  BatchApplyStats out;
+  for (const BatchKeyOp& op : ops) {
+    WVM_ASSIGN_OR_RETURN(NetEffect::Kind applied,
+                         ApplyKey(txn, op.key, op.decide));
+    ++out.keys;
+    switch (applied) {
+      case NetEffect::Kind::kNone:
+        ++out.noops;
+        break;
+      case NetEffect::Kind::kInsert:
+        ++out.inserts;
+        break;
+      case NetEffect::Kind::kUpdate:
+        ++out.updates;
+        break;
+      case NetEffect::Kind::kDelete:
+        ++out.deletes;
+        break;
+    }
+  }
+  out.index_probes = txn->stats_.index_probes - probes_before;
+  out.page_pins = txn->stats_.page_pins - pins_before;
+  return out;
 }
 
 Result<std::optional<Row>> VnlTable::MaintenanceLookup(
@@ -434,11 +519,9 @@ Result<std::optional<Row>> VnlTable::MaintenanceLookup(
   std::optional<Rid> rid = IndexLookup(key);
   ++txn->stats_.index_probes;
   if (!rid.has_value()) return std::optional<Row>();
-  WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(*rid));
-  ++txn->stats_.page_pins;
-  WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));
-  if (op == Op::kDelete) return std::optional<Row>();
-  return std::optional<Row>(vschema_.CurrentLogical(phys));
+  WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, *rid));
+  if (target.state.op == Op::kDelete) return std::optional<Row>();
+  return std::optional<Row>(vschema_.CurrentLogical(target.phys));
 }
 
 Result<std::vector<Row>> VnlTable::MaintenanceRows(
@@ -465,206 +548,6 @@ Row VnlTable::NormalizeKey(const Row& key) const {
     out.push_back(NormalizeValueForColumn(
         logical.column(logical.key_indices()[i]), key[i]));
   }
-  return out;
-}
-
-Status VnlTable::ReplayEvent(MaintenanceTxn* txn, const Row& key,
-                             const LogicalEvent& ev) {
-  switch (ev.op) {
-    case Op::kInsert:
-      return Insert(txn, ev.row);
-    case Op::kUpdate: {
-      WVM_ASSIGN_OR_RETURN(
-          bool found,
-          UpdateByKey(txn, key, [&ev](const Row&) -> Result<Row> {
-            return ev.row;
-          }));
-      if (!found) return Status::NotFound("no such key");
-      return Status::OK();
-    }
-    case Op::kDelete: {
-      WVM_ASSIGN_OR_RETURN(bool found, DeleteByKey(txn, key));
-      if (!found) return Status::NotFound("no such key");
-      return Status::OK();
-    }
-  }
-  WVM_UNREACHABLE("bad logical op");
-}
-
-Status VnlTable::ApplyNetEffect(MaintenanceTxn* txn, const Row& key,
-                                const NetEffect& effect,
-                                std::optional<Rid> rid,
-                                std::optional<Row> phys,
-                                std::optional<TupleVersionState> state,
-                                BatchApplyStats* out) {
-  using Kind = NetEffect::Kind;
-  // "Visible" = the maintenance cursor would see the tuple: present and
-  // not a logically deleted corpse. kUpdate/kDelete/kRevive all start with
-  // an operation serial application addresses to a visible key.
-  const bool visible = state.has_value() && state->op != Op::kDelete;
-  switch (effect.kind) {
-    case Kind::kNone:
-      ++out->noops;
-      return Status::OK();
-    case Kind::kInsert: {
-      // Serial Insert() with the index probe and fetch already paid.
-      WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(*effect.row));
-      if (!RowEq()(ExtractNormalizedKey(*effect.row,
-                                        vschema_.logical().key_indices()),
-                   NormalizeKey(key))) {
-        return Status::InvalidArgument(
-            "batched row's key differs from its group key");
-      }
-      ++txn->stats_.logical_inserts;
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                           DecideInsert(txn->vn(), state));
-      ++out->inserts;
-      if (d.action == PhysicalAction::kInsertTuple) {
-        Row fresh_row = vschema_.MakeInsertRow(*effect.row, txn->vn());
-        MaintenanceDecision fresh = d;
-        fresh.pv_null = false;
-        fresh.cv_from_mv = false;
-        fresh.set_tuple_vn = false;
-        fresh.new_op = std::nullopt;
-        return ApplyDecision(txn, fresh, Rid{}, std::move(fresh_row),
-                             nullptr);
-      }
-      return ApplyDecision(txn, d, *rid, std::move(*phys), &*effect.row);
-    }
-    case Kind::kUpdate: {
-      if (!visible) return Status::NotFound("no such key");
-      const Row current = vschema_.CurrentLogical(*phys);
-      WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(*effect.row));
-      WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(current, *effect.row));
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                           DecideUpdate(txn->vn(), *state));
-      ++txn->stats_.logical_updates;
-      ++out->updates;
-      return ApplyDecision(txn, d, *rid, std::move(*phys), &*effect.row);
-    }
-    case Kind::kDelete: {
-      if (!visible) return Status::NotFound("no such key");
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                           DecideDelete(txn->vn(), *state));
-      const Row* mv = nullptr;
-      if (effect.row.has_value()) {
-        // An update folded into this delete: its values become the dead
-        // CV, exactly as the serial update-then-delete would leave them.
-        WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(*effect.row));
-        WVM_RETURN_IF_ERROR(
-            CheckUpdatablesOnly(vschema_.CurrentLogical(*phys),
-                                *effect.row));
-        d.cv_from_mv = true;
-        mv = &*effect.row;
-      }
-      ++txn->stats_.logical_deletes;
-      ++out->deletes;
-      return ApplyDecision(txn, d, *rid, std::move(*phys), mv);
-    }
-    case Kind::kRevive: {
-      if (!visible) return Status::NotFound("no such key");
-      // delete-then-insert as the serial pair (Table 4 then Table 2) but
-      // with one index probe; only a cross-transaction revive needs the
-      // second pin to re-read the tuple the delete just stamped.
-      WVM_RETURN_IF_ERROR(vschema_.logical().ValidateRow(*effect.row));
-      if (!RowEq()(ExtractNormalizedKey(*effect.row,
-                                        vschema_.logical().key_indices()),
-                   NormalizeKey(key))) {
-        return Status::InvalidArgument(
-            "batched row's key differs from its group key");
-      }
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision del,
-                           DecideDelete(txn->vn(), *state));
-      ++txn->stats_.logical_deletes;
-      WVM_RETURN_IF_ERROR(
-          ApplyDecision(txn, del, *rid, std::move(*phys), nullptr));
-      ++txn->stats_.logical_inserts;
-      ++out->revives;
-      if (del.action == PhysicalAction::kDeleteTuple) {
-        // The delete physically removed a same-txn fresh insert; the
-        // re-insert is a fresh tuple again.
-        Row fresh_row = vschema_.MakeInsertRow(*effect.row, txn->vn());
-        WVM_ASSIGN_OR_RETURN(MaintenanceDecision ins,
-                             DecideInsert(txn->vn(), std::nullopt));
-        ins.pv_null = false;
-        ins.cv_from_mv = false;
-        ins.set_tuple_vn = false;
-        ins.new_op = std::nullopt;
-        return ApplyDecision(txn, ins, Rid{}, std::move(fresh_row),
-                             nullptr);
-      }
-      WVM_ASSIGN_OR_RETURN(Row refetched, phys_->GetRow(*rid));
-      ++txn->stats_.page_pins;
-      WVM_ASSIGN_OR_RETURN(TupleVersionState after, StateOf(refetched));
-      WVM_ASSIGN_OR_RETURN(
-          MaintenanceDecision ins,
-          DecideInsert(txn->vn(),
-                       std::optional<TupleVersionState>(after)));
-      return ApplyDecision(txn, ins, *rid, std::move(refetched),
-                           &*effect.row);
-    }
-    case Kind::kCancelled: {
-      if (!state.has_value()) {
-        // insert+delete over a physically absent key: the serial pair
-        // creates a tuple and immediately removes it — net nothing.
-        ++out->noops;
-        return Status::OK();
-      }
-      // Over a live tuple the serial insert fails (AlreadyExists); over a
-      // logically deleted corpse the pair physically removes the corpse.
-      // Both need exact serial execution.
-      out->replayed_events += 2;
-      WVM_RETURN_IF_ERROR(
-          ReplayEvent(txn, key, LogicalEvent{Op::kInsert, *effect.row}));
-      return ReplayEvent(txn, key, LogicalEvent{Op::kDelete, {}});
-    }
-    case Kind::kReplay: {
-      out->replayed_events += effect.replay.size();
-      for (const LogicalEvent& ev : effect.replay) {
-        WVM_RETURN_IF_ERROR(ReplayEvent(txn, key, ev));
-      }
-      return Status::OK();
-    }
-  }
-  WVM_UNREACHABLE("bad net-effect kind");
-}
-
-Result<VnlTable::BatchApplyStats> VnlTable::ApplyBatch(
-    MaintenanceTxn* txn, const std::vector<BatchKeyOp>& ops) {
-  WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  if (!vschema_.logical().has_unique_key()) {
-    return Status::FailedPrecondition(
-        "batched maintenance requires a unique key");
-  }
-  // Probe/pin deltas are read off the transaction counters so replayed
-  // fallbacks (which run the serial methods) are charged at serial cost.
-  const size_t probes_before = txn->stats_.index_probes;
-  const size_t pins_before = txn->stats_.page_pins;
-  BatchApplyStats out;
-  for (const BatchKeyOp& op : ops) {
-    ++out.keys;
-    std::optional<Rid> rid = IndexLookup(op.key);
-    ++txn->stats_.index_probes;
-    std::optional<Row> phys;
-    std::optional<TupleVersionState> state;
-    if (rid.has_value()) {
-      WVM_ASSIGN_OR_RETURN(Row fetched, phys_->GetRow(*rid));
-      ++txn->stats_.page_pins;
-      WVM_ASSIGN_OR_RETURN(state, StateOf(fetched));
-      phys = std::move(fetched);
-    }
-    // The decision callback sees what MaintenanceLookup would return:
-    // the current logical row, or nullopt for absent keys and corpses.
-    std::optional<Row> current;
-    if (state.has_value() && state->op != Op::kDelete) {
-      current = vschema_.CurrentLogical(*phys);
-    }
-    WVM_ASSIGN_OR_RETURN(NetEffect effect, op.decide(current));
-    WVM_RETURN_IF_ERROR(ApplyNetEffect(txn, op.key, effect, rid,
-                                       std::move(phys), state, &out));
-  }
-  out.index_probes = txn->stats_.index_probes - probes_before;
-  out.page_pins = txn->stats_.page_pins - pins_before;
   return out;
 }
 

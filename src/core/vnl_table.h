@@ -42,8 +42,8 @@ class MaintenanceTxn {
     size_t physical_deletes = 0;
     // Maintenance-path access cost: hash-index probes issued, and heap
     // *read* fetches pinned to drive the decision procedure (writes are
-    // not pins — every logical action pays exactly one write, batched or
-    // not, so reads are where batching amortizes).
+    // not pins — every logical action pays exactly one write, so reads are
+    // where deciding once per key instead of once per event saves).
     size_t index_probes = 0;
     size_t page_pins = 0;
   };
@@ -95,9 +95,16 @@ class VnlTable {
   const Table& physical_table() const { return *phys_; }
 
   // --- Maintenance operations (§3.3, Tables 2-4) --------------------------
+  //
+  // Every key-addressed write runs one per-key step: probe the unique-key
+  // index, fetch the tuple, decide a NetEffect from its current row, pick
+  // the Tables 2-4 cell, and apply it. ApplyBatch loops that step over
+  // many keys; Insert, UpdateByKey and DeleteByKey are one-key calls of
+  // it; the cursor Update/Delete share its validate-decide-apply tail.
 
   // Logical insert. Resolves unique-key conflicts per Table 2 (re-insert
-  // of a logically deleted key becomes a physical update).
+  // of a logically deleted key becomes a physical update). Tables without
+  // a unique key always take a fresh physical insert.
   Status Insert(MaintenanceTxn* txn, const Row& logical_row);
 
   // Logical update of every tuple satisfying `pred`, via a materialized
@@ -110,9 +117,8 @@ class VnlTable {
   // Logical delete of every tuple satisfying `pred` (Example 4.4).
   Result<size_t> Delete(MaintenanceTxn* txn, const RowPredicate& pred);
 
-  // Index-based fast paths for key-addressed maintenance (what the
-  // warehouse delta-application loop issues). Return false when the key
-  // is absent or logically deleted.
+  // Index-based fast paths for key-addressed maintenance. Return false
+  // when the key is absent or logically deleted.
   Result<bool> UpdateByKey(MaintenanceTxn* txn, const Row& key,
                            const RowTransform& transform);
   Result<bool> DeleteByKey(MaintenanceTxn* txn, const Row& key);
@@ -122,41 +128,14 @@ class VnlTable {
   Result<std::optional<Row>> MaintenanceLookup(MaintenanceTxn* txn,
                                                const Row& key) const;
 
-  // --- Batched maintenance application -------------------------------------
-
-  // One key's slot in a batched apply: the key plus a callback deciding
-  // the key's net effect. The callback receives the current logical row as
-  // the maintenance transaction sees it (nullopt when the key is absent or
-  // logically deleted) — the same value MaintenanceLookup would return —
-  // so state-dependent maintenance (view deltas) costs no extra probe.
-  // Event-folded callers ignore the argument and return a precomputed
-  // NetEffect (see CoalesceBatch).
-  struct BatchKeyOp {
-    Row key;
-    std::function<Result<NetEffect>(const std::optional<Row>& current)>
-        decide;
-  };
-
-  struct BatchApplyStats {
-    size_t keys = 0;
-    size_t noops = 0;
-    size_t inserts = 0;   // net inserts (fresh or Table-2 revive of corpse)
-    size_t updates = 0;
-    size_t deletes = 0;
-    size_t revives = 0;          // delete-then-insert folds
-    size_t replayed_events = 0;  // events that fell back to serial replay
-    size_t index_probes = 0;     // includes probes issued by replays
-    size_t page_pins = 0;
-  };
-
-  // Applies one coalesced operation per key: one hash-index probe, one
-  // page pin, and one ApplyDecision transition per key (a revive pays a
-  // second pin; replays fall back to the serial per-event cost). Final
-  // heap bytes, pre-update versions, and error behavior — including which
-  // prefix of a failing batch got applied — are identical to applying the
-  // key's events serially. Keys are processed in `ops` order. kUpdate /
-  // kDelete / kRevive on an absent or logically deleted key return
-  // kNotFound("no such key"), mirroring the facade's serial mapping.
+  // Runs the per-key step for each op, in `ops` order: one index probe,
+  // at most one page pin and one decision-table transition per key, with
+  // `decide` handed the row MaintenanceLookup would return, so
+  // state-dependent maintenance (view deltas) costs no extra probe.
+  // kUpdate / kDelete on an absent or logically deleted key return
+  // kNotFound("no such key"); a kInsert row whose key differs from the
+  // op's key is kInvalidArgument. Stops at the first failing key, leaving
+  // the keys before it applied. Requires a unique key.
   Result<BatchApplyStats> ApplyBatch(MaintenanceTxn* txn,
                                      const std::vector<BatchKeyOp>& ops);
 
@@ -228,22 +207,36 @@ class VnlTable {
   // Version-state triple of a fetched physical row (decision-table input).
   Result<TupleVersionState> StateOf(const Row& phys) const;
 
-  // `next` must preserve every non-updatable attribute of `current`.
-  Status CheckUpdatablesOnly(const Row& current, const Row& next) const;
+  // `next` must preserve every non-updatable attribute of the current
+  // version; `phys` is the tuple's physical image, whose logical prefix is
+  // that version.
+  Status CheckUpdatablesOnly(const Row& phys, const Row& next) const;
 
-  // One key of ApplyBatch: maps the folded net effect onto the
-  // already-fetched tuple state and dispatches the fused decision(s).
-  Status ApplyNetEffect(MaintenanceTxn* txn, const Row& key,
-                        const NetEffect& effect, std::optional<Rid> rid,
-                        std::optional<Row> phys,
-                        std::optional<TupleVersionState> state,
-                        BatchApplyStats* out);
+  // A tuple fetched for a maintenance decision.
+  struct Target {
+    Rid rid;
+    Row phys;
+    TupleVersionState state;
+  };
 
-  // Exact serial re-execution of one folded-out event (kReplay /
-  // kCancelled fallbacks). Deletes and updates address `key`; the serial
-  // methods' found=false maps to kNotFound, mirroring the facade.
-  Status ReplayEvent(MaintenanceTxn* txn, const Row& key,
-                     const LogicalEvent& ev);
+  // Reads the tuple at `rid` for a maintenance decision (one page pin).
+  Result<Target> FetchTarget(MaintenanceTxn* txn, Rid rid) const;
+
+  // The per-key step behind every key-addressed write: probes `key`,
+  // fetches its tuple, asks `decide` for the net effect and applies it.
+  // Returns the kind of action applied (kNone when nothing was written).
+  Result<NetEffect::Kind> ApplyKey(MaintenanceTxn* txn, const Row& key,
+                                   const KeyDecider& decide);
+
+  // The validate-decide-apply tail shared by ApplyKey and the cursor
+  // statements: checks `effect` against `target` (nullopt when the key has
+  // no physical tuple), takes the Tables 2-4 cell and applies it. `key`,
+  // when set, is the key a kInsert row must carry.
+  Status ApplyEffect(MaintenanceTxn* txn, const Row* key,
+                     const NetEffect& effect, std::optional<Target> target);
+
+  // Table 2 line 3: a brand-new physical tuple for `logical_row`.
+  Status InsertFresh(MaintenanceTxn* txn, const Row& logical_row);
 
   // Key-shaped row normalized through the column codec (what the hash
   // index stores).

@@ -5,8 +5,18 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace wvm::warehouse {
+
+namespace {
+
+// Groups per MaintApplyBatch call. One call per ApplyDelta was measured
+// slower on the warehouse-day benchmark (lower maintenance throughput and
+// higher point-read tail latency between chunks) than chunks of 64.
+constexpr size_t kGroupsPerBatch = 64;
+
+}  // namespace
 
 SummaryView::SummaryView(std::vector<Column> dim_columns,
                          std::string measure_name)
@@ -33,17 +43,15 @@ Row SummaryView::MakeRow(const Row& dims, int64_t total,
 }
 
 Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
-    baselines::WarehouseEngine* engine, const DeltaBatch& batch,
-    const ApplyOptions& options) const {
+    baselines::WarehouseEngine* engine, const DeltaBatch& batch) const {
   ApplyStats stats;
   stats.events = batch.size();
 
   // Fold the batch into per-group net deltas (SP89's net effect applied
   // at the delta level; the engine's decision tables then net-effect any
   // repeated touches of the same group across batches in one txn).
-  // Groups are kept in first-seen order — the order a serial per-event
-  // application would first touch them — so serial and batched runs
-  // allocate view tuples identically.
+  // Groups are kept in first-seen order, so view tuples are allocated in
+  // the order the feed first names their groups.
   struct GroupDelta {
     Row dims;
     int64_t total = 0;
@@ -52,6 +60,11 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
   std::vector<GroupDelta> deltas;
   std::unordered_map<Row, size_t, RowHash, RowEq> slot_of;
   for (const BaseEvent& event : batch) {
+    if (event.dims.size() != dims_) {
+      return Status::InvalidArgument(StrPrintf(
+          "delta event has %zu dimension values; the view has %zu",
+          event.dims.size(), dims_));
+    }
     auto [it, fresh] = slot_of.try_emplace(event.dims, deltas.size());
     if (fresh) deltas.push_back({event.dims, 0, 0});
     GroupDelta& d = deltas[it->second];
@@ -66,58 +79,14 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
   stats.keys_coalesced = deltas.size();
   stats.events_folded = stats.events - deltas.size();
 
-  if (options.batch_size == 0) {
-    // Legacy serial path: one facade call sequence per group. Probe/pin
-    // accounting matches the serial MaintApplyBatch fallback so the two
-    // paths are directly comparable.
-    for (const GroupDelta& delta : deltas) {
-      if (delta.total == 0 && delta.support == 0) continue;
-      ++stats.groups_touched;
-      WVM_ASSIGN_OR_RETURN(std::optional<Row> current,
-                           engine->MaintReadKey(delta.dims));
-      ++stats.index_probes;
-      if (current.has_value()) ++stats.page_pins;
-      if (!current.has_value()) {
-        if (delta.support <= 0) {
-          return Status::InvalidArgument(
-              "retraction for a group absent from the view");
-        }
-        WVM_RETURN_IF_ERROR(engine->MaintInsert(
-            MakeRow(delta.dims, delta.total, delta.support)));
-        ++stats.index_probes;
-        ++stats.inserts;
-        continue;
-      }
-      const int64_t new_total =
-          (*current)[total_col()].AsInt64() + delta.total;
-      const int64_t new_support =
-          (*current)[support_col()].AsInt64() + delta.support;
-      if (new_support < 0) {
-        return Status::InvalidArgument("view support underflow");
-      }
-      if (new_support == 0) {
-        WVM_RETURN_IF_ERROR(engine->MaintDelete(delta.dims));
-        ++stats.index_probes;
-        ++stats.page_pins;
-        ++stats.deletes;
-      } else {
-        WVM_RETURN_IF_ERROR(engine->MaintUpdate(
-            delta.dims, MakeRow(delta.dims, new_total, new_support)));
-        ++stats.index_probes;
-        ++stats.page_pins;
-        ++stats.updates;
-      }
-    }
-    return stats;
-  }
-
-  // Batched path: hand the engine per-group net-action callbacks in
-  // first-seen order, `batch_size` groups per call. The callback runs the
-  // same support arithmetic as the serial loop against the current row
-  // the engine fetched with its single probe.
+  // Hand the engine one net-action callback per touched group, in
+  // first-seen order and kGroupsPerBatch groups per call. The callback
+  // runs the support arithmetic against the current row the engine
+  // fetched with its single probe.
   using baselines::WarehouseEngine;
+  using Kind = WarehouseEngine::MaintNetAction::Kind;
   std::vector<WarehouseEngine::MaintBatchOp> ops;
-  ops.reserve(std::min(options.batch_size, deltas.size()));
+  ops.reserve(std::min(kGroupsPerBatch, deltas.size()));
   auto flush = [&]() -> Status {
     if (ops.empty()) return Status::OK();
     WVM_ASSIGN_OR_RETURN(WarehouseEngine::MaintBatchStats batch_stats,
@@ -133,37 +102,32 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
   for (const GroupDelta& delta : deltas) {
     if (delta.total == 0 && delta.support == 0) continue;
     ++stats.groups_touched;
-    WarehouseEngine::MaintBatchOp op;
-    op.key = delta.dims;
-    op.decide = [this, delta](const std::optional<Row>& current)
+    // `deltas` outlives every flush, so the callback holds a pointer.
+    const GroupDelta* d = &delta;
+    auto decide = [this, d](const std::optional<Row>& current)
         -> Result<WarehouseEngine::MaintNetAction> {
-      WarehouseEngine::MaintNetAction action;
       if (!current.has_value()) {
-        if (delta.support <= 0) {
+        if (d->support <= 0) {
           return Status::InvalidArgument(
               "retraction for a group absent from the view");
         }
-        action.kind = WarehouseEngine::MaintNetAction::Kind::kInsert;
-        action.row = MakeRow(delta.dims, delta.total, delta.support);
-        return action;
+        return WarehouseEngine::MaintNetAction{
+            Kind::kInsert, MakeRow(d->dims, d->total, d->support)};
       }
-      const int64_t new_total =
-          (*current)[total_col()].AsInt64() + delta.total;
+      const int64_t new_total = (*current)[total_col()].AsInt64() + d->total;
       const int64_t new_support =
-          (*current)[support_col()].AsInt64() + delta.support;
+          (*current)[support_col()].AsInt64() + d->support;
       if (new_support < 0) {
         return Status::InvalidArgument("view support underflow");
       }
       if (new_support == 0) {
-        action.kind = WarehouseEngine::MaintNetAction::Kind::kDelete;
-        return action;
+        return WarehouseEngine::MaintNetAction{Kind::kDelete, {}};
       }
-      action.kind = WarehouseEngine::MaintNetAction::Kind::kUpdate;
-      action.row = MakeRow(delta.dims, new_total, new_support);
-      return action;
+      return WarehouseEngine::MaintNetAction{
+          Kind::kUpdate, MakeRow(d->dims, new_total, new_support)};
     };
-    ops.push_back(std::move(op));
-    if (ops.size() >= options.batch_size) WVM_RETURN_IF_ERROR(flush());
+    ops.push_back({delta.dims, std::move(decide)});
+    if (ops.size() >= kGroupsPerBatch) WVM_RETURN_IF_ERROR(flush());
   }
   WVM_RETURN_IF_ERROR(flush());
   return stats;

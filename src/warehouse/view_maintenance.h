@@ -59,24 +59,16 @@ class SummaryView {
     size_t page_pins = 0;
   };
 
-  struct ApplyOptions {
-    // Coalesced groups per MaintApplyBatch call. 0 = legacy serial path:
-    // one MaintReadKey + MaintInsert/MaintUpdate/MaintDelete per group.
-    size_t batch_size = 64;
-  };
-
   // Propagates one delta batch into the materialized view through an
   // engine's open maintenance transaction. Events are first folded into
-  // per-group net deltas (the batch's net effect), then applied as
-  // batched per-group net maintenance actions, so each group costs one
-  // index probe and one page pin on engines with a native batched path.
+  // per-group net deltas (the batch's net effect), then each touched
+  // group becomes one per-key net action, handed to the engine's
+  // MaintApplyBatch in chunks of 64 groups, so each group costs one
+  // index probe and at most one page pin on the 2VNL engine. Events whose
+  // dimension count differs from the view's fail with kInvalidArgument
+  // before any group is applied.
   Result<ApplyStats> ApplyDelta(baselines::WarehouseEngine* engine,
-                                const DeltaBatch& batch) const {
-    return ApplyDelta(engine, batch, ApplyOptions{});
-  }
-  Result<ApplyStats> ApplyDelta(baselines::WarehouseEngine* engine,
-                                const DeltaBatch& batch,
-                                const ApplyOptions& options) const;
+                                const DeltaBatch& batch) const;
 
  private:
   size_t dims_;

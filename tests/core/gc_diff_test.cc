@@ -1,8 +1,9 @@
 // Tombstone-driven garbage collection vs the full-heap rule (§7).
 //
 // Randomized maintenance histories — inserts, updates, deletes,
-// same-transaction insert+delete, revives over corpses, ApplyBatch net
-// effects, lossy (n=2) and lossless (n=3) aborts — run under reader
+// same-transaction insert+delete, revives over corpses, generated
+// per-key event sequences, lossy (n=2) and lossless (n=3) aborts — run
+// under reader
 // sessions pinned at several ages. Before every GC the test derives the
 // victims itself with one full ScanRows pass and the reclamation rule
 // (slot-0 operation delete, tupleVN <= currentVN, minActiveSessionVN >=
@@ -34,6 +35,29 @@ Schema ItemSchema() {
 }
 
 Row Key(int64_t id) { return {Value::Int64(id)}; }
+
+// One generated maintenance event: inserts and updates carry the full
+// row, deletes the key.
+struct Event {
+  Op op;
+  Row row;
+};
+
+void ApplyEvent(VnlTable* table, MaintenanceTxn* txn, const Event& ev) {
+  switch (ev.op) {
+    case Op::kInsert:
+      ASSERT_TRUE(table->Insert(txn, ev.row).ok());
+      break;
+    case Op::kUpdate: {
+      auto to_row = [&ev](const Row&) -> Result<Row> { return ev.row; };
+      ASSERT_TRUE(table->UpdateByKey(txn, {ev.row[0]}, to_row).value());
+      break;
+    }
+    case Op::kDelete:
+      ASSERT_TRUE(table->DeleteByKey(txn, ev.row).value());
+      break;
+  }
+}
 
 // Rid -> raw record bytes of every live tuple.
 using HeapImage = std::map<Rid, std::string>;
@@ -188,9 +212,10 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
             }
           }
         } else {
-          // A legal event sequence folded into per-key net effects.
+          // A legal event sequence with repeated touches of hot keys,
+          // applied one event at a time.
           std::map<int64_t, std::optional<Row>> view;
-          std::vector<LogicalEvent> events;
+          std::vector<Event> events;
           const int count = static_cast<int>(rng.Uniform(1, 16));
           for (int e = 0; e < count; ++e) {
             const int64_t id = rng.Uniform(0, keys / 2);  // hot keys
@@ -213,18 +238,9 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
               cur.reset();
             }
           }
-          Result<std::vector<CoalescedOp>> folded =
-              CoalesceBatch(table->logical_schema(), events);
-          ASSERT_TRUE(folded.ok());
-          std::vector<VnlTable::BatchKeyOp> ops;
-          for (CoalescedOp& op : *folded) {
-            ops.push_back(
-                {op.key, [effect = op.effect](const std::optional<Row>&)
-                             -> Result<NetEffect> { return effect; }});
+          for (const Event& ev : events) {
+            ASSERT_NO_FATAL_FAILURE(ApplyEvent(table, txn, ev));
           }
-          Result<VnlTable::BatchApplyStats> applied =
-              table->ApplyBatch(txn, ops);
-          ASSERT_TRUE(applied.ok()) << applied.status().ToString();
         }
         if (rng.Bernoulli(0.2)) {
           ASSERT_NO_FATAL_FAILURE(

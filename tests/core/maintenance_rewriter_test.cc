@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/logging.h"
 #include "core/vnl_engine.h"
 
@@ -71,6 +75,26 @@ TEST_F(MaintenanceRewriterTest, InsertStatement) {
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(row->has_value());
   EXPECT_EQ((**row)[4].AsInt32(), 10000);
+}
+
+// Example 4.2's per-row loop: a duplicate key fails at its own row, after
+// every row before it has been inserted.
+TEST_F(MaintenanceRewriterTest, MultiRowInsertAppliesPrefixBeforeDuplicate) {
+  MaintenanceTxn* txn = Begin();
+  Result<size_t> r = rewriter_->Execute(
+      txn,
+      "INSERT INTO DailySales VALUES "
+      "('San Jose', 'CA', 'golf equip', '10/14/96', 10), "
+      "('Berkeley', 'CA', 'racquetball', '10/14/96', 70), "
+      "('San Jose', 'CA', 'golf equip', '10/14/96', 11)");
+  EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
+  Result<std::vector<Row>> rows = table_->MaintenanceRows(txn);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<std::string> cities;
+  for (const Row& row : *rows) cities.push_back(row[0].AsString());
+  std::sort(cities.begin(), cities.end());
+  EXPECT_EQ(cities, (std::vector<std::string>{"Berkeley", "San Jose"}));
+  Commit(txn);
 }
 
 TEST_F(MaintenanceRewriterTest, InsertWithColumnListFillsNulls) {

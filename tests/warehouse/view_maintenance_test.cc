@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "baselines/vnl_adapter.h"
 #include "common/logging.h"
@@ -112,6 +113,30 @@ TEST_F(ViewMaintenanceTest, RetractionOfUnknownGroupFails) {
       view_.ApplyDelta(engine_.get(), {Retract("Ghost", 5)});
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(engine_->CommitMaintenance().ok());
+}
+
+// Delta input is untrusted: an event with the wrong number of dimension
+// values is an error, raised before any group reaches the view.
+TEST_F(ViewMaintenanceTest, WrongDimensionCountFailsBeforeApplying) {
+  const SummaryView two_dims(
+      {Column::String("city", 20), Column::String("state", 2)}, "sales");
+  DiskManager disk;
+  BufferPool pool(256, &disk);
+  auto engine = baselines::VnlAdapter::Create(&pool, two_dims.view_schema());
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->BeginMaintenance().ok());
+  const DeltaBatch batch = {
+      {{Value::String("Fremont"), Value::String("CA")}, 10, false},
+      {{Value::String("Oakland")}, 5, false},
+  };
+  Result<SummaryView::ApplyStats> stats =
+      two_dims.ApplyDelta(engine->get(), batch);
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  Result<std::optional<Row>> fremont = (*engine)->MaintReadKey(
+      {Value::String("Fremont"), Value::String("CA")});
+  ASSERT_TRUE(fremont.ok());
+  EXPECT_FALSE(fremont->has_value());
+  ASSERT_TRUE((*engine)->CommitMaintenance().ok());
 }
 
 TEST_F(ViewMaintenanceTest, OldSessionSeesPreMaintenanceView) {
