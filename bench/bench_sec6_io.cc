@@ -15,7 +15,6 @@
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "sql/parser.h"
 
 namespace wvm {
 namespace {
@@ -56,12 +55,10 @@ void RunEngine(const std::string& name) {
   BufferPool pool(kPoolPages, &disk);
   std::unique_ptr<baselines::WarehouseEngine> engine;
   baselines::Mv2plEngine* mv2pl = nullptr;
-  baselines::VnlAdapter* vnl = nullptr;
   if (name == "2vnl" || name == "3vnl") {
     auto a = baselines::VnlAdapter::Create(&pool, WideSchema(),
                                            name == "2vnl" ? 2 : 3);
     WVM_CHECK(a.ok());
-    vnl = a.value().get();
     engine = std::move(a).value();
   } else if (name == "plain") {
     engine = std::make_unique<baselines::OfflineEngine>(&pool, WideSchema());
@@ -151,35 +148,6 @@ void RunEngine(const std::string& name) {
   bench::Emit(name + "/old_scan_misses",
               static_cast<double>(old.misses), "pages");
   bench::Emit(name + "/pool_chases", static_cast<double>(chases), "reads");
-
-  // Partitioned fresh scan (nVNL engines only): the same current-version
-  // pass through the streaming SnapshotSelect path, swept over a threads
-  // axis. Page misses stay flat across threads — partitioning reorders
-  // the page fetches but never repeats one — while wall time drops with
-  // real cores.
-  if (vnl != nullptr) {
-    core::ReaderSession session = vnl->engine()->OpenSession();
-    Result<sql::SelectStmt> stmt = sql::ParseSelect("SELECT * FROM t");
-    WVM_CHECK(stmt.ok());
-    for (int threads : {1, 2, 4}) {
-      vnl->engine()->SetScanOptions({threads});
-      b0 = pool.stats();
-      d0 = disk.stats();
-      Result<query::QueryResult> r =
-          vnl->table()->SnapshotSelect(session, *stmt);
-      WVM_CHECK(r.ok());
-      const Phase par = Delta(&pool, &disk, b0, d0);
-      std::printf(
-          "%-12s parallel fresh scan t=%d: fetch=%5llu miss=%5llu rows=%zu\n",
-          name.c_str(), threads,
-          static_cast<unsigned long long>(par.fetches),
-          static_cast<unsigned long long>(par.misses), r.value().rows.size());
-      bench::Emit(name + "/parallel_scan_misses_t" + std::to_string(threads),
-                  static_cast<double>(par.misses), "pages");
-    }
-    vnl->engine()->SetScanOptions({1});
-    vnl->engine()->CloseSession(session);
-  }
 
   if (versioned) WVM_CHECK(engine->CloseReader(*old_reader).ok());
   WVM_CHECK(engine->CloseReader(*fresh_reader).ok());

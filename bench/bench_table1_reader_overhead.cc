@@ -170,75 +170,6 @@ void BM_VnlSelectiveWhereStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_VnlSelectiveWhereStreaming)->Arg(2)->Arg(1);
 
-// The partitioned scan (tentpole): same selective query, fanned across
-// the engine's worker pool. Workers classify tuples on raw record bytes
-// and evaluate the compiled grp predicate on serialized attributes, so a
-// rejected tuple costs roughly one memcmp — the per-tuple saving shows up
-// even at threads=1, and page-range parallelism stacks on top of it on
-// multi-core hosts. Partitions feed the sink in heap order. Axis:
-// {threads, sessionVN}.
-void BM_VnlSelectiveWhereParallel(benchmark::State& state) {
-  VnlFixture& fx = Fixture();
-  const int threads = static_cast<int>(state.range(0));
-  fx.engine->SetScanOptions({threads});
-  core::ReaderSession session;
-  session.session_vn = state.range(1);
-  Result<sql::SelectStmt> stmt = sql::ParseSelect(kSelectiveSql);
-  WVM_CHECK(stmt.ok());
-  fx.engine->ResetScanMetrics();
-  for (auto _ : state) {
-    Result<query::QueryResult> r =
-        fx.table->SnapshotSelect(session, *stmt);
-    WVM_CHECK(r.ok());
-    benchmark::DoNotOptimize(r.value().rows);
-  }
-  const core::ScanMetrics m = fx.engine->scan_metrics();
-  WVM_CHECK(m.full_materializations == 0);
-  fx.engine->SetScanOptions({1});
-  state.SetItemsProcessed(state.iterations() * kRows);
-  state.counters["threads"] = threads;
-  state.counters["parallel_scans_per_iter"] =
-      static_cast<double>(m.parallel_scans) /
-      static_cast<double>(state.iterations());
-  state.SetLabel("partitioned raw-byte scan");
-}
-BENCHMARK(BM_VnlSelectiveWhereParallel)
-    ->Args({1, 2})
-    ->Args({2, 2})
-    ->Args({4, 2})
-    ->Args({8, 2})
-    ->Args({4, 1});
-
-// Aggregate scan on the partitioned path: every live tuple must be
-// materialized (no selective predicate), so this isolates the raw-byte
-// version-resolution + logical-prefix materialization saving.
-void BM_VnlNativeSnapshotAggregateParallel(benchmark::State& state) {
-  VnlFixture& fx = Fixture();
-  const int threads = static_cast<int>(state.range(0));
-  fx.engine->SetScanOptions({threads});
-  core::ReaderSession session;
-  session.session_vn = state.range(1);
-  Result<sql::SelectStmt> stmt = sql::ParseSelect(kAggregateSql);
-  WVM_CHECK(stmt.ok());
-  for (auto _ : state) {
-    Result<query::QueryResult> r =
-        fx.table->SnapshotSelect(session, *stmt);
-    WVM_CHECK(r.ok());
-    benchmark::DoNotOptimize(r.value().rows);
-  }
-  fx.engine->SetScanOptions({1});
-  state.SetItemsProcessed(state.iterations() * kRows);
-  state.counters["threads"] = threads;
-  state.SetLabel(state.range(1) == 2 ? "current-version reads"
-                                     : "pre-update reads (50% of tuples)");
-}
-BENCHMARK(BM_VnlNativeSnapshotAggregateParallel)
-    ->Args({1, 2})
-    ->Args({2, 2})
-    ->Args({4, 2})
-    ->Args({8, 2})
-    ->Args({4, 1});
-
 void BM_VnlSelectiveWhereMaterialized(benchmark::State& state) {
   // The pre-streaming shape of the read path: buffer the whole snapshot
   // into a vector, then run the executor over it. Kept as the comparison

@@ -278,23 +278,21 @@ Status CheckGcVictims(const VersionedSchema& vs, const Table& heap,
                       Vn current_vn, Vn min_active_session_vn,
                       const std::vector<Rid>& victims) {
   std::vector<Rid> expected;
-  for (PageId page : heap.heap()->PageIds()) {
-    for (size_t slot = 0; slot < heap.rows_per_page(); ++slot) {
-      const Rid rid{page, static_cast<uint16_t>(slot)};
-      Result<Row> phys = heap.GetRow(rid);
-      if (!phys.ok()) {
-        if (phys.status().code() == StatusCode::kNotFound) continue;
-        return phys.status();
-      }
-      Result<Op> op = vs.Operation(*phys, 0);
-      if (!op.ok()) return op.status();
-      const Vn vn = vs.TupleVn(*phys, 0);
-      if (op.value() == Op::kDelete && vn <= current_vn &&
-          min_active_session_vn >= vn) {
-        expected.push_back(rid);
-      }
+  Status decoded;
+  WVM_RETURN_IF_ERROR(heap.ScanRows([&](Rid rid, const Row& phys) {
+    Result<Op> op = vs.Operation(phys, 0);
+    if (!op.ok()) {
+      decoded = op.status();
+      return false;
     }
-  }
+    const Vn vn = vs.TupleVn(phys, 0);
+    if (op.value() == Op::kDelete && vn <= current_vn &&
+        min_active_session_vn >= vn) {
+      expected.push_back(rid);
+    }
+    return true;
+  }));
+  WVM_RETURN_IF_ERROR(decoded);
   if (expected != victims) {
     return Status::Internal(StrPrintf(
         "GC victims diverge from the full-heap rule: tombstone set yields "

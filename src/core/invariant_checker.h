@@ -84,10 +84,10 @@ Status CheckReaderResolutionRaw(const VersionedSchema& vs,
 
 // Oracle for the tombstone-driven collector: `victims` must be exactly the
 // tuples the full-heap rule selects — slot-0 operation delete, tupleVN <=
-// currentVN and minActiveSessionVN >= tupleVN — in Rid order. Every heap
-// slot is read through Table::GetRow, so a pool that cannot serve the
-// heap returns its (non-kInternal) error instead of aborting; a differing
-// set is kInternal.
+// currentVN and minActiveSessionVN >= tupleVN — in Rid order. The heap is
+// walked with one Table::ScanRows pass (heap order is Rid order), so a
+// pool that cannot serve the heap returns its (non-kInternal) error
+// instead of aborting; a differing set is kInternal.
 Status CheckGcVictims(const VersionedSchema& vs, const Table& heap,
                       Vn current_vn, Vn min_active_session_vn,
                       const std::vector<Rid>& victims);

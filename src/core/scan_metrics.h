@@ -20,7 +20,7 @@ struct ScanMetrics {
   // as rows_reconstructed - rows_emitted instead, so every scanned tuple
   // lands in exactly one of {ignored, filtered, reconstructed} and
   //   rows_scanned >= rows_filtered + rows_reconstructed
-  // holds for any scan, serial or partitioned.
+  // holds for any scan.
   uint64_t rows_filtered = 0;
   uint64_t rows_emitted = 0;        // rows handed to the sink/executor
   uint64_t bytes_copied = 0;        // declared attribute bytes reconstructed
@@ -28,7 +28,9 @@ struct ScanMetrics {
   // SnapshotRows (a materializing API by contract) counts; the streaming
   // SnapshotSelect path must keep this at zero.
   uint64_t full_materializations = 0;
-  // Scans that ran the partitioned (multi-threaded) heap pass.
+  // Always 0: snapshot reads are one serial heap pass since the
+  // partitioned pass was removed. Kept until the perfbench report that
+  // prints it (core.parallel_scans) drops its guard on it.
   uint64_t parallel_scans = 0;
   // Index-routed read path (§4.3): hash probes issued (point lookups and
   // routed SnapshotSelects), rows served out of index candidates, and
@@ -71,9 +73,6 @@ class ScanMetricsSink {
   void RecordFullMaterialization() {
     full_materializations_.fetch_add(1, std::memory_order_relaxed);
   }
-  void RecordParallelScan() {
-    parallel_scans_.fetch_add(1, std::memory_order_relaxed);
-  }
   void RecordIndexRoute(uint64_t lookups, uint64_t served_rows,
                         uint64_t scans_avoided) {
     index_lookups_.fetch_add(lookups, std::memory_order_relaxed);
@@ -91,7 +90,6 @@ class ScanMetricsSink {
     m.bytes_copied = bytes_copied_.load(std::memory_order_relaxed);
     m.full_materializations =
         full_materializations_.load(std::memory_order_relaxed);
-    m.parallel_scans = parallel_scans_.load(std::memory_order_relaxed);
     m.index_lookups = index_lookups_.load(std::memory_order_relaxed);
     m.index_served_rows =
         index_served_rows_.load(std::memory_order_relaxed);
@@ -106,7 +104,6 @@ class ScanMetricsSink {
     rows_emitted_.store(0, std::memory_order_relaxed);
     bytes_copied_.store(0, std::memory_order_relaxed);
     full_materializations_.store(0, std::memory_order_relaxed);
-    parallel_scans_.store(0, std::memory_order_relaxed);
     index_lookups_.store(0, std::memory_order_relaxed);
     index_served_rows_.store(0, std::memory_order_relaxed);
     scans_avoided_.store(0, std::memory_order_relaxed);
@@ -119,7 +116,6 @@ class ScanMetricsSink {
   std::atomic<uint64_t> rows_emitted_{0};
   std::atomic<uint64_t> bytes_copied_{0};
   std::atomic<uint64_t> full_materializations_{0};
-  std::atomic<uint64_t> parallel_scans_{0};
   std::atomic<uint64_t> index_lookups_{0};
   std::atomic<uint64_t> index_served_rows_{0};
   std::atomic<uint64_t> scans_avoided_{0};

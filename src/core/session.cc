@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace wvm::core {
@@ -13,7 +14,9 @@ ReaderSession SessionManager::Open() {
   // collector running in between could miss the new session and reclaim
   // tuple versions it still needs.
   MutexLock lock(mu_);
-  const Vn vn = version_relation_->Read().current_vn;
+  Result<VersionRelation::Snapshot> snap = version_relation_->Read();
+  WVM_CHECK_MSG(snap.ok(), "Version relation read failed");
+  const Vn vn = snap->current_vn;
   ReaderSession session{next_id_++, vn};
   active_[session.id] = vn;
   return session;
@@ -39,7 +42,8 @@ Status SessionManager::CheckNotExpired(const ReaderSession& session) const {
           "session invalidated by a maintenance rollback");
     }
   }
-  const VersionRelation::Snapshot snap = version_relation_->Read();
+  WVM_ASSIGN_OR_RETURN(const VersionRelation::Snapshot snap,
+                       version_relation_->Read());
   if (snap.Admits(session.session_vn, n_)) return Status::OK();
   return Status::SessionExpired(StrPrintf(
       "sessionVN=%lld expired (currentVN=%lld, maintenanceActive=%s)",

@@ -39,7 +39,8 @@ class SessionManager {
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
 
-  // Opens a session pinned at the current database version.
+  // Opens a session pinned at the current database version. Aborts when
+  // the buffer pool cannot serve the Version relation's page.
   ReaderSession Open() EXCLUDES(mu_);
 
   void Close(const ReaderSession& session) EXCLUDES(mu_);
@@ -48,7 +49,8 @@ class SessionManager {
   //   valid iff sessionVN == currentVN, or
   //             (sessionVN == currentVN - 1 and not maintenanceActive).
   // Additionally a session forcibly expired by an abort is invalid.
-  // Returns kSessionExpired when the session must be restarted.
+  // Returns kSessionExpired when the session must be restarted, or the
+  // buffer pool's error when it cannot serve the Version relation.
   Status CheckNotExpired(const ReaderSession& session) const EXCLUDES(mu_);
 
   // Smallest sessionVN among active sessions, or `fallback` when none.

@@ -1,7 +1,5 @@
 #include "core/version_relation.h"
 
-#include "common/logging.h"
-
 namespace wvm::core {
 
 Result<std::unique_ptr<VersionRelation>> VersionRelation::Create(
@@ -21,10 +19,12 @@ Result<std::unique_ptr<VersionRelation>> VersionRelation::Create(
   return vr;
 }
 
-void VersionRelation::Persist() {
-  Status s = table_->UpdateRow(
-      rid_, {Value::Int64(current_vn_), Value::Bool(maintenance_active_)});
-  WVM_CHECK_MSG(s.ok(), "Version relation update failed");
+Status VersionRelation::Persist(Vn current_vn, bool maintenance_active) {
+  WVM_RETURN_IF_ERROR(table_->UpdateRow(
+      rid_, {Value::Int64(current_vn), Value::Bool(maintenance_active)}));
+  current_vn_ = current_vn;
+  maintenance_active_ = maintenance_active;
+  return Status::OK();
 }
 
 Vn VersionRelation::current_vn() const {
@@ -37,13 +37,12 @@ bool VersionRelation::maintenance_active() const {
   return maintenance_active_;
 }
 
-VersionRelation::Snapshot VersionRelation::Read() const {
+Result<VersionRelation::Snapshot> VersionRelation::Read() const {
   MutexLock lock(mu_);
   // Also touch the stored tuple so the I/O experiments account for the
   // Version-relation read the rewrite implementation performs (§4.1).
-  Result<Row> row = table_->GetRow(rid_);
-  WVM_CHECK(row.ok());
-  return {row.value()[0].AsInt64(), row.value()[1].AsBool()};
+  WVM_ASSIGN_OR_RETURN(Row row, table_->GetRow(rid_));
+  return Snapshot{row[0].AsInt64(), row[1].AsBool()};
 }
 
 VersionRelation::Snapshot VersionRelation::Peek() const {
@@ -58,8 +57,7 @@ Result<Vn> VersionRelation::BeginMaintenance() {
         "a maintenance transaction is already active (the external "
         "protocol allows one at a time, §2.2)");
   }
-  maintenance_active_ = true;
-  Persist();
+  WVM_RETURN_IF_ERROR(Persist(current_vn_, /*maintenance_active=*/true));
   return current_vn_ + 1;
 }
 
@@ -71,10 +69,7 @@ Status VersionRelation::CommitMaintenance(Vn maintenance_vn) {
   if (maintenance_vn != current_vn_ + 1) {
     return Status::Internal("maintenanceVN does not follow currentVN");
   }
-  current_vn_ = maintenance_vn;
-  maintenance_active_ = false;
-  Persist();
-  return Status::OK();
+  return Persist(maintenance_vn, /*maintenance_active=*/false);
 }
 
 Status VersionRelation::AbortMaintenance() {
@@ -82,9 +77,7 @@ Status VersionRelation::AbortMaintenance() {
   if (!maintenance_active_) {
     return Status::FailedPrecondition("no active maintenance transaction");
   }
-  maintenance_active_ = false;
-  Persist();
-  return Status::OK();
+  return Persist(current_vn_, /*maintenance_active=*/false);
 }
 
 }  // namespace wvm::core

@@ -44,11 +44,16 @@ class VersionRelation {
     }
   };
   // Reads the stored tuple through the buffer pool (one counted fetch).
-  Snapshot Read() const EXCLUDES(mu_);
+  // Fails with the pool's error when it cannot serve the page.
+  Result<Snapshot> Read() const EXCLUDES(mu_);
   // The same two attributes from the in-memory copy, taken under the
   // latch without touching the stored tuple: for engine-internal
   // decisions that must not show up as a Version-relation read.
   Snapshot Peek() const EXCLUDES(mu_);
+
+  // The three transitions below write the stored tuple through the
+  // buffer pool. When that write fails they return its error and leave
+  // {currentVN, maintenanceActive} as they were.
 
   // Marks a maintenance transaction active. Fails if one already is —
   // the "external protocol" of §2.2 that serializes writers.
@@ -67,8 +72,9 @@ class VersionRelation {
  private:
   VersionRelation() = default;
 
-  // Writes the in-memory state through to the stored tuple.
-  void Persist() REQUIRES(mu_);
+  // Writes {current_vn, maintenance_active} to the stored tuple and adopts
+  // it in memory only once the write succeeded.
+  Status Persist(Vn current_vn, bool maintenance_active) REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::unique_ptr<Table> table_ GUARDED_BY(mu_);

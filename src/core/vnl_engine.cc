@@ -42,20 +42,11 @@ Result<VnlTable*> VnlEngine::GetTable(const std::string& name) const {
 void VnlEngine::SetScanOptions(const ScanOptions& opts) {
   MutexLock lock(scan_mu_);
   scan_options_ = opts;
-  if (scan_options_.parallelism < 1) scan_options_.parallelism = 1;
 }
 
 ScanOptions VnlEngine::scan_options() const {
   MutexLock lock(scan_mu_);
   return scan_options_;
-}
-
-ScanExecutor* VnlEngine::scan_executor() {
-  MutexLock lock(scan_mu_);
-  if (scan_executor_ == nullptr) {
-    scan_executor_ = std::make_unique<ScanExecutor>();
-  }
-  return scan_executor_.get();
 }
 
 Result<MaintenanceTxn*> VnlEngine::BeginMaintenance() {

@@ -9,12 +9,21 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "core/scan_executor.h"
 #include "core/session.h"
 #include "core/version_relation.h"
 #include "core/vnl_table.h"
 
 namespace wvm::core {
+
+// Engine-level knobs for the snapshot read path.
+struct ScanOptions {
+  // Route SnapshotSelect through the unique-key / secondary hash indexes
+  // when the WHERE clause binds them with equality (IN-list) conjuncts and
+  // the session is inside the §4.1 version window, where per-tuple
+  // expiration is impossible. Off forces every query down the heap pass
+  // (the reference the routed path is diffed and benchmarked against).
+  bool index_routing = true;
+};
 
 // The paper's warehouse database under nVNL concurrency control:
 //  * a set of versioned relations sharing one Version relation and one
@@ -47,7 +56,8 @@ class VnlEngine {
 
   ReaderSession OpenSession() { return sessions_.Open(); }
   void CloseSession(const ReaderSession& s) { sessions_.Close(s); }
-  // Global pessimistic expiration check (§4.1).
+  // Global pessimistic expiration check (§4.1). Returns the buffer pool's
+  // error when it cannot serve the Version relation.
   Status CheckSession(const ReaderSession& s) const {
     return sessions_.CheckNotExpired(s);
   }
@@ -55,6 +65,12 @@ class VnlEngine {
   VersionRelation* version_relation() { return version_relation_.get(); }
 
   // --- Maintenance transactions ---------------------------------------------
+  //
+  // Begin, Commit and Abort each write the Version relation through the
+  // buffer pool. When that write fails they return the pool's error and
+  // leave currentVN, maintenanceActive and the transaction's active flag
+  // as they were. A failed Abort may already have reverted the tuples;
+  // retrying it finds none left stamped with the transaction's VN.
 
   // Starts the (single) maintenance transaction. Fails with
   // kFailedPrecondition while another is active.
@@ -97,15 +113,10 @@ class VnlEngine {
 
   // --- Scan configuration -----------------------------------------------------
 
-  // Knobs for SnapshotSelect heap passes. parallelism > 1 partitions the
-  // scan across a shared worker pool (created lazily, reused by every
-  // scan); 1 keeps the serial streaming pass. Options are read once at
-  // the start of each scan — changing them never affects a scan already
-  // in flight.
+  // Knobs for SnapshotSelect. Options are read once at the start of each
+  // read — changing them never affects a read already in flight.
   void SetScanOptions(const ScanOptions& opts) EXCLUDES(scan_mu_);
   ScanOptions scan_options() const EXCLUDES(scan_mu_);
-  // The engine's shared scan worker pool (created on first use).
-  ScanExecutor* scan_executor() EXCLUDES(scan_mu_);
 
   // --- Observability ---------------------------------------------------------
 
@@ -135,9 +146,8 @@ class VnlEngine {
   std::map<std::string, std::unique_ptr<VnlTable>> tables_ GUARDED_BY(mu_);
   std::unique_ptr<MaintenanceTxn> active_txn_ GUARDED_BY(mu_);
 
-  mutable Mutex scan_mu_;  // guards scan_options_ and scan_executor_
+  mutable Mutex scan_mu_;  // guards scan_options_
   ScanOptions scan_options_ GUARDED_BY(scan_mu_);
-  std::unique_ptr<ScanExecutor> scan_executor_ GUARDED_BY(scan_mu_);
 };
 
 }  // namespace wvm::core

@@ -1,9 +1,7 @@
 #include "core/vnl_table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 
@@ -716,7 +714,7 @@ std::optional<CompiledPredicate> TryCompilePredicate(
 }  // namespace
 
 // The Table-1 reader step: all per-tuple read logic, on record bytes. One
-// instance serves one read (one per partition of a partitioned read).
+// instance serves one read.
 class VnlTable::ReaderStep {
  public:
   ReaderStep(const VersionedSchema& vs, Vn session_vn,
@@ -812,16 +810,6 @@ class VnlTable::ReaderStep {
     return invariant_[i].compiled.has_value();
   }
 
-  // Folds a partition's counters into this step.
-  void Add(const ReaderStep& o) {
-    scanned_ += o.scanned_;
-    reconstructed_rows_ += o.reconstructed_rows_;
-    filtered_ += o.filtered_;
-    counts_.current_reads += o.counts_.current_reads;
-    counts_.pre_update_reads += o.counts_.pre_update_reads;
-    counts_.ignored += o.counts_.ignored;
-  }
-
   // Reports the read once: `emitted` rows reached the sink.
   void Publish(ScanMetricsSink* metrics, SnapshotScanStats* stats,
                uint64_t emitted) const {
@@ -857,130 +845,19 @@ class VnlTable::ReaderStep {
   Status status_;
 };
 
-Status VnlTable::StreamSnapshot(ReaderStep* step, int parallelism,
-                                const RowSink& sink,
+Status VnlTable::StreamSnapshot(ReaderStep* step, const RowSink& sink,
                                 SnapshotScanStats* stats) const {
-  ScanExecutor* exec =
-      engine_ != nullptr && parallelism > 1 ? engine_->scan_executor()
-                                            : nullptr;
-  const std::vector<PageId> pages =
-      exec != nullptr ? phys_->heap()->PageIds() : std::vector<PageId>{};
-  const int nparts = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(parallelism), pages.size()));
   uint64_t emitted = 0;
-  if (nparts <= 1) {
-    Row row;
-    const Status scanned =
-        phys_->heap()->Scan([&](Rid, const uint8_t* rec) {
-          if (step->Visit(rec, &row)) {
-            ++emitted;
-            return sink(row);
-          }
-          return step->status().ok();
-        });
-    if (!scanned.ok()) step->Fail(scanned);
-    step->Publish(metrics_, stats, emitted);
-    return step->status();
-  }
-
-  // Everything the partitions share. Heap-allocated so a worker that
-  // signals completion a beat after the scanning thread moves on cannot
-  // touch freed memory.
-  struct Shared {
-    // Cache-line aligned: each worker bumps its own step's counters per
-    // tuple, and neighbouring partitions must not share those lines.
-    struct alignas(64) Partition {
-      ReaderStep step;
-      std::vector<Row> rows;
-      bool done = false;  // guarded by mu
-    };
-    std::vector<Partition> partitions;
-    // Partitions after this index stop early. A failing partition cancels
-    // only the ones behind it: an earlier partition may still meet an
-    // earlier failure, which is the one the serial pass reports. A
-    // consumer that stops feeding cancels every partition (-1).
-    std::atomic<int> cancel_after{std::numeric_limits<int>::max()};
-    Mutex mu;
-    CondVar cv;
-
-    bool Cancelled(int p) const {
-      return p > cancel_after.load(std::memory_order_relaxed);
-    }
-    void CancelAfter(int p) {
-      int cur = cancel_after.load(std::memory_order_relaxed);
-      while (p < cur && !cancel_after.compare_exchange_weak(
-                            cur, p, std::memory_order_relaxed)) {
-      }
-    }
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->partitions.reserve(nparts);
-  for (int p = 0; p < nparts; ++p) {
-    shared->partitions.push_back({*step, {}});
-  }
-  exec->EnsureWorkers(static_cast<size_t>(nparts));
-  const TableHeap* heap = phys_->heap();
-  // Balanced proportional split: partition p gets pages [p*N/k, (p+1)*N/k).
-  // Ranges are contiguous, cover every page exactly once, and are all
-  // non-empty because nparts <= pages.size(). A worker references state
-  // the caller owns (the step's conjuncts and params); the loop below
-  // never returns before every partition signalled completion.
-  for (int p = 0; p < nparts; ++p) {
-    std::vector<PageId> slice(pages.begin() + p * pages.size() / nparts,
-                              pages.begin() + (p + 1) * pages.size() / nparts);
-    exec->Submit([shared, p, slice = std::move(slice), heap]() {
-      Shared::Partition& part = shared->partitions[p];
-      Row row;
-      const Status scanned =
-          heap->ScanPages(slice, [&](Rid, const uint8_t* rec) {
-            if (shared->Cancelled(p)) return false;
-            if (part.step.Visit(rec, &row)) {
-              part.rows.push_back(std::move(row));
-            } else if (!part.step.status().ok()) {
-              shared->CancelAfter(p);
-              return false;
-            }
-            return true;
-          });
-      if (!scanned.ok()) {
-        part.step.Fail(scanned);
-        shared->CancelAfter(p);
-      }
-      // Notify under the lock: after unlocking, the worker never touches
-      // the shared state again, so the consumer can safely tear it down.
-      MutexLock lock(shared->mu);
-      part.done = true;
-      shared->cv.NotifyOne();
-    });
-  }
-
-  // The sink only ever runs here, on the scanning thread, fed in heap
-  // order; the read reports the first failure in heap order.
-  bool feeding = true;
-  for (int p = 0; p < nparts; ++p) {
-    Shared::Partition& part = shared->partitions[p];
-    {
-      MutexLock lock(shared->mu);
-      shared->cv.Wait(shared->mu, [&] { return part.done; });
-    }
-    step->Add(part.step);
-    if (!feeding) continue;
-    if (!part.step.status().ok()) {
-      step->Fail(part.step.status());
-      feeding = false;
-      continue;
-    }
-    for (const Row& row : part.rows) {
+  Row row;
+  const Status scanned = phys_->heap()->Scan([&](Rid, const uint8_t* rec) {
+    if (step->Visit(rec, &row)) {
       ++emitted;
-      if (!sink(row)) {
-        feeding = false;
-        shared->CancelAfter(-1);
-        break;
-      }
+      return sink(row);
     }
-  }
+    return step->status().ok();
+  });
+  if (!scanned.ok()) step->Fail(scanned);
   step->Publish(metrics_, stats, emitted);
-  if (metrics_ != nullptr) metrics_->RecordParallelScan();
   return step->status();
 }
 
@@ -1033,26 +910,20 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
   return step->status();
 }
 
-Status VnlTable::SnapshotScan(const ReaderSession& session,
-                              const std::function<bool(const Row&)>& sink,
-                              SnapshotScanStats* stats) const {
-  const query::ParamMap no_params;
-  ReaderStep step(vschema_, session.session_vn, {}, {}, no_params, {});
-  return StreamSnapshot(&step, 1, sink, stats);
-}
-
 Result<std::vector<Row>> VnlTable::SnapshotRows(
     const ReaderSession& session, SnapshotScanStats* stats) const {
+  const query::ParamMap no_params;
+  ReaderStep step(vschema_, session.session_vn, {}, {}, no_params, {});
   std::vector<Row> rows;
-  WVM_RETURN_IF_ERROR(SnapshotScan(
-      session,
+  WVM_RETURN_IF_ERROR(StreamSnapshot(
+      &step,
       [&rows](const Row& row) {
         rows.push_back(row);
         return true;
       },
       stats));
   // SnapshotRows is a materializing API by contract; callers that want the
-  // streaming path should use SnapshotScan/SnapshotSelect.
+  // streaming path should use SnapshotSelect.
   if (metrics_ != nullptr) metrics_->RecordFullMaterialization();
   return rows;
 }
@@ -1142,7 +1013,7 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
         return routed;
       }
     }
-    return StreamSnapshot(&step, opts.parallelism, sink, stats);
+    return StreamSnapshot(&step, sink, stats);
   };
   return query::ExecuteSelect(stmt, logical, source, params);
 }

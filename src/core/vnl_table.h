@@ -14,7 +14,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "core/decision_tables.h"
-#include "core/scan_executor.h"
 #include "core/scan_metrics.h"
 #include "core/session.h"
 #include "core/version_relation.h"
@@ -144,12 +143,10 @@ class VnlTable {
 
   // --- Reader operations (§3.2, Table 1) ----------------------------------
 
-  // Streams the snapshot the session is pinned to. Detects expiration at
-  // tuple granularity (§3.2 case 3) and returns kSessionExpired.
-  Status SnapshotScan(const ReaderSession& session,
-                      const std::function<bool(const Row&)>& sink,
-                      SnapshotScanStats* stats = nullptr) const;
-
+  // Every logical row of the snapshot the session is pinned to, in heap
+  // order (a materializing read: counts one full materialization). Detects
+  // expiration at tuple granularity (§3.2 case 3) and returns
+  // kSessionExpired.
   Result<std::vector<Row>> SnapshotRows(
       const ReaderSession& session, SnapshotScanStats* stats = nullptr) const;
 
@@ -175,10 +172,8 @@ class VnlTable {
   // filtered-out tuples cost zero Row copies.
   //
   // The pass is fed by the unique-key or a secondary index when routing
-  // applies (see TryStreamViaIndex), else by the heap — split into page
-  // ranges across the engine's ScanExecutor when ScanOptions request
-  // parallelism > 1. Every source emits rows in heap order, and the
-  // executor sink always runs on the calling thread.
+  // applies (see TryStreamViaIndex), else by one serial heap pass on the
+  // calling thread. Both sources emit rows in heap order.
   Result<query::QueryResult> SnapshotSelect(
       const ReaderSession& session, const sql::SelectStmt& stmt,
       const query::ParamMap& params = {},
@@ -255,20 +250,15 @@ class VnlTable {
   // read runs each physical record, as serialized bytes, through it —
   // classification, invariant conjuncts in WHERE order, projected
   // materialization, reconstructed conjuncts — and it counts what it did.
-  // Three record sources feed it: the serial heap pass and page-range
-  // partitions (StreamSnapshot) and sorted Rid candidates
-  // (StreamCandidates).
+  // Two record sources feed it: the heap pass (StreamSnapshot) and sorted
+  // Rid candidates (StreamCandidates).
   class ReaderStep;
   using RowSink = std::function<bool(const Row&)>;
 
-  // Heap pass. With `parallelism` <= 1 (or a heap too small to split) the
-  // sink runs inside the heap callback; otherwise the heap is split into
-  // contiguous page ranges, each classified by its own copy of `step` on
-  // a ScanExecutor worker and buffered, and the sink is fed partition by
-  // partition in heap order on the calling thread, so every path emits
-  // the serial order. Publishes the read's counters.
-  Status StreamSnapshot(ReaderStep* step, int parallelism,
-                        const RowSink& sink, SnapshotScanStats* stats) const;
+  // Heap pass: one TableHeap::Scan with `sink` run inline, per record, on
+  // the calling thread. Publishes the read's counters.
+  Status StreamSnapshot(ReaderStep* step, const RowSink& sink,
+                        SnapshotScanStats* stats) const;
 
   // Index-candidate source: reads each Rid (ascending = heap order) into
   // one reused buffer and runs it through `step`; a Rid reclaimed since
@@ -353,7 +343,7 @@ class VnlTable {
   std::unique_ptr<Table> phys_;
   SessionManager* sessions_;
   ScanMetricsSink* metrics_;
-  VnlEngine* engine_;  // scan options + shared ScanExecutor; may be null
+  VnlEngine* engine_;  // scan options + Version relation; may be null
 
   // Declared secondary indexes (§4.3), fixed at construction. Specs are
   // immutable and read lock-free; the posting maps (parallel vector, same

@@ -50,7 +50,6 @@ TableHeap::TableHeap(BufferPool* pool, size_t record_size)
   InitHeapPage(p->data(), record_size_, capacity_);
   p->WUnlatch();
   first_page_id_ = last_page_id_ = p->page_id();
-  page_ids_.push_back(p->page_id());
   pages_with_space_.insert(p->page_id());
   num_pages_.store(1);
   pool_->Unpin(p, /*dirty=*/true);
@@ -76,7 +75,6 @@ Result<Page*> TableHeap::PageForInsert(PageId* page_id) {
   pool_->Unpin(tail, /*dirty=*/true);
 
   last_page_id_ = fresh_id;
-  page_ids_.push_back(fresh_id);
   pages_with_space_.insert(fresh_id);
   num_pages_.fetch_add(1, std::memory_order_relaxed);
   *page_id = fresh_id;
@@ -177,47 +175,22 @@ Status TableHeap::Scan(
   while (pid != kInvalidPageId) {
     WVM_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(pid));
     page->RLatch();
-    const bool keep_going = ScanPage(page, fn);
-    const PageId next = GetNextPageId(page->data());
+    char* data = page->data();
+    const uint8_t* flags = SlotFlags(data);
+    bool keep_going = true;
+    for (uint16_t slot = 0; keep_going && slot < capacity_; ++slot) {
+      if (!flags[slot]) continue;
+      keep_going = fn(Rid{pid, slot},
+                      reinterpret_cast<const uint8_t*>(RecordAt(
+                          data, capacity_, record_size_, slot)));
+    }
+    const PageId next = GetNextPageId(data);
     page->RUnlatch();
     pool_->Unpin(page, /*dirty=*/false);
     if (!keep_going) break;
     pid = next;
   }
   return Status::OK();
-}
-
-std::vector<PageId> TableHeap::PageIds() const {
-  MutexLock lock(mu_);
-  return page_ids_;
-}
-
-Status TableHeap::ScanPages(
-    const std::vector<PageId>& pages,
-    const std::function<bool(Rid, const uint8_t*)>& fn) const {
-  for (PageId pid : pages) {
-    WVM_ASSIGN_OR_RETURN(Page* page, pool_->FetchPage(pid));
-    page->RLatch();
-    const bool keep_going = ScanPage(page, fn);
-    page->RUnlatch();
-    pool_->Unpin(page, /*dirty=*/false);
-    if (!keep_going) break;
-  }
-  return Status::OK();
-}
-
-bool TableHeap::ScanPage(
-    Page* page, const std::function<bool(Rid, const uint8_t*)>& fn) const {
-  const uint8_t* flags = SlotFlags(page->data());
-  for (uint16_t slot = 0; slot < capacity_; ++slot) {
-    if (!flags[slot]) continue;
-    if (!fn(Rid{page->page_id(), slot},
-            reinterpret_cast<const uint8_t*>(
-                RecordAt(page->data(), capacity_, record_size_, slot)))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace wvm

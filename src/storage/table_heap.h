@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_set>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
@@ -52,22 +51,12 @@ class TableHeap {
   // under a shared page latch. Return false from `fn` to stop the scan.
   // The record pointer is only valid during the callback. A page the
   // buffer pool cannot serve ends the scan with the pool's error.
+  //
+  // Pages join the chain in allocation order and DiskManager page ids only
+  // grow, so the Rids a scan visits ascend strictly, even when heaps
+  // sharing a pool allocate interleaved: Rid order is heap order
+  // (index-routed reads sort candidates by Rid).
   Status Scan(
-      const std::function<bool(Rid, const uint8_t*)>& fn) const;
-
-  // Snapshot of the page chain in heap order, served from an in-memory
-  // mirror of the chain (no page I/O). Pages appended after the call are
-  // not included — for versioned tables that is fine, because a tuple
-  // inserted mid-scan is invisible at any already-pinned session VN.
-  std::vector<PageId> PageIds() const;
-
-  // Scan restricted to an explicit page list (a contiguous sub-range of a
-  // PageIds() snapshot). Same callback contract as Scan(). Safe to call
-  // from multiple threads concurrently with disjoint ranges: records are
-  // fixed-size and updated strictly in place, and each page is visited
-  // under its shared latch.
-  Status ScanPages(
-      const std::vector<PageId>& pages,
       const std::function<bool(Rid, const uint8_t*)>& fn) const;
 
   // Number of live records.
@@ -85,11 +74,6 @@ class TableHeap {
  private:
   struct PageHeader;
 
-  // Runs `fn` over the live records of a pinned, read-latched page; false
-  // when `fn` stopped the scan.
-  bool ScanPage(Page* page,
-                const std::function<bool(Rid, const uint8_t*)>& fn) const;
-
   // Picks a page to insert into (may allocate), pinned. Out: page id.
   Result<Page*> PageForInsert(PageId* page_id) EXCLUDES(mu_);
 
@@ -97,14 +81,9 @@ class TableHeap {
   const size_t record_size_;
   const uint16_t capacity_;
 
-  mutable Mutex mu_;  // guards chain tail + free set + id mirror
+  mutable Mutex mu_;  // guards chain tail + free set
   PageId first_page_id_ = kInvalidPageId;  // written once in the ctor
   PageId last_page_id_ GUARDED_BY(mu_) = kInvalidPageId;
-  // The chain in heap order. Pages are appended in allocation order under
-  // mu_, and DiskManager page ids only grow, so this list is strictly
-  // ascending even when heaps sharing a pool allocate interleaved: Rid
-  // order is heap order (index-routed reads sort candidates by Rid).
-  std::vector<PageId> page_ids_ GUARDED_BY(mu_);
   std::unordered_set<PageId> pages_with_space_ GUARDED_BY(mu_);
 
   std::atomic<uint64_t> live_records_{0};

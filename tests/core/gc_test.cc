@@ -175,10 +175,9 @@ TEST_P(GcTest, PoolFailureReturnsStatusAndKeepsTombstones) {
   engine->CloseSession(s);
 }
 
-// Every SELECT source — the serial heap pass, page-range partitions and
-// index candidates — returns the pool's error when the table's pages
-// cannot be fetched (no process abort), and reads correctly once frames
-// free up.
+// Every SELECT source — the heap pass and index candidates — returns the
+// pool's error when the table's pages cannot be fetched (no process
+// abort), and reads correctly once frames free up.
 TEST_P(GcTest, PoolFailureFailsEverySelectPathWithStatus) {
   DiskManager disk;
   BufferPool pool(8, &disk);
@@ -200,22 +199,21 @@ TEST_P(GcTest, PoolFailureFailsEverySelectPathWithStatus) {
   ASSERT_GT(table->physical_pages(), 2u);
   ReaderSession s = engine->OpenSession();
 
-  // {sql, parallelism, index routing, rows once the pool recovers}
+  // {sql, index routing, rows once the pool recovers}
   struct Path {
     const char* sql;
-    int threads;
     bool routing;
     int64_t rows;
   };
   const Path kPaths[] = {
-      {"SELECT COUNT(*) AS c FROM items", 1, false, 1},
-      {"SELECT id FROM items WHERE qty >= 0", 4, false, kRows},
-      {"SELECT * FROM items WHERE id = 3", 1, true, 1},
+      {"SELECT COUNT(*) AS c FROM items", false, 1},
+      {"SELECT id FROM items WHERE qty >= 0", false, kRows},
+      {"SELECT * FROM items WHERE id = 3", true, 1},
   };
   auto run = [&](const Path& path) {
     Result<sql::SelectStmt> stmt = sql::ParseSelect(path.sql);
     WVM_CHECK(stmt.ok());
-    engine->SetScanOptions({path.threads, path.routing});
+    engine->SetScanOptions({.index_routing = path.routing});
     return table->SnapshotSelect(s, *stmt);
   };
 
@@ -346,9 +344,9 @@ TEST_P(GcTest, IndexRoutedReadsAgreeWithScansAfterGc) {
     Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
     ASSERT_TRUE(stmt.ok());
     ReaderSession s = engine->OpenSession();
-    engine->SetScanOptions({1, true});
+    engine->SetScanOptions({.index_routing = true});
     Result<query::QueryResult> routed = table->SnapshotSelect(s, *stmt);
-    engine->SetScanOptions({1, false});
+    engine->SetScanOptions({.index_routing = false});
     Result<query::QueryResult> scanned = table->SnapshotSelect(s, *stmt);
     ASSERT_TRUE(routed.ok()) << routed.status().ToString();
     ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();

@@ -114,10 +114,10 @@ const PoolQuery kQueries[] = {
 
 class IndexReadDiffTest : public ::testing::Test {
  protected:
-  // Every pool query through the forced-scan path (serial and parallel)
-  // and through the index-routed path; all must agree row for row. With
-  // `in_window` each routable query must take the index (one avoided scan
-  // per routed read); without it every read must fall back to the scan.
+  // Every pool query through the forced heap pass and through the
+  // index-routed path; both must agree row for row. With `in_window` each
+  // routable query must take the index (one avoided scan per routed
+  // read); without it every read must fall back to the heap pass.
   void ExpectRoutedMatchesScan(VnlEngine* engine, VnlTable* table,
                                const ReaderSession& session,
                                const query::ParamMap& params,
@@ -127,38 +127,34 @@ class IndexReadDiffTest : public ::testing::Test {
       Result<sql::SelectStmt> stmt = sql::ParseSelect(q.sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
 
-      engine->SetScanOptions({1, /*index_routing=*/false});
+      engine->SetScanOptions({.index_routing = false});
       Result<query::QueryResult> scan =
           table->SnapshotSelect(session, *stmt, params);
 
-      for (int threads : {1, 4}) {
-        SCOPED_TRACE(StrPrintf("threads=%d", threads));
-        engine->SetScanOptions({threads, /*index_routing=*/true});
-        const uint64_t avoided = engine->scan_metrics().scans_avoided;
-        Result<query::QueryResult> routed =
-            table->SnapshotSelect(session, *stmt, params);
-        EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,
-                  in_window && q.routable ? 1u : 0u);
+      engine->SetScanOptions({.index_routing = true});
+      const uint64_t avoided = engine->scan_metrics().scans_avoided;
+      Result<query::QueryResult> routed =
+          table->SnapshotSelect(session, *stmt, params);
+      EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,
+                in_window && q.routable ? 1u : 0u);
 
-        ASSERT_EQ(scan.ok(), routed.ok())
-            << (scan.ok() ? routed.status() : scan.status()).ToString();
-        if (!scan.ok()) {
-          EXPECT_EQ(scan.status().code(), routed.status().code());
-          continue;
-        }
-        EXPECT_EQ(scan->column_names, routed->column_names);
-        ASSERT_EQ(scan->rows.size(), routed->rows.size());
-        for (size_t i = 0; i < scan->rows.size(); ++i) {
-          ASSERT_EQ(scan->rows[i].size(), routed->rows[i].size());
-          for (size_t c = 0; c < scan->rows[i].size(); ++c) {
-            EXPECT_TRUE(scan->rows[i][c] == routed->rows[i][c])
-                << "row " << i << " col " << c << ": "
-                << scan->rows[i][c].ToString() << " vs "
-                << routed->rows[i][c].ToString();
-          }
+      ASSERT_EQ(scan.ok(), routed.ok())
+          << (scan.ok() ? routed.status() : scan.status()).ToString();
+      if (!scan.ok()) {
+        EXPECT_EQ(scan.status().code(), routed.status().code());
+        continue;
+      }
+      EXPECT_EQ(scan->column_names, routed->column_names);
+      ASSERT_EQ(scan->rows.size(), routed->rows.size());
+      for (size_t i = 0; i < scan->rows.size(); ++i) {
+        ASSERT_EQ(scan->rows[i].size(), routed->rows[i].size());
+        for (size_t c = 0; c < scan->rows[i].size(); ++c) {
+          EXPECT_TRUE(scan->rows[i][c] == routed->rows[i][c])
+              << "row " << i << " col " << c << ": "
+              << scan->rows[i][c].ToString() << " vs "
+              << routed->rows[i][c].ToString();
         }
       }
-      engine->SetScanOptions({1});
     }
   }
 
@@ -368,9 +364,9 @@ TEST(IndexReadStatsTest, TypeMismatchedWhereFailsAlikeOnBothPaths) {
     SCOPED_TRACE(sql);
     Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
     ASSERT_TRUE(stmt.ok());
-    engine->SetScanOptions({1, /*index_routing=*/false});
+    engine->SetScanOptions({.index_routing = false});
     Result<query::QueryResult> scan = table->SnapshotSelect(s, *stmt, {});
-    engine->SetScanOptions({1, /*index_routing=*/true});
+    engine->SetScanOptions({.index_routing = true});
     const uint64_t avoided = engine->scan_metrics().scans_avoided;
     Result<query::QueryResult> routed = table->SnapshotSelect(s, *stmt, {});
     EXPECT_EQ(engine->scan_metrics().scans_avoided - avoided,

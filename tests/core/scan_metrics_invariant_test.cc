@@ -4,8 +4,7 @@
 //   rows_scanned >= rows_filtered + rows_reconstructed
 //   rows_emitted <= rows_reconstructed
 //   full_materializations == 0           (SnapshotSelect never buffers)
-// for any SnapshotSelect — and the parallel partitioned pass must publish
-// exactly the serial totals for the same scan.
+// for any SnapshotSelect.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,7 +19,7 @@
 namespace wvm::core {
 namespace {
 
-constexpr int64_t kRows = 256;  // several heap pages, so scans really split
+constexpr int64_t kRows = 256;  // several heap pages
 
 Schema ItemSchema() {
   return Schema({Column::Int64("id"), Column::String("grp", 8),
@@ -118,44 +117,13 @@ TEST_P(ScanMetricsInvariantTest, InvariantsHoldForEveryScan) {
   for (const ReaderSession* s : {&old_s, &fresh}) {
     for (const char* sql : kQueries) {
       SCOPED_TRACE(std::string("query: ") + sql);
-      for (int threads : {1, 2, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        engine_->SetScanOptions({threads});
-        const ScanMetrics m = RunAndSnapshot(*s, sql);
-        EXPECT_GE(m.rows_scanned, m.rows_reconstructed + m.rows_filtered);
-        EXPECT_LE(m.rows_emitted, m.rows_reconstructed);
-        EXPECT_EQ(m.full_materializations, 0u);
-        EXPECT_EQ(m.rows_scanned, table_->physical_rows());
-        EXPECT_EQ(m.parallel_scans, threads > 1 ? 1u : 0u);
-      }
+      const ScanMetrics m = RunAndSnapshot(*s, sql);
+      EXPECT_GE(m.rows_scanned, m.rows_reconstructed + m.rows_filtered);
+      EXPECT_LE(m.rows_emitted, m.rows_reconstructed);
+      EXPECT_EQ(m.full_materializations, 0u);
+      EXPECT_EQ(m.rows_scanned, table_->physical_rows());
     }
   }
-  engine_->SetScanOptions({1});
-}
-
-TEST_P(ScanMetricsInvariantTest, ParallelTotalsEqualSerialTotals) {
-  ReaderSession old_s = engine_->OpenSession();
-  Churn();
-  ReaderSession fresh = engine_->OpenSession();
-  for (const ReaderSession* s : {&old_s, &fresh}) {
-    for (const char* sql : kQueries) {
-      SCOPED_TRACE(std::string("query: ") + sql);
-      engine_->SetScanOptions({1});
-      const ScanMetrics serial = RunAndSnapshot(*s, sql);
-      EXPECT_EQ(serial.parallel_scans, 0u);
-
-      engine_->SetScanOptions({4});
-      const ScanMetrics parallel = RunAndSnapshot(*s, sql);
-      EXPECT_EQ(parallel.rows_scanned, serial.rows_scanned);
-      EXPECT_EQ(parallel.rows_reconstructed, serial.rows_reconstructed);
-      EXPECT_EQ(parallel.rows_filtered, serial.rows_filtered);
-      EXPECT_EQ(parallel.rows_emitted, serial.rows_emitted);
-      EXPECT_EQ(parallel.bytes_copied, serial.bytes_copied);
-      EXPECT_EQ(parallel.full_materializations, 0u);
-      EXPECT_EQ(parallel.parallel_scans, 1u);
-    }
-  }
-  engine_->SetScanOptions({1});
 }
 
 // A row rejected by an updatable-column predicate was already copied, so
@@ -164,7 +132,6 @@ TEST_P(ScanMetricsInvariantTest, ParallelTotalsEqualSerialTotals) {
 TEST_P(ScanMetricsInvariantTest, PostMaterializationRejectionsAreNotFiltered) {
   Churn();
   ReaderSession s = engine_->OpenSession();
-  engine_->SetScanOptions({1});
   const ScanMetrics m =
       RunAndSnapshot(s, "SELECT id FROM items WHERE qty > 700");
   // qty is updatable: nothing can be rejected pre-materialization.
@@ -177,7 +144,6 @@ TEST_P(ScanMetricsInvariantTest, PostMaterializationRejectionsAreNotFiltered) {
 // inequalities become exact for a scan with no ignored tuples.
 TEST_P(ScanMetricsInvariantTest, InvariantRejectionsAreFilteredNotCopied) {
   ReaderSession s = engine_->OpenSession();  // before churn: no ignores
-  engine_->SetScanOptions({1});
   const ScanMetrics m =
       RunAndSnapshot(s, "SELECT id FROM items WHERE grp = 'g3'");
   EXPECT_EQ(m.rows_scanned, m.rows_filtered + m.rows_reconstructed);

@@ -1,12 +1,15 @@
-// Differential suite for the parallel partitioned snapshot scan: for
-// randomly generated tables, maintenance histories, and predicates, the
-// parallel SnapshotSelect (threads ∈ {1,2,4,8}) must return exactly the
-// rows of the serial streaming path, in the same order — before, during,
-// and after a maintenance transaction — and fail with the same status
-// when the serial path fails (session expiration, a type error in a WHERE
-// conjunct).
+// Differential suite for SnapshotSelect's heap pass: for randomly
+// generated tables, maintenance histories, and predicates, the byte-level
+// streaming read must return exactly the rows of the Row-based Table-1
+// reference — Table::ScanRows over the physical relation, ReadVersion at
+// the session VN, and query::ExecuteSelect over the rows it yields — in
+// the same order, before, during, and after a maintenance transaction,
+// and fail with the same status code (session expiration, a type error in
+// a WHERE conjunct). Where both failures can occur, the reference reports
+// the first one in heap order, as the reader step does.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/vnl_engine.h"
+#include "core/versioned_schema.h"
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
@@ -78,43 +82,72 @@ const char* kQueries[] = {
     "SELECT id FROM t WHERE id = 'x' AND grp = 'zz'",
 };
 
-class ParallelScanDiffTest : public ::testing::Test {
+// The Row-based Table-1 reference: every physical tuple, deserialized,
+// resolved at the session VN by ReadVersion, and the visible logical rows
+// handed to the executor, which evaluates the whole WHERE itself. The
+// first expired tuple in heap order ends the read with kSessionExpired;
+// a WHERE error on an earlier tuple ends it first.
+Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
+                                           const ReaderSession& session,
+                                           const sql::SelectStmt& stmt,
+                                           const query::ParamMap& params) {
+  const VersionedSchema& vs = table.versioned_schema();
+  query::PushdownSource source;
+  source.scan = [&](const std::function<bool(const Row&)>& sink) {
+    Status expired;
+    Row logical;
+    WVM_RETURN_IF_ERROR(table.physical_table().ScanRows(
+        [&](Rid, const Row& phys) {
+          switch (ReadVersion(vs, phys, session.session_vn, &logical)) {
+            case ReadOutcome::kIgnore:
+              return true;
+            case ReadOutcome::kExpired:
+              expired = Status::SessionExpired("reference: tuple expired");
+              return false;
+            case ReadOutcome::kRow:
+              return sink(logical);
+          }
+          return false;
+        }));
+    return expired;
+  };
+  return query::ExecuteSelect(stmt, vs.logical(), source, params);
+}
+
+class SnapshotSelectDiffTest : public ::testing::Test {
  protected:
-  // Runs every pool query through the serial path and through each
-  // partition count; all must agree row for row, in the same order.
-  void ExpectParallelMatchesSerial(VnlEngine* engine, VnlTable* table,
-                                   const ReaderSession& session,
-                                   const query::ParamMap& params) {
+  // Runs every pool query through SnapshotSelect's heap pass and through
+  // the reference; both must agree row for row, in the same order.
+  void ExpectSelectMatchesReference(VnlEngine* engine, VnlTable* table,
+                                    const ReaderSession& session,
+                                    const query::ParamMap& params) {
+    // Routing off: the heap pass is the path under test.
+    engine->SetScanOptions({.index_routing = false});
     for (const char* sql : kQueries) {
       SCOPED_TRACE(std::string("query: ") + sql);
       Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
       ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
 
-      engine->SetScanOptions({1});
-      Result<query::QueryResult> serial =
+      Result<query::QueryResult> expected =
+          ReferenceSelect(*table, session, *stmt, params);
+      Result<query::QueryResult> actual =
           table->SnapshotSelect(session, *stmt, params);
 
-      for (int threads : {1, 2, 4, 8}) {
-        SCOPED_TRACE(StrPrintf("threads=%d", threads));
-        engine->SetScanOptions({threads});
-        Result<query::QueryResult> parallel =
-            table->SnapshotSelect(session, *stmt, params);
-
-        ASSERT_EQ(serial.ok(), parallel.ok())
-            << (serial.ok() ? parallel.status() : serial.status())
-                   .ToString();
-        if (!serial.ok()) {
-          EXPECT_EQ(serial.status().code(), parallel.status().code());
-          continue;
-        }
-        EXPECT_EQ(serial->column_names, parallel->column_names);
-        ASSERT_EQ(serial->rows.size(), parallel->rows.size());
-        for (size_t i = 0; i < serial->rows.size(); ++i) {
-          EXPECT_TRUE(serial->rows[i] == parallel->rows[i])
-              << "row " << i << " differs";
-        }
+      ASSERT_EQ(expected.ok(), actual.ok())
+          << (expected.ok() ? actual.status() : expected.status())
+                 .ToString();
+      if (!expected.ok()) {
+        EXPECT_EQ(expected.status().code(), actual.status().code())
+            << expected.status().ToString() << " vs "
+            << actual.status().ToString();
+        continue;
       }
-      engine->SetScanOptions({1});
+      EXPECT_EQ(expected->column_names, actual->column_names);
+      ASSERT_EQ(expected->rows.size(), actual->rows.size());
+      for (size_t i = 0; i < expected->rows.size(); ++i) {
+        EXPECT_TRUE(expected->rows[i] == actual->rows[i])
+            << "row " << i << " differs";
+      }
     }
   }
 
@@ -147,7 +180,7 @@ class ParallelScanDiffTest : public ::testing::Test {
     const query::ParamMap params = {
         {"q", Value::Int64(rng.Uniform(-500, 500))}};
     ReaderSession before = engine->OpenSession();
-    ExpectParallelMatchesSerial(engine, table, before, params);
+    ExpectSelectMatchesReference(engine, table, before, params);
 
     // Random churn, scanned mid-transaction: a session pinned before the
     // writer began must read the untouched snapshot; a fresh session pins
@@ -185,20 +218,20 @@ class ParallelScanDiffTest : public ::testing::Test {
     apply_random_ops(static_cast<int>(rng.Uniform(10, 40)));
 
     ReaderSession during = engine->OpenSession();
-    ExpectParallelMatchesSerial(engine, table, before, params);
-    ExpectParallelMatchesSerial(engine, table, during, params);
+    ExpectSelectMatchesReference(engine, table, before, params);
+    ExpectSelectMatchesReference(engine, table, during, params);
 
     apply_random_ops(static_cast<int>(rng.Uniform(5, 20)));
     ASSERT_TRUE(engine->Commit(*churn).ok());
 
     // After commit: `before` now takes pre-update reads; a fresh session
     // reads the new current version. With a second churn transaction some
-    // seeds drive `before` into expiration (n = 2) — serial and parallel
-    // must then fail with the same status code, which
-    // ExpectParallelMatchesSerial asserts.
+    // seeds drive `before` into expiration (n = 2) — SnapshotSelect and
+    // the reference must then fail with the same status code, which
+    // ExpectSelectMatchesReference asserts.
     ReaderSession after = engine->OpenSession();
-    ExpectParallelMatchesSerial(engine, table, before, params);
-    ExpectParallelMatchesSerial(engine, table, after, params);
+    ExpectSelectMatchesReference(engine, table, before, params);
+    ExpectSelectMatchesReference(engine, table, after, params);
 
     if (rng.Bernoulli(0.5)) {
       Result<MaintenanceTxn*> churn2 = engine->BeginMaintenance();
@@ -206,25 +239,25 @@ class ParallelScanDiffTest : public ::testing::Test {
       churn = churn2;  // apply_random_ops writes through `churn`
       apply_random_ops(static_cast<int>(rng.Uniform(10, 30)));
       ASSERT_TRUE(engine->Commit(*churn2).ok());
-      ExpectParallelMatchesSerial(engine, table, before, params);
-      ExpectParallelMatchesSerial(engine, table, after, params);
+      ExpectSelectMatchesReference(engine, table, before, params);
+      ExpectSelectMatchesReference(engine, table, after, params);
     }
   }
 };
 
-TEST_F(ParallelScanDiffTest, SeedsBatch0) {
+TEST_F(SnapshotSelectDiffTest, SeedsBatch0) {
   for (uint64_t seed = 0; seed < 13; ++seed) RunSeed(seed);
 }
 
-TEST_F(ParallelScanDiffTest, SeedsBatch1) {
+TEST_F(SnapshotSelectDiffTest, SeedsBatch1) {
   for (uint64_t seed = 13; seed < 26; ++seed) RunSeed(seed);
 }
 
-TEST_F(ParallelScanDiffTest, SeedsBatch2) {
+TEST_F(SnapshotSelectDiffTest, SeedsBatch2) {
   for (uint64_t seed = 26; seed < 39; ++seed) RunSeed(seed);
 }
 
-TEST_F(ParallelScanDiffTest, SeedsBatch3) {
+TEST_F(SnapshotSelectDiffTest, SeedsBatch3) {
   for (uint64_t seed = 39; seed < 52; ++seed) RunSeed(seed);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/vnl_engine.h"
+
 namespace wvm::core {
 namespace {
 
@@ -21,9 +25,10 @@ class VersionRelationTest : public ::testing::Test {
 TEST_F(VersionRelationTest, InitialState) {
   EXPECT_EQ(vr_->current_vn(), 0);
   EXPECT_FALSE(vr_->maintenance_active());
-  VersionRelation::Snapshot snap = vr_->Read();
-  EXPECT_EQ(snap.current_vn, 0);
-  EXPECT_FALSE(snap.maintenance_active);
+  Result<VersionRelation::Snapshot> snap = vr_->Read();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->current_vn, 0);
+  EXPECT_FALSE(snap->maintenance_active);
 }
 
 TEST_F(VersionRelationTest, BeginCommitCycle) {
@@ -78,9 +83,69 @@ TEST_F(VersionRelationTest, ReadsGoThroughTheBufferPool) {
   // §4: the Version relation is a real stored tuple, so reader checks
   // perform counted page accesses like any other query.
   pool_.ResetStats();
-  (void)vr_->Read();
-  (void)vr_->Read();
+  ASSERT_TRUE(vr_->Read().ok());
+  ASSERT_TRUE(vr_->Read().ok());
   EXPECT_GE(pool_.stats().fetches, 2u);
+}
+
+// The Version relation is a stored tuple like any other (§4), so a buffer
+// pool with every frame pinned must surface from each of its reads and
+// writes as the pool's error, leaving {currentVN, maintenanceActive}
+// unchanged, and the same calls must succeed once frames are free again.
+TEST(VersionRelationPoolTest, ExhaustedPoolFailsWithoutChangingState) {
+  DiskManager disk;
+  BufferPool pool(4, &disk);
+  auto engine_or = VnlEngine::Create(&pool);
+  ASSERT_TRUE(engine_or.ok());
+  VnlEngine* engine = engine_or.value().get();
+  VersionRelation* vr = engine->version_relation();
+  ReaderSession s = engine->OpenSession();
+
+  // Fresh pages pinned into every frame evict the Version page.
+  std::vector<Page*> pinned;
+  auto pin_every_frame = [&] {
+    for (;;) {
+      Result<Page*> page = pool.NewPage();
+      if (!page.ok()) break;
+      pinned.push_back(*page);
+    }
+    ASSERT_EQ(pinned.size(), pool.pool_size());
+  };
+  auto unpin_all = [&] {
+    for (Page* page : pinned) pool.Unpin(page, /*dirty=*/false);
+    pinned.clear();
+  };
+
+  pin_every_frame();
+  EXPECT_EQ(engine->CheckSession(s).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine->BeginMaintenance().status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_FALSE(vr->maintenance_active());
+  EXPECT_EQ(engine->current_vn(), 0);
+  unpin_all();
+
+  EXPECT_TRUE(engine->CheckSession(s).ok());
+  Result<MaintenanceTxn*> txn = engine->BeginMaintenance();
+  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+  EXPECT_TRUE(vr->maintenance_active());
+
+  pin_every_frame();
+  EXPECT_EQ(engine->Commit(*txn).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine->Abort(*txn).code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(vr->maintenance_active());
+  EXPECT_EQ(engine->current_vn(), 0);
+  EXPECT_TRUE((*txn)->active());
+  unpin_all();
+
+  ASSERT_TRUE(engine->Commit(*txn).ok());
+  EXPECT_FALSE(vr->maintenance_active());
+  EXPECT_EQ(engine->current_vn(), 1);
+  Result<VersionRelation::Snapshot> stored = vr->Read();
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(stored->current_vn, 1);
+  EXPECT_FALSE(stored->maintenance_active);
+  EXPECT_TRUE(engine->CheckSession(s).ok());
+  engine->CloseSession(s);
 }
 
 }  // namespace

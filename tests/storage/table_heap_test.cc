@@ -167,18 +167,15 @@ TEST_F(TableHeapTest, ScanReturnsPoolErrorWhenFramesArePinned) {
   ASSERT_EQ(pinned.size(), pool.pool_size());
   auto visit = [](Rid, const uint8_t*) { return true; };
   EXPECT_EQ(heap.Scan(visit).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(heap.ScanPages(heap.PageIds(), visit).code(),
-            StatusCode::kResourceExhausted);
   for (Page* page : pinned) pool.Unpin(page, /*dirty=*/false);
   EXPECT_TRUE(heap.Scan(visit).ok());
-  EXPECT_TRUE(heap.ScanPages(heap.PageIds(), visit).ok());
 }
 
 // Index-routed reads sort candidates by Rid to emit them in heap order.
 // That holds because a heap appends pages in allocation order and page
-// ids only grow: each heap's chain is strictly ascending even when heaps
+// ids only grow: the Rids a scan visits ascend strictly even when heaps
 // sharing one pool allocate their pages interleaved.
-TEST_F(TableHeapTest, PageIdsAscendWhenHeapsInterleaveAllocation) {
+TEST_F(TableHeapTest, ScanRidsAscendWhenHeapsInterleaveAllocation) {
   TableHeap a(&pool_, 1000);
   TableHeap b(&pool_, 1000);
   auto rec = MakeRecord(1000, 1);
@@ -186,17 +183,33 @@ TEST_F(TableHeapTest, PageIdsAscendWhenHeapsInterleaveAllocation) {
     ASSERT_TRUE(a.Insert(rec.data()).ok());
     ASSERT_TRUE(b.Insert(rec.data()).ok());
   }
-  const std::vector<PageId> pa = a.PageIds();
-  const std::vector<PageId> pb = b.PageIds();
-  ASSERT_GE(pa.size(), 6u);
-  ASSERT_GE(pb.size(), 6u);
-  for (const std::vector<PageId>* ids : {&pa, &pb}) {
-    for (size_t i = 1; i < ids->size(); ++i) {
-      EXPECT_LT((*ids)[i - 1], (*ids)[i]);
+  // Scan order, and the distinct pages it crossed, per heap.
+  auto scan = [](const TableHeap& heap, std::vector<Rid>* rids,
+                 std::vector<PageId>* pages) {
+    ASSERT_TRUE(heap.Scan([&](Rid rid, const uint8_t*) {
+                      rids->push_back(rid);
+                      if (pages->empty() || pages->back() != rid.page_id) {
+                        pages->push_back(rid.page_id);
+                      }
+                      return true;
+                    })
+                    .ok());
+  };
+  std::vector<Rid> ra, rb;
+  std::vector<PageId> pa, pb;
+  scan(a, &ra, &pa);
+  scan(b, &rb, &pb);
+  ASSERT_EQ(ra.size(), 6 * a.records_per_page());
+  ASSERT_EQ(rb.size(), 6 * b.records_per_page());
+  for (const std::vector<Rid>* rids : {&ra, &rb}) {
+    for (size_t i = 1; i < rids->size(); ++i) {
+      EXPECT_LT((*rids)[i - 1], (*rids)[i]) << "rid " << i;
     }
   }
   // The allocations really interleaved: each heap's chain skips ids the
   // other heap took.
+  ASSERT_GE(pa.size(), 6u);
+  ASSERT_GE(pb.size(), 6u);
   EXPECT_LT(pa.front(), pb.front());
   EXPECT_LT(pb.front(), pa[1]);
 }
