@@ -103,6 +103,12 @@ size_t Value::Hash() const {
     case TypeId::kString:
       return std::hash<std::string>()(str_);
     case TypeId::kDouble:
+      // operator== compares across numeric types, so a double equal to an
+      // integer must hash as that integer (hash-grouped keys rely on it).
+      if (dbl_ >= -0x1p63 && dbl_ < 0x1p63 &&
+          dbl_ == static_cast<double>(static_cast<int64_t>(dbl_))) {
+        return std::hash<int64_t>()(static_cast<int64_t>(dbl_));
+      }
       return std::hash<double>()(dbl_);
     default:
       return std::hash<int64_t>()(i64_);

@@ -278,30 +278,32 @@ VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
   return {ReadOutcome::kRow, j};
 }
 
-Row MaterializeVersionRawProjected(const VersionedSchema& vs,
-                                   const uint8_t* rec,
-                                   const VersionResolution& res,
-                                   const std::vector<bool>& needed) {
-  WVM_CHECK(res.outcome == ReadOutcome::kRow);
-  const Schema& phys = vs.physical();
+Row LogicalPlaceholders(const VersionedSchema& vs) {
   const Schema& logical = vs.logical();
-  const size_t logical_cols = logical.num_columns();
-  WVM_CHECK(needed.empty() || needed.size() == logical_cols);
   Row out;
-  out.reserve(logical_cols);
+  out.reserve(logical.num_columns());
+  for (const Column& c : logical.columns()) {
+    out.push_back(Value::Null(c.type));
+  }
+  return out;
+}
+
+void MaterializeVersionRawInto(const VersionedSchema& vs, const uint8_t* rec,
+                               const VersionResolution& res,
+                               const std::vector<bool>& needed, Row* out) {
+  WVM_CHECK(res.outcome == ReadOutcome::kRow);
+  const size_t logical_cols = vs.logical().num_columns();
+  WVM_CHECK(out->size() == logical_cols);
+  WVM_CHECK(needed.empty() || needed.size() == logical_cols);
   for (size_t i = 0; i < logical_cols; ++i) {
-    if (!needed.empty() && !needed[i]) {
-      out.push_back(Value::Null(logical.column(i).type));
-      continue;
-    }
+    if (!needed.empty() && !needed[i]) continue;
     size_t src = i;
     if (res.slot >= 0) {
       const int u = vs.UpdatableOrdinal(i);
       if (u >= 0) src = vs.PreIndex(static_cast<size_t>(u), res.slot);
     }
-    out.push_back(DeserializeColumn(phys, rec, src));
+    (*out)[i] = DeserializeColumn(vs.physical(), rec, src);
   }
-  return out;
 }
 
 ReadOutcome ReadVersion(const VersionedSchema& vs, const Row& phys,

@@ -149,17 +149,23 @@ VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
 Row MaterializeVersion(const VersionedSchema& vs, const Row& phys,
                        const VersionResolution& res);
 
-// Byte-level materialization, the reader's only form: deserializes the
-// logical columns marked in `needed` (size = logical column count; empty =
-// all) — current values, with the resolved slot's pre-update values
-// substituted for updatable attributes. Unneeded positions hold typed NULL
-// placeholders, so the row keeps logical arity and every downstream column
-// index stays valid while narrow SELECTs skip decoding wide unused
-// attributes.
-Row MaterializeVersionRawProjected(const VersionedSchema& vs,
-                                   const uint8_t* rec,
-                                   const VersionResolution& res,
-                                   const std::vector<bool>& needed);
+// Typed NULLs, one per logical column: the row MaterializeVersionRawInto
+// fills in place.
+Row LogicalPlaceholders(const VersionedSchema& vs);
+
+// Byte-level materialization, the reader's only form: writes the logical
+// columns marked in `needed` (size = logical column count; empty = all) of
+// the version `res` refers to into *out, in place — current values, with
+// the resolved slot's pre-update values substituted for updatable
+// attributes. *out must hold logical arity (start from
+// LogicalPlaceholders); positions outside `needed` are left untouched. A
+// reader that reuses one row per read thus writes its NULL placeholders
+// once and overwrites only the projected columns per tuple: every
+// downstream column index stays valid, narrow SELECTs skip decoding wide
+// unused attributes, and no per-tuple row is allocated.
+void MaterializeVersionRawInto(const VersionedSchema& vs, const uint8_t* rec,
+                               const VersionResolution& res,
+                               const std::vector<bool>& needed, Row* out);
 
 // Implements the paper's Table 1 plus the nVNL case analysis of §5:
 // returns the version of the tuple that was current at `session_vn`.

@@ -735,9 +735,12 @@ class VnlTable::ReaderStep {
   }
 
   // Runs one physical record through Table 1 and the pushed-down WHERE.
-  // True when a row survives (in *out); false when the tuple is invisible
-  // or filtered out, or when the read failed (status() is then non-OK and
-  // the source must stop).
+  // True when a row survives, filled into *out in place; false when the
+  // tuple is invisible or filtered out, or when the read failed (status()
+  // is then non-OK and the source must stop). A source passes the same
+  // *out for every record of a read: its NULL placeholders are written on
+  // first use, and each surviving tuple overwrites only the projected
+  // columns.
   bool Visit(const uint8_t* rec, Row* out) {
     ++scanned_;
     // Table-1 classification happens before any filtering, so expiration
@@ -763,18 +766,20 @@ class VnlTable::ReaderStep {
     // same value in every version, so a generic one evaluates on the
     // current logical row, decoded at most once per tuple and only when
     // one is reached; a rejected tuple is never materialized.
-    Row current;
+    bool decoded = false;
     for (const Conjunct& c : invariant_) {
       bool keep;
       if (c.compiled.has_value()) {
         keep = c.compiled->Eval(rec);
       } else {
-        if (current.empty()) {
-          current = MaterializeVersionRawProjected(
-              vs_, rec, {ReadOutcome::kRow, -1}, {});
+        if (!decoded) {
+          if (current_.empty()) current_ = LogicalPlaceholders(vs_);
+          MaterializeVersionRawInto(vs_, rec, {ReadOutcome::kRow, -1}, {},
+                                    &current_);
+          decoded = true;
         }
         Result<bool> r =
-            query::EvalPredicate(*c.expr, vs_.logical(), current, params_);
+            query::EvalPredicate(*c.expr, vs_.logical(), current_, params_);
         if (!r.ok()) return Fail(r.status());
         keep = r.value();
       }
@@ -783,7 +788,8 @@ class VnlTable::ReaderStep {
         return false;
       }
     }
-    *out = MaterializeVersionRawProjected(vs_, rec, res, projection_);
+    if (out->empty()) *out = LogicalPlaceholders(vs_);
+    MaterializeVersionRawInto(vs_, rec, res, projection_, out);
     ++reconstructed_rows_;
     for (const sql::Expr* e : reconstructed_) {
       Result<bool> keep =
@@ -837,6 +843,7 @@ class VnlTable::ReaderStep {
   const query::ParamMap& params_;
   std::vector<bool> projection_;  // empty = every logical column
   uint64_t row_bytes_;
+  Row current_;  // current version, decoded for generic invariant conjuncts
 
   uint64_t scanned_ = 0;
   uint64_t reconstructed_rows_ = 0;

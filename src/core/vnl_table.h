@@ -251,7 +251,10 @@ class VnlTable {
   // classification, invariant conjuncts in WHERE order, projected
   // materialization, reconstructed conjuncts — and it counts what it did.
   // Two record sources feed it: the heap pass (StreamSnapshot) and sorted
-  // Rid candidates (StreamCandidates).
+  // Rid candidates (StreamCandidates). Each source keeps one Row per read,
+  // which the step fills in place (MaterializeVersionRawInto): NULL
+  // placeholders once, projected columns per surviving tuple. The sink
+  // sees that row by const reference, valid only for the call.
   class ReaderStep;
   using RowSink = std::function<bool(const Row&)>;
 

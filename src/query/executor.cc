@@ -1,7 +1,7 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -36,47 +36,110 @@ Result<bool> KeepRow(const std::vector<const sql::Expr*>& conjuncts,
   return true;
 }
 
-// Running state for one aggregate output column within one group.
-struct AggState {
-  int64_t count = 0;       // non-null inputs (or all rows for COUNT(*))
-  Value sum;               // running sum (starts NULL)
-  Value min;
-  Value max;
+// A per-row input resolved once per statement: a plain column that names a
+// schema column is read straight out of the row; anything else — an
+// expression, or a name that does not resolve — is evaluated per row, so
+// an unresolvable name still fails only when a row reaches it.
+class RowInput {
+ public:
+  RowInput(const sql::Expr& expr, const Schema& schema) : expr_(&expr) {
+    if (expr.kind != sql::ExprKind::kColumnRef) return;
+    Result<size_t> idx = schema.IndexOf(expr.column);
+    if (idx.ok()) column_ = idx.value();
+  }
 
-  Status Accumulate(const Value& v, bool star) {
-    if (star) {
-      ++count;
-      return Status::OK();
-    }
+  // The input's value in `row`: a reference into the row for a resolved
+  // column, else the evaluated expression, held in *scratch.
+  Result<const Value*> Read(const Schema& schema, const Row& row,
+                            const ParamMap& params, Value* scratch) const {
+    if (column_ != kUnresolved) return &row[column_];
+    WVM_ASSIGN_OR_RETURN(*scratch, EvalExpr(*expr_, schema, row, params));
+    return scratch;
+  }
+
+ private:
+  static constexpr size_t kUnresolved = static_cast<size_t>(-1);
+  const sql::Expr* expr_;
+  size_t column_ = kUnresolved;
+};
+
+// Running state of one aggregate within one group. Each function touches
+// only its own fields: COUNT the count; SUM and AVG the count and the sum,
+// kept as int64_t until a DOUBLE input widens it; MIN and MAX the count
+// and the best value so far.
+struct AggState {
+  int64_t count = 0;  // non-NULL inputs (every row for COUNT(*))
+  int64_t int_sum = 0;
+  double double_sum = 0;
+  bool is_double = false;  // the sum lives in double_sum
+  Value best;
+
+  Status Accumulate(sql::AggFunc f, const Value& v) {
     if (v.is_null()) return Status::OK();
-    ++count;
-    if (count == 1) {
-      sum = v;
-      min = v;
-      max = v;
-      return Status::OK();
+    switch (f) {
+      case sql::AggFunc::kCount:
+        break;
+      case sql::AggFunc::kSum:
+      case sql::AggFunc::kAvg:
+        WVM_RETURN_IF_ERROR(AddToSum(v));
+        break;
+      case sql::AggFunc::kMin:
+      case sql::AggFunc::kMax:
+        if (count > 0) {
+          // Value's operator< aborts on incompatible types; SQL input must
+          // not reach it.
+          if (v.type() != best.type() &&
+              !(v.IsNumeric() && best.IsNumeric())) {
+            return Status::InvalidArgument(
+                std::string("MIN/MAX cannot compare ") +
+                TypeIdToString(best.type()) + " with " +
+                TypeIdToString(v.type()));
+          }
+          if (f == sql::AggFunc::kMin ? !(v < best) : !(best < v)) break;
+        }
+        best = v;
+        break;
     }
-    WVM_ASSIGN_OR_RETURN(sum, ValueAdd(sum, v));
-    if (v < min) min = v;
-    if (max < v) max = v;
+    ++count;
     return Status::OK();
   }
 
-  Result<Value> Finalize(sql::AggFunc f) const {
+  // Sums in input order, as repeated ValueAdd would, but integers add in
+  // 64 bits: an INT32 column cannot wrap at 32 bits.
+  Status AddToSum(const Value& v) {
+    if (!v.IsNumeric()) {
+      return Status::InvalidArgument(
+          std::string("SUM/AVG of non-numeric ") + TypeIdToString(v.type()));
+    }
+    if (v.type() == TypeId::kDouble && !is_double) {
+      double_sum = static_cast<double>(int_sum);
+      is_double = true;
+    }
+    if (is_double) {
+      double_sum += v.AsDouble();
+    } else if (__builtin_add_overflow(int_sum, v.AsInt64(), &int_sum)) {
+      return Status::InvalidArgument("SUM overflows INT64");
+    }
+    return Status::OK();
+  }
+
+  Value Finalize(sql::AggFunc f) const {
     switch (f) {
       case sql::AggFunc::kCount:
         return Value::Int64(count);
       case sql::AggFunc::kSum:
-        return count == 0 ? Value::Null(TypeId::kInt64) : sum;
+        if (count == 0) return Value::Null(TypeId::kInt64);
+        return is_double ? Value::Double(double_sum) : Value::Int64(int_sum);
       case sql::AggFunc::kAvg:
         if (count == 0) return Value::Null(TypeId::kDouble);
-        return Value::Double(sum.AsDouble() / static_cast<double>(count));
+        return Value::Double(
+            (is_double ? double_sum : static_cast<double>(int_sum)) /
+            static_cast<double>(count));
       case sql::AggFunc::kMin:
-        return count == 0 ? Value::Null(TypeId::kInt64) : min;
       case sql::AggFunc::kMax:
-        return count == 0 ? Value::Null(TypeId::kInt64) : max;
+        return count == 0 ? Value::Null(TypeId::kInt64) : best;
     }
-    return Status::Internal("bad aggregate function");
+    WVM_UNREACHABLE("bad aggregate function");
   }
 };
 
@@ -97,18 +160,25 @@ Result<QueryResult> ExecuteAggregate(
 
   // Classify select items: group-by column refs vs aggregate calls.
   // Group items are addressed by their position inside the group key, so
-  // output depends only on the key — never on which of a group's rows
-  // happened to arrive first (a parallel scan's arrival order varies).
+  // output depends only on the key, never on which of a group's rows
+  // arrived first.
+  struct Aggregate {
+    sql::AggFunc func;
+    std::optional<RowInput> input;  // empty for COUNT(*)
+  };
   struct ItemPlan {
     bool is_aggregate;
-    size_t key_pos = 0;          // position within the group key
-    const sql::Expr* agg = nullptr;
+    size_t pos;  // ordinal in `aggs`, or position within the group key
   };
+  std::vector<Aggregate> aggs;
   std::vector<ItemPlan> plans;
   for (const sql::SelectItem& item : stmt.items) {
     const sql::Expr& e = *item.expr;
     if (e.kind == sql::ExprKind::kAggCall) {
-      plans.push_back({true, 0, &e});
+      plans.push_back({true, aggs.size()});
+      Aggregate agg{e.agg, std::nullopt};
+      if (!e.agg_star) agg.input.emplace(*e.child0, schema);
+      aggs.push_back(std::move(agg));
       continue;
     }
     if (ContainsAggregate(e)) {
@@ -127,11 +197,16 @@ Result<QueryResult> ExecuteAggregate(
       return Status::InvalidArgument("column '" + e.column +
                                      "' is neither aggregated nor grouped");
     }
-    plans.push_back({false, key_pos, nullptr});
+    plans.push_back({false, key_pos});
   }
 
-  // Group rows. std::map keeps keys sorted for deterministic output.
-  std::map<Row, std::vector<AggState>, RowLess> groups;
+  // Hash groups, probed with one reused key; a key is copied only when its
+  // group is inserted. Group g's aggregate a is states[g * aggs.size() + a].
+  std::unordered_map<Row, size_t, RowHash, RowEq> group_of;
+  std::vector<const Row*> group_keys;  // node keys: stable across rehash
+  std::vector<AggState> states;
+  Row probe(key_cols.size());
+  Value scratch;
   Status scan_status;
   source([&](const Row& row) {
     Result<bool> keep = KeepRow(where, schema, row, params);
@@ -140,29 +215,24 @@ Result<QueryResult> ExecuteAggregate(
       return false;
     }
     if (!keep.value()) return true;
-    Row key;
-    key.reserve(key_cols.size());
-    for (size_t c : key_cols) key.push_back(row[c]);
-
-    auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) it->second.resize(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      if (!plans[i].is_aggregate) continue;
-      const sql::Expr& agg = *plans[i].agg;
-      Value input;
-      if (!agg.agg_star) {
-        Result<Value> v = EvalExpr(*agg.child0, schema, row, params);
-        if (!v.ok()) {
-          scan_status = v.status();
-          return false;
-        }
-        input = v.value();
+    for (size_t k = 0; k < key_cols.size(); ++k) probe[k] = row[key_cols[k]];
+    auto it = group_of.find(probe);
+    if (it == group_of.end()) {
+      it = group_of.emplace(probe, group_keys.size()).first;
+      group_keys.push_back(&it->first);
+      states.resize(states.size() + aggs.size());
+    }
+    AggState* group = &states[it->second * aggs.size()];
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (!aggs[a].input.has_value()) {  // COUNT(*)
+        ++group[a].count;
+        continue;
       }
-      Status s = it->second[i].Accumulate(input, agg.agg_star);
-      if (!s.ok()) {
-        scan_status = s;
-        return false;
-      }
+      Result<const Value*> v =
+          aggs[a].input->Read(schema, row, params, &scratch);
+      scan_status =
+          v.ok() ? group[a].Accumulate(aggs[a].func, **v) : v.status();
+      if (!scan_status.ok()) return false;
     }
     return true;
   });
@@ -174,25 +244,29 @@ Result<QueryResult> ExecuteAggregate(
   }
 
   // A grand-total aggregate (no GROUP BY) always yields one row.
-  if (stmt.group_by.empty() && groups.empty()) {
+  if (stmt.group_by.empty() && group_keys.empty()) {
     Row out;
-    for (const ItemPlan& plan : plans) {
-      WVM_ASSIGN_OR_RETURN(Value v, AggState{}.Finalize(plan.agg->agg));
-      out.push_back(std::move(v));
+    for (const Aggregate& agg : aggs) {
+      out.push_back(AggState{}.Finalize(agg.func));
     }
     result.rows.push_back(std::move(out));
     return result;
   }
 
-  for (const auto& [key, states] : groups) {
+  std::vector<size_t> order(group_keys.size());
+  for (size_t g = 0; g < order.size(); ++g) order[g] = g;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return RowLess()(*group_keys[a], *group_keys[b]);
+  });
+  result.rows.reserve(order.size());
+  for (size_t g : order) {
+    const AggState* group = &states[g * aggs.size()];
     Row out;
-    for (size_t i = 0; i < plans.size(); ++i) {
-      if (plans[i].is_aggregate) {
-        WVM_ASSIGN_OR_RETURN(Value v, states[i].Finalize(plans[i].agg->agg));
-        out.push_back(std::move(v));
-      } else {
-        out.push_back(key[plans[i].key_pos]);
-      }
+    out.reserve(plans.size());
+    for (const ItemPlan& plan : plans) {
+      out.push_back(plan.is_aggregate
+                        ? group[plan.pos].Finalize(aggs[plan.pos].func)
+                        : (*group_keys[g])[plan.pos]);
     }
     result.rows.push_back(std::move(out));
   }
@@ -262,6 +336,13 @@ Result<QueryResult> ExecuteSelectResidual(
     }
   }
 
+  std::vector<RowInput> items;
+  if (!stmt.select_star) {
+    for (const sql::SelectItem& item : stmt.items) {
+      items.emplace_back(*item.expr, input_schema);
+    }
+  }
+  Value scratch;
   Status scan_status;
   source([&](const Row& row) {
     Result<bool> keep = KeepRow(where, input_schema, row, params);
@@ -275,14 +356,15 @@ Result<QueryResult> ExecuteSelectResidual(
       return true;
     }
     Row out;
-    out.reserve(stmt.items.size());
-    for (const sql::SelectItem& item : stmt.items) {
-      Result<Value> v = EvalExpr(*item.expr, input_schema, row, params);
+    out.reserve(items.size());
+    for (const RowInput& item : items) {
+      Result<const Value*> v =
+          item.Read(input_schema, row, params, &scratch);
       if (!v.ok()) {
         scan_status = v.status();
         return false;
       }
-      out.push_back(std::move(v).value());
+      out.push_back(**v);
     }
     result.rows.push_back(std::move(out));
     return true;

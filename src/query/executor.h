@@ -53,7 +53,10 @@ struct PushdownSource {
 // Executes a SELECT over rows of `input_schema` produced by `source`.
 // Supports WHERE, projection, GROUP BY with SUM/COUNT/AVG/MIN/MAX, and
 // grand-total aggregation without GROUP BY. Grouped output is sorted by
-// group key so results are deterministic.
+// group key so results are deterministic. SUM returns INT64 over integers
+// and DOUBLE once a DOUBLE input arrives; AVG returns DOUBLE. SUM/AVG of a
+// non-numeric value, MIN/MAX over values of incompatible types and an
+// INT64 SUM overflow are InvalidArgument.
 Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                   const Schema& input_schema,
                                   const RowSource& source,

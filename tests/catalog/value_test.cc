@@ -104,6 +104,11 @@ TEST(ValueTest, RowHashAndEq) {
   EXPECT_TRUE(eq(a, b));
   EXPECT_FALSE(eq(a, c));
   EXPECT_EQ(h(a), h(b));
+  // Equality crosses numeric types, and so must the hash.
+  Row ints = {Value::Int64(5), Value::Int32(-3), Value::Int64(0)};
+  Row doubles = {Value::Double(5.0), Value::Double(-3.0), Value::Double(-0.0)};
+  EXPECT_TRUE(eq(ints, doubles));
+  EXPECT_EQ(h(ints), h(doubles));
 }
 
 TEST(ValueTest, RowToString) {

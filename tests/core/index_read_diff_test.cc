@@ -62,7 +62,9 @@ Row MakeItem(Rng* rng, int64_t id) {
 // Query pool. Covers: unique-key point reads and IN-lists (hit, miss,
 // param-bound, literal-on-the-left), composite conjunctions with residual
 // predicates on updatable and unindexed columns, secondary-index routing
-// (grp, tag, day) with narrow projections and aggregation, DATE bindings
+// (grp, tag, day) with narrow projections and aggregation (MIN/MAX/AVG of
+// an updatable column, GROUP BY an updatable column, COUNT of a nullable
+// column, a grand total no row reaches), DATE bindings
 // from a DATE param and from parseable string literals, contradictory
 // equalities, mixed-column ORs and non-equality shapes (fallback), an
 // over-width string literal (declined binding, constant-false filter),
@@ -100,11 +102,23 @@ const PoolQuery kQueries[] = {
      "WHERE day = '10/02/1996' OR day = :d GROUP BY day",
      true},
     {"SELECT id FROM t WHERE tag = 'beta' AND day = :d", true},
+    {"SELECT MIN(qty) AS lo, MAX(qty) AS hi, AVG(qty) AS a FROM t "
+     "WHERE grp = 'g1'",
+     true},
+    {"SELECT qty, COUNT(*) AS c FROM t WHERE tag = 'alpha' GROUP BY qty",
+     true},
+    {"SELECT COUNT(tag) AS c, MAX(day) AS d FROM t "
+     "WHERE grp = 'g2' OR grp = 'g4'",
+     true},
+    {"SELECT COUNT(*) AS c, SUM(qty) AS s FROM t WHERE grp = 'zz'", true},
     {"SELECT id FROM t WHERE grp = 'g1xxxxxx'", false},
     {"SELECT id FROM t WHERE id = 4 OR grp = 'g1'", false},
     {"SELECT id FROM t WHERE cnt = 42", false},
     {"SELECT id FROM t WHERE id > 10 AND id < 14", false},
     {"SELECT COUNT(*) AS c FROM t", false},
+    {"SELECT grp, MIN(amt) AS m, COUNT(tag) AS c FROM t WHERE cnt < 50 "
+     "GROUP BY grp",
+     false},
     {"SELECT id FROM t WHERE day = '10/32/96'", false},
     {"SELECT id FROM t WHERE day = 5", false},
     {"SELECT id FROM t WHERE grp = 5", false},

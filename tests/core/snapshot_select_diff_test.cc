@@ -61,8 +61,12 @@ Row MakeItem(Rng* rng, int64_t id) {
 // (including literal-on-the-left and literal-longer-than-width), NULL
 // columns under comparison, parameter bindings, generic invariant
 // fallback (double column), reconstructed-side predicates (updatable
-// columns), grouped aggregation, and a failing conjunct ahead of a
-// compiled one.
+// columns), grouped aggregation — MIN/MAX/AVG of an updatable column,
+// GROUP BY an updatable column (keys read from pre-update slots), COUNT
+// and MIN of a nullable string, a two-column key with NULLs, a grand total
+// whose WHERE rejects every row — and a failing conjunct ahead of a
+// compiled one. The aggregates read every tuple through the reader's one
+// reused row, across current and pre-update versions.
 const char* kQueries[] = {
     "SELECT * FROM t",
     "SELECT id, qty FROM t WHERE grp = 'g1'",
@@ -77,6 +81,12 @@ const char* kQueries[] = {
     "SELECT id FROM t WHERE cnt >= 20 AND qty > :q",
     "SELECT grp, COUNT(*) AS c, SUM(qty) AS s FROM t GROUP BY grp",
     "SELECT COUNT(*) AS c FROM t WHERE grp = 'g3' AND qty < :q",
+    "SELECT MIN(qty) AS lo, MAX(qty) AS hi, AVG(qty) AS a FROM t",
+    "SELECT qty, COUNT(*) AS c FROM t WHERE cnt < 30 GROUP BY qty",
+    "SELECT COUNT(tag) AS c, MIN(tag) AS m, MAX(tag) AS x FROM t",
+    "SELECT grp, tag, SUM(amt) AS s, AVG(cnt) AS a FROM t GROUP BY grp, tag",
+    "SELECT COUNT(*) AS c, SUM(qty) AS s, MAX(amt) AS m FROM t "
+    "WHERE grp = 'none'",
     // A type error ahead of a compiled conjunct: WHERE order decides that
     // every visible tuple fails, on every path.
     "SELECT id FROM t WHERE id = 'x' AND grp = 'zz'",

@@ -165,12 +165,13 @@ TEST(VersionedSchemaTest, ReadVersionInsertAndDelete) {
 }
 
 // The byte-level resolver the reader runs (ResolveVersionRaw +
-// MaterializeVersionRawProjected) against the Row reference of Table 1
-// (ResolveVersion / ReadVersion), over every populated-slot configuration
-// for n in {2, 3, 4}: each slot's operation and a strictly decreasing VN
-// per slot, which includes the Table-2 revive shapes (an insert stamped
-// over a delete) and histories whose oldest entry is not the insert. Every
-// session VN in range must classify and materialize alike.
+// MaterializeVersionRawInto, filling one reused row) against the Row
+// reference of Table 1 (ResolveVersion / ReadVersion), over every
+// populated-slot configuration for n in {2, 3, 4}: each slot's operation
+// and a strictly decreasing VN per slot, which includes the Table-2 revive
+// shapes (an insert stamped over a delete) and histories whose oldest
+// entry is not the insert. Every session VN in range must classify and
+// materialize alike.
 TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
   constexpr Op kOps[] = {Op::kInsert, Op::kUpdate, Op::kDelete};
   constexpr Vn kMaxVn = 6;
@@ -180,6 +181,7 @@ TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
     ASSERT_TRUE(vs.ok());
     const Schema& phys_schema = vs->physical();
     std::vector<uint8_t> rec(phys_schema.RowByteSize());
+    Row got = LogicalPlaceholders(*vs);
     for (int m = 1; m <= n - 1; ++m) {
       // Slot VNs: all strictly decreasing m-subsets of {1..kMaxVn}.
       // Ops: all 3^m assignments.
@@ -221,8 +223,7 @@ TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
                 ReadOutcome::kRow) {
               continue;
             }
-            const Row got =
-                MaterializeVersionRawProjected(*vs, rec.data(), raw_res, {});
+            MaterializeVersionRawInto(*vs, rec.data(), raw_res, {}, &got);
             ASSERT_EQ(got.size(), expected.size());
             for (size_t i = 0; i < got.size(); ++i) {
               EXPECT_TRUE(got[i] == expected[i])

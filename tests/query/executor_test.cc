@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "catalog/catalog.h"
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "catalog/catalog.h"
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "sql/parser.h"
 
 namespace wvm::query {
@@ -207,6 +213,334 @@ TEST_F(ExecutorTest, CustomRowSource) {
   Result<QueryResult> r = ExecuteSelect(*stmt, schema, source, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][0].AsInt64(), 10);
+}
+
+// COUNT, MIN and MAX never add their inputs, so non-numeric columns
+// aggregate like numeric ones.
+TEST_F(ExecutorTest, CountMinMaxOverNonNumericColumns) {
+  QueryResult r = Run(
+      "SELECT COUNT(city), MIN(city), MAX(city), MIN(date), MAX(date), "
+      "COUNT(date) FROM DailySales");
+  ASSERT_EQ(r.rows.size(), 1u);
+  const Row& row = r.rows[0];
+  EXPECT_EQ(row[0].AsInt64(), 5);
+  EXPECT_EQ(row[1].AsString(), "Berkeley");
+  EXPECT_EQ(row[2].AsString(), "San Jose");
+  EXPECT_TRUE(row[3] == Value::Date(1996, 10, 13));
+  EXPECT_TRUE(row[4] == Value::Date(1996, 10, 15));
+  EXPECT_EQ(row[5].AsInt64(), 5);
+}
+
+TEST_F(ExecutorTest, GroupedMinMaxOverStrings) {
+  QueryResult r = Run(
+      "SELECT city, MIN(product_line), MAX(product_line) FROM DailySales "
+      "GROUP BY city");
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[2][0].AsString(), "San Jose");
+  EXPECT_EQ(r.rows[2][1].AsString(), "golf equip");
+  EXPECT_EQ(r.rows[2][2].AsString(), "racquetball");
+}
+
+// An input whose type changes between rows cannot be ordered: MIN/MAX
+// fail with InvalidArgument instead of reaching Value's type check.
+TEST_F(ExecutorTest, MinMaxOverMixedTypesIsInvalidArgument) {
+  for (const char* sql :
+       {"SELECT MIN(CASE WHEN total_sales > 5000 THEN city "
+        "ELSE total_sales END) FROM DailySales",
+        "SELECT MAX(CASE WHEN total_sales > 5000 THEN city "
+        "ELSE total_sales END) FROM DailySales"}) {
+    SCOPED_TRACE(sql);
+    Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok());
+    Result<QueryResult> r = ExecuteSelect(*stmt, *table_, {});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(ExecutorTest, SumOfNonNumericIsInvalidArgument) {
+  Result<sql::SelectStmt> stmt =
+      sql::ParseSelect("SELECT SUM(city) FROM DailySales");
+  ASSERT_TRUE(stmt.ok());
+  Result<QueryResult> r = ExecuteSelect(*stmt, *table_, {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Runs `sql` over `rows` of a one-column schema.
+Result<QueryResult> RunOverColumn(const std::string& sql, Column column,
+                                  const std::vector<Row>& rows) {
+  Schema schema({std::move(column)});
+  RowSource source = [&rows](const std::function<bool(const Row&)>& sink) {
+    for (const Row& row : rows) {
+      if (!sink(row)) return;
+    }
+  };
+  Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
+  if (!stmt.ok()) return stmt.status();
+  return ExecuteSelect(*stmt, schema, source, {});
+}
+
+// Integer sums accumulate in 64 bits: two INT32 rows of 2,000,000,000
+// sum to 4,000,000,000 (an INT64), not a wrapped 32-bit value.
+TEST(ExecutorAggregateTest, Int32SumAndAvgDoNotWrap) {
+  const std::vector<Row> rows = {{Value::Int32(2000000000)},
+                                 {Value::Int32(2000000000)}};
+  Result<QueryResult> r =
+      RunOverColumn("SELECT SUM(q), AVG(q) FROM t", Column::Int32("q"), rows);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows[0][0].type(), TypeId::kInt64);
+  EXPECT_EQ(r->rows[0][0].AsInt64(), 4000000000LL);
+  EXPECT_DOUBLE_EQ(r->rows[0][1].AsDouble(), 2000000000.0);
+}
+
+TEST(ExecutorAggregateTest, Int64SumOverflowIsInvalidArgument) {
+  const std::vector<Row> rows = {{Value::Int64(INT64_MAX)},
+                                 {Value::Int64(1)}};
+  Result<QueryResult> r =
+      RunOverColumn("SELECT SUM(q) FROM t", Column::Int64("q"), rows);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- Reference-aggregation oracle -----------------------------------------
+//
+// Seeded tables of every key type, with NULLs, aggregated by ExecuteSelect
+// and by an independent reference written here: an ordered std::map over
+// group rows (its own typed order, NULLs first), each function computed
+// from the group's collected inputs. Results must agree in rows, row
+// order, value types and status.
+
+Schema OracleSchema() {
+  return Schema({Column::Int32("i32"), Column::Int64("i64"),
+                 Column::Double("dbl"), Column::String("str", 8),
+                 Column::Date("day")});
+}
+
+// One column value: NULL with probability 0.15, else from a small domain
+// so groups repeat.
+Value RandomValue(Rng* rng, TypeId type) {
+  if (rng->Bernoulli(0.15)) return Value::Null(type);
+  switch (type) {
+    case TypeId::kInt32:
+      return Value::Int32(static_cast<int32_t>(rng->Uniform(-3, 3)));
+    case TypeId::kInt64:
+      return Value::Int64(rng->Uniform(-1000000, 1000000));
+    case TypeId::kDouble:
+      return Value::Double(static_cast<double>(rng->Uniform(-400, 400)) / 8);
+    case TypeId::kString: {
+      static const std::vector<std::string> kWords = {"ant", "bee", "cat",
+                                                      "dog", "eel"};
+      return Value::String(rng->PickFrom(kWords));
+    }
+    case TypeId::kDate:
+      return Value::Date(1996, 10, static_cast<int>(rng->Uniform(1, 4)));
+    default:
+      break;
+  }
+  WVM_UNREACHABLE("type outside the oracle schema");
+}
+
+// The reference's own order: NULL first, then by the column's payload.
+bool RefValueLess(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && !b.is_null();
+  switch (a.type()) {
+    case TypeId::kDouble:
+      return a.AsDouble() < b.AsDouble();
+    case TypeId::kString:
+      return a.AsString() < b.AsString();
+    default:
+      return a.AsInt64() < b.AsInt64();
+  }
+}
+
+struct RefRowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end(), RefValueLess);
+  }
+};
+
+struct OracleAgg {
+  const char* func;    // COUNT, SUM, AVG, MIN, MAX
+  const char* column;  // "*" for COUNT(*)
+};
+
+struct OracleQuery {
+  std::vector<std::string> group_by;
+  std::vector<OracleAgg> aggs;
+  const char* where_sql;  // nullptr: no WHERE
+  std::function<bool(const Row&)> where;
+
+  std::string Sql() const {
+    std::vector<std::string> items = group_by;
+    for (const OracleAgg& a : aggs) {
+      items.push_back(std::string(a.func) + "(" + a.column + ")");
+    }
+    std::string sql = "SELECT " + Join(items, ", ") + " FROM t";
+    if (where_sql != nullptr) sql += std::string(" WHERE ") + where_sql;
+    if (!group_by.empty()) sql += " GROUP BY " + Join(group_by, ", ");
+    return sql;
+  }
+};
+
+// One aggregate from a group's non-NULL inputs (every row for COUNT(*)).
+Value RefAggregate(const std::string& func, const std::vector<Value>& in) {
+  if (func == "COUNT") return Value::Int64(static_cast<int64_t>(in.size()));
+  if (in.empty()) {
+    return Value::Null(func == "AVG" ? TypeId::kDouble : TypeId::kInt64);
+  }
+  if (func == "MIN" || func == "MAX") {
+    Value best = in[0];
+    for (const Value& v : in) {
+      if (func == "MIN" ? RefValueLess(v, best) : RefValueLess(best, v)) {
+        best = v;
+      }
+    }
+    return best;
+  }
+  const bool is_double = in[0].type() == TypeId::kDouble;
+  int64_t int_sum = 0;
+  double double_sum = 0;
+  for (const Value& v : in) {
+    if (is_double) {
+      double_sum += v.AsDouble();
+    } else {
+      int_sum += v.AsInt64();
+    }
+  }
+  const double total = is_double ? double_sum : static_cast<double>(int_sum);
+  if (func == "AVG") {
+    return Value::Double(total / static_cast<double>(in.size()));
+  }
+  return is_double ? Value::Double(double_sum) : Value::Int64(int_sum);
+}
+
+Result<QueryResult> ReferenceAggregate(const OracleQuery& q,
+                                       const Schema& schema,
+                                       const std::vector<Row>& rows) {
+  std::vector<size_t> key_cols;
+  for (const std::string& g : q.group_by) {
+    key_cols.push_back(schema.IndexOf(g).value());
+  }
+  // Per group: one input list per aggregate.
+  std::map<Row, std::vector<std::vector<Value>>, RefRowLess> groups;
+  for (const Row& row : rows) {
+    if (q.where && !q.where(row)) continue;
+    Row key;
+    for (size_t c : key_cols) key.push_back(row[c]);
+    std::vector<std::vector<Value>>& inputs = groups[key];
+    inputs.resize(q.aggs.size());
+    for (size_t a = 0; a < q.aggs.size(); ++a) {
+      const std::string column = q.aggs[a].column;
+      if (column == "*") {
+        inputs[a].push_back(Value::Int64(1));
+        continue;
+      }
+      Result<size_t> idx = schema.IndexOf(column);
+      if (!idx.ok()) return idx.status();
+      if (!row[idx.value()].is_null()) inputs[a].push_back(row[idx.value()]);
+    }
+  }
+  if (q.group_by.empty() && groups.empty()) {
+    groups[Row{}].resize(q.aggs.size());
+  }
+  QueryResult result;
+  for (const auto& [key, inputs] : groups) {
+    Row out = key;
+    for (size_t a = 0; a < q.aggs.size(); ++a) {
+      out.push_back(RefAggregate(q.aggs[a].func, inputs[a]));
+    }
+    result.rows.push_back(std::move(out));
+  }
+  return result;
+}
+
+std::vector<OracleQuery> OracleQueries() {
+  const std::vector<OracleAgg> all_numeric = {
+      {"COUNT", "*"},   {"COUNT", "i64"}, {"SUM", "i64"}, {"AVG", "i64"},
+      {"MIN", "i64"},   {"MAX", "i64"},   {"SUM", "i32"}, {"AVG", "i32"},
+      {"SUM", "dbl"},   {"AVG", "dbl"},   {"MIN", "dbl"}, {"MAX", "dbl"}};
+  const std::vector<OracleAgg> non_numeric = {
+      {"COUNT", "str"}, {"MIN", "str"}, {"MAX", "str"},
+      {"COUNT", "day"}, {"MIN", "day"}, {"MAX", "day"}};
+  auto rejects_all = [](const Row&) { return false; };
+  auto positive_i64 = [](const Row& row) {
+    return !row[1].is_null() && row[1].AsInt64() > 0;
+  };
+  return {
+      {{}, all_numeric, nullptr, nullptr},
+      {{}, non_numeric, nullptr, nullptr},
+      {{"i32"}, all_numeric, nullptr, nullptr},
+      {{"i64"}, {{"COUNT", "*"}, {"SUM", "i32"}}, nullptr, nullptr},
+      {{"dbl"}, {{"COUNT", "*"}, {"MAX", "str"}}, nullptr, nullptr},
+      {{"str"}, all_numeric, nullptr, nullptr},
+      {{"day"}, non_numeric, nullptr, nullptr},
+      {{"str", "day"}, {{"COUNT", "*"}, {"SUM", "dbl"}, {"MIN", "i32"}},
+       nullptr, nullptr},
+      {{"day", "i32"}, {{"AVG", "i64"}, {"COUNT", "str"}}, "i64 > 0",
+       positive_i64},
+      // Grand total and grouped aggregate over empty input.
+      {{}, all_numeric, "i64 > 5000000", rejects_all},
+      {{"str"}, {{"COUNT", "*"}}, "i64 > 5000000", rejects_all},
+      // A name that does not resolve fails only once a row reaches it.
+      {{}, {{"COUNT", "*"}, {"SUM", "bogus"}}, nullptr, nullptr},
+      {{}, {{"SUM", "bogus"}}, "i64 > 5000000", rejects_all},
+      {{"str"}, {{"MIN", "bogus"}}, nullptr, nullptr},
+  };
+}
+
+TEST(ExecutorAggregateTest, MatchesReferenceAggregation) {
+  const Schema schema = OracleSchema();
+  const std::vector<OracleQuery> queries = OracleQueries();
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE(StrPrintf("seed=%llu",
+                           static_cast<unsigned long long>(seed)));
+    Rng rng(seed);
+    // Every fourth seed has no rows at all.
+    const int64_t count = seed % 4 == 0 ? 0 : rng.Uniform(1, 300);
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < count; ++i) {
+      Row row;
+      for (const Column& c : schema.columns()) {
+        row.push_back(RandomValue(&rng, c.type));
+      }
+      rows.push_back(std::move(row));
+    }
+    RowSource source = [&rows](const std::function<bool(const Row&)>& sink) {
+      for (const Row& row : rows) {
+        if (!sink(row)) return;
+      }
+    };
+    for (const OracleQuery& q : queries) {
+      const std::string sql = q.Sql();
+      SCOPED_TRACE(sql);
+      Result<sql::SelectStmt> stmt = sql::ParseSelect(sql);
+      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+      Result<QueryResult> actual = ExecuteSelect(*stmt, schema, source, {});
+      Result<QueryResult> expected = ReferenceAggregate(q, schema, rows);
+      ASSERT_EQ(expected.ok(), actual.ok())
+          << (expected.ok() ? actual.status() : expected.status())
+                 .ToString();
+      if (!expected.ok()) {
+        EXPECT_EQ(expected.status().code(), actual.status().code());
+        continue;
+      }
+      ASSERT_EQ(expected->rows.size(), actual->rows.size());
+      for (size_t i = 0; i < expected->rows.size(); ++i) {
+        const Row& want = expected->rows[i];
+        const Row& got = actual->rows[i];
+        ASSERT_EQ(want.size(), got.size());
+        for (size_t c = 0; c < want.size(); ++c) {
+          EXPECT_TRUE(want[c] == got[c] && want[c].type() == got[c].type())
+              << "row " << i << " col " << c << ": want "
+              << want[c].ToString() << " (" << TypeIdToString(want[c].type())
+              << "), got " << got[c].ToString() << " ("
+              << TypeIdToString(got[c].type()) << ")";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
