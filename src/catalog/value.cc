@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -133,34 +134,35 @@ Result<Value> Arith(const Value& a, const Value& b, ArithOp op) {
   if (!a.IsNumeric() || !b.IsNumeric()) {
     return Status::InvalidArgument("arithmetic on non-numeric values");
   }
-  const bool as_double =
-      a.type() == TypeId::kDouble || b.type() == TypeId::kDouble;
-  if (as_double) {
+  if (op == ArithOp::kDiv && b.AsDouble() == 0.0) {
+    return Status::InvalidArgument("division by zero");
+  }
+  if (a.type() == TypeId::kDouble || b.type() == TypeId::kDouble) {
     const double x = a.AsDouble(), y = b.AsDouble();
-    switch (op) {
-      case ArithOp::kAdd: return Value::Double(x + y);
-      case ArithOp::kSub: return Value::Double(x - y);
-      case ArithOp::kMul: return Value::Double(x * y);
-      case ArithOp::kDiv:
-        if (y == 0.0) return Status::InvalidArgument("division by zero");
-        return Value::Double(x / y);
-    }
+    return Value::Double(op == ArithOp::kAdd   ? x + y
+                         : op == ArithOp::kSub ? x - y
+                         : op == ArithOp::kMul ? x * y
+                                               : x / y);
   }
+  // Integers are checked, never wrapped: a result outside the operands'
+  // type (INT32 when both are INT32, else INT64) is an error.
   const int64_t x = a.AsInt64(), y = b.AsInt64();
-  const bool narrow =
-      a.type() == TypeId::kInt32 && b.type() == TypeId::kInt32;
-  auto make = [narrow](int64_t v) {
-    return narrow ? Value::Int32(static_cast<int32_t>(v)) : Value::Int64(v);
-  };
+  int64_t r = 0;
+  bool overflow;
   switch (op) {
-    case ArithOp::kAdd: return make(x + y);
-    case ArithOp::kSub: return make(x - y);
-    case ArithOp::kMul: return make(x * y);
-    case ArithOp::kDiv:
-      if (y == 0) return Status::InvalidArgument("division by zero");
-      return make(x / y);
+    case ArithOp::kAdd: overflow = __builtin_add_overflow(x, y, &r); break;
+    case ArithOp::kSub: overflow = __builtin_sub_overflow(x, y, &r); break;
+    case ArithOp::kMul: overflow = __builtin_mul_overflow(x, y, &r); break;
+    default:
+      overflow = x == std::numeric_limits<int64_t>::min() && y == -1;
+      if (!overflow) r = x / y;
   }
-  WVM_UNREACHABLE("bad arith op");
+  if (a.type() == TypeId::kInt32 && b.type() == TypeId::kInt32) {
+    overflow = overflow || r != static_cast<int32_t>(r);
+    if (!overflow) return Value::Int32(static_cast<int32_t>(r));
+  }
+  if (overflow) return Status::InvalidArgument("integer overflow");
+  return Value::Int64(r);
 }
 
 }  // namespace
@@ -176,6 +178,17 @@ Result<Value> ValueMul(const Value& a, const Value& b) {
 }
 Result<Value> ValueDiv(const Value& a, const Value& b) {
   return Arith(a, b, ArithOp::kDiv);
+}
+
+Result<Value> ValueNegate(const Value& v) {
+  if (v.is_null()) return v;
+  if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
+  if (v.type() != TypeId::kInt32 && v.type() != TypeId::kInt64) {
+    return Status::InvalidArgument("negation of non-numeric value");
+  }
+  return ValueSub(v.type() == TypeId::kInt32 ? Value::Int32(0)
+                                             : Value::Int64(0),
+                  v);
 }
 
 }  // namespace wvm

@@ -129,11 +129,15 @@ using Row = std::vector<Value>;
 std::string RowToString(const Row& row);
 
 // SQL arithmetic on numeric values. NULL operands yield NULL.
-// Mixing int and double widens to double.
+// Mixing int and double widens to double; two INT32s give INT32, any other
+// integer mix INT64. An integer result outside that type, and division by
+// zero, are InvalidArgument.
 Result<Value> ValueAdd(const Value& a, const Value& b);
 Result<Value> ValueSub(const Value& a, const Value& b);
 Result<Value> ValueMul(const Value& a, const Value& b);
 Result<Value> ValueDiv(const Value& a, const Value& b);
+// Unary minus, with the same NULL and overflow rules.
+Result<Value> ValueNegate(const Value& v);
 
 // Hash/eq functors so Row can key unordered_map (used for group-by keys
 // and unique-key indexes).

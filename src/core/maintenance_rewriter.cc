@@ -11,16 +11,30 @@ namespace wvm::core {
 namespace {
 
 // Evaluates a value expression that may only reference literals and
-// parameters (INSERT VALUES lists).
+// parameters (INSERT VALUES lists): bound against no columns, so a column
+// reference fails as unknown.
 Result<Value> EvalConstant(const sql::Expr& expr,
                            const query::ParamMap& params) {
   static const Schema kEmpty{};
   static const Row kNoRow{};
-  return query::EvalExpr(expr, kEmpty, kNoRow, params);
+  const query::BoundExpr bound = query::BoundExpr::Bind(expr, kEmpty, params);
+  Value scratch;
+  WVM_ASSIGN_OR_RETURN(const Value* v, bound.Eval(kNoRow, &scratch));
+  return *v;  // may point into `bound`: copied before it is destroyed
+}
+
+// The cursor predicate of UPDATE / DELETE (Examples 4.3, 4.4), bound
+// once: every tuple without a WHERE, else the rows it accepts.
+RowPredicate CursorPredicate(const sql::Expr* where, const Schema& logical,
+                             const query::ParamMap& params) {
+  if (where == nullptr) return [](const Row&) -> Result<bool> { return true; };
+  return [bound = query::BoundExpr::Bind(*where, logical, params)](
+             const Row& row) { return bound.Test(row); };
 }
 
 // Coerces a value to a column's type where a lossless conversion exists
-// (string literals to DATE, integer literals to INT32/DOUBLE).
+// (string literals to DATE, integer literals to INT32/DOUBLE). An INT64
+// outside INT32's range does not fit an INT32 column.
 Result<Value> CoerceToColumn(const Column& col, Value v) {
   if (v.is_null()) return Value::Null(col.type);
   if (v.type() == col.type) return v;
@@ -28,7 +42,12 @@ Result<Value> CoerceToColumn(const Column& col, Value v) {
     return Value::ParseDate(v.AsString());
   }
   if (col.type == TypeId::kInt32 && v.type() == TypeId::kInt64) {
-    return Value::Int32(static_cast<int32_t>(v.AsInt64()));
+    if (v.AsInt64() != v.AsInt32()) {
+      return Status::InvalidArgument(StrPrintf(
+          "value %lld out of range for INT32 column '%s'",
+          static_cast<long long>(v.AsInt64()), col.name.c_str()));
+    }
+    return Value::Int32(v.AsInt32());
   }
   if (col.type == TypeId::kInt64 && v.type() == TypeId::kInt32) {
     return Value::Int64(v.AsInt64());
@@ -44,50 +63,39 @@ Result<Value> CoerceToColumn(const Column& col, Value v) {
 
 }  // namespace
 
-Result<Row> MaintenanceRewriter::BindInsertRow(
-    const Schema& logical, const sql::InsertStmt& stmt, size_t row_idx,
-    const query::ParamMap& params) const {
-  const std::vector<sql::ExprPtr>& exprs = stmt.rows[row_idx];
-
-  // Resolve target column positions (schema order when no list given).
-  std::vector<size_t> targets;
-  if (stmt.columns.empty()) {
-    if (exprs.size() != logical.num_columns()) {
-      return Status::InvalidArgument(StrPrintf(
-          "INSERT supplies %zu values for %zu columns", exprs.size(),
-          logical.num_columns()));
-    }
-    for (size_t i = 0; i < exprs.size(); ++i) targets.push_back(i);
-  } else {
-    if (exprs.size() != stmt.columns.size()) {
-      return Status::InvalidArgument("INSERT column/value count mismatch");
-    }
-    for (const std::string& name : stmt.columns) {
-      WVM_ASSIGN_OR_RETURN(size_t idx, logical.IndexOf(name));
-      targets.push_back(idx);
-    }
-  }
-
-  Row row(logical.num_columns());
-  for (size_t i = 0; i < logical.num_columns(); ++i) {
-    row[i] = Value::Null(logical.column(i).type);
-  }
-  for (size_t i = 0; i < exprs.size(); ++i) {
-    WVM_ASSIGN_OR_RETURN(Value v, EvalConstant(*exprs[i], params));
-    WVM_ASSIGN_OR_RETURN(row[targets[i]],
-                         CoerceToColumn(logical.column(targets[i]),
-                                        std::move(v)));
-  }
-  return row;
-}
-
 Result<size_t> MaintenanceRewriter::ExecuteInsert(
     MaintenanceTxn* txn, const sql::InsertStmt& stmt,
     const query::ParamMap& params) {
   WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.table));
-  for (size_t r = 0; r < stmt.rows.size(); ++r) {
-    WVM_ASSIGN_OR_RETURN(
-        Row row, BindInsertRow(table->logical_schema(), stmt, r, params));
+  const Schema& logical = table->logical_schema();
+  std::vector<size_t> targets;  // value i's column, resolved at row 0
+  for (const std::vector<sql::ExprPtr>& exprs : stmt.rows) {
+    if (stmt.columns.empty() && exprs.size() != logical.num_columns()) {
+      return Status::InvalidArgument(StrPrintf(
+          "INSERT supplies %zu values for %zu columns", exprs.size(),
+          logical.num_columns()));
+    }
+    if (!stmt.columns.empty() && exprs.size() != stmt.columns.size()) {
+      return Status::InvalidArgument("INSERT column/value count mismatch");
+    }
+    for (size_t i = targets.size(); i < exprs.size(); ++i) {
+      if (stmt.columns.empty()) {
+        targets.push_back(i);  // schema order
+        continue;
+      }
+      WVM_ASSIGN_OR_RETURN(size_t idx, logical.IndexOf(stmt.columns[i]));
+      targets.push_back(idx);
+    }
+    Row row(logical.num_columns());
+    for (size_t i = 0; i < logical.num_columns(); ++i) {
+      row[i] = Value::Null(logical.column(i).type);
+    }
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      WVM_ASSIGN_OR_RETURN(Value v, EvalConstant(*exprs[i], params));
+      WVM_ASSIGN_OR_RETURN(row[targets[i]],
+                           CoerceToColumn(logical.column(targets[i]),
+                                          std::move(v)));
+    }
     WVM_RETURN_IF_ERROR(table->Insert(txn, row));
   }
   return stmt.rows.size();
@@ -99,41 +107,32 @@ Result<size_t> MaintenanceRewriter::ExecuteUpdate(
   WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.table));
   const Schema& logical = table->logical_schema();
 
-  // Resolve SET targets up front.
-  std::vector<std::pair<size_t, const sql::Expr*>> sets;
+  // Resolve SET targets and bind their expressions up front.
+  std::vector<std::pair<size_t, query::BoundExpr>> sets;
   for (const auto& [col, expr] : stmt.sets) {
     WVM_ASSIGN_OR_RETURN(size_t idx, logical.IndexOf(col));
-    sets.emplace_back(idx, expr.get());
+    sets.emplace_back(idx, query::BoundExpr::Bind(*expr, logical, params));
   }
 
-  RowPredicate pred = [&](const Row& row) -> Result<bool> {
-    if (stmt.where == nullptr) return true;
-    return query::EvalPredicate(*stmt.where, logical, row, params);
-  };
   RowTransform transform = [&](const Row& row) -> Result<Row> {
     Row next = row;
+    Value scratch;
     for (const auto& [idx, expr] : sets) {
-      WVM_ASSIGN_OR_RETURN(Value v,
-                           query::EvalExpr(*expr, logical, row, params));
-      WVM_ASSIGN_OR_RETURN(next[idx],
-                           CoerceToColumn(logical.column(idx),
-                                          std::move(v)));
+      WVM_ASSIGN_OR_RETURN(const Value* v, expr.Eval(row, &scratch));
+      WVM_ASSIGN_OR_RETURN(next[idx], CoerceToColumn(logical.column(idx), *v));
     }
     return next;
   };
-  return table->Update(txn, pred, transform);
+  return table->Update(txn, CursorPredicate(stmt.where.get(), logical, params),
+                       transform);
 }
 
 Result<size_t> MaintenanceRewriter::ExecuteDelete(
     MaintenanceTxn* txn, const sql::DeleteStmt& stmt,
     const query::ParamMap& params) {
   WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.table));
-  const Schema& logical = table->logical_schema();
-  RowPredicate pred = [&](const Row& row) -> Result<bool> {
-    if (stmt.where == nullptr) return true;
-    return query::EvalPredicate(*stmt.where, logical, row, params);
-  };
-  return table->Delete(txn, pred);
+  return table->Delete(txn, CursorPredicate(stmt.where.get(),
+                                            table->logical_schema(), params));
 }
 
 Result<size_t> MaintenanceRewriter::Execute(MaintenanceTxn* txn,

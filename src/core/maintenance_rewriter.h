@@ -45,11 +45,6 @@ class MaintenanceRewriter {
                                const sql::DeleteStmt& stmt,
                                const query::ParamMap& params);
 
-  // Maps an INSERT row of expressions onto the logical schema.
-  Result<Row> BindInsertRow(const Schema& logical,
-                            const sql::InsertStmt& stmt, size_t row_idx,
-                            const query::ParamMap& params) const;
-
   VnlEngine* const engine_;
 };
 

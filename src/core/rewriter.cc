@@ -36,24 +36,13 @@ ExprPtr OpNe(const VersionedSchema& vs, int slot, Op op) {
                      sql::LitStr(OpToString(op)));
 }
 
-// Ordinal of `logical_col` among the updatable columns.
-Result<size_t> UpdatableOrdinal(const VersionedSchema& vs,
-                                size_t logical_col) {
-  for (size_t u = 0; u < vs.updatable().size(); ++u) {
-    if (vs.updatable()[u] == logical_col) return u;
-  }
-  return Status::Internal("column is not updatable");
-}
-
 }  // namespace
 
 sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
                               size_t logical_col,
                               const std::string& session_param) {
+  WVM_CHECK(vschema.logical().column(logical_col).updatable);
   const std::string& name = vschema.logical().column(logical_col).name;
-  Result<size_t> ordinal = UpdatableOrdinal(vschema, logical_col);
-  WVM_CHECK(ordinal.ok());
-  (void)ordinal;
 
   // CASE WHEN :s >= tupleVN1 THEN A
   //      WHEN :s >= tupleVN2 THEN pre_A1
@@ -177,121 +166,20 @@ Result<sql::SelectStmt> RewriteReaderQuery(
   return out;
 }
 
-namespace {
-
-// One `col = literal-or-param` leaf. Resolves the bound value, normalized
-// through the column codec. False when the expression is not that shape or
-// the value cannot be matched losslessly against stored keys.
-bool BindEqualityLeaf(const sql::Expr& e, const Schema& schema,
-                      const query::ParamMap& params, size_t* col_out,
-                      Value* value_out) {
-  if (e.kind != sql::ExprKind::kBinary ||
-      e.binary_op != sql::BinaryOp::kEq) {
-    return false;
-  }
-  const sql::Expr* lhs = e.child0.get();
-  const sql::Expr* rhs = e.child1.get();
-  auto is_const = [](const sql::Expr* x) {
-    return x->kind == sql::ExprKind::kLiteral ||
-           x->kind == sql::ExprKind::kParam;
-  };
-  if (lhs->kind != sql::ExprKind::kColumnRef || !is_const(rhs)) {
-    if (rhs->kind == sql::ExprKind::kColumnRef && is_const(lhs)) {
-      std::swap(lhs, rhs);  // kEq is symmetric
-    } else {
-      return false;
-    }
-  }
-  Result<size_t> idx = schema.IndexOf(lhs->column);
-  if (!idx.ok()) return false;
-  Value v;
-  if (rhs->kind == sql::ExprKind::kLiteral) {
-    v = rhs->literal;
-  } else {
-    auto it = params.find(rhs->param);
-    if (it == params.end()) return false;  // scan path reports the error
-    v = it->second;
-  }
-  if (v.is_null()) return false;  // NULL = x never matches anything
-
-  const Column& col = schema.column(idx.value());
-  switch (col.type) {
-    case TypeId::kInt32:
-    case TypeId::kInt64:
-      // Cross-width int equality agrees with the hash index (Values hash
-      // and compare ints by int64). A double comparand can be SQL-equal
-      // without hashing equal, so it stays on the scan path.
-      if (v.type() != TypeId::kInt32 && v.type() != TypeId::kInt64) {
-        return false;
-      }
-      break;
-    case TypeId::kString:
-      if (v.type() != TypeId::kString) return false;
-      // An over-width literal can never equal a stored (truncated) value;
-      // the scan path evaluates that to constant-false exactly.
-      if (v.AsString().size() > col.width) return false;
-      break;
-    case TypeId::kDate:
-      // A string comparand is coerced exactly as CompareValues does; one
-      // ParseDate rejects stays on the scan path, which reports the error.
-      if (v.type() == TypeId::kString) {
-        Result<Value> parsed = Value::ParseDate(v.AsString());
-        if (!parsed.ok()) return false;
-        v = std::move(parsed).value();
-      }
-      if (v.type() != TypeId::kDate) return false;
-      break;
-    default:
-      return false;  // bool/double: codec vs SQL equality mismatch
-  }
-  *col_out = idx.value();
-  *value_out = NormalizeValueForColumn(col, v);
-  return true;
-}
-
-// Flattens an OR tree whose leaves are all equalities over one single
-// column (the IN-list shape) into that column's candidate values.
-bool CollectOrEqualities(const sql::Expr& e, const Schema& schema,
-                         const query::ParamMap& params, size_t* col_out,
-                         bool* col_set, std::vector<Value>* values) {
-  if (e.kind == sql::ExprKind::kBinary &&
-      e.binary_op == sql::BinaryOp::kOr) {
-    return CollectOrEqualities(*e.child0, schema, params, col_out, col_set,
-                               values) &&
-           CollectOrEqualities(*e.child1, schema, params, col_out, col_set,
-                               values);
-  }
-  size_t col = 0;
-  Value v;
-  if (!BindEqualityLeaf(e, schema, params, &col, &v)) return false;
-  if (*col_set && col != *col_out) return false;  // mixed-column OR
-  *col_out = col;
-  *col_set = true;
-  values->push_back(std::move(v));
-  return true;
-}
-
-}  // namespace
-
 std::optional<std::vector<Row>> BindIndexKeys(
-    const std::vector<const sql::Expr*>& conjuncts, const Schema& schema,
-    const std::vector<size_t>& columns, const query::ParamMap& params,
-    size_t max_candidates) {
+    const std::vector<query::BoundExpr>& conjuncts,
+    const std::vector<size_t>& columns, size_t max_candidates) {
   if (columns.empty()) return std::nullopt;
   std::vector<std::vector<Value>> candidates(columns.size());
-  for (const sql::Expr* e : conjuncts) {
-    size_t col = 0;
-    bool col_set = false;
-    std::vector<Value> values;
-    if (!CollectOrEqualities(*e, schema, params, &col, &col_set, &values)) {
-      continue;  // not a binding conjunct; it remains an ordinary filter
-    }
+  for (const query::BoundExpr& e : conjuncts) {
+    // A conjunct without keys remains an ordinary filter.
+    if (!e.key_column().has_value()) continue;
     for (size_t i = 0; i < columns.size(); ++i) {
       // First binding conjunct per column wins; further conjuncts on the
       // same column (or declined shapes) still filter every candidate row,
       // so a superset of the true key set is always correct.
-      if (columns[i] != col || !candidates[i].empty()) continue;
-      for (const Value& v : values) {
+      if (columns[i] != *e.key_column() || !candidates[i].empty()) continue;
+      for (const Value& v : e.key_values()) {
         bool dup = false;
         for (const Value& u : candidates[i]) dup = dup || u == v;
         if (!dup) candidates[i].push_back(v);
@@ -322,15 +210,6 @@ std::optional<std::vector<Row>> BindIndexKeys(
     if (i == columns.size()) break;
   }
   return keys;
-}
-
-bool BindsIndexColumn(const sql::Expr& conjunct, const Schema& schema,
-                      const query::ParamMap& params) {
-  size_t col = 0;
-  bool col_set = false;
-  std::vector<Value> values;
-  return CollectOrEqualities(conjunct, schema, params, &col, &col_set,
-                             &values);
 }
 
 }  // namespace wvm::core

@@ -52,34 +52,21 @@ sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
 
 // --- Index-routing predicate analysis (§4.3) -------------------------------
 
-// Extracts the candidate index keys a WHERE conjunct set binds for the
-// column positions in `columns`: a `col = literal-or-param` conjunct binds
-// one value; an OR-of-equalities over a single column (the IN-list shape)
-// binds several. The result enumerates the cartesian product of the
-// per-column candidate sets, each entry a Row in `columns` order with
-// values normalized through the column codec (so probing a hash index keyed
-// by heap-deserialized rows is exact).
-//
-// DATE columns bind a DATE comparand or a string that Value::ParseDate
-// accepts (the coercion CompareValues applies).
+// Extracts the candidate index keys that bound WHERE conjuncts carry for
+// the column positions in `columns`: each conjunct's key_column() and
+// key_values() (one value for `col = constant`, several for the IN-list
+// OR), already normalized through the column codec, so probing a hash
+// index keyed by heap-deserialized rows is exact. The result enumerates
+// the cartesian product of the per-column candidate sets, each entry a Row
+// in `columns` order; the first conjunct carrying keys for a column wins.
 //
 // Returns nullopt — caller falls back to the heap scan — when any column
-// stays unbound, a binding's type cannot be matched losslessly to the
-// column (doubles, bools, NULLs, over-width strings, unparseable dates,
-// any other type mix), or the product exceeds `max_candidates`. Bindings
-// are an access-path hint only: the caller must still evaluate every
-// conjunct on the candidate rows, so a conservative nullopt is always
-// safe.
+// stays unbound or the product exceeds `max_candidates`. Bindings are an
+// access-path hint only: the caller must still evaluate every conjunct on
+// the candidate rows, so a conservative nullopt is always safe.
 std::optional<std::vector<Row>> BindIndexKeys(
-    const std::vector<const sql::Expr*>& conjuncts, const Schema& schema,
-    const std::vector<size_t>& columns, const query::ParamMap& params,
-    size_t max_candidates = 64);
-
-// True when `conjunct` alone is a shape BindIndexKeys binds (an equality,
-// or an OR of equalities, over one column with a matching comparand). Such
-// a conjunct never fails to evaluate.
-bool BindsIndexColumn(const sql::Expr& conjunct, const Schema& schema,
-                      const query::ParamMap& params);
+    const std::vector<query::BoundExpr>& conjuncts,
+    const std::vector<size_t>& columns, size_t max_candidates = 64);
 
 }  // namespace wvm::core
 

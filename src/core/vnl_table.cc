@@ -564,175 +564,28 @@ uint64_t ProjectedAttributeBytes(const Schema& logical,
   return bytes;
 }
 
-// A WHERE conjunct of the shape `column cmp literal-or-param` over a
-// version-invariant int, DATE or string column, lowered to a direct
-// comparison on the serialized record bytes: a rejected tuple costs one
-// memcmp / integer load, no Value, no Row. Conjuncts that don't fit the
-// shape (arithmetic, IS NULL, doubles, NULL operands, comparands of
-// another type) stay generic, evaluated on a deserialized row with
-// identical semantics.
-struct CompiledPredicate {
-  enum class Kind { kInt, kString };
-  Kind kind = Kind::kInt;
-  size_t col = 0;      // physical column index (== logical: prefix)
-  size_t offset = 0;   // byte offset of the value slot in the record
-  bool is_int32 = false;
-  uint16_t width = 0;  // string slot width
-  sql::BinaryOp op = sql::BinaryOp::kEq;
-  int64_t rhs_int = 0;
-  std::string rhs_str;    // zero-padded to `width`
-  bool rhs_longer = false;  // literal exceeded the column width
-
-  bool Eval(const uint8_t* rec) const {
-    // SQL ternary logic: NULL cmp anything is NULL, which rejects.
-    if (RecordColumnIsNull(rec, col)) return false;
-    int cmp;
-    if (kind == Kind::kInt) {
-      int64_t v;
-      if (is_int32) {
-        int32_t x;
-        std::memcpy(&x, rec + offset, 4);
-        v = x;
-      } else {
-        std::memcpy(&v, rec + offset, 8);
-      }
-      cmp = v < rhs_int ? -1 : (v > rhs_int ? 1 : 0);
-    } else {
-      // Both sides are zero-padded fixed-width images, so memcmp over the
-      // slot matches std::string comparison of the decoded values. A
-      // literal longer than the width can only tie on the prefix, and the
-      // decoded value is then strictly smaller.
-      cmp = std::memcmp(rec + offset, rhs_str.data(), width);
-      cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-      if (cmp == 0 && rhs_longer) cmp = -1;
-    }
-    switch (op) {
-      case sql::BinaryOp::kEq: return cmp == 0;
-      case sql::BinaryOp::kNe: return cmp != 0;
-      case sql::BinaryOp::kLt: return cmp < 0;
-      case sql::BinaryOp::kLe: return cmp <= 0;
-      case sql::BinaryOp::kGt: return cmp > 0;
-      case sql::BinaryOp::kGe: return cmp >= 0;
-      default: return false;
-    }
-  }
-};
-
-bool IsComparisonOp(sql::BinaryOp op) {
-  switch (op) {
-    case sql::BinaryOp::kEq:
-    case sql::BinaryOp::kNe:
-    case sql::BinaryOp::kLt:
-    case sql::BinaryOp::kLe:
-    case sql::BinaryOp::kGt:
-    case sql::BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-sql::BinaryOp MirrorOp(sql::BinaryOp op) {
-  switch (op) {
-    case sql::BinaryOp::kLt: return sql::BinaryOp::kGt;
-    case sql::BinaryOp::kLe: return sql::BinaryOp::kGe;
-    case sql::BinaryOp::kGt: return sql::BinaryOp::kLt;
-    case sql::BinaryOp::kGe: return sql::BinaryOp::kLe;
-    default: return op;  // kEq / kNe are symmetric
-  }
-}
-
-std::optional<CompiledPredicate> TryCompilePredicate(
-    const sql::Expr& e, const Schema& logical, const Schema& physical,
-    const query::ParamMap& params) {
-  if (e.kind != sql::ExprKind::kBinary || !IsComparisonOp(e.binary_op)) {
-    return std::nullopt;
-  }
-  const sql::Expr* lhs = e.child0.get();
-  const sql::Expr* rhs = e.child1.get();
-  sql::BinaryOp op = e.binary_op;
-  auto is_const = [](const sql::Expr* x) {
-    return x->kind == sql::ExprKind::kLiteral ||
-           x->kind == sql::ExprKind::kParam;
-  };
-  if (lhs->kind != sql::ExprKind::kColumnRef || !is_const(rhs)) {
-    if (rhs->kind == sql::ExprKind::kColumnRef && is_const(lhs)) {
-      std::swap(lhs, rhs);
-      op = MirrorOp(op);
-    } else {
-      return std::nullopt;
-    }
-  }
-  Result<size_t> idx = logical.IndexOf(lhs->column);
-  if (!idx.ok()) return std::nullopt;
-  Value v;
-  if (rhs->kind == sql::ExprKind::kLiteral) {
-    v = rhs->literal;
-  } else {
-    auto it = params.find(rhs->param);
-    if (it == params.end()) return std::nullopt;  // generic path reports it
-    v = it->second;
-  }
-  if (v.is_null()) return std::nullopt;
-
-  CompiledPredicate out;
-  const Column& col = logical.column(idx.value());
-  switch (col.type) {
-    case TypeId::kInt32:
-    case TypeId::kInt64:
-      if (v.type() != TypeId::kInt32 && v.type() != TypeId::kInt64) {
-        return std::nullopt;  // double comparand: keep CompareValues' rules
-      }
-      out.is_int32 = col.type == TypeId::kInt32;
-      out.rhs_int = v.AsInt64();
-      break;
-    case TypeId::kDate:
-      // The packed yyyymmdd int32 orders exactly like the date.
-      if (v.type() != TypeId::kDate) return std::nullopt;
-      out.is_int32 = true;
-      out.rhs_int = v.AsDateRaw();
-      break;
-    case TypeId::kString: {
-      if (v.type() != TypeId::kString) return std::nullopt;
-      const std::string& s = v.AsString();
-      out.kind = CompiledPredicate::Kind::kString;
-      out.width = col.width;
-      out.rhs_longer = s.size() > col.width;
-      out.rhs_str = s.substr(0, std::min<size_t>(s.size(), col.width));
-      out.rhs_str.resize(col.width, '\0');
-      break;
-    }
-    default:
-      return std::nullopt;  // bool/double: generic evaluation
-  }
-  out.col = idx.value();
-  out.offset = physical.ColumnOffset(idx.value());
-  out.op = op;
-  return out;
-}
-
 }  // namespace
 
 // The Table-1 reader step: all per-tuple read logic, on record bytes. One
 // instance serves one read.
 class VnlTable::ReaderStep {
  public:
+  // `invariant` and `reconstructed` are the pushed-down WHERE conjuncts,
+  // bound once for the read; they must outlive the step.
   ReaderStep(const VersionedSchema& vs, Vn session_vn,
-             const std::vector<const sql::Expr*>& invariant,
-             std::vector<const sql::Expr*> reconstructed,
-             const query::ParamMap& params, std::vector<bool> projection)
+             const std::vector<query::BoundExpr>& invariant,
+             const std::vector<query::BoundExpr>& reconstructed,
+             std::vector<bool> projection)
       : vs_(vs),
         session_vn_(session_vn),
-        reconstructed_(std::move(reconstructed)),
-        params_(params),
+        invariant_(invariant),
+        reconstructed_(reconstructed),
         projection_(std::move(projection)),
-        row_bytes_(ProjectedAttributeBytes(vs.logical(), projection_)) {
-    invariant_.reserve(invariant.size());
-    for (const sql::Expr* e : invariant) {
-      invariant_.push_back(
-          {e, TryCompilePredicate(*e, vs.logical(), vs.physical(), params)});
-    }
-  }
+        row_bytes_(ProjectedAttributeBytes(vs.logical(), projection_)) {}
+
+  // An unfiltered read of every column.
+  ReaderStep(const VersionedSchema& vs, Vn session_vn)
+      : ReaderStep(vs, session_vn, kNoConjuncts, kNoConjuncts, {}) {}
 
   // Runs one physical record through Table 1 and the pushed-down WHERE.
   // True when a row survives, filled into *out in place; false when the
@@ -763,14 +616,15 @@ class VnlTable::ReaderStep {
     }
     ++(res.slot < 0 ? counts_.current_reads : counts_.pre_update_reads);
     // Version-invariant conjuncts, in WHERE order. Their columns hold the
-    // same value in every version, so a generic one evaluates on the
-    // current logical row, decoded at most once per tuple and only when
-    // one is reached; a rejected tuple is never materialized.
+    // same value in every version, so one that does not run on the record
+    // bytes evaluates on the current logical row, decoded at most once per
+    // tuple and only when one is reached; a rejected tuple is never
+    // materialized.
     bool decoded = false;
-    for (const Conjunct& c : invariant_) {
+    for (const query::BoundExpr& c : invariant_) {
       bool keep;
-      if (c.compiled.has_value()) {
-        keep = c.compiled->Eval(rec);
+      if (c.on_record()) {
+        keep = c.TestRecord(rec);
       } else {
         if (!decoded) {
           if (current_.empty()) current_ = LogicalPlaceholders(vs_);
@@ -778,8 +632,7 @@ class VnlTable::ReaderStep {
                                     &current_);
           decoded = true;
         }
-        Result<bool> r =
-            query::EvalPredicate(*c.expr, vs_.logical(), current_, params_);
+        Result<bool> r = c.Test(current_);
         if (!r.ok()) return Fail(r.status());
         keep = r.value();
       }
@@ -791,9 +644,8 @@ class VnlTable::ReaderStep {
     if (out->empty()) *out = LogicalPlaceholders(vs_);
     MaterializeVersionRawInto(vs_, rec, res, projection_, out);
     ++reconstructed_rows_;
-    for (const sql::Expr* e : reconstructed_) {
-      Result<bool> keep =
-          query::EvalPredicate(*e, vs_.logical(), *out, params_);
+    for (const query::BoundExpr& c : reconstructed_) {
+      Result<bool> keep = c.Test(*out);
       if (!keep.ok()) return Fail(keep.status());
       // Post-materialization rejections are not "filtered" — the copy was
       // already paid; they show up as reconstructed - emitted.
@@ -810,12 +662,6 @@ class VnlTable::ReaderStep {
   }
   const Status& status() const { return status_; }
 
-  // Whether invariant conjunct `i` is a byte comparison (which, unlike a
-  // generic conjunct, never fails to evaluate).
-  bool compiled(size_t i) const {
-    return invariant_[i].compiled.has_value();
-  }
-
   // Reports the read once: `emitted` rows reached the sink.
   void Publish(ScanMetricsSink* metrics, SnapshotScanStats* stats,
                uint64_t emitted) const {
@@ -831,16 +677,12 @@ class VnlTable::ReaderStep {
   }
 
  private:
-  struct Conjunct {
-    const sql::Expr* expr;
-    std::optional<CompiledPredicate> compiled;
-  };
+  static inline const std::vector<query::BoundExpr> kNoConjuncts;
 
   const VersionedSchema& vs_;
   Vn session_vn_;
-  std::vector<Conjunct> invariant_;
-  std::vector<const sql::Expr*> reconstructed_;
-  const query::ParamMap& params_;
+  const std::vector<query::BoundExpr>& invariant_;
+  const std::vector<query::BoundExpr>& reconstructed_;
   std::vector<bool> projection_;  // empty = every logical column
   uint64_t row_bytes_;
   Row current_;  // current version, decoded for generic invariant conjuncts
@@ -919,8 +761,7 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
 
 Result<std::vector<Row>> VnlTable::SnapshotRows(
     const ReaderSession& session, SnapshotScanStats* stats) const {
-  const query::ParamMap no_params;
-  ReaderStep step(vschema_, session.session_vn, {}, {}, no_params, {});
+  ReaderStep step(vschema_, session.session_vn);
   std::vector<Row> rows;
   WVM_RETURN_IF_ERROR(StreamSnapshot(
       &step,
@@ -948,8 +789,7 @@ Result<std::optional<Row>> VnlTable::SnapshotLookup(
     auto it = key_index_.find(probe);
     if (it != key_index_.end()) candidates.push_back(it->second);
   }
-  const query::ParamMap no_params;
-  ReaderStep step(vschema_, session.session_vn, {}, {}, no_params, {});
+  ReaderStep step(vschema_, session.session_vn);
   std::optional<Row> found;
   WVM_RETURN_IF_ERROR(StreamCandidates(
       candidates, &probe, /*lookups=*/1, /*scans_avoided=*/0, &step,
@@ -965,30 +805,22 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
     const ReaderSession& session, const sql::SelectStmt& stmt,
     const query::ParamMap& params, SnapshotScanStats* stats) const {
   const Schema& logical = vschema_.logical();
-  // WHERE conjuncts the scan absorbs, split by pushdown eligibility:
-  // `invariant` conjuncts touch only non-updatable logical columns (same
-  // value in every version — evaluable pre-reconstruction on the record);
-  // `reconstructed` conjuncts touch updatable columns and must wait for
-  // the version's logical row. Conjuncts referencing anything outside the
-  // logical schema, or containing aggregates, stay in the executor's
-  // residual WHERE. Both lists keep WHERE order.
-  std::vector<const sql::Expr*> invariant;
-  std::vector<const sql::Expr*> reconstructed;
+  // WHERE conjuncts the scan absorbs, bound once and split by pushdown
+  // eligibility: `invariant` conjuncts touch only non-updatable logical
+  // columns (same value in every version — evaluable pre-reconstruction
+  // on the record); `reconstructed` conjuncts touch updatable columns and
+  // must wait for the version's logical row. Conjuncts naming anything
+  // outside the logical schema, or containing aggregates, stay in the
+  // executor's residual WHERE. Both lists keep WHERE order.
+  std::vector<query::BoundExpr> invariant;
+  std::vector<query::BoundExpr> reconstructed;
   query::PushdownSource source;
   source.absorb = [&](const sql::Expr& conjunct) {
-    if (sql::ContainsAggregate(conjunct)) return false;
-    bool pushable = true;
-    bool touches_updatable = false;
-    sql::ForEachColumnRef(conjunct, [&](const sql::Expr& ref) {
-      Result<size_t> idx = logical.IndexOf(ref.column);
-      if (!idx.ok()) {
-        pushable = false;
-        return;
-      }
-      if (logical.column(idx.value()).updatable) touches_updatable = true;
-    });
-    if (!pushable) return false;
-    (touches_updatable ? reconstructed : invariant).push_back(&conjunct);
+    query::BoundExpr bound = query::BoundExpr::Bind(
+        conjunct, logical, params, &vschema_.physical());
+    if (!bound.resolved() || bound.has_aggregate()) return false;
+    (bound.touches_updatable() ? reconstructed : invariant)
+        .push_back(std::move(bound));
     return true;
   };
   std::vector<bool> projection;
@@ -999,23 +831,16 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
     // materialized row itself, so their columns must survive projection
     // even when the SELECT list never mentions them. (`invariant`
     // conjuncts run before materialization and need nothing kept.)
-    for (const sql::Expr* e : reconstructed) {
-      sql::ForEachColumnRef(*e, [&](const sql::Expr& ref) {
-        Result<size_t> idx = logical.IndexOf(ref.column);
-        if (idx.ok() && idx.value() < projection.size()) {
-          projection[idx.value()] = true;
-        }
-      });
-    }
+    for (const query::BoundExpr& c : reconstructed) c.MarkColumns(&projection);
   };
   source.scan = [&](const RowSink& sink) {
     const ScanOptions opts =
         engine_ != nullptr ? engine_->scan_options() : ScanOptions{};
     ReaderStep step(vschema_, session.session_vn, invariant, reconstructed,
-                    params, projection);
+                    projection);
     if (opts.index_routing) {
       Status routed;
-      if (TryStreamViaIndex(session, invariant, params, &step, sink, stats,
+      if (TryStreamViaIndex(session, invariant, &step, sink, stats,
                             &routed)) {
         return routed;
       }
@@ -1027,9 +852,8 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
 
 bool VnlTable::TryStreamViaIndex(
     const ReaderSession& session,
-    const std::vector<const sql::Expr*>& invariant_filter,
-    const query::ParamMap& params, ReaderStep* step, const RowSink& sink,
-    SnapshotScanStats* stats, Status* status) const {
+    const std::vector<query::BoundExpr>& invariant, ReaderStep* step,
+    const RowSink& sink, SnapshotScanStats* stats, Status* status) const {
   if (engine_ == nullptr) return false;
   const Schema& logical = vschema_.logical();
   // Eligibility is the §4.1 version window itself (gap <= n-1, one less
@@ -1044,55 +868,44 @@ bool VnlTable::TryStreamViaIndex(
     return false;
   }
   // The heap pass evaluates invariant conjuncts in WHERE order on every
-  // visible tuple, so one that can fail to evaluate (generic, and not a
-  // binding shape) raises its error on tuples a later binding conjunct
-  // would reject — tuples the index never fetches. Such reads take the
-  // heap pass too.
+  // visible tuple, so one that can fail to evaluate raises its error on
+  // tuples a later binding conjunct would reject — tuples the index never
+  // fetches. Such reads take the heap pass too.
   bool may_fail = false;
-  for (size_t i = 0; i < invariant_filter.size(); ++i) {
-    if (!may_fail && step->compiled(i)) continue;
-    const bool binds =
-        BindsIndexColumn(*invariant_filter[i], logical, params);
-    if (may_fail && binds) return false;
-    may_fail = !binds;
+  for (const query::BoundExpr& c : invariant) {
+    if (may_fail && c.key_column().has_value()) return false;
+    may_fail = may_fail || c.can_fail();
   }
 
   // Bindings are access-path hints only: every absorbed conjunct is
   // re-evaluated on each candidate, so a superset of the matching keys is
   // safe. The unique key wins over secondary indexes (at most one
   // candidate per bound key).
-  std::vector<Rid> candidates;
-  uint64_t lookups = 0;
-  bool bound = false;
+  std::optional<std::vector<Row>> keys;
+  size_t secondary = secondary_specs_.size();  // none: the unique key
   if (logical.has_unique_key()) {
-    std::optional<std::vector<Row>> keys = BindIndexKeys(
-        invariant_filter, logical, logical.key_indices(), params);
-    if (keys.has_value()) {
-      bound = true;
-      MutexLock lock(index_mu_);
-      for (const Row& k : *keys) {
-        ++lookups;
-        auto it = key_index_.find(k);
-        if (it != key_index_.end()) candidates.push_back(it->second);
-      }
-    }
+    keys = BindIndexKeys(invariant, logical.key_indices());
   }
-  for (size_t s = 0; s < secondary_specs_.size() && !bound; ++s) {
-    std::optional<std::vector<Row>> keys = BindIndexKeys(
-        invariant_filter, logical, secondary_specs_[s].column_indices,
-        params);
-    if (!keys.has_value()) continue;
-    bound = true;
+  for (size_t s = 0; s < secondary_specs_.size() && !keys.has_value(); ++s) {
+    keys = BindIndexKeys(invariant, secondary_specs_[s].column_indices);
+    secondary = s;
+  }
+  if (!keys.has_value()) return false;
+  std::vector<Rid> candidates;
+  {
     MutexLock lock(index_mu_);
     for (const Row& k : *keys) {
-      ++lookups;
-      auto it = secondary_postings_[s].find(k);
-      if (it == secondary_postings_[s].end()) continue;
+      if (secondary == secondary_specs_.size()) {
+        auto it = key_index_.find(k);
+        if (it != key_index_.end()) candidates.push_back(it->second);
+        continue;
+      }
+      auto it = secondary_postings_[secondary].find(k);
+      if (it == secondary_postings_[secondary].end()) continue;
       candidates.insert(candidates.end(), it->second.begin(),
                         it->second.end());
     }
   }
-  if (!bound) return false;
 
   // Emit in heap order so the routed stream is byte-identical to the
   // heap pass's. A heap appends pages in allocation order and page ids
@@ -1100,7 +913,7 @@ bool VnlTable::TryStreamViaIndex(
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  *status = StreamCandidates(candidates, /*key=*/nullptr, lookups,
+  *status = StreamCandidates(candidates, /*key=*/nullptr, keys->size(),
                              /*scans_avoided=*/1, step, sink, stats);
   return true;
 }

@@ -164,12 +164,14 @@ class VnlTable {
   //
   // The read is fully streaming and runs on serialized records: Table-1
   // version resolution, predicate evaluation, and projection happen per
-  // tuple inside one pass. WHERE conjuncts that reference only base
+  // tuple inside one pass. Every expression is bound once per call
+  // (query::BoundExpr): names, parameters and comparand types are resolved
+  // before the first tuple. WHERE conjuncts that reference only base
   // (logical) columns are pushed into the pass. Conjuncts over
   // version-invariant (non-updatable) columns are evaluated, in WHERE
-  // order, before the logical row is materialized — `column cmp constant`
-  // shapes over int, string and DATE columns as byte comparisons — so
-  // filtered-out tuples cost zero Row copies.
+  // order, before the logical row is materialized — a `column cmp
+  // constant` conjunct over an int, string or DATE column on the record
+  // bytes — so filtered-out tuples cost zero Row copies.
   //
   // The pass is fed by the unique-key or a secondary index when routing
   // applies (see TryStreamViaIndex), else by one serial heap pass on the
@@ -275,22 +277,23 @@ class VnlTable {
 
   // §4.3 index-routed read: serves the same row stream as the heap pass
   // out of the unique-key index (or a secondary posting list) when the
-  // invariant conjuncts bind one with equalities, and the session is inside
-  // the §4.1 version window (currentVN - sessionVN <= n-1, one less while
-  // maintenance is active; VersionRelation::Snapshot::Admits), where no
-  // tuple can resolve kExpired — the heap pass decides expiration per
-  // tuple, including tuples the WHERE rejects, so sessions outside the
-  // window must take it to keep the two paths status-identical. For the
-  // same reason a conjunct that can fail to evaluate must not precede a
-  // binding one. A maintenance transaction that begins after the check can
-  // still expire the read on a candidate it rewrote. Returns false
-  // (leaving *status untouched) when no index applies; true with the
-  // read's status in *status otherwise.
+  // bound invariant conjuncts carry index keys (BindIndexKeys), and the
+  // session is inside the §4.1 version window (currentVN - sessionVN <=
+  // n-1, one less while maintenance is active;
+  // VersionRelation::Snapshot::Admits), where no tuple can resolve
+  // kExpired — the heap pass decides expiration per tuple, including
+  // tuples the WHERE rejects, so sessions outside the window must take it
+  // to keep the two paths status-identical. For the same reason no
+  // conjunct whose can_fail() flag is set may precede one carrying keys.
+  // A maintenance transaction that begins after the check can still
+  // expire the read on a candidate it rewrote. Returns false (leaving
+  // *status untouched) when no index applies; true with the read's status
+  // in *status otherwise.
   bool TryStreamViaIndex(const ReaderSession& session,
-                         const std::vector<const sql::Expr*>& invariant_filter,
-                         const query::ParamMap& params, ReaderStep* step,
-                         const RowSink& sink, SnapshotScanStats* stats,
-                         Status* status) const EXCLUDES(index_mu_);
+                         const std::vector<query::BoundExpr>& invariant,
+                         ReaderStep* step, const RowSink& sink,
+                         SnapshotScanStats* stats, Status* status) const
+      EXCLUDES(index_mu_);
 
   std::optional<Rid> IndexLookup(const Row& key) const EXCLUDES(index_mu_);
 

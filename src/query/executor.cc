@@ -22,47 +22,6 @@ struct RowLess {
   }
 };
 
-using sql::ContainsAggregate;
-
-// Evaluates the residual WHERE conjuncts against one row (logical AND;
-// NULL and false both reject).
-Result<bool> KeepRow(const std::vector<const sql::Expr*>& conjuncts,
-                     const Schema& schema, const Row& row,
-                     const ParamMap& params) {
-  for (const sql::Expr* e : conjuncts) {
-    WVM_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*e, schema, row, params));
-    if (!keep) return false;
-  }
-  return true;
-}
-
-// A per-row input resolved once per statement: a plain column that names a
-// schema column is read straight out of the row; anything else — an
-// expression, or a name that does not resolve — is evaluated per row, so
-// an unresolvable name still fails only when a row reaches it.
-class RowInput {
- public:
-  RowInput(const sql::Expr& expr, const Schema& schema) : expr_(&expr) {
-    if (expr.kind != sql::ExprKind::kColumnRef) return;
-    Result<size_t> idx = schema.IndexOf(expr.column);
-    if (idx.ok()) column_ = idx.value();
-  }
-
-  // The input's value in `row`: a reference into the row for a resolved
-  // column, else the evaluated expression, held in *scratch.
-  Result<const Value*> Read(const Schema& schema, const Row& row,
-                            const ParamMap& params, Value* scratch) const {
-    if (column_ != kUnresolved) return &row[column_];
-    WVM_ASSIGN_OR_RETURN(*scratch, EvalExpr(*expr_, schema, row, params));
-    return scratch;
-  }
-
- private:
-  static constexpr size_t kUnresolved = static_cast<size_t>(-1);
-  const sql::Expr* expr_;
-  size_t column_ = kUnresolved;
-};
-
 // Running state of one aggregate within one group. Each function touches
 // only its own fields: COUNT the count; SUM and AVG the count and the sum,
 // kept as int64_t until a DOUBLE input widens it; MIN and MAX the count
@@ -147,75 +106,151 @@ std::string OutputName(const sql::SelectItem& item) {
   return item.alias.empty() ? item.expr->ToSql() : item.alias;
 }
 
-Result<QueryResult> ExecuteAggregate(
-    const sql::SelectStmt& stmt, const Schema& schema,
-    const RowSource& source, const std::vector<const sql::Expr*>& where,
-    const ParamMap& params) {
-  // Resolve group-by key columns.
-  std::vector<size_t> key_cols;
-  for (const std::string& g : stmt.group_by) {
-    WVM_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(g));
-    key_cols.push_back(idx);
-  }
-
-  // Classify select items: group-by column refs vs aggregate calls.
-  // Group items are addressed by their position inside the group key, so
-  // output depends only on the key, never on which of a group's rows
-  // arrived first.
+// A SELECT bound to its input schema once, before any row is read: the
+// residual WHERE, and either the select list or the grouping plan.
+struct SelectPlan {
   struct Aggregate {
     sql::AggFunc func;
-    std::optional<RowInput> input;  // empty for COUNT(*)
+    std::optional<BoundExpr> input;  // empty for COUNT(*)
   };
-  struct ItemPlan {
+  // One output column of a grouped SELECT.
+  struct Output {
     bool is_aggregate;
     size_t pos;  // ordinal in `aggs`, or position within the group key
   };
+
+  std::vector<std::string> column_names;
+  std::vector<BoundExpr> where;  // residual conjuncts, WHERE order
+  bool select_star = false;
+  bool grouped = false;
+  std::vector<BoundExpr> items;  // ungrouped select list
+  // Grouped: group items are addressed by their position inside the group
+  // key, so output depends only on the key, never on which of a group's
+  // rows arrived first.
+  std::vector<size_t> key_cols;
   std::vector<Aggregate> aggs;
-  std::vector<ItemPlan> plans;
-  for (const sql::SelectItem& item : stmt.items) {
-    const sql::Expr& e = *item.expr;
-    if (e.kind == sql::ExprKind::kAggCall) {
-      plans.push_back({true, aggs.size()});
-      Aggregate agg{e.agg, std::nullopt};
-      if (!e.agg_star) agg.input.emplace(*e.child0, schema);
-      aggs.push_back(std::move(agg));
-      continue;
+  std::vector<Output> outputs;
+
+  // Binds `stmt` with `residual` as its WHERE. Fails on a statement no row
+  // can make valid (an unknown GROUP BY column, an aggregate inside an
+  // expression, an ungrouped plain column).
+  static Result<SelectPlan> Bind(const sql::SelectStmt& stmt,
+                                 const Schema& schema,
+                                 const std::vector<const sql::Expr*>& residual,
+                                 const ParamMap& params) {
+    SelectPlan plan;
+    plan.select_star = stmt.select_star;
+    for (const sql::Expr* e : residual) {
+      plan.where.push_back(BoundExpr::Bind(*e, schema, params));
     }
-    if (ContainsAggregate(e)) {
-      return Status::Unimplemented(
-          "aggregates must be top-level select items");
+    if (stmt.select_star) {
+      for (const Column& c : schema.columns()) {
+        plan.column_names.push_back(c.name);
+      }
     }
-    if (e.kind != sql::ExprKind::kColumnRef) {
-      return Status::Unimplemented(
-          "non-aggregate select items must be plain columns when grouping");
+    plan.grouped = !stmt.group_by.empty();
+    for (const sql::SelectItem& item : stmt.items) {
+      plan.column_names.push_back(OutputName(item));
+      plan.items.push_back(BoundExpr::Bind(*item.expr, schema, params));
+      plan.grouped = plan.grouped || plan.items.back().has_aggregate();
     }
-    size_t key_pos = stmt.group_by.size();
-    for (size_t g = 0; g < stmt.group_by.size(); ++g) {
-      if (EqualsIgnoreCaseAscii(stmt.group_by[g], e.column)) key_pos = g;
+    if (!plan.grouped) return plan;
+    if (stmt.select_star) {
+      return Status::InvalidArgument("SELECT * cannot be grouped");
     }
-    if (key_pos == stmt.group_by.size()) {
-      return Status::InvalidArgument("column '" + e.column +
-                                     "' is neither aggregated nor grouped");
+    for (const std::string& g : stmt.group_by) {
+      WVM_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(g));
+      plan.key_cols.push_back(idx);
     }
-    plans.push_back({false, key_pos});
+    for (size_t i = 0; i < stmt.items.size(); ++i) {
+      const sql::Expr& e = *stmt.items[i].expr;
+      if (e.kind == sql::ExprKind::kAggCall) {
+        plan.outputs.push_back({true, plan.aggs.size()});
+        Aggregate agg{e.agg, std::nullopt};
+        if (!e.agg_star) agg.input = BoundExpr::Bind(*e.child0, schema, params);
+        plan.aggs.push_back(std::move(agg));
+        continue;
+      }
+      if (plan.items[i].has_aggregate()) {
+        return Status::Unimplemented(
+            "aggregates must be top-level select items");
+      }
+      if (e.kind != sql::ExprKind::kColumnRef) {
+        return Status::Unimplemented(
+            "non-aggregate select items must be plain columns when "
+            "grouping");
+      }
+      size_t key_pos = stmt.group_by.size();
+      for (size_t g = 0; g < stmt.group_by.size(); ++g) {
+        if (EqualsIgnoreCaseAscii(stmt.group_by[g], e.column)) key_pos = g;
+      }
+      if (key_pos == stmt.group_by.size()) {
+        return Status::InvalidArgument("column '" + e.column +
+                                       "' is neither aggregated nor grouped");
+      }
+      plan.outputs.push_back({false, key_pos});
+    }
+    plan.items.clear();  // a grouped SELECT reads only keys and aggregates
+    return plan;
   }
 
+  // The input columns the plan reads ("projection pushdown"): the select
+  // list, aggregate inputs, group keys and the residual WHERE. Empty means
+  // every column — SELECT *, or a name that does not resolve (the
+  // evaluator reports it identically either way).
+  std::vector<bool> ReferencedColumns(size_t num_columns) const {
+    if (select_star) return {};
+    std::vector<bool> needed(num_columns, false);
+    bool all = false;
+    auto mark = [&](const BoundExpr& e) {
+      all = all || !e.resolved();
+      e.MarkColumns(&needed);
+    };
+    for (const BoundExpr& e : where) mark(e);
+    for (const BoundExpr& e : items) mark(e);
+    for (const Aggregate& agg : aggs) {
+      if (agg.input.has_value()) mark(*agg.input);
+    }
+    for (size_t c : key_cols) needed[c] = true;
+    if (all) return {};
+    return needed;
+  }
+};
+
+// Streams the rows of `source` that pass the residual WHERE (logical AND;
+// NULL and false both reject) into `emit`, a Status(const Row&) callable.
+// The first failure stops the scan; a scan-side failure (e.g. session
+// expiration mid-stream) outranks one the truncated stream caused.
+template <typename Emit>
+Status ScanKept(const SelectPlan& plan, const PushdownSource& source,
+                Emit emit) {
+  Status status;
+  WVM_RETURN_IF_ERROR(source.scan([&](const Row& row) {
+    for (const BoundExpr& e : plan.where) {
+      Result<bool> keep = e.Test(row);
+      if (!keep.ok()) status = keep.status();
+      if (!keep.ok() || !keep.value()) return status.ok();
+    }
+    status = emit(row);
+    return status.ok();
+  }));
+  return status;
+}
+
+Result<QueryResult> ExecuteAggregate(const SelectPlan& plan,
+                                     const PushdownSource& source) {
   // Hash groups, probed with one reused key; a key is copied only when its
   // group is inserted. Group g's aggregate a is states[g * aggs.size() + a].
+  const std::vector<SelectPlan::Aggregate>& aggs = plan.aggs;
   std::unordered_map<Row, size_t, RowHash, RowEq> group_of;
   std::vector<const Row*> group_keys;  // node keys: stable across rehash
   std::vector<AggState> states;
-  Row probe(key_cols.size());
+  Row probe(plan.key_cols.size());
   Value scratch;
-  Status scan_status;
-  source([&](const Row& row) {
-    Result<bool> keep = KeepRow(where, schema, row, params);
-    if (!keep.ok()) {
-      scan_status = keep.status();
-      return false;
+  WVM_RETURN_IF_ERROR(ScanKept(plan, source, [&](const Row& row) {
+    for (size_t k = 0; k < plan.key_cols.size(); ++k) {
+      probe[k] = row[plan.key_cols[k]];
     }
-    if (!keep.value()) return true;
-    for (size_t k = 0; k < key_cols.size(); ++k) probe[k] = row[key_cols[k]];
     auto it = group_of.find(probe);
     if (it == group_of.end()) {
       it = group_of.emplace(probe, group_keys.size()).first;
@@ -228,25 +263,19 @@ Result<QueryResult> ExecuteAggregate(
         ++group[a].count;
         continue;
       }
-      Result<const Value*> v =
-          aggs[a].input->Read(schema, row, params, &scratch);
-      scan_status =
-          v.ok() ? group[a].Accumulate(aggs[a].func, **v) : v.status();
-      if (!scan_status.ok()) return false;
+      WVM_ASSIGN_OR_RETURN(const Value* v, aggs[a].input->Eval(row, &scratch));
+      WVM_RETURN_IF_ERROR(group[a].Accumulate(aggs[a].func, *v));
     }
-    return true;
-  });
-  WVM_RETURN_IF_ERROR(scan_status);
+    return Status::OK();
+  }));
 
   QueryResult result;
-  for (const sql::SelectItem& item : stmt.items) {
-    result.column_names.push_back(OutputName(item));
-  }
+  result.column_names = plan.column_names;
 
   // A grand-total aggregate (no GROUP BY) always yields one row.
-  if (stmt.group_by.empty() && group_keys.empty()) {
+  if (plan.key_cols.empty() && group_keys.empty()) {
     Row out;
-    for (const Aggregate& agg : aggs) {
+    for (const SelectPlan::Aggregate& agg : aggs) {
       out.push_back(AggState{}.Finalize(agg.func));
     }
     result.rows.push_back(std::move(out));
@@ -262,114 +291,13 @@ Result<QueryResult> ExecuteAggregate(
   for (size_t g : order) {
     const AggState* group = &states[g * aggs.size()];
     Row out;
-    out.reserve(plans.size());
-    for (const ItemPlan& plan : plans) {
-      out.push_back(plan.is_aggregate
-                        ? group[plan.pos].Finalize(aggs[plan.pos].func)
-                        : (*group_keys[g])[plan.pos]);
+    out.reserve(plan.outputs.size());
+    for (const SelectPlan::Output& o : plan.outputs) {
+      out.push_back(o.is_aggregate ? group[o.pos].Finalize(aggs[o.pos].func)
+                                   : (*group_keys[g])[o.pos]);
     }
     result.rows.push_back(std::move(out));
   }
-  return result;
-}
-
-// Computes which input columns the executor will read for this statement:
-// select-item expressions (aggregate arguments included — ForEachColumnRef
-// walks the whole tree), GROUP BY keys, and the residual WHERE. An
-// unresolvable name keeps every column needed; the evaluator surfaces the
-// error identically either way. Empty result = all columns.
-std::vector<bool> ReferencedColumns(
-    const sql::SelectStmt& stmt, const Schema& schema,
-    const std::vector<const sql::Expr*>& residual_where) {
-  if (stmt.select_star) return {};
-  std::vector<bool> needed(schema.num_columns(), false);
-  bool all = false;
-  auto mark = [&](const sql::Expr& e) {
-    sql::ForEachColumnRef(e, [&](const sql::Expr& ref) {
-      Result<size_t> idx = schema.IndexOf(ref.column);
-      if (idx.ok()) {
-        needed[idx.value()] = true;
-      } else {
-        all = true;
-      }
-    });
-  };
-  for (const sql::SelectItem& item : stmt.items) mark(*item.expr);
-  for (const std::string& g : stmt.group_by) {
-    Result<size_t> idx = schema.IndexOf(g);
-    if (idx.ok()) {
-      needed[idx.value()] = true;
-    } else {
-      all = true;
-    }
-  }
-  for (const sql::Expr* e : residual_where) mark(*e);
-  if (all) return {};
-  return needed;
-}
-
-// Runs the SELECT with an explicit residual-WHERE conjunct list (the
-// pushdown entry point strips the conjuncts the source absorbed).
-Result<QueryResult> ExecuteSelectResidual(
-    const sql::SelectStmt& stmt, const Schema& input_schema,
-    const RowSource& source, const std::vector<const sql::Expr*>& where,
-    const ParamMap& params) {
-  bool has_agg = false;
-  for (const sql::SelectItem& item : stmt.items) {
-    if (ContainsAggregate(*item.expr)) has_agg = true;
-  }
-  if (has_agg || !stmt.group_by.empty()) {
-    if (stmt.select_star) {
-      return Status::InvalidArgument("SELECT * cannot be grouped");
-    }
-    return ExecuteAggregate(stmt, input_schema, source, where, params);
-  }
-
-  QueryResult result;
-  if (stmt.select_star) {
-    for (const Column& c : input_schema.columns()) {
-      result.column_names.push_back(c.name);
-    }
-  } else {
-    for (const sql::SelectItem& item : stmt.items) {
-      result.column_names.push_back(OutputName(item));
-    }
-  }
-
-  std::vector<RowInput> items;
-  if (!stmt.select_star) {
-    for (const sql::SelectItem& item : stmt.items) {
-      items.emplace_back(*item.expr, input_schema);
-    }
-  }
-  Value scratch;
-  Status scan_status;
-  source([&](const Row& row) {
-    Result<bool> keep = KeepRow(where, input_schema, row, params);
-    if (!keep.ok()) {
-      scan_status = keep.status();
-      return false;
-    }
-    if (!keep.value()) return true;
-    if (stmt.select_star) {
-      result.rows.push_back(row);
-      return true;
-    }
-    Row out;
-    out.reserve(items.size());
-    for (const RowInput& item : items) {
-      Result<const Value*> v =
-          item.Read(input_schema, row, params, &scratch);
-      if (!v.ok()) {
-        scan_status = v.status();
-        return false;
-      }
-      out.push_back(**v);
-    }
-    result.rows.push_back(std::move(out));
-    return true;
-  });
-  WVM_RETURN_IF_ERROR(scan_status);
   return result;
 }
 
@@ -379,9 +307,12 @@ Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                   const Schema& input_schema,
                                   const RowSource& source,
                                   const ParamMap& params) {
-  std::vector<const sql::Expr*> where;
-  if (stmt.where != nullptr) sql::CollectConjuncts(*stmt.where, &where);
-  return ExecuteSelectResidual(stmt, input_schema, source, where, params);
+  PushdownSource rows;
+  rows.scan = [&source](const std::function<bool(const Row&)>& sink) {
+    source(sink);
+    return Status::OK();
+  };
+  return ExecuteSelect(stmt, input_schema, rows, params);
 }
 
 Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
@@ -398,18 +329,30 @@ Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
       }
     }
   }
+  WVM_ASSIGN_OR_RETURN(
+      SelectPlan plan,
+      SelectPlan::Bind(stmt, input_schema, residual, params));
   if (source.project != nullptr) {
-    source.project(ReferencedColumns(stmt, input_schema, residual));
+    source.project(plan.ReferencedColumns(input_schema.num_columns()));
   }
-  Status scan_status;
-  RowSource rows = [&](const std::function<bool(const Row&)>& sink) {
-    scan_status = source.scan(sink);
-  };
-  Result<QueryResult> result =
-      ExecuteSelectResidual(stmt, input_schema, rows, residual, params);
-  // A scan-side failure (e.g. session expiration mid-stream) outranks a
-  // result assembled from the truncated stream.
-  WVM_RETURN_IF_ERROR(scan_status);
+  if (plan.grouped) return ExecuteAggregate(plan, source);
+  QueryResult result;
+  result.column_names = plan.column_names;
+  Value scratch;
+  WVM_RETURN_IF_ERROR(ScanKept(plan, source, [&](const Row& row) {
+    if (plan.select_star) {
+      result.rows.push_back(row);
+      return Status::OK();
+    }
+    Row out;
+    out.reserve(plan.items.size());
+    for (const BoundExpr& item : plan.items) {
+      WVM_ASSIGN_OR_RETURN(const Value* v, item.Eval(row, &scratch));
+      out.push_back(*v);
+    }
+    result.rows.push_back(std::move(out));
+    return Status::OK();
+  }));
   return result;
 }
 

@@ -122,30 +122,6 @@ void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out) {
   out->push_back(&e);
 }
 
-bool ContainsAggregate(const Expr& e) {
-  if (e.kind == ExprKind::kAggCall) return true;
-  if (e.child0 != nullptr && ContainsAggregate(*e.child0)) return true;
-  if (e.child1 != nullptr && ContainsAggregate(*e.child1)) return true;
-  for (const CaseWhen& w : e.whens) {
-    if (ContainsAggregate(*w.condition) || ContainsAggregate(*w.result)) {
-      return true;
-    }
-  }
-  return e.else_expr != nullptr && ContainsAggregate(*e.else_expr);
-}
-
-void ForEachColumnRef(const Expr& e,
-                      const std::function<void(const Expr&)>& fn) {
-  if (e.kind == ExprKind::kColumnRef) fn(e);
-  if (e.child0 != nullptr) ForEachColumnRef(*e.child0, fn);
-  if (e.child1 != nullptr) ForEachColumnRef(*e.child1, fn);
-  for (const CaseWhen& w : e.whens) {
-    ForEachColumnRef(*w.condition, fn);
-    ForEachColumnRef(*w.result, fn);
-  }
-  if (e.else_expr != nullptr) ForEachColumnRef(*e.else_expr, fn);
-}
-
 ExprPtr Expr::Clone() const {
   auto e = std::make_unique<Expr>();
   e->kind = kind;

@@ -1,7 +1,6 @@
 #ifndef OPENWVM_SQL_AST_H_
 #define OPENWVM_SQL_AST_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -92,19 +91,12 @@ ExprPtr IsNull(ExprPtr e, bool negated);
 ExprPtr AndMaybe(ExprPtr a, ExprPtr b);
 
 // ---------------------------------------------------------------------------
-// Expression analysis (shared by the executor's predicate pushdown and the
-// engine's pushdown-eligibility classification)
+// Expression analysis (the executor's predicate pushdown; everything else
+// about an expression is query::BoundExpr's)
 
 // Appends the top-level AND conjuncts of `e` to `out`; an expression
 // without a top-level AND contributes itself. Pointers alias `e`.
 void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out);
-
-// True when the expression tree contains an aggregate call.
-bool ContainsAggregate(const Expr& e);
-
-// Invokes `fn` for every kColumnRef node in the tree.
-void ForEachColumnRef(const Expr& e,
-                      const std::function<void(const Expr&)>& fn);
 
 // ---------------------------------------------------------------------------
 // Statements

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace wvm {
 namespace {
 
@@ -81,6 +84,43 @@ TEST(ValueTest, Arithmetic) {
   EXPECT_EQ(ValueDiv(Value::Int64(7), Value::Int64(2))->AsInt64(), 3);
   EXPECT_DOUBLE_EQ(
       ValueAdd(Value::Int64(1), Value::Double(0.5))->AsDouble(), 1.5);
+}
+
+// Integer arithmetic never wraps and never traps: a result outside the
+// operands' type (INT32 for two INT32s, else INT64) is InvalidArgument.
+TEST(ValueTest, IntegerOverflowIsAnError) {
+  const int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  const int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  const Value big32 = Value::Int32(2000000000);
+  const Result<Value> overflows[] = {
+      ValueAdd(big32, big32),
+      ValueMul(big32, Value::Int32(2)),
+      ValueSub(Value::Int32(std::numeric_limits<int32_t>::min()),
+               Value::Int32(1)),
+      ValueDiv(Value::Int32(std::numeric_limits<int32_t>::min()),
+               Value::Int32(-1)),
+      ValueAdd(Value::Int64(kMax64), Value::Int64(1)),
+      ValueSub(Value::Int64(kMin64), Value::Int32(1)),
+      ValueMul(Value::Int64(kMax64), Value::Int64(2)),
+      ValueDiv(Value::Int64(kMin64), Value::Int64(-1)),
+      ValueNegate(Value::Int64(kMin64)),
+      ValueNegate(Value::Int32(std::numeric_limits<int32_t>::min())),
+  };
+  for (const Result<Value>& r : overflows) {
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), "integer overflow");
+  }
+  // In range, a mixed-width result widens instead of wrapping.
+  EXPECT_EQ(ValueAdd(big32, Value::Int64(2000000000))->AsInt64(),
+            4000000000);
+  EXPECT_EQ(ValueDiv(Value::Int64(kMin64), Value::Int64(1))->AsInt64(),
+            kMin64);
+  EXPECT_EQ(ValueNegate(Value::Int32(-5))->AsInt32(), 5);
+  EXPECT_EQ(ValueNegate(Value::Int32(-5))->type(), TypeId::kInt32);
+  EXPECT_DOUBLE_EQ(ValueNegate(Value::Double(1.5))->AsDouble(), -1.5);
+  EXPECT_TRUE(ValueNegate(Value::Null(TypeId::kInt32))->is_null());
+  EXPECT_EQ(ValueNegate(Value::String("x")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ValueTest, ArithmeticNullPropagates) {

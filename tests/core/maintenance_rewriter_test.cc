@@ -203,6 +203,37 @@ TEST_F(MaintenanceRewriterTest, ErrorsSurface) {
   Commit(txn);
 }
 
+// An INT64 that does not fit an INT32 column is rejected, never stored
+// wrapped: INSERT VALUES and UPDATE ... SET alike.
+TEST_F(MaintenanceRewriterTest, OutOfRangeInt32IsRejected) {
+  MaintenanceTxn* txn = Begin();
+  Result<size_t> insert = rewriter_->Execute(
+      txn,
+      "INSERT INTO DailySales VALUES "
+      "('San Jose', 'CA', 'golf equip', '10/14/96', 3000000000)");
+  EXPECT_EQ(insert.status().code(), StatusCode::kInvalidArgument)
+      << insert.status().ToString();
+  EXPECT_EQ(Exec(txn,
+                 "INSERT INTO DailySales VALUES "
+                 "('San Jose', 'CA', 'golf equip', '10/14/96', 2147483647)"),
+            1u);
+  Result<size_t> update = rewriter_->Execute(
+      txn, "UPDATE DailySales SET total_sales = total_sales + 1");
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument)
+      << update.status().ToString();
+  update = rewriter_->Execute(
+      txn, "UPDATE DailySales SET total_sales = -3000000000");
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument)
+      << update.status().ToString();
+  Commit(txn);
+
+  // Nothing wrapped reached the table: the one row holds INT32_MAX.
+  ReaderSession s = engine_->OpenSession();
+  Result<std::optional<Row>> row = Lookup(s, 14);
+  ASSERT_TRUE(row.ok() && row->has_value());
+  EXPECT_EQ((**row)[4].AsInt32(), 2147483647);
+}
+
 TEST_F(MaintenanceRewriterTest, ExplainUpdateMatchesExample43Shape) {
   Result<std::string> plan = rewriter_->Explain(
       "UPDATE DailySales SET total_sales = total_sales + 1000 "

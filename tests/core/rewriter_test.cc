@@ -107,9 +107,9 @@ Schema KeyedSchema() {
                 {0});
 }
 
-// Parses `where_sql` and hands its top-level conjuncts to BindIndexKeys
-// over `columns`. The statement owns the expression tree, so it must stay
-// alive across the call — hence one helper doing both.
+// Parses `where_sql`, binds its top-level conjuncts against KeyedSchema()
+// and `params`, and hands the bound conjuncts to BindIndexKeys over
+// `columns`.
 std::optional<std::vector<Row>> Bind(const std::string& where_sql,
                                      const std::vector<size_t>& columns,
                                      const query::ParamMap& params = {},
@@ -119,8 +119,12 @@ std::optional<std::vector<Row>> Bind(const std::string& where_sql,
   WVM_CHECK(stmt.ok());
   std::vector<const sql::Expr*> conjuncts;
   sql::CollectConjuncts(*stmt->where, &conjuncts);
-  return BindIndexKeys(conjuncts, KeyedSchema(), columns, params,
-                       max_candidates);
+  const Schema schema = KeyedSchema();
+  std::vector<query::BoundExpr> bound;
+  for (const sql::Expr* e : conjuncts) {
+    bound.push_back(query::BoundExpr::Bind(*e, schema, params));
+  }
+  return BindIndexKeys(bound, columns, max_candidates);
 }
 
 TEST(BindIndexKeysTest, BindsSingleEquality) {
@@ -202,7 +206,7 @@ TEST(BindIndexKeysTest, NormalizesCrossWidthIntegers) {
 }
 
 // DATE columns bind exactly what the scan's comparison would match: a
-// DATE value, or a string CompareValues would coerce with ParseDate.
+// DATE value, or a string the binder parses as a date.
 TEST(BindIndexKeysTest, BindsDateParamOnKeyWithDate) {
   auto keys = Bind("id = 4 AND day = :d", {0, 5},
                    {{"d", Value::Date(1996, 10, 14)}});

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "sql/parser.h"
 
 namespace wvm::query {
@@ -17,20 +21,28 @@ class EvalTest : public ::testing::Test {
             Column::Int32("vn"),
         }) {}
 
-  Value Eval(const std::string& expr_sql, const Row& row,
-             const ParamMap& params = {}) {
+  BoundExpr Bind(const std::string& expr_sql, const ParamMap& params = {}) {
     Result<sql::ExprPtr> e = sql::ParseExpression(expr_sql);
     EXPECT_TRUE(e.ok()) << e.status().ToString();
-    Result<Value> v = EvalExpr(**e, schema_, row, params);
+    return BoundExpr::Bind(**e, schema_, params);
+  }
+
+  // The result may point into the bound program, so it is copied while
+  // the program lives.
+  Value Eval(const std::string& expr_sql, const Row& row,
+             const ParamMap& params = {}) {
+    const BoundExpr b = Bind(expr_sql, params);
+    Value scratch;
+    Result<const Value*> v = b.Eval(row, &scratch);
     EXPECT_TRUE(v.ok()) << v.status().ToString();
-    return v.ok() ? v.value() : Value();
+    return v.ok() ? **v : Value();
   }
 
   Status EvalError(const std::string& expr_sql, const Row& row,
                    const ParamMap& params = {}) {
-    Result<sql::ExprPtr> e = sql::ParseExpression(expr_sql);
-    EXPECT_TRUE(e.ok());
-    return EvalExpr(**e, schema_, row, params).status();
+    const BoundExpr b = Bind(expr_sql, params);
+    Value scratch;
+    return b.Eval(row, &scratch).status();
   }
 
   Row MakeRow(const std::string& city, int64_t sales) {
@@ -141,16 +153,19 @@ TEST_F(EvalTest, CasePicksVersionLikePaper) {
       "ELSE pre_total_sales END");
   ASSERT_TRUE(e.ok());
   Row row = {Value::Int32(4), Value::Int64(12000), Value::Int64(10000)};
+  Value scratch;
 
-  Result<Value> current =
-      EvalExpr(**e, schema, row, {{"sessionVN", Value::Int64(4)}});
+  const BoundExpr current_vn =
+      BoundExpr::Bind(**e, schema, {{"sessionVN", Value::Int64(4)}});
+  Result<const Value*> current = current_vn.Eval(row, &scratch);
   ASSERT_TRUE(current.ok());
-  EXPECT_EQ(current->AsInt64(), 12000);
+  EXPECT_EQ((*current)->AsInt64(), 12000);
 
-  Result<Value> previous =
-      EvalExpr(**e, schema, row, {{"sessionVN", Value::Int64(3)}});
+  const BoundExpr previous_vn =
+      BoundExpr::Bind(**e, schema, {{"sessionVN", Value::Int64(3)}});
+  Result<const Value*> previous = previous_vn.Eval(row, &scratch);
   ASSERT_TRUE(previous.ok());
-  EXPECT_EQ(previous->AsInt64(), 10000);
+  EXPECT_EQ((*previous)->AsInt64(), 10000);
 }
 
 TEST_F(EvalTest, CaseNoMatchNoElseIsNull) {
@@ -185,14 +200,158 @@ TEST_F(EvalTest, AggregateInScalarContextIsError) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(EvalTest, EvalPredicateNullRejects) {
+TEST_F(EvalTest, TestNullRejects) {
   Row row = {Value::String("x"), Value::Null(TypeId::kInt64),
              Value::Date(1996, 1, 1), Value::Int32(0)};
-  Result<sql::ExprPtr> e = sql::ParseExpression("sales = 1");
-  ASSERT_TRUE(e.ok());
-  Result<bool> keep = EvalPredicate(**e, schema_, row, {});
+  Result<bool> keep = Bind("sales = 1").Test(row);
   ASSERT_TRUE(keep.ok());
   EXPECT_FALSE(keep.value());
+}
+
+// Integer arithmetic is checked: a result outside the operands' type is an
+// error, never a wrapped value, undefined behaviour or a SIGFPE.
+TEST_F(EvalTest, IntegerOverflowIsError) {
+  const Row row = MakeRow("a", 1);
+  const ParamMap params = {
+      {"min64", Value::Int64(std::numeric_limits<int64_t>::min())},
+      {"max64", Value::Int64(std::numeric_limits<int64_t>::max())},
+      {"min32", Value::Int32(std::numeric_limits<int32_t>::min())},
+      {"big32", Value::Int32(2000000000)},
+      {"neg", Value::Int64(-1)}};
+  for (const char* expr :
+       {":min64 / :neg", ":min64 / -1", ":max64 + 1", ":min64 - 1",
+        ":max64 * 2", ":big32 + :big32", ":big32 * :big32", "-:min64",
+        "-:min32", ":min32 - vn"}) {
+    SCOPED_TRACE(expr);
+    const Status st = EvalError(expr, row, params);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message(), "integer overflow");
+  }
+  // In range: INT32 stays INT32, a mix widens to INT64, nothing wraps.
+  EXPECT_EQ(Eval(":big32 + vn", row, params).AsInt32(), 2000000003);
+  EXPECT_EQ(Eval(":big32 + vn", row, params).type(), TypeId::kInt32);
+  EXPECT_EQ(Eval(":big32 + :big32 * 1", row, params).type(), TypeId::kInt64);
+  EXPECT_EQ(Eval(":big32 + 2000000000", row, params).AsInt64(), 4000000000);
+  EXPECT_EQ(Eval(":max64 / :neg", row, params).AsInt64(),
+            -std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Eval("-:max64", row, params).AsInt64(),
+            -std::numeric_limits<int64_t>::max());
+}
+
+// --- The bound form: what binding fixes once per statement ----------------
+
+// An unresolvable column, an unbound parameter, an aggregate and an
+// unparseable date comparand bind fine and fail only when a row reaches
+// them; a Kleene short circuit never reaches them.
+TEST_F(EvalTest, BindErrorsAreDeferredToTheRow) {
+  const Row row = MakeRow("a", 1);
+  for (const char* expr : {"nope = 1", ":missing = 1", "SUM(sales) > 1",
+                           "date = 'soon'"}) {
+    SCOPED_TRACE(expr);
+    const BoundExpr b = Bind(expr);
+    EXPECT_TRUE(b.can_fail());
+    EXPECT_FALSE(b.Test(row).ok());
+    EXPECT_FALSE(Bind(std::string("sales = 2 AND ") + expr).Test(row).value());
+    EXPECT_TRUE(Bind(std::string("sales = 1 OR ") + expr).Test(row).value());
+  }
+  EXPECT_FALSE(Bind("nope = 1").resolved());
+  EXPECT_TRUE(Bind(":missing = 1").resolved());
+}
+
+TEST_F(EvalTest, RecordsColumnsAndUpdatables) {
+  auto columns = [](const BoundExpr& b) {
+    std::vector<bool> needed(4, false);
+    b.MarkColumns(&needed);
+    return needed;
+  };
+  const BoundExpr b = Bind("vn > 2 AND (sales + vn) > 0 AND city <> 'x'");
+  EXPECT_EQ(columns(b), (std::vector<bool>{true, true, false, true}));
+  EXPECT_TRUE(b.touches_updatable());
+  EXPECT_TRUE(b.resolved());
+  EXPECT_FALSE(Bind("city = 'x' AND vn = 3").touches_updatable());
+  EXPECT_EQ(columns(Bind("1 = 1")), std::vector<bool>(4, false));
+}
+
+TEST_F(EvalTest, CanFailFollowsStaticTypes) {
+  for (const char* expr :
+       {"city = 'x'", "vn < 3.5", "date = '10/14/96'", "date >= :d",
+        "sales IS NULL", "NOT (vn = 1)", "city = 'a' OR city = :s",
+        "vn = 1 AND sales > 2"}) {
+    SCOPED_TRACE(expr);
+    EXPECT_FALSE(Bind(expr, {{"d", Value::Date(1996, 10, 1)},
+                             {"s", Value::String("b")}})
+                     .can_fail());
+  }
+  for (const char* expr :
+       {"city = 5", "date = 'soon'", "sales + 1 > 2", "-vn = 1", "NOT vn",
+        "CASE WHEN vn = 1 THEN sales END = 3", "date = :s"}) {
+    SCOPED_TRACE(expr);
+    EXPECT_TRUE(Bind(expr, {{"s", Value::String("b")}}).can_fail());
+  }
+}
+
+TEST_F(EvalTest, KeysOfEqualitiesAndInLists) {
+  const BoundExpr eq = Bind("3 = vn");
+  ASSERT_TRUE(eq.key_column().has_value());
+  EXPECT_EQ(*eq.key_column(), 3u);
+  ASSERT_EQ(eq.key_values().size(), 1u);
+  // Normalized through the column codec: an INT64 literal on an INT32
+  // column becomes an INT32 key.
+  EXPECT_EQ(eq.key_values()[0].type(), TypeId::kInt32);
+
+  const BoundExpr in = Bind("date = '10/14/96' OR date = :d",
+                            {{"d", Value::Date(1996, 10, 15)}});
+  ASSERT_TRUE(in.key_column().has_value());
+  EXPECT_EQ(*in.key_column(), 2u);
+  EXPECT_EQ(in.key_values().size(), 2u);
+  EXPECT_TRUE(in.key_values()[0] == Value::Date(1996, 10, 14));
+
+  for (const char* expr :
+       {"vn = 1 OR city = 'a'", "vn > 1", "vn = 1.5", "city = 'this string is far too long'",
+        "vn = :missing", "vn = NULL", "vn = 1 AND vn = 2", "date = 'soon'"}) {
+    SCOPED_TRACE(expr);
+    EXPECT_FALSE(Bind(expr).key_column().has_value());
+  }
+}
+
+// A top-level `column cmp constant` runs on the serialized record and
+// agrees with the row evaluation, mirrored comparisons and over-width
+// constants included.
+TEST_F(EvalTest, RecordTestAgreesWithRowTest) {
+  // A full-width stored string ties with an over-width constant on the
+  // whole slot; the stored value is then the smaller.
+  const Row rows[] = {MakeRow("San Jose", 100), MakeRow("Berkeley", 7),
+                      MakeRow("abcdefghijklmnopqrst", 7),
+                      {Value::Null(TypeId::kString), Value::Int64(1),
+                       Value::Date(1996, 10, 15), Value::Null(TypeId::kInt32)}};
+  const char* const kExprs[] = {
+      "city = 'San Jose'", "'Berkeley' < city", "city >= 'San Josexxxxxxxxxxxxxxxxxx'",
+      "city <> 'San Jose'", "city = 'abcdefghijklmnopqrstu'",
+      "city < 'abcdefghijklmnopqrstu'", "'abcdefghijklmnopqrstu' <= city",
+      "vn <= 3", "4 > vn", "date = '10/14/96'",
+      "date > :d", "sales = 100", "sales >= 3000000000"};
+  for (const char* expr : kExprs) {
+    SCOPED_TRACE(expr);
+    Result<sql::ExprPtr> e = sql::ParseExpression(expr);
+    ASSERT_TRUE(e.ok());
+    const BoundExpr b = BoundExpr::Bind(
+        **e, schema_, {{"d", Value::Date(1996, 10, 14)}}, &schema_);
+    ASSERT_TRUE(b.on_record());
+    EXPECT_FALSE(b.can_fail());
+    for (const Row& row : rows) {
+      std::vector<uint8_t> rec(schema_.RowByteSize());
+      SerializeRow(schema_, row, rec.data());
+      EXPECT_EQ(b.TestRecord(rec.data()), b.Test(row).value())
+          << RowToString(row);
+    }
+  }
+  for (const char* expr : {"vn = 2.5", "city = NULL", "sales + 1 = 2",
+                           "vn = 1 OR vn = 2", "city = 5"}) {
+    SCOPED_TRACE(expr);
+    Result<sql::ExprPtr> e = sql::ParseExpression(expr);
+    ASSERT_TRUE(e.ok());
+    EXPECT_FALSE(BoundExpr::Bind(**e, schema_, {}, &schema_).on_record());
+  }
 }
 
 }  // namespace
