@@ -63,39 +63,49 @@ void Run() {
     WVM_CHECK(table.Delete(t, golf).ok());
   });
 
+  // The tuple's record, read through the byte accessors.
   const VersionedSchema& vs = table.versioned_schema();
-  std::vector<Row> rows = table.physical_table().AllRows().value();
-  WVM_CHECK(rows.size() == 1);
-  const Row& t = rows[0];
+  const TableHeap* heap = table.physical_table().heap();
+  WVM_CHECK(heap->live_records() == 1);
+  std::vector<uint8_t> buf;
+  WVM_CHECK(heap->Scan([&](Rid, const uint8_t* rec) {
+                  buf.assign(rec, rec + heap->record_size());
+                  return false;
+                })
+                .ok());
+  const uint8_t* t = buf.data();
+  auto column = [&](size_t i) {
+    return DeserializeColumn(vs.physical(), t, i);
+  };
 
   std::printf("=== Figure 7: the 4VNL tuple after insert@3, update@5, "
               "delete@6 ===\n");
   std::printf("city=%s state=%s product_line=%s date=%s total_sales=%d\n",
-              t[0].AsString().c_str(), t[1].AsString().c_str(),
-              t[2].AsString().c_str(), t[3].ToString().c_str(),
-              t[4].AsInt32());
+              column(0).AsString().c_str(), column(1).AsString().c_str(),
+              column(2).AsString().c_str(), column(3).ToString().c_str(),
+              column(4).AsInt32());
   for (int slot = 0; slot < vs.num_slots(); ++slot) {
     std::printf("  tupleVN%d=%lld operation%d=%s pre_total_sales%d=%s\n",
-                slot + 1, static_cast<long long>(vs.TupleVn(t, slot)),
+                slot + 1, static_cast<long long>(vs.RawTupleVn(t, slot)),
                 slot + 1,
-                vs.SlotEmpty(t, slot)
+                vs.RawSlotEmpty(t, slot)
                     ? "-"
-                    : OpToString(vs.Operation(t, slot).value()),
-                slot + 1, t[vs.PreIndex(0, slot)].ToString().c_str());
+                    : OpToString(vs.RawOperation(t, slot).value()),
+                slot + 1, column(vs.PreIndex(0, slot)).ToString().c_str());
   }
 
   wvm::bench::Emit("fig7/populated_slots",
-                   static_cast<double>(vs.PopulatedSlots(t)), "slots");
+                   static_cast<double>(vs.RawPopulatedSlots(t)), "slots");
 
   std::printf("\n=== Example 5.1: what each sessionVN sees ===\n");
   std::printf("sessionVN  result\n");
   size_t visible = 0, ignored = 0, expired = 0;
+  Row out = LogicalPlaceholders(vs);
   for (Vn vn = 7; vn >= 1; --vn) {
-    ReaderSession session;
-    session.session_vn = vn;
-    Row out;
-    switch (ReadVersion(vs, t, vn, &out)) {
+    const VersionResolution res = ResolveVersionRaw(vs, t, vn);
+    switch (res.outcome) {
       case ReadOutcome::kRow:
+        MaterializeVersionRawInto(vs, t, res, {}, &out);
         std::printf("%9lld  total_sales = %d\n",
                     static_cast<long long>(vn), out[4].AsInt32());
         ++visible;

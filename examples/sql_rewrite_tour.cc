@@ -57,11 +57,9 @@ int main() {
       core::VersionedSchema::Create(logical, 4);
   WVM_CHECK(vs4.ok());
   std::printf("value CASE : %s\n",
-              core::BuildVersionCase(*vs4, 4, "sessionVN")->ToSql().c_str());
+              core::BuildVersionCase(*vs4, 4)->ToSql().c_str());
   std::printf("visibility : %s\n\n",
-              core::BuildVisibilityPredicate(*vs4, "sessionVN")
-                  ->ToSql()
-                  .c_str());
+              core::BuildVisibilityPredicate(*vs4)->ToSql().c_str());
 
   core::MaintenanceRewriter maint(&engine);
   std::printf("=== §4.2: maintenance statement rewrites ===\n");

@@ -91,14 +91,6 @@ Status Schema::AddSecondaryIndex(
   return Status::OK();
 }
 
-Row Schema::SecondaryKeyOf(const Row& row,
-                           const SecondaryIndexSpec& spec) const {
-  Row key;
-  key.reserve(spec.column_indices.size());
-  for (size_t i : spec.column_indices) key.push_back(row[i]);
-  return key;
-}
-
 Status Schema::ValidateRow(const Row& row) const {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument(StrPrintf(
@@ -190,8 +182,12 @@ void EncodeValue(const Column& col, const Value& v, uint8_t* slot) {
       break;
     }
     case TypeId::kString: {
+      // Decoding stops at the first NUL, so nothing after it is stored.
       const std::string& s = v.AsString();
-      const size_t n = s.size() < col.width ? s.size() : col.width;
+      size_t n = s.size() < col.width ? s.size() : col.width;
+      if (const void* nul = std::memchr(s.data(), 0, n)) {
+        n = static_cast<size_t>(static_cast<const char*>(nul) - s.data());
+      }
       std::memcpy(slot, s.data(), n);
       if (n < col.width) std::memset(slot + n, 0, col.width - n);
       break;
@@ -252,34 +248,17 @@ Value NormalizeValueForColumn(const Column& col, const Value& v) {
 
 void SerializeRow(const Schema& schema, const Row& row, uint8_t* out) {
   WVM_CHECK(row.size() == schema.num_columns());
-  const size_t bitmap_bytes = schema.NullBitmapBytes();
-  std::memset(out, 0, bitmap_bytes);
-  uint8_t* slot = out + bitmap_bytes;
+  std::memset(out, 0, schema.NullBitmapBytes());
   for (size_t i = 0; i < row.size(); ++i) {
-    const Column& col = schema.column(i);
-    if (row[i].is_null()) {
-      out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-      std::memset(slot, 0, col.width);
-    } else {
-      EncodeValue(col, row[i], slot);
-    }
-    slot += col.width;
+    SerializeColumn(schema, row[i], i, out);
   }
 }
 
 Row DeserializeRow(const Schema& schema, const uint8_t* data) {
-  const size_t bitmap_bytes = schema.NullBitmapBytes();
-  const uint8_t* slot = data + bitmap_bytes;
   Row row;
   row.reserve(schema.num_columns());
   for (size_t i = 0; i < schema.num_columns(); ++i) {
-    const Column& col = schema.column(i);
-    if (data[i / 8] & (1u << (i % 8))) {
-      row.push_back(Value::Null(col.type));
-    } else {
-      row.push_back(DecodeValue(col, slot));
-    }
-    slot += col.width;
+    row.push_back(DeserializeColumn(schema, data, i));
   }
   return row;
 }
@@ -289,6 +268,32 @@ Value DeserializeColumn(const Schema& schema, const uint8_t* data,
   const Column& col = schema.column(i);
   if (RecordColumnIsNull(data, i)) return Value::Null(col.type);
   return DecodeValue(col, data + schema.ColumnOffset(i));
+}
+
+void SerializeColumn(const Schema& schema, const Value& v, size_t i,
+                     uint8_t* data) {
+  const Column& col = schema.column(i);
+  uint8_t* slot = data + schema.ColumnOffset(i);
+  const uint8_t bit = static_cast<uint8_t>(1u << (i % 8));
+  if (v.is_null()) {
+    data[i / 8] |= bit;
+    std::memset(slot, 0, col.width);
+  } else {
+    data[i / 8] &= static_cast<uint8_t>(~bit);
+    EncodeValue(col, v, slot);
+  }
+}
+
+void CopyRecordColumn(const Schema& schema, size_t dst, size_t src,
+                      uint8_t* data) {
+  std::memcpy(data + schema.ColumnOffset(dst), data + schema.ColumnOffset(src),
+              schema.column(dst).width);
+  const uint8_t bit = static_cast<uint8_t>(1u << (dst % 8));
+  if (RecordColumnIsNull(data, src)) {
+    data[dst / 8] |= bit;
+  } else {
+    data[dst / 8] &= static_cast<uint8_t>(~bit);
+  }
 }
 
 }  // namespace wvm

@@ -100,8 +100,6 @@ class Schema {
   const std::vector<SecondaryIndexSpec>& secondary_indexes() const {
     return secondary_indexes_;
   }
-  // Extracts the values of `row` the index covers, in declared order.
-  Row SecondaryKeyOf(const Row& row, const SecondaryIndexSpec& spec) const;
 
   // Validates that `row` matches the schema arity and column types
   // (NULLs are allowed for any column).
@@ -127,7 +125,8 @@ Value NormalizeValueForColumn(const Column& col, const Value& v);
 
 // Serializes `row` into exactly schema.RowByteSize() bytes at `out`.
 // Layout: null bitmap, then fixed-width column slots in schema order.
-// Strings longer than the declared width are truncated.
+// Strings longer than the declared width are truncated, and a string slot
+// is zero from its first NUL on, so equal values have equal bytes.
 void SerializeRow(const Schema& schema, const Row& row, uint8_t* out);
 
 // Inverse of SerializeRow.
@@ -140,6 +139,17 @@ inline bool RecordColumnIsNull(const uint8_t* data, size_t i) {
 
 // Deserializes a single column out of a serialized row (NULL-aware).
 Value DeserializeColumn(const Schema& schema, const uint8_t* data, size_t i);
+
+// Writes `v` into column i of a serialized row in place (NULL-aware): the
+// bytes SerializeRow would give that column, and its null bit.
+void SerializeColumn(const Schema& schema, const Value& v, size_t i,
+                     uint8_t* data);
+
+// Copies column `src` of a serialized row onto column `dst` of the same
+// row: slot bytes and null bit. Both columns must have the same type and
+// width.
+void CopyRecordColumn(const Schema& schema, size_t dst, size_t src,
+                      uint8_t* data);
 
 }  // namespace wvm
 

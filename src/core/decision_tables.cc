@@ -5,20 +5,6 @@
 
 namespace wvm::core {
 
-ReaderAction DecideRead(Vn session_vn, Vn tuple_vn, Op op) {
-  if (session_vn >= tuple_vn) {
-    // Current version (Table 1, first row).
-    return op == Op::kDelete ? ReaderAction::kIgnore
-                             : ReaderAction::kReadCurrent;
-  }
-  if (session_vn == tuple_vn - 1) {
-    // Pre-update version (Table 1, second row).
-    return op == Op::kInsert ? ReaderAction::kIgnore
-                             : ReaderAction::kReadPreUpdate;
-  }
-  return ReaderAction::kExpired;  // §3.2 case 3
-}
-
 Result<MaintenanceDecision> DecideInsert(
     Vn maintenance_vn, const std::optional<TupleVersionState>& existing) {
   MaintenanceDecision d;

@@ -10,19 +10,9 @@
 
 namespace wvm::core {
 
-// Reader-side decision (paper Table 1 + the three cases of §3.2).
-enum class ReaderAction {
-  kReadCurrent,
-  kReadPreUpdate,
-  kIgnore,
-  kExpired,
-};
-
-// Decides which tuple version a reader at `session_vn` extracts from a
-// 2VNL tuple stamped {tuple_vn, op}. (The nVNL generalization lives in
-// ReadVersion(); this is the exact 2VNL table, used both by the engine at
-// n == 2 and by the decision-table tests.)
-ReaderAction DecideRead(Vn session_vn, Vn tuple_vn, Op op);
+// Paper Table 1 (the reader side) is ResolveVersionRaw in
+// core/versioned_schema.h, which covers every n. This header holds the
+// writer side, Tables 2-4.
 
 // Physical action a maintenance operation performs on a tuple (§3.3).
 enum class PhysicalAction {

@@ -279,13 +279,13 @@ Status CheckGcVictims(const VersionedSchema& vs, const Table& heap,
                       const std::vector<Rid>& victims) {
   std::vector<Rid> expected;
   Status decoded;
-  WVM_RETURN_IF_ERROR(heap.ScanRows([&](Rid rid, const Row& phys) {
-    Result<Op> op = vs.Operation(phys, 0);
+  WVM_RETURN_IF_ERROR(heap.heap()->Scan([&](Rid rid, const uint8_t* rec) {
+    Result<Op> op = vs.RawOperation(rec, 0);
     if (!op.ok()) {
       decoded = op.status();
       return false;
     }
-    const Vn vn = vs.TupleVn(phys, 0);
+    const Vn vn = vs.RawTupleVn(rec, 0);
     if (op.value() == Op::kDelete && vn <= current_vn &&
         min_active_session_vn >= vn) {
       expected.push_back(rid);

@@ -13,20 +13,16 @@ using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprPtr;
 
-// :session >= tupleVN_k
-ExprPtr SessionGeSlot(const VersionedSchema& vs, int slot,
-                      const std::string& param) {
-  return sql::Binary(
-      BinaryOp::kGe, sql::Param(param),
-      sql::Col(TupleVnColumnName(slot, vs.n())));
+// :sessionVN >= tupleVN_k
+ExprPtr SessionGeSlot(const VersionedSchema& vs, int slot) {
+  return sql::Binary(BinaryOp::kGe, sql::Param(kSessionVnParam),
+                     sql::Col(TupleVnColumnName(slot, vs.n())));
 }
 
-// :session < tupleVN_k
-ExprPtr SessionLtSlot(const VersionedSchema& vs, int slot,
-                      const std::string& param) {
-  return sql::Binary(
-      BinaryOp::kLt, sql::Param(param),
-      sql::Col(TupleVnColumnName(slot, vs.n())));
+// :sessionVN < tupleVN_k
+ExprPtr SessionLtSlot(const VersionedSchema& vs, int slot) {
+  return sql::Binary(BinaryOp::kLt, sql::Param(kSessionVnParam),
+                     sql::Col(TupleVnColumnName(slot, vs.n())));
 }
 
 // operation_k <> 'op'
@@ -39,8 +35,7 @@ ExprPtr OpNe(const VersionedSchema& vs, int slot, Op op) {
 }  // namespace
 
 sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
-                              size_t logical_col,
-                              const std::string& session_param) {
+                              size_t logical_col) {
   WVM_CHECK(vschema.logical().column(logical_col).updatable);
   const std::string& name = vschema.logical().column(logical_col).name;
 
@@ -51,32 +46,28 @@ sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
   // For n = 2 this is exactly the paper's
   //   CASE WHEN :sessionVN >= tupleVN THEN A ELSE pre_A END.
   std::vector<sql::CaseWhen> whens;
-  whens.push_back({SessionGeSlot(vschema, 0, session_param),
-                   sql::Col(name)});
+  whens.push_back({SessionGeSlot(vschema, 0), sql::Col(name)});
   for (int slot = 1; slot < vschema.num_slots(); ++slot) {
-    whens.push_back(
-        {SessionGeSlot(vschema, slot, session_param),
-         sql::Col(PreColumnName(name, slot - 1, vschema.n()))});
+    whens.push_back({SessionGeSlot(vschema, slot),
+                     sql::Col(PreColumnName(name, slot - 1, vschema.n()))});
   }
   ExprPtr else_expr =
       sql::Col(PreColumnName(name, vschema.num_slots() - 1, vschema.n()));
   return sql::Case(std::move(whens), std::move(else_expr));
 }
 
-sql::ExprPtr BuildVisibilityPredicate(const VersionedSchema& vschema,
-                                      const std::string& session_param) {
+sql::ExprPtr BuildVisibilityPredicate(const VersionedSchema& vschema) {
   // Disjunct for the current version:
   //   :s >= tupleVN1 AND operation1 <> 'delete'
-  ExprPtr pred = sql::Binary(BinaryOp::kAnd,
-                             SessionGeSlot(vschema, 0, session_param),
+  ExprPtr pred = sql::Binary(BinaryOp::kAnd, SessionGeSlot(vschema, 0),
                              OpNe(vschema, 0, Op::kDelete));
   // One disjunct per pre-update slot k:
   //   :s < tupleVN_k [AND :s >= tupleVN_{k+1}] AND operation_k <> 'insert'
   for (int slot = 0; slot < vschema.num_slots(); ++slot) {
-    ExprPtr d = SessionLtSlot(vschema, slot, session_param);
+    ExprPtr d = SessionLtSlot(vschema, slot);
     if (slot + 1 < vschema.num_slots()) {
       d = sql::Binary(BinaryOp::kAnd, std::move(d),
-                      SessionGeSlot(vschema, slot + 1, session_param));
+                      SessionGeSlot(vschema, slot + 1));
     }
     d = sql::Binary(BinaryOp::kAnd, std::move(d),
                     OpNe(vschema, slot, Op::kInsert));
@@ -89,8 +80,7 @@ namespace {
 
 // Recursively replaces references to updatable attributes with their
 // version-extracting CASE expressions.
-Status RewriteExpr(ExprPtr* expr, const VersionedSchema& vs,
-                   const std::string& session_param) {
+Status RewriteExpr(ExprPtr* expr, const VersionedSchema& vs) {
   Expr& e = **expr;
   switch (e.kind) {
     case sql::ExprKind::kColumnRef: {
@@ -100,7 +90,7 @@ Status RewriteExpr(ExprPtr* expr, const VersionedSchema& vs,
                                        "' in reader query");
       }
       if (vs.logical().column(idx.value()).updatable) {
-        *expr = BuildVersionCase(vs, idx.value(), session_param);
+        *expr = BuildVersionCase(vs, idx.value());
       }
       return Status::OK();
     }
@@ -109,17 +99,17 @@ Status RewriteExpr(ExprPtr* expr, const VersionedSchema& vs,
       return Status::OK();
     default: {
       if (e.child0 != nullptr) {
-        WVM_RETURN_IF_ERROR(RewriteExpr(&e.child0, vs, session_param));
+        WVM_RETURN_IF_ERROR(RewriteExpr(&e.child0, vs));
       }
       if (e.child1 != nullptr) {
-        WVM_RETURN_IF_ERROR(RewriteExpr(&e.child1, vs, session_param));
+        WVM_RETURN_IF_ERROR(RewriteExpr(&e.child1, vs));
       }
       for (sql::CaseWhen& w : e.whens) {
-        WVM_RETURN_IF_ERROR(RewriteExpr(&w.condition, vs, session_param));
-        WVM_RETURN_IF_ERROR(RewriteExpr(&w.result, vs, session_param));
+        WVM_RETURN_IF_ERROR(RewriteExpr(&w.condition, vs));
+        WVM_RETURN_IF_ERROR(RewriteExpr(&w.result, vs));
       }
       if (e.else_expr != nullptr) {
-        WVM_RETURN_IF_ERROR(RewriteExpr(&e.else_expr, vs, session_param));
+        WVM_RETURN_IF_ERROR(RewriteExpr(&e.else_expr, vs));
       }
       return Status::OK();
     }
@@ -128,9 +118,8 @@ Status RewriteExpr(ExprPtr* expr, const VersionedSchema& vs,
 
 }  // namespace
 
-Result<sql::SelectStmt> RewriteReaderQuery(
-    const sql::SelectStmt& stmt, const VersionedSchema& vschema,
-    const ReaderRewriteOptions& options) {
+Result<sql::SelectStmt> RewriteReaderQuery(const sql::SelectStmt& stmt,
+                                           const VersionedSchema& vschema) {
   sql::SelectStmt out = stmt.Clone();
 
   if (out.select_star) {
@@ -142,12 +131,10 @@ Result<sql::SelectStmt> RewriteReaderQuery(
   }
 
   for (sql::SelectItem& item : out.items) {
-    WVM_RETURN_IF_ERROR(
-        RewriteExpr(&item.expr, vschema, options.session_param));
+    WVM_RETURN_IF_ERROR(RewriteExpr(&item.expr, vschema));
   }
   if (out.where != nullptr) {
-    WVM_RETURN_IF_ERROR(
-        RewriteExpr(&out.where, vschema, options.session_param));
+    WVM_RETURN_IF_ERROR(RewriteExpr(&out.where, vschema));
   }
   for (const std::string& g : out.group_by) {
     WVM_ASSIGN_OR_RETURN(size_t idx, vschema.logical().IndexOf(g));
@@ -160,9 +147,8 @@ Result<sql::SelectStmt> RewriteReaderQuery(
 
   // WHERE (visibility) [AND (original condition)] — Example 4.1 adds the
   // visibility condition; an existing predicate is conjoined.
-  ExprPtr visibility =
-      BuildVisibilityPredicate(vschema, options.session_param);
-  out.where = sql::AndMaybe(std::move(visibility), std::move(out.where));
+  out.where = sql::AndMaybe(BuildVisibilityPredicate(vschema),
+                            std::move(out.where));
   return out;
 }
 

@@ -2,7 +2,6 @@
 #define OPENWVM_CORE_REWRITER_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -12,12 +11,9 @@
 
 namespace wvm::core {
 
-// Options for the §4.1 reader-query rewrite.
-struct ReaderRewriteOptions {
-  // Name of the placeholder carrying the reader's sessionVN; the paper
-  // uses :sessionVN.
-  std::string session_param = "sessionVN";
-};
+// Name of the placeholder carrying the reader's sessionVN in rewritten
+// queries (the paper's :sessionVN).
+inline constexpr const char* kSessionVnParam = "sessionVN";
 
 // Rewrites a reader SELECT posed against the *logical* schema into an
 // equivalent SELECT against the *widened physical* schema (§4.1):
@@ -36,19 +32,16 @@ struct ReaderRewriteOptions {
 // (§3.2 case 3 would need an exception); callers must also run the global
 // check (SessionManager::CheckNotExpired). Under that check the rewrite
 // is exact — property-tested against the native engine path.
-Result<sql::SelectStmt> RewriteReaderQuery(
-    const sql::SelectStmt& stmt, const VersionedSchema& vschema,
-    const ReaderRewriteOptions& options = {});
+Result<sql::SelectStmt> RewriteReaderQuery(const sql::SelectStmt& stmt,
+                                           const VersionedSchema& vschema);
 
 // Builds just the visibility predicate (exposed for tests and EXPLAIN).
-sql::ExprPtr BuildVisibilityPredicate(const VersionedSchema& vschema,
-                                      const std::string& session_param);
+sql::ExprPtr BuildVisibilityPredicate(const VersionedSchema& vschema);
 
 // Builds the version-extracting CASE expression for one updatable
 // attribute (exposed for tests and EXPLAIN).
 sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
-                              size_t logical_col,
-                              const std::string& session_param);
+                              size_t logical_col);
 
 // --- Index-routing predicate analysis (§4.3) -------------------------------
 

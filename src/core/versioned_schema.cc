@@ -66,23 +66,6 @@ size_t VersionedSchema::PreIndex(size_t updatable_ordinal, int slot) const {
   return TupleVnIndex(slot) + 2 + updatable_ordinal;
 }
 
-Vn VersionedSchema::TupleVn(const Row& phys, int slot) const {
-  const Value& v = phys[TupleVnIndex(slot)];
-  return v.is_null() ? kNoVn : v.AsInt64();
-}
-
-Result<Op> VersionedSchema::Operation(const Row& phys, int slot) const {
-  const Value& v = phys[OperationIndex(slot)];
-  if (v.is_null()) return Status::Corruption("NULL operation attribute");
-  return OpFromString(v.AsString());
-}
-
-int VersionedSchema::PopulatedSlots(const Row& phys) const {
-  int m = 0;
-  while (m < n_ - 1 && !SlotEmpty(phys, m)) ++m;
-  return m;
-}
-
 Vn VersionedSchema::RawTupleVn(const uint8_t* rec, int slot) const {
   const size_t idx = TupleVnIndex(slot);
   if (RecordColumnIsNull(rec, idx)) return kNoVn;
@@ -114,81 +97,83 @@ int VersionedSchema::RawPopulatedSlots(const uint8_t* rec) const {
   return m;
 }
 
-void VersionedSchema::SetSlot(Row* phys, int slot, Vn vn, Op op) const {
-  (*phys)[TupleVnIndex(slot)] = Value::Int64(vn);
-  (*phys)[OperationIndex(slot)] = Value::String(OpToString(op));
-}
-
-void VersionedSchema::ClearSlot(Row* phys, int slot) const {
-  (*phys)[TupleVnIndex(slot)] = Value::Int64(kNoVn);
-  (*phys)[OperationIndex(slot)] = Value::Null(TypeId::kString);
-  for (size_t u = 0; u < updatable_.size(); ++u) {
-    (*phys)[PreIndex(u, slot)] =
-        Value::Null(logical_.column(updatable_[u]).type);
-  }
-}
-
-void VersionedSchema::CopyCurrentToPre(Row* phys, int slot) const {
-  for (size_t u = 0; u < updatable_.size(); ++u) {
-    (*phys)[PreIndex(u, slot)] = (*phys)[updatable_[u]];
-  }
-}
-
-void VersionedSchema::SetPreNull(Row* phys, int slot) const {
-  for (size_t u = 0; u < updatable_.size(); ++u) {
-    (*phys)[PreIndex(u, slot)] =
-        Value::Null(logical_.column(updatable_[u]).type);
-  }
-}
-
-void VersionedSchema::SetCurrent(Row* phys, const Row& logical_values) const {
-  WVM_CHECK(logical_values.size() == logical_cols_);
+Row VersionedSchema::RawCurrentLogical(const uint8_t* rec) const {
+  Row out;
+  out.reserve(logical_cols_);
   for (size_t i = 0; i < logical_cols_; ++i) {
-    (*phys)[i] = logical_values[i];
-  }
-}
-
-void VersionedSchema::PushBack(Row* phys) const {
-  for (int slot = n_ - 2; slot >= 1; --slot) {
-    (*phys)[TupleVnIndex(slot)] = (*phys)[TupleVnIndex(slot - 1)];
-    (*phys)[OperationIndex(slot)] = (*phys)[OperationIndex(slot - 1)];
-    for (size_t u = 0; u < updatable_.size(); ++u) {
-      (*phys)[PreIndex(u, slot)] = (*phys)[PreIndex(u, slot - 1)];
-    }
-  }
-}
-
-void VersionedSchema::PushForward(Row* phys) const {
-  for (int slot = 0; slot < n_ - 2; ++slot) {
-    (*phys)[TupleVnIndex(slot)] = (*phys)[TupleVnIndex(slot + 1)];
-    (*phys)[OperationIndex(slot)] = (*phys)[OperationIndex(slot + 1)];
-    for (size_t u = 0; u < updatable_.size(); ++u) {
-      (*phys)[PreIndex(u, slot)] = (*phys)[PreIndex(u, slot + 1)];
-    }
-  }
-  ClearSlot(phys, n_ - 2);
-}
-
-Row VersionedSchema::MakeInsertRow(const Row& logical_values, Vn vn) const {
-  WVM_CHECK(logical_values.size() == logical_cols_);
-  Row phys = logical_values;
-  phys.resize(physical_.num_columns());
-  for (int slot = 0; slot < n_ - 1; ++slot) ClearSlot(&phys, slot);
-  SetSlot(&phys, 0, vn, Op::kInsert);
-  SetPreNull(&phys, 0);
-  return phys;
-}
-
-Row VersionedSchema::CurrentLogical(const Row& phys) const {
-  return Row(phys.begin(), phys.begin() + logical_cols_);
-}
-
-Row VersionedSchema::PreUpdateLogical(const Row& phys, int slot) const {
-  Row out = CurrentLogical(phys);
-  for (size_t u = 0; u < updatable_.size(); ++u) {
-    out[updatable_[u]] = phys[PreIndex(u, slot)];
+    out.push_back(DeserializeColumn(physical_, rec, i));
   }
   return out;
+}
+
+void VersionedSchema::SetSlot(uint8_t* rec, int slot, Vn vn, Op op) const {
+  SerializeColumn(physical_, Value::Int64(vn), TupleVnIndex(slot), rec);
+  SerializeColumn(physical_, Value::String(OpToString(op)),
+                  OperationIndex(slot), rec);
+}
+
+void VersionedSchema::ClearSlot(uint8_t* rec, int slot) const {
+  SerializeColumn(physical_, Value::Int64(kNoVn), TupleVnIndex(slot), rec);
+  SerializeColumn(physical_, Value::Null(TypeId::kString),
+                  OperationIndex(slot), rec);
+  SetPreNull(rec, slot);
+}
+
+void VersionedSchema::CopyCurrentToPre(uint8_t* rec, int slot) const {
+  for (size_t u = 0; u < updatable_.size(); ++u) {
+    CopyRecordColumn(physical_, PreIndex(u, slot), updatable_[u], rec);
+  }
+}
+
+void VersionedSchema::CopyPreToCurrent(uint8_t* rec, int slot) const {
+  for (size_t u = 0; u < updatable_.size(); ++u) {
+    CopyRecordColumn(physical_, updatable_[u], PreIndex(u, slot), rec);
+  }
+}
+
+void VersionedSchema::SetPreNull(uint8_t* rec, int slot) const {
+  for (size_t u = 0; u < updatable_.size(); ++u) {
+    SerializeColumn(physical_, Value::Null(logical_.column(updatable_[u]).type),
+                    PreIndex(u, slot), rec);
+  }
+}
+
+void VersionedSchema::SetCurrent(uint8_t* rec,
+                                 const Row& logical_values) const {
+  WVM_CHECK(logical_values.size() == logical_cols_);
+  for (size_t i = 0; i < logical_cols_; ++i) {
+    SerializeColumn(physical_, logical_values[i], i, rec);
+  }
+}
+
+void VersionedSchema::PushBack(uint8_t* rec) const {
+  const size_t group = 2 + updatable_.size();
+  for (int slot = n_ - 2; slot >= 1; --slot) {
+    for (size_t c = 0; c < group; ++c) {
+      CopyRecordColumn(physical_, TupleVnIndex(slot) + c,
+                       TupleVnIndex(slot - 1) + c, rec);
+    }
+  }
+}
+
+void VersionedSchema::PushForward(uint8_t* rec) const {
+  const size_t group = 2 + updatable_.size();
+  for (int slot = 0; slot < n_ - 2; ++slot) {
+    for (size_t c = 0; c < group; ++c) {
+      CopyRecordColumn(physical_, TupleVnIndex(slot) + c,
+                       TupleVnIndex(slot + 1) + c, rec);
+    }
+  }
+  ClearSlot(rec, n_ - 2);
+}
+
+void VersionedSchema::MakeInsertRow(const Row& logical_values, Vn vn,
+                                    uint8_t* rec) const {
+  std::memset(rec, 0, physical_.NullBitmapBytes());
+  SetCurrent(rec, logical_values);
+  for (int slot = 1; slot < n_ - 1; ++slot) ClearSlot(rec, slot);
+  SetSlot(rec, 0, vn, Op::kInsert);
+  SetPreNull(rec, 0);
 }
 
 size_t VersionedSchema::PaperAttributeBytes() const {
@@ -197,53 +182,6 @@ size_t VersionedSchema::PaperAttributeBytes() const {
   // Per version group: 4-byte tupleVN + 1-byte operation + pre columns.
   return logical_.AttributeBytes() +
          static_cast<size_t>(n_ - 1) * (4 + 1 + pre_bytes);
-}
-
-VersionResolution ResolveVersion(const VersionedSchema& vs, const Row& phys,
-                                 Vn session_vn) {
-  const int m = vs.PopulatedSlots(phys);
-  WVM_CHECK_MSG(m >= 1, "physical tuple with no version slots");
-
-  // Case 1 (§3.2 / §5): the session saw this modification commit.
-  if (session_vn >= vs.TupleVn(phys, 0)) {
-    Result<Op> op = vs.Operation(phys, 0);
-    WVM_CHECK(op.ok());
-    if (op.value() == Op::kDelete) return {ReadOutcome::kIgnore, -1};
-    return {ReadOutcome::kRow, -1};
-  }
-
-  // Find the least tupleVN_j > sessionVN; slots are ordered newest (0) to
-  // oldest (m-1), so that is the largest index whose VN exceeds sessionVN.
-  int j = 0;
-  while (j + 1 < m && vs.TupleVn(phys, j + 1) > session_vn) ++j;
-
-  // Case 3: the state at sessionVN predates the oldest retained version
-  // AND history may have been truncated (every slot is occupied, so a
-  // version could have been pushed off the end). When slots remain free
-  // the oldest entry is the tuple's original insert — the full history is
-  // present and the tuple simply did not exist at sessionVN, which the
-  // operation check below classifies as kIgnore.
-  if (j == m - 1 && session_vn < vs.TupleVn(phys, m - 1) - 1) {
-    if (m == vs.n() - 1) return {ReadOutcome::kExpired, j};
-    Result<Op> oldest_op = vs.Operation(phys, m - 1);
-    WVM_CHECK(oldest_op.ok());
-    // Defensive: a partially-filled tuple whose oldest record is not the
-    // insert would indicate lost history; never serve a wrong version.
-    if (oldest_op.value() != Op::kInsert) return {ReadOutcome::kExpired, j};
-  }
-
-  // Case 2: read the pre-update version of slot j (Table 1, second row).
-  Result<Op> op = vs.Operation(phys, j);
-  WVM_CHECK(op.ok());
-  if (op.value() == Op::kInsert) return {ReadOutcome::kIgnore, j};
-  return {ReadOutcome::kRow, j};
-}
-
-Row MaterializeVersion(const VersionedSchema& vs, const Row& phys,
-                       const VersionResolution& res) {
-  WVM_CHECK(res.outcome == ReadOutcome::kRow);
-  return res.slot < 0 ? vs.CurrentLogical(phys)
-                      : vs.PreUpdateLogical(phys, res.slot);
 }
 
 VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
@@ -259,15 +197,23 @@ VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
     return {ReadOutcome::kRow, -1};
   }
 
+  // Find the least tupleVN_j > sessionVN; slots are ordered newest (0) to
+  // oldest (m-1), so that is the largest index whose VN exceeds sessionVN.
   int j = 0;
   while (j + 1 < m && vs.RawTupleVn(rec, j + 1) > session_vn) ++j;
 
-  // Case 3: see ResolveVersion — the raw twin mirrors its case analysis
-  // exactly so the two paths are interchangeable.
+  // Case 3: the state at sessionVN predates the oldest retained version
+  // AND history may have been truncated (every slot is occupied, so a
+  // version could have been pushed off the end). When slots remain free
+  // the oldest entry is the tuple's original insert — the full history is
+  // present and the tuple simply did not exist at sessionVN, which the
+  // operation check below classifies as kIgnore.
   if (j == m - 1 && session_vn < vs.RawTupleVn(rec, m - 1) - 1) {
     if (m == vs.n() - 1) return {ReadOutcome::kExpired, j};
     Result<Op> oldest_op = vs.RawOperation(rec, m - 1);
     WVM_CHECK(oldest_op.ok());
+    // Defensive: a partially-filled tuple whose oldest record is not the
+    // insert would indicate lost history; never serve a wrong version.
     if (oldest_op.value() != Op::kInsert) return {ReadOutcome::kExpired, j};
   }
 
@@ -304,15 +250,6 @@ void MaterializeVersionRawInto(const VersionedSchema& vs, const uint8_t* rec,
     }
     (*out)[i] = DeserializeColumn(vs.physical(), rec, src);
   }
-}
-
-ReadOutcome ReadVersion(const VersionedSchema& vs, const Row& phys,
-                        Vn session_vn, Row* out) {
-  const VersionResolution res = ResolveVersion(vs, phys, session_vn);
-  if (res.outcome == ReadOutcome::kRow) {
-    *out = MaterializeVersion(vs, phys, res);
-  }
-  return res.outcome;
 }
 
 }  // namespace wvm::core

@@ -1,5 +1,7 @@
 #include "core/vnl_engine.h"
 
+#include <utility>
+
 #include "common/strings.h"
 #include "core/invariant_checker.h"
 
@@ -70,7 +72,7 @@ Status VnlEngine::CommitLocked(MaintenanceTxn* txn) {
   }
   WVM_RETURN_IF_ERROR(version_relation_->CommitMaintenance(txn->vn()));
   txn->active_ = false;
-  active_txn_.reset();
+  finished_txn_ = std::move(active_txn_);
   return Status::OK();
 }
 
@@ -125,7 +127,7 @@ Status VnlEngine::Abort(MaintenanceTxn* txn) {
   }
   WVM_RETURN_IF_ERROR(version_relation_->AbortMaintenance());
   txn->active_ = false;
-  active_txn_.reset();
+  finished_txn_ = std::move(active_txn_);
   return Status::OK();
 }
 

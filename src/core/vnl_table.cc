@@ -36,24 +36,14 @@ Status VnlTable::CheckTxn(const MaintenanceTxn* txn) const {
   return Status::OK();
 }
 
-Row VnlTable::ExtractNormalizedKey(const Row& row,
-                                   const std::vector<size_t>& cols) const {
-  const Schema& logical = vschema_.logical();
+Row VnlTable::RecordKey(const uint8_t* rec,
+                        const std::vector<size_t>& cols) const {
   Row key;
   key.reserve(cols.size());
   for (size_t c : cols) {
-    key.push_back(NormalizeValueForColumn(logical.column(c), row[c]));
+    key.push_back(DeserializeColumn(vschema_.physical(), rec, c));
   }
   return key;
-}
-
-std::vector<Row> VnlTable::SecondaryKeysOf(const Row& row) const {
-  std::vector<Row> keys;
-  keys.reserve(secondary_specs_.size());
-  for (const SecondaryIndexSpec& spec : secondary_specs_) {
-    keys.push_back(ExtractNormalizedKey(row, spec.column_indices));
-  }
-  return keys;
 }
 
 std::optional<Rid> VnlTable::IndexLookup(const Row& key) const {
@@ -68,36 +58,32 @@ std::optional<Rid> VnlTable::IndexLookup(const Row& key) const {
   return it->second;
 }
 
-void VnlTable::IndexTupleInserted(const Row& phys, Rid rid) {
+void VnlTable::IndexTupleInserted(const uint8_t* rec, Rid rid) {
   const Schema& logical = vschema_.logical();
   const bool has_key = logical.has_unique_key();
   if (!has_key && secondary_specs_.empty()) return;
   MutexLock lock(index_mu_);
-  if (has_key) {
-    key_index_[ExtractNormalizedKey(phys, logical.key_indices())] = rid;
-  }
+  if (has_key) key_index_[RecordKey(rec, logical.key_indices())] = rid;
   for (size_t s = 0; s < secondary_specs_.size(); ++s) {
-    secondary_postings_[s][ExtractNormalizedKey(
-                               phys, secondary_specs_[s].column_indices)]
+    secondary_postings_[s][RecordKey(rec, secondary_specs_[s].column_indices)]
         .push_back(rid);
   }
 }
 
-void VnlTable::IndexTupleErased(const Row& phys, Rid rid) {
+void VnlTable::IndexTupleErased(const uint8_t* rec, Rid rid) {
   const Schema& logical = vschema_.logical();
   const bool has_key = logical.has_unique_key();
   if (!has_key && secondary_specs_.empty()) return;
   MutexLock lock(index_mu_);
   if (has_key) {
-    auto it =
-        key_index_.find(ExtractNormalizedKey(phys, logical.key_indices()));
+    auto it = key_index_.find(RecordKey(rec, logical.key_indices()));
     // Erase only our own entry: a stale duplicate must never knock out a
     // live tuple's mapping.
     if (it != key_index_.end() && it->second == rid) key_index_.erase(it);
   }
   for (size_t s = 0; s < secondary_specs_.size(); ++s) {
     auto it = secondary_postings_[s].find(
-        ExtractNormalizedKey(phys, secondary_specs_[s].column_indices));
+        RecordKey(rec, secondary_specs_[s].column_indices));
     if (it == secondary_postings_[s].end()) continue;
     std::vector<Rid>& rids = it->second;
     rids.erase(std::remove(rids.begin(), rids.end(), rid), rids.end());
@@ -105,15 +91,16 @@ void VnlTable::IndexTupleErased(const Row& phys, Rid rid) {
   }
 }
 
-void VnlTable::IndexTupleRevived(const std::vector<Row>& old_secondary_keys,
-                                 const Row& new_phys, Rid rid) {
+void VnlTable::IndexTupleRevived(const uint8_t* old_rec,
+                                 const uint8_t* new_rec, Rid rid) {
   if (secondary_specs_.empty()) return;
   MutexLock lock(index_mu_);
   for (size_t s = 0; s < secondary_specs_.size(); ++s) {
-    Row new_key = ExtractNormalizedKey(new_phys,
-                                       secondary_specs_[s].column_indices);
-    if (RowEq()(old_secondary_keys[s], new_key)) continue;
-    auto it = secondary_postings_[s].find(old_secondary_keys[s]);
+    const std::vector<size_t>& cols = secondary_specs_[s].column_indices;
+    const Row old_key = RecordKey(old_rec, cols);
+    Row new_key = RecordKey(new_rec, cols);
+    if (RowEq()(old_key, new_key)) continue;
+    auto it = secondary_postings_[s].find(old_key);
     if (it != secondary_postings_[s].end()) {
       std::vector<Rid>& rids = it->second;
       rids.erase(std::remove(rids.begin(), rids.end(), rid), rids.end());
@@ -125,94 +112,90 @@ void VnlTable::IndexTupleRevived(const std::vector<Row>& old_secondary_keys,
 
 Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
                                const MaintenanceDecision& d, Rid rid,
-                               Row phys, const Row* mv_logical) {
+                               uint8_t* rec, const Row* mv_logical) {
   // A Table-2 re-insert over a logically deleted key executes as a
   // physical UPDATE whose SetCurrent may overwrite non-updatable columns
   // (the corpse's values are dead). This holds for both the cross-
   // transaction revive (nets to insert) and a same-transaction
   // delete-then-insert (nets to update), so the trigger is the before
-  // image being logically deleted. Capture the old secondary keys before
-  // the mutation steps below clobber them.
+  // image being logically deleted. Keep the before image for the postings
+  // move; the edits below clobber it.
   bool revive = false;
   std::optional<Op> before_op;
   if (d.action != PhysicalAction::kInsertTuple) {
-    WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));
+    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
     before_op = op;
     revive = d.action == PhysicalAction::kUpdateTuple && d.cv_from_mv &&
              op == Op::kDelete;
   }
-  std::vector<Row> old_secondary_keys;
+  std::vector<uint8_t> before_rec;
   if (revive && !secondary_specs_.empty()) {
-    old_secondary_keys = SecondaryKeysOf(phys);
+    before_rec.assign(rec, rec + phys_->heap()->record_size());
   }
 #ifdef WVM_PARANOID_CHECKS
-  // For non-insert actions `phys` still holds the pre-mutation image here;
-  // a fresh insert has no "before" (MakeInsertRow built `phys` from air).
+  // For non-insert actions `rec` still holds the pre-mutation image here;
+  // a fresh insert has no "before" (MakeInsertRow built `rec` from air).
   std::optional<TupleVersionState> paranoid_before;
   if (d.action != PhysicalAction::kInsertTuple) {
-    Result<Op> before_op = vschema_.Operation(phys, 0);
-    WVM_PARANOID_ASSERT_OK(before_op.status());
-    paranoid_before = TupleVersionState{
-        vschema_.TupleVn(phys, 0), before_op.value(),
-        vschema_.n() > 2 && !vschema_.SlotEmpty(phys, 1)};
+    Result<TupleVersionState> before = StateOf(rec);
+    WVM_PARANOID_ASSERT_OK(before.status());
+    paranoid_before = before.value();
   }
 #endif
   // Order matters: preserve the old version (push back / PV <- CV) before
   // overwriting the current values.
-  if (d.push_back) vschema_.PushBack(&phys);
-  if (d.pv_from_cv) vschema_.CopyCurrentToPre(&phys, 0);
-  if (d.pv_null) vschema_.SetPreNull(&phys, 0);
+  if (d.push_back) vschema_.PushBack(rec);
+  if (d.pv_from_cv) vschema_.CopyCurrentToPre(rec, 0);
+  if (d.pv_null) vschema_.SetPreNull(rec, 0);
   if (d.cv_from_mv) {
     WVM_CHECK(mv_logical != nullptr);
-    vschema_.SetCurrent(&phys, *mv_logical);
+    vschema_.SetCurrent(rec, *mv_logical);
   }
   if (d.set_tuple_vn) {
     WVM_CHECK(d.new_op.has_value());
-    vschema_.SetSlot(&phys, 0, txn->vn(), *d.new_op);
+    vschema_.SetSlot(rec, 0, txn->vn(), *d.new_op);
   } else if (d.new_op.has_value()) {
-    phys[vschema_.OperationIndex(0)] =
-        Value::String(OpToString(*d.new_op));
+    vschema_.SetSlot(rec, 0, vschema_.RawTupleVn(rec, 0), *d.new_op);
   }
   // An nVNL pop undoes a same-transaction revive, so slot 0 may be the
   // corpse's delete stamp again; it is the one update whose resulting op
   // the decision does not name.
   std::optional<Op> popped_op;
   if (d.pop_slot) {
-    vschema_.PushForward(&phys);
-    WVM_ASSIGN_OR_RETURN(popped_op, vschema_.Operation(phys, 0));
+    vschema_.PushForward(rec);
+    WVM_ASSIGN_OR_RETURN(popped_op, vschema_.RawOperation(rec, 0));
   }
 
 #ifdef WVM_PARANOID_CHECKS
   {
     std::optional<TupleVersionState> paranoid_after;
     if (d.action != PhysicalAction::kDeleteTuple) {
-      Result<Op> after_op = vschema_.Operation(phys, 0);
-      WVM_PARANOID_ASSERT_OK(after_op.status());
-      paranoid_after = TupleVersionState{
-          vschema_.TupleVn(phys, 0), after_op.value(),
-          vschema_.n() > 2 && !vschema_.SlotEmpty(phys, 1)};
+      Result<TupleVersionState> after = StateOf(rec);
+      WVM_PARANOID_ASSERT_OK(after.status());
+      paranoid_after = after.value();
     }
     WVM_PARANOID_ASSERT_OK(
         CheckTupleTransition(txn->vn(), paranoid_before, paranoid_after));
   }
 #endif
 
+  TableHeap* heap = phys_->heap();
   switch (d.action) {
     case PhysicalAction::kInsertTuple: {
-      WVM_ASSIGN_OR_RETURN(Rid new_rid, phys_->InsertRow(phys));
+      WVM_ASSIGN_OR_RETURN(Rid new_rid, heap->Insert(rec));
       WVM_PARANOID_ASSERT_OK(
           CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-      IndexTupleInserted(phys, new_rid);
+      IndexTupleInserted(rec, new_rid);
       ++txn->stats_.physical_inserts;
       return Status::OK();
     }
     case PhysicalAction::kUpdateTuple: {
-      WVM_RETURN_IF_ERROR(phys_->UpdateRow(rid, phys));
+      WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
       if (revive) {
         WVM_PARANOID_ASSERT_OK(
             CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
         if (!secondary_specs_.empty()) {
-          IndexTupleRevived(old_secondary_keys, phys, rid);
+          IndexTupleRevived(before_rec.data(), rec, rid);
         }
       }
       // Plain in-place version updates never touch postings: indexes cover
@@ -221,12 +204,12 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
       // plain update that keeps a live op costs no decode and no lookup.
       if (popped_op.has_value()) {
         if (*popped_op == Op::kDelete) {
-          MarkTombstone(rid, vschema_.TupleVn(phys, 0));
+          MarkTombstone(rid, vschema_.RawTupleVn(rec, 0));
         } else {
           ClearTombstone(rid);
         }
       } else if (d.new_op == Op::kDelete) {
-        MarkTombstone(rid, vschema_.TupleVn(phys, 0));
+        MarkTombstone(rid, vschema_.RawTupleVn(rec, 0));
       } else if (revive) {
         ClearTombstone(rid);
       }
@@ -239,8 +222,8 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
       // neither.
       WVM_PARANOID_ASSERT_OK(
           CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-      IndexTupleErased(phys, rid);
-      WVM_RETURN_IF_ERROR(phys_->DeleteRow(rid));
+      IndexTupleErased(rec, rid);
+      WVM_RETURN_IF_ERROR(heap->Delete(rid));
       ClearTombstone(rid);
       ++txn->stats_.physical_deletes;
       return Status::OK();
@@ -249,17 +232,18 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
   WVM_UNREACHABLE("bad physical action");
 }
 
-Result<TupleVersionState> VnlTable::StateOf(const Row& phys) const {
-  WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));
-  return TupleVersionState{vschema_.TupleVn(phys, 0), op,
-                           vschema_.n() > 2 && !vschema_.SlotEmpty(phys, 1)};
+Result<TupleVersionState> VnlTable::StateOf(const uint8_t* rec) const {
+  WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
+  return TupleVersionState{vschema_.RawTupleVn(rec, 0), op,
+                           vschema_.n() > 2 && !vschema_.RawSlotEmpty(rec, 1)};
 }
 
-Status VnlTable::CheckUpdatablesOnly(const Row& phys,
+Status VnlTable::CheckUpdatablesOnly(const uint8_t* rec,
                                      const Row& next) const {
   const Schema& logical = vschema_.logical();
   for (size_t i = 0; i < logical.num_columns(); ++i) {
-    if (!logical.column(i).updatable && !(phys[i] == next[i])) {
+    if (!logical.column(i).updatable &&
+        !(DeserializeColumn(vschema_.physical(), rec, i) == next[i])) {
       return Status::InvalidArgument(
           "update changes non-updatable attribute '" +
           logical.column(i).name + "'");
@@ -270,10 +254,11 @@ Status VnlTable::CheckUpdatablesOnly(const Row& phys,
 
 Result<VnlTable::Target> VnlTable::FetchTarget(MaintenanceTxn* txn,
                                                Rid rid) const {
-  WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
+  Target target{rid, std::vector<uint8_t>(phys_->heap()->record_size()), {}};
+  WVM_RETURN_IF_ERROR(phys_->heap()->Read(rid, target.rec.data()));
   ++txn->stats_.page_pins;
-  WVM_ASSIGN_OR_RETURN(TupleVersionState state, StateOf(phys));
-  return Target{rid, std::move(phys), state};
+  WVM_ASSIGN_OR_RETURN(target.state, StateOf(target.rec.data()));
+  return target;
 }
 
 Status VnlTable::InsertFresh(MaintenanceTxn* txn, const Row& logical_row) {
@@ -281,9 +266,9 @@ Status VnlTable::InsertFresh(MaintenanceTxn* txn, const Row& logical_row) {
   // insert carries none of the cell's bookkeeping steps.
   MaintenanceDecision fresh;
   fresh.action = PhysicalAction::kInsertTuple;
-  return ApplyDecision(txn, fresh, Rid{},
-                       vschema_.MakeInsertRow(logical_row, txn->vn()),
-                       nullptr);
+  std::vector<uint8_t> rec(phys_->heap()->record_size());
+  vschema_.MakeInsertRow(logical_row, txn->vn(), rec.data());
+  return ApplyDecision(txn, fresh, Rid{}, rec.data(), nullptr);
 }
 
 Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
@@ -299,9 +284,8 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
       return Status::OK();
     case NetEffect::Kind::kInsert: {
       WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
-      if (key != nullptr &&
-          !RowEq()(ExtractNormalizedKey(effect.row, logical.key_indices()),
-                   NormalizeKey(*key))) {
+      if (key != nullptr && !RowEq()(NormalizeKey(logical.KeyOf(effect.row)),
+                                     NormalizeKey(*key))) {
         return Status::InvalidArgument(
             "inserted row's key differs from the key it is applied to");
       }
@@ -313,7 +297,7 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
       if (d.action == PhysicalAction::kInsertTuple) {
         return InsertFresh(txn, effect.row);
       }
-      return ApplyDecision(txn, d, target->rid, std::move(target->phys),
+      return ApplyDecision(txn, d, target->rid, target->rec.data(),
                            &effect.row);
     }
     case NetEffect::Kind::kUpdate: {
@@ -321,11 +305,11 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
       WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
       // Non-updatable attributes (including the unique key) must not
       // change.
-      WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(target->phys, effect.row));
+      WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(target->rec.data(), effect.row));
       WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
                            DecideUpdate(txn->vn(), target->state));
       ++txn->stats_.logical_updates;
-      return ApplyDecision(txn, d, target->rid, std::move(target->phys),
+      return ApplyDecision(txn, d, target->rid, target->rec.data(),
                            &effect.row);
     }
     case NetEffect::Kind::kDelete: {
@@ -333,8 +317,7 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
       WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
                            DecideDelete(txn->vn(), target->state));
       ++txn->stats_.logical_deletes;
-      return ApplyDecision(txn, d, target->rid, std::move(target->phys),
-                           nullptr);
+      return ApplyDecision(txn, d, target->rid, target->rec.data(), nullptr);
     }
   }
   WVM_UNREACHABLE("bad net-effect kind");
@@ -353,7 +336,7 @@ Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
   // logical row, or nullopt for absent keys and corpses.
   std::optional<Row> current;
   if (target.has_value() && target->state.op != Op::kDelete) {
-    current = vschema_.CurrentLogical(target->phys);
+    current = vschema_.RawCurrentLogical(target->rec.data());
   }
   WVM_ASSIGN_OR_RETURN(NetEffect effect, decide(current));
   WVM_RETURN_IF_ERROR(ApplyEffect(txn, &key, effect, std::move(target)));
@@ -381,18 +364,19 @@ Result<std::vector<Rid>> VnlTable::CollectCursor(
     Vn maintenance_vn, const RowPredicate& pred) const {
   std::vector<Rid> matches;
   Status status;
-  const Status scanned = phys_->ScanRows([&](Rid rid, const Row& phys) {
+  Row current = LogicalPlaceholders(vschema_);
+  const Status scanned = phys_->heap()->Scan([&](Rid rid, const uint8_t* rec) {
     // Single-writer protocol cross-check: no tuple may carry a VN the
     // maintenance transaction has not reached yet.
-    if (vschema_.TupleVn(phys, 0) > maintenance_vn) {
+    const Vn vn = vschema_.RawTupleVn(rec, 0);
+    if (vn > maintenance_vn) {
       status = Status::Internal(StrPrintf(
           "tuple stamped with future VN %lld > maintenance VN %lld: "
           "single-writer protocol violated",
-          static_cast<long long>(vschema_.TupleVn(phys, 0)),
-          static_cast<long long>(maintenance_vn)));
+          static_cast<long long>(vn), static_cast<long long>(maintenance_vn)));
       return false;
     }
-    Result<Op> op = vschema_.Operation(phys, 0);
+    Result<Op> op = vschema_.RawOperation(rec, 0);
     if (!op.ok()) {
       status = op.status();
       return false;
@@ -400,9 +384,9 @@ Result<std::vector<Rid>> VnlTable::CollectCursor(
     // The maintenance transaction reads the latest version (first row of
     // Table 1); logically deleted tuples are invisible to it.
     if (op.value() == Op::kDelete) return true;
-    // The logical attributes are the prefix of the physical row, so the
-    // predicate can run on it directly — no per-row projection copy.
-    Result<bool> keep = pred(phys);
+    MaterializeVersionRawInto(vschema_, rec, {ReadOutcome::kRow, -1}, {},
+                              &current);
+    Result<bool> keep = pred(current);
     if (!keep.ok()) {
       status = keep.status();
       return false;
@@ -425,8 +409,8 @@ Result<size_t> VnlTable::Update(MaintenanceTxn* txn,
     // Deferred fetch: the cursor holds Rids only; the row is read when the
     // decision procedure actually needs it.
     WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
-    WVM_ASSIGN_OR_RETURN(Row next,
-                         transform(vschema_.CurrentLogical(target.phys)));
+    WVM_ASSIGN_OR_RETURN(
+        Row next, transform(vschema_.RawCurrentLogical(target.rec.data())));
     WVM_RETURN_IF_ERROR(
         ApplyEffect(txn, nullptr, {NetEffect::Kind::kUpdate, std::move(next)},
                     std::move(target)));
@@ -519,21 +503,18 @@ Result<std::optional<Row>> VnlTable::MaintenanceLookup(
   if (!rid.has_value()) return std::optional<Row>();
   WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, *rid));
   if (target.state.op == Op::kDelete) return std::optional<Row>();
-  return std::optional<Row>(vschema_.CurrentLogical(target.phys));
+  return std::optional<Row>(vschema_.RawCurrentLogical(target.rec.data()));
 }
 
 Result<std::vector<Row>> VnlTable::MaintenanceRows(
     MaintenanceTxn* txn) const {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  WVM_ASSIGN_OR_RETURN(
-      std::vector<Rid> cursor,
-      CollectCursor(txn->vn(), [](const Row&) { return true; }));
+  // The cursor's predicate sees every row the maintenance txn can see.
   std::vector<Row> rows;
-  rows.reserve(cursor.size());
-  for (Rid rid : cursor) {
-    WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
-    rows.push_back(vschema_.CurrentLogical(phys));
-  }
+  WVM_RETURN_IF_ERROR(CollectCursor(txn->vn(), [&rows](const Row& row) {
+                        rows.push_back(row);
+                        return true;
+                      }).status());
   return rows;
 }
 
@@ -715,7 +696,6 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
                                   uint64_t scans_avoided, ReaderStep* step,
                                   const RowSink& sink,
                                   SnapshotScanStats* stats) const {
-  const Schema& physical = vschema_.physical();
   const std::vector<size_t>& key_cols = vschema_.logical().key_indices();
   std::vector<uint8_t> rec(phys_->heap()->record_size());
   uint64_t emitted = 0;
@@ -733,13 +713,8 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
     // tuple and an insert may recycle its Rid for a different key. A
     // record that no longer carries the probed key is, for this read,
     // simply absent.
-    if (key != nullptr) {
-      bool same = key->size() == key_cols.size();
-      for (size_t i = 0; same && i < key_cols.size(); ++i) {
-        same = DeserializeColumn(physical, rec.data(), key_cols[i]) ==
-               (*key)[i];
-      }
-      if (!same) continue;
+    if (key != nullptr && !RowEq()(RecordKey(rec.data(), key_cols), *key)) {
+      continue;
     }
     if (step->Visit(rec.data(), &row)) {
       ++emitted;
@@ -920,28 +895,36 @@ bool VnlTable::TryStreamViaIndex(
 
 Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
   bool lossless = true;
-  // Materialize the victims first; reverts mutate the heap.
-  std::vector<std::pair<Rid, Row>> victims;
-  WVM_RETURN_IF_ERROR(phys_->ScanRows([&](Rid rid, const Row& phys) {
-    if (vschema_.TupleVn(phys, 0) == txn_vn) victims.emplace_back(rid, phys);
+  TableHeap* heap = phys_->heap();
+  const size_t size = heap->record_size();
+  // Copy the victims' records out first; reverts mutate the heap.
+  std::vector<Rid> rids;
+  std::vector<uint8_t> recs;
+  WVM_RETURN_IF_ERROR(heap->Scan([&](Rid rid, const uint8_t* rec) {
+    if (vschema_.RawTupleVn(rec, 0) == txn_vn) {
+      rids.push_back(rid);
+      recs.insert(recs.end(), rec, rec + size);
+    }
     return true;
   }));
 
-  for (auto& [rid, phys] : victims) {
-    WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));
+  for (size_t v = 0; v < rids.size(); ++v) {
+    const Rid rid = rids[v];
+    uint8_t* rec = recs.data() + v * size;
+    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
     const bool has_history =
-        vschema_.n() > 2 && !vschema_.SlotEmpty(phys, 1);
+        vschema_.n() > 2 && !vschema_.RawSlotEmpty(rec, 1);
 
     if (op == Op::kInsert) {
       if (has_history) {
         // The insert pushed older versions back; popping the slot restores
         // them exactly (CV of a deleted tuple is never read).
-        vschema_.PushForward(&phys);
-        WVM_RETURN_IF_ERROR(phys_->UpdateRow(rid, phys));
-        WVM_RETURN_IF_ERROR(SyncTombstone(rid, phys));
+        vschema_.PushForward(rec);
+        WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
+        WVM_RETURN_IF_ERROR(SyncTombstone(rid, rec));
       } else {
-        IndexTupleErased(phys, rid);
-        WVM_RETURN_IF_ERROR(phys_->DeleteRow(rid));
+        IndexTupleErased(rec, rid);
+        WVM_RETURN_IF_ERROR(heap->Delete(rid));
         ClearTombstone(rid);
         // A 2VNL insert over a logically deleted key destroyed the
         // pre-delete values; older sessions cannot be reconstructed.
@@ -952,26 +935,22 @@ Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
       continue;
     }
 
-    if (op == Op::kUpdate) {
-      // Restore the current values from the saved pre-update values.
-      for (size_t u = 0; u < vschema_.updatable().size(); ++u) {
-        phys[vschema_.updatable()[u]] = phys[vschema_.PreIndex(u, 0)];
-      }
-    }
+    // Restore the current values from the saved pre-update values.
+    if (op == Op::kUpdate) vschema_.CopyPreToCurrent(rec, 0);
     // (op == delete: current values were never overwritten.)
 
     if (has_history) {
-      vschema_.PushForward(&phys);  // slot 0 restored from slot 1: exact
+      vschema_.PushForward(rec);  // slot 0 restored from slot 1: exact
     } else {
       // The pre-transaction {tupleVN, operation, PV} are unrecoverable in
       // 2VNL; stamp the tuple as of current_vn. Sessions at current_vn
       // read the (correct) current values; older sessions must expire.
-      vschema_.SetSlot(&phys, 0, current_vn, Op::kUpdate);
-      vschema_.CopyCurrentToPre(&phys, 0);
+      vschema_.SetSlot(rec, 0, current_vn, Op::kUpdate);
+      vschema_.CopyCurrentToPre(rec, 0);
       lossless = false;
     }
-    WVM_RETURN_IF_ERROR(phys_->UpdateRow(rid, phys));
-    WVM_RETURN_IF_ERROR(SyncTombstone(rid, phys));
+    WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
+    WVM_RETURN_IF_ERROR(SyncTombstone(rid, rec));
   }
   return lossless;
 }
@@ -986,10 +965,10 @@ void VnlTable::ClearTombstone(Rid rid) {
   tombstones_.erase(rid);
 }
 
-Status VnlTable::SyncTombstone(Rid rid, const Row& phys) {
-  WVM_ASSIGN_OR_RETURN(Op op, vschema_.Operation(phys, 0));
+Status VnlTable::SyncTombstone(Rid rid, const uint8_t* rec) {
+  WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
   if (op == Op::kDelete) {
-    MarkTombstone(rid, vschema_.TupleVn(phys, 0));
+    MarkTombstone(rid, vschema_.RawTupleVn(rec, 0));
   } else {
     ClearTombstone(rid);
   }
@@ -1029,17 +1008,19 @@ Result<size_t> VnlTable::CollectGarbage(Vn current_vn,
     WVM_RETURN_IF_ERROR(oracle);
   }
 #endif
+  TableHeap* heap = phys_->heap();
+  std::vector<uint8_t> rec(heap->record_size());
   for (Rid rid : victims) {
-    WVM_ASSIGN_OR_RETURN(Row phys, phys_->GetRow(rid));
+    WVM_RETURN_IF_ERROR(heap->Read(rid, rec.data()));
     // Postings go first, atomically with reclamation from a reader's view:
     // GC runs under the engine mutex (no concurrent maintenance), so an
     // index probe sees either the posting plus a live heap slot, or
     // neither — never a posting whose slot has been reused.
-    IndexTupleErased(phys, rid);
-    const Status deleted = phys_->DeleteRow(rid);
+    IndexTupleErased(rec.data(), rid);
+    const Status deleted = heap->Delete(rid);
     if (!deleted.ok()) {
       // The corpse stays: restore its postings; its tombstone was kept.
-      IndexTupleInserted(phys, rid);
+      IndexTupleInserted(rec.data(), rid);
       return deleted;
     }
     ClearTombstone(rid);

@@ -26,7 +26,8 @@ namespace wvm::core {
 class VnlEngine;
 
 // Handle to the single active maintenance transaction. Created by
-// VnlEngine::BeginMaintenance and finished with Commit/Abort.
+// VnlEngine::BeginMaintenance and finished with Commit/Abort; a finished
+// handle stays valid, and inactive, until the next transaction finishes.
 class MaintenanceTxn {
  public:
   Vn vn() const { return vn_; }
@@ -61,10 +62,9 @@ class MaintenanceTxn {
 };
 
 // Per-row callbacks used by the cursor-style maintenance statements
-// (§4.2): both receive the *logical* current row. The row handed to a
-// RowPredicate may be backed by the wider physical tuple (the logical
-// attributes are its prefix, with identical values) — index it by logical
-// column position only.
+// (§4.2): both receive the *logical* current row, indexed by logical
+// column position. The row handed to a RowPredicate is valid only for the
+// call.
 using RowPredicate = std::function<Result<bool>(const Row&)>;
 using RowTransform = std::function<Result<Row>(const Row&)>;
 
@@ -195,24 +195,25 @@ class VnlTable {
 
   Status CheckTxn(const MaintenanceTxn* txn) const;
 
-  // Applies one decision-table cell to the tuple at `rid` (whose current
-  // physical image is `phys`). `mv_logical` carries the operation's values
-  // when the cell copies CV <- MV.
+  // Applies one decision-table cell to the tuple at `rid`: edits its
+  // record `rec` in place with the VersionedSchema byte mutators and
+  // writes it back (for kInsertTuple, `rec` is the complete fresh record).
+  // `mv_logical` carries the operation's values when the cell copies
+  // CV <- MV.
   Status ApplyDecision(MaintenanceTxn* txn, const MaintenanceDecision& d,
-                       Rid rid, Row phys, const Row* mv_logical);
+                       Rid rid, uint8_t* rec, const Row* mv_logical);
 
-  // Version-state triple of a fetched physical row (decision-table input).
-  Result<TupleVersionState> StateOf(const Row& phys) const;
+  // Version-state triple of a fetched record (decision-table input).
+  Result<TupleVersionState> StateOf(const uint8_t* rec) const;
 
   // `next` must preserve every non-updatable attribute of the current
-  // version; `phys` is the tuple's physical image, whose logical prefix is
-  // that version.
-  Status CheckUpdatablesOnly(const Row& phys, const Row& next) const;
+  // version, which is the logical prefix of the record `rec`.
+  Status CheckUpdatablesOnly(const uint8_t* rec, const Row& next) const;
 
-  // A tuple fetched for a maintenance decision.
+  // A tuple fetched for a maintenance decision: its record bytes.
   struct Target {
     Rid rid;
-    Row phys;
+    std::vector<uint8_t> rec;
     TupleVersionState state;
   };
 
@@ -299,29 +300,28 @@ class VnlTable {
 
   // Index maintenance, always at tuple granularity and under a single
   // index_mu_ acquisition: the unique-key entry and every secondary
-  // posting move together. Keys are normalized through the column codec so
-  // in-memory rows (possibly over-width strings) and heap-deserialized
-  // rows agree.
-  void IndexTupleInserted(const Row& phys, Rid rid) EXCLUDES(index_mu_);
-  void IndexTupleErased(const Row& phys, Rid rid) EXCLUDES(index_mu_);
+  // posting move together. Keys are decoded from the tuple's record, so
+  // they carry exactly the values a normalized probe (NormalizeKey) does.
+  void IndexTupleInserted(const uint8_t* rec, Rid rid) EXCLUDES(index_mu_);
+  void IndexTupleErased(const uint8_t* rec, Rid rid) EXCLUDES(index_mu_);
   // Table-2 re-insert over a logically deleted key: the tuple keeps its
   // Rid but assumes a new logical identity whose non-updatable attributes
-  // may differ — secondary postings whose key changed must move. The
-  // unique key itself is unchanged by construction.
-  void IndexTupleRevived(const std::vector<Row>& old_secondary_keys,
-                         const Row& new_phys, Rid rid) EXCLUDES(index_mu_);
+  // may differ — secondary postings whose key changed from `old_rec` to
+  // `new_rec` must move. The unique key itself is unchanged by
+  // construction.
+  void IndexTupleRevived(const uint8_t* old_rec, const uint8_t* new_rec,
+                         Rid rid) EXCLUDES(index_mu_);
 
-  // Normalized secondary key of `row` for each declared secondary index.
-  std::vector<Row> SecondaryKeysOf(const Row& row) const;
-  // Normalizes values picked from `row` at `cols` through the column codec.
-  Row ExtractNormalizedKey(const Row& row,
-                           const std::vector<size_t>& cols) const;
+  // The values of the record `rec` at logical columns `cols`, decoded.
+  Row RecordKey(const uint8_t* rec, const std::vector<size_t>& cols) const;
 
   // Rollback-without-logging (§7): reverts every tuple stamped with
   // txn_vn. Returns true when the revert was lossless (all pre-states
   // fully reconstructed — guaranteed for n > 2 when history slots were
   // available); false when sessions older than current_vn must be expired.
   // Heap I/O failures surface as a non-OK status instead of aborting.
+  // Victims are found by one heap pass on record bytes and reverted with
+  // the same byte mutators as maintenance.
   Result<bool> RollbackTxn(Vn txn_vn, Vn current_vn);
 
   // Garbage collection (§7): physically removes logically deleted tuples
@@ -341,8 +341,8 @@ class VnlTable {
   // not (or that the tuple is physically gone).
   void MarkTombstone(Rid rid, Vn vn) EXCLUDES(tomb_mu_);
   void ClearTombstone(Rid rid) EXCLUDES(tomb_mu_);
-  // Marks or clears `rid` from the slot 0 of its current image `phys`.
-  Status SyncTombstone(Rid rid, const Row& phys) EXCLUDES(tomb_mu_);
+  // Marks or clears `rid` from the slot 0 of its current record `rec`.
+  Status SyncTombstone(Rid rid, const uint8_t* rec) EXCLUDES(tomb_mu_);
 
   std::string name_;
   VersionedSchema vschema_;

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -324,8 +325,13 @@ class Parser {
     const Token& tok = Peek();
     switch (tok.type) {
       case TokenType::kInt: {
+        // A minus sign is a separate unary operator, so the literal itself
+        // must fit: -9223372036854775808 is out of range too.
+        errno = 0;
+        const long long v = std::strtoll(tok.text.c_str(), nullptr, 10);
+        if (errno == ERANGE) return Err("integer literal out of range");
         Advance();
-        return Lit(Value::Int64(std::strtoll(tok.text.c_str(), nullptr, 10)));
+        return Lit(Value::Int64(v));
       }
       case TokenType::kDouble: {
         Advance();

@@ -2,32 +2,61 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/versioned_schema.h"
+
 namespace wvm::core {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Table 1 (reader decision table), exhaustively.
+// Table 1 (reader decision table), exhaustively, as the engine runs it: the
+// resolution of a 2VNL tuple whose version slot is stamped {tuple_vn, op}.
+
+VersionResolution Resolve2Vnl(Vn session_vn, Vn tuple_vn, Op op) {
+  const VersionedSchema vs =
+      VersionedSchema::Create(
+          Schema({Column::Int64("k"), Column::Int64("v", /*updatable=*/true)},
+                 {0}),
+          2)
+          .value();
+  std::vector<uint8_t> rec(vs.physical().RowByteSize());
+  vs.MakeInsertRow({Value::Int64(1), Value::Int64(2)}, tuple_vn, rec.data());
+  vs.SetSlot(rec.data(), 0, tuple_vn, op);
+  return ResolveVersionRaw(vs, rec.data(), session_vn);
+}
+
+bool ReadsCurrent(const VersionResolution& r) {
+  return r.outcome == ReadOutcome::kRow && r.slot == -1;
+}
+bool ReadsPreUpdate(const VersionResolution& r) {
+  return r.outcome == ReadOutcome::kRow && r.slot == 0;
+}
+bool Ignores(const VersionResolution& r) {
+  return r.outcome == ReadOutcome::kIgnore;
+}
 
 TEST(Table1Test, CurrentVersionRow) {
   // sessionVN >= tupleVN: read current, unless deleted.
-  EXPECT_EQ(DecideRead(5, 5, Op::kInsert), ReaderAction::kReadCurrent);
-  EXPECT_EQ(DecideRead(6, 5, Op::kInsert), ReaderAction::kReadCurrent);
-  EXPECT_EQ(DecideRead(5, 5, Op::kUpdate), ReaderAction::kReadCurrent);
-  EXPECT_EQ(DecideRead(5, 5, Op::kDelete), ReaderAction::kIgnore);
+  EXPECT_TRUE(ReadsCurrent(Resolve2Vnl(5, 5, Op::kInsert)));
+  EXPECT_TRUE(ReadsCurrent(Resolve2Vnl(6, 5, Op::kInsert)));
+  EXPECT_TRUE(ReadsCurrent(Resolve2Vnl(5, 5, Op::kUpdate)));
+  EXPECT_TRUE(Ignores(Resolve2Vnl(5, 5, Op::kDelete)));
 }
 
 TEST(Table1Test, PreUpdateVersionRow) {
   // sessionVN == tupleVN - 1: read pre-update, unless inserted.
-  EXPECT_EQ(DecideRead(4, 5, Op::kInsert), ReaderAction::kIgnore);
-  EXPECT_EQ(DecideRead(4, 5, Op::kUpdate), ReaderAction::kReadPreUpdate);
-  EXPECT_EQ(DecideRead(4, 5, Op::kDelete), ReaderAction::kReadPreUpdate);
+  EXPECT_TRUE(Ignores(Resolve2Vnl(4, 5, Op::kInsert)));
+  EXPECT_TRUE(ReadsPreUpdate(Resolve2Vnl(4, 5, Op::kUpdate)));
+  EXPECT_TRUE(ReadsPreUpdate(Resolve2Vnl(4, 5, Op::kDelete)));
 }
 
 TEST(Table1Test, ExpiredCase) {
   // sessionVN < tupleVN - 1 (§3.2 case 3).
   for (Op op : {Op::kInsert, Op::kUpdate, Op::kDelete}) {
-    EXPECT_EQ(DecideRead(3, 5, op), ReaderAction::kExpired);
-    EXPECT_EQ(DecideRead(1, 5, op), ReaderAction::kExpired);
+    EXPECT_EQ(Resolve2Vnl(3, 5, op).outcome, ReadOutcome::kExpired);
+    EXPECT_EQ(Resolve2Vnl(1, 5, op).outcome, ReadOutcome::kExpired);
   }
 }
 

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/vnl_engine.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -87,11 +88,11 @@ ReferenceGc ReferenceVictims(const VnlTable& table, Vn current_vn,
   ReferenceGc ref;
   const Status scanned =
       table.physical_table().ScanRows([&](Rid rid, const Row& phys) {
-        Result<Op> op = vs.Operation(phys, 0);
+        Result<Op> op = rowref::Operation(vs, phys, 0);
         WVM_CHECK(op.ok());
         if (op.value() != Op::kDelete) return true;
         ++ref.corpses;
-        const Vn vn = vs.TupleVn(phys, 0);
+        const Vn vn = rowref::TupleVn(vs, phys, 0);
         if (vn <= current_vn && min_active_session_vn >= vn) {
           ref.victims.push_back(rid);
         }

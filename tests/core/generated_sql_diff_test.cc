@@ -42,6 +42,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -500,12 +501,12 @@ Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
     }
   }
   for (const Row& phys : physical) {
-    const VersionResolution res = ResolveVersion(vs, phys, session_vn);
+    const VersionResolution res = rowref::ResolveVersion(vs, phys, session_vn);
     if (res.outcome == ReadOutcome::kIgnore) continue;
     if (res.outcome == ReadOutcome::kExpired) {
       return Status::SessionExpired("reference: expired");
     }
-    const Row row = MaterializeVersion(vs, phys, res);
+    const Row row = rowref::MaterializeVersion(vs, phys, res);
     bool keep = true;
     for (const sql::Expr* c : where) {
       WVM_ASSIGN_OR_RETURN(Value v, RefEval(*c, logical, row, params));

@@ -333,28 +333,22 @@ TEST(SecondaryIndexMutationTest, RejectsInPlaceVersionUpdates) {
 // on a correct engine.
 
 TEST(ReaderResolutionTest, AcceptsEveryEngineDecision2Vnl) {
+  const VersionedSchema vs =
+      VersionedSchema::Create(
+          Schema({Column::Int64("k"), Column::Int64("v", /*updatable=*/true)},
+                 {0}),
+          2)
+          .value();
+  std::vector<uint8_t> rec(vs.physical().RowByteSize());
   for (Vn tuple_vn = 1; tuple_vn <= 6; ++tuple_vn) {
     for (Vn session_vn = 0; session_vn <= 7; ++session_vn) {
       for (Op op : {Op::kInsert, Op::kUpdate, Op::kDelete}) {
+        vs.MakeInsertRow({Value::Int64(1), Value::Int64(2)}, tuple_vn,
+                         rec.data());
+        vs.SetSlot(rec.data(), 0, tuple_vn, op);
+        const VersionResolution res =
+            ResolveVersionRaw(vs, rec.data(), session_vn);
         const std::vector<SlotStamp> slots = {{tuple_vn, op}};
-        // Mirror DecideRead through the VersionResolution shape the
-        // engine produces.
-        const ReaderAction action = DecideRead(session_vn, tuple_vn, op);
-        VersionResolution res;
-        switch (action) {
-          case ReaderAction::kReadCurrent:
-            res = {ReadOutcome::kRow, -1};
-            break;
-          case ReaderAction::kReadPreUpdate:
-            res = {ReadOutcome::kRow, 0};
-            break;
-          case ReaderAction::kIgnore:
-            res = {ReadOutcome::kIgnore, session_vn >= tuple_vn ? -1 : 0};
-            break;
-          case ReaderAction::kExpired:
-            res = {ReadOutcome::kExpired, 0};
-            break;
-        }
         const Status s = CheckReaderResolution(session_vn, slots, 2, res);
         EXPECT_TRUE(s.ok())
             << "sessionVN=" << session_vn << " tupleVN=" << tuple_vn

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/vnl_engine.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -103,16 +104,16 @@ TEST_F(NVnlTest, Figure7TupleState) {
   EXPECT_EQ(t[0].AsString(), "San Jose");
   EXPECT_EQ(t[4].AsInt32(), 10200);  // total_sales (current)
 
-  EXPECT_EQ(vs.TupleVn(t, 0), 6);
-  EXPECT_EQ(vs.Operation(t, 0).value(), Op::kDelete);
+  EXPECT_EQ(rowref::TupleVn(vs, t, 0), 6);
+  EXPECT_EQ(rowref::Operation(vs, t, 0).value(), Op::kDelete);
   EXPECT_EQ(t[vs.PreIndex(0, 0)].AsInt32(), 10200);  // pre_total_sales1
 
-  EXPECT_EQ(vs.TupleVn(t, 1), 5);
-  EXPECT_EQ(vs.Operation(t, 1).value(), Op::kUpdate);
+  EXPECT_EQ(rowref::TupleVn(vs, t, 1), 5);
+  EXPECT_EQ(rowref::Operation(vs, t, 1).value(), Op::kUpdate);
   EXPECT_EQ(t[vs.PreIndex(0, 1)].AsInt32(), 10000);  // pre_total_sales2
 
-  EXPECT_EQ(vs.TupleVn(t, 2), 3);
-  EXPECT_EQ(vs.Operation(t, 2).value(), Op::kInsert);
+  EXPECT_EQ(rowref::TupleVn(vs, t, 2), 3);
+  EXPECT_EQ(rowref::Operation(vs, t, 2).value(), Op::kInsert);
   EXPECT_TRUE(t[vs.PreIndex(0, 2)].is_null());  // pre_total_sales3
 }
 

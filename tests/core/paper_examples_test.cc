@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "core/vnl_engine.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -114,8 +115,8 @@ class PaperExamplesTest : public ::testing::Test {
           });
       ASSERT_NE(it, expected.end())
           << "unexpected tuple " << RowToString(row);
-      EXPECT_EQ(vs.TupleVn(row, 0), it->tuple_vn) << city << " " << day;
-      EXPECT_EQ(vs.Operation(row, 0).value(), it->op) << city << " " << day;
+      EXPECT_EQ(rowref::TupleVn(vs, row, 0), it->tuple_vn) << city << " " << day;
+      EXPECT_EQ(rowref::Operation(vs, row, 0).value(), it->op) << city << " " << day;
       EXPECT_EQ(row[4].AsInt32(), it->total_sales) << city << " " << day;
       const Value& pre = row[vs.PreIndex(0, 0)];
       if (it->pre_total_sales.has_value()) {

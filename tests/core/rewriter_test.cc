@@ -268,7 +268,7 @@ TEST(RewriterTest, UnknownColumnFails) {
 
 TEST(RewriterTest, NvnlCaseCascades) {
   VersionedSchema vs = MakeVs(4);
-  sql::ExprPtr c = BuildVersionCase(vs, 4, "sessionVN");
+  sql::ExprPtr c = BuildVersionCase(vs, 4);
   EXPECT_EQ(c->ToSql(),
             "CASE WHEN :sessionVN >= tupleVN1 THEN total_sales "
             "WHEN :sessionVN >= tupleVN2 THEN pre_total_sales1 "
@@ -278,7 +278,7 @@ TEST(RewriterTest, NvnlCaseCascades) {
 
 TEST(RewriterTest, NvnlVisibilityPredicate) {
   VersionedSchema vs = MakeVs(3);
-  sql::ExprPtr p = BuildVisibilityPredicate(vs, "sessionVN");
+  sql::ExprPtr p = BuildVisibilityPredicate(vs);
   EXPECT_EQ(p->ToSql(),
             "(:sessionVN >= tupleVN1 AND operation1 <> 'delete') OR "
             "(:sessionVN < tupleVN1 AND :sessionVN >= tupleVN2 AND "

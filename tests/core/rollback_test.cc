@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "core/vnl_engine.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -93,7 +94,7 @@ TEST_P(RollbackTest, AbortRestoresLogicalState) {
   const VersionedSchema& vs = table_->versioned_schema();
   const std::vector<Row> rows = table_->physical_table().AllRows().value();
   for (const Row& row : rows) {
-    EXPECT_LE(vs.TupleVn(row, 0), 1);
+    EXPECT_LE(rowref::TupleVn(vs, row, 0), 1);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -108,7 +109,7 @@ Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
     Row logical;
     WVM_RETURN_IF_ERROR(table.physical_table().ScanRows(
         [&](Rid, const Row& phys) {
-          switch (ReadVersion(vs, phys, session.session_vn, &logical)) {
+          switch (rowref::ReadVersion(vs, phys, session.session_vn, &logical)) {
             case ReadOutcome::kIgnore:
               return true;
             case ReadOutcome::kExpired:

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "tests/support/row_reference.h"
+
 namespace wvm::core {
 namespace {
 
@@ -78,34 +80,50 @@ TEST(VersionedSchemaTest, RejectsBadInputs) {
   EXPECT_FALSE(VersionedSchema::Create(bad, 2).ok());
 }
 
+// Reads the version of the record `rec` current at `session_vn` through
+// the reader's byte forms.
+ReadOutcome ReadRecord(const VersionedSchema& vs, const uint8_t* rec,
+                       Vn session_vn, Row* out) {
+  const VersionResolution res = ResolveVersionRaw(vs, rec, session_vn);
+  if (res.outcome == ReadOutcome::kRow) {
+    *out = LogicalPlaceholders(vs);
+    MaterializeVersionRawInto(vs, rec, res, {}, out);
+  }
+  return res.outcome;
+}
+
 TEST(VersionedSchemaTest, MakeInsertRowInitializesSlots) {
   Result<VersionedSchema> vs = VersionedSchema::Create(DailySales(), 3);
   ASSERT_TRUE(vs.ok());
-  Row phys = vs->MakeInsertRow(DailyRow("San Jose", "golf equip", 14, 100),
-                               /*vn=*/5);
-  EXPECT_EQ(vs->TupleVn(phys, 0), 5);
-  EXPECT_EQ(vs->Operation(phys, 0).value(), Op::kInsert);
-  EXPECT_TRUE(phys[vs->PreIndex(0, 0)].is_null());
-  EXPECT_TRUE(vs->SlotEmpty(phys, 1));
-  EXPECT_EQ(vs->PopulatedSlots(phys), 1);
+  std::vector<uint8_t> rec(vs->physical().RowByteSize());
+  vs->MakeInsertRow(DailyRow("San Jose", "golf equip", 14, 100), /*vn=*/5,
+                    rec.data());
+  EXPECT_EQ(vs->RawTupleVn(rec.data(), 0), 5);
+  EXPECT_EQ(vs->RawOperation(rec.data(), 0).value(), Op::kInsert);
+  EXPECT_TRUE(RecordColumnIsNull(rec.data(), vs->PreIndex(0, 0)));
+  EXPECT_TRUE(vs->RawSlotEmpty(rec.data(), 1));
+  EXPECT_EQ(vs->RawPopulatedSlots(rec.data()), 1);
 }
 
 TEST(VersionedSchemaTest, ProjectionsRoundTrip) {
   Result<VersionedSchema> vs = VersionedSchema::Create(DailySales(), 2);
   ASSERT_TRUE(vs.ok());
   Row logical = DailyRow("San Jose", "golf equip", 14, 12000);
-  Row phys = vs->MakeInsertRow(logical, 4);
-  EXPECT_EQ(vs->CurrentLogical(phys), logical);
+  std::vector<uint8_t> rec(vs->physical().RowByteSize());
+  vs->MakeInsertRow(logical, 4, rec.data());
+  EXPECT_EQ(vs->RawCurrentLogical(rec.data()), logical);
 
   // Simulate an update: PV <- CV, CV <- new.
-  vs->CopyCurrentToPre(&phys, 0);
+  vs->CopyCurrentToPre(rec.data(), 0);
   Row updated = logical;
   updated[4] = Value::Int32(15000);
-  vs->SetCurrent(&phys, updated);
-  vs->SetSlot(&phys, 0, 5, Op::kUpdate);
+  vs->SetCurrent(rec.data(), updated);
+  vs->SetSlot(rec.data(), 0, 5, Op::kUpdate);
 
-  EXPECT_EQ(vs->CurrentLogical(phys)[4].AsInt32(), 15000);
-  Row pre = vs->PreUpdateLogical(phys, 0);
+  EXPECT_EQ(vs->RawCurrentLogical(rec.data())[4].AsInt32(), 15000);
+  Row pre = LogicalPlaceholders(*vs);
+  MaterializeVersionRawInto(*vs, rec.data(), {ReadOutcome::kRow, 0}, {},
+                            &pre);
   EXPECT_EQ(pre[4].AsInt32(), 12000);
   // Non-updatable attributes come from the current values.
   EXPECT_EQ(pre[0].AsString(), "San Jose");
@@ -114,59 +132,66 @@ TEST(VersionedSchemaTest, ProjectionsRoundTrip) {
 TEST(VersionedSchemaTest, PushBackShiftsSlots) {
   Result<VersionedSchema> vs = VersionedSchema::Create(DailySales(), 3);
   ASSERT_TRUE(vs.ok());
-  Row phys = vs->MakeInsertRow(DailyRow("a", "b", 1, 10), 3);
-  vs->PushBack(&phys);
-  EXPECT_EQ(vs->TupleVn(phys, 1), 3);
-  EXPECT_EQ(vs->Operation(phys, 1).value(), Op::kInsert);
+  std::vector<uint8_t> buf(vs->physical().RowByteSize());
+  uint8_t* rec = buf.data();
+  vs->MakeInsertRow(DailyRow("a", "b", 1, 10), 3, rec);
+  vs->PushBack(rec);
+  EXPECT_EQ(vs->RawTupleVn(rec, 1), 3);
+  EXPECT_EQ(vs->RawOperation(rec, 1).value(), Op::kInsert);
   // Slot 0 still holds stale data until the caller overwrites it.
-  vs->SetSlot(&phys, 0, 5, Op::kUpdate);
-  EXPECT_EQ(vs->PopulatedSlots(phys), 2);
+  vs->SetSlot(rec, 0, 5, Op::kUpdate);
+  EXPECT_EQ(vs->RawPopulatedSlots(rec), 2);
 
-  vs->PushForward(&phys);
-  EXPECT_EQ(vs->TupleVn(phys, 0), 3);
-  EXPECT_EQ(vs->Operation(phys, 0).value(), Op::kInsert);
-  EXPECT_TRUE(vs->SlotEmpty(phys, 1));
+  vs->PushForward(rec);
+  EXPECT_EQ(vs->RawTupleVn(rec, 0), 3);
+  EXPECT_EQ(vs->RawOperation(rec, 0).value(), Op::kInsert);
+  EXPECT_TRUE(vs->RawSlotEmpty(rec, 1));
 }
 
 TEST(VersionedSchemaTest, ReadVersionTwoVnl) {
   Result<VersionedSchema> vs = VersionedSchema::Create(DailySales(), 2);
   ASSERT_TRUE(vs.ok());
   // Tuple updated at VN 4: CV = 12000, PV = 10000.
-  Row phys = vs->MakeInsertRow(DailyRow("Berkeley", "racquetball", 14,
-                                        12000), 4);
-  vs->SetSlot(&phys, 0, 4, Op::kUpdate);
-  phys[vs->PreIndex(0, 0)] = Value::Int32(10000);
+  std::vector<uint8_t> buf(vs->physical().RowByteSize());
+  uint8_t* rec = buf.data();
+  vs->MakeInsertRow(DailyRow("Berkeley", "racquetball", 14, 12000), 4, rec);
+  vs->SetSlot(rec, 0, 4, Op::kUpdate);
+  SerializeColumn(vs->physical(), Value::Int32(10000), vs->PreIndex(0, 0),
+                  rec);
 
   Row out;
-  EXPECT_EQ(ReadVersion(*vs, phys, 4, &out), ReadOutcome::kRow);
+  EXPECT_EQ(ReadRecord(*vs, rec, 4, &out), ReadOutcome::kRow);
   EXPECT_EQ(out[4].AsInt32(), 12000);
-  EXPECT_EQ(ReadVersion(*vs, phys, 5, &out), ReadOutcome::kRow);
+  EXPECT_EQ(ReadRecord(*vs, rec, 5, &out), ReadOutcome::kRow);
   EXPECT_EQ(out[4].AsInt32(), 12000);
-  EXPECT_EQ(ReadVersion(*vs, phys, 3, &out), ReadOutcome::kRow);
+  EXPECT_EQ(ReadRecord(*vs, rec, 3, &out), ReadOutcome::kRow);
   EXPECT_EQ(out[4].AsInt32(), 10000);
-  EXPECT_EQ(ReadVersion(*vs, phys, 2, &out), ReadOutcome::kExpired);
+  EXPECT_EQ(ReadRecord(*vs, rec, 2, &out), ReadOutcome::kExpired);
 }
 
 TEST(VersionedSchemaTest, ReadVersionInsertAndDelete) {
   Result<VersionedSchema> vs = VersionedSchema::Create(DailySales(), 2);
   ASSERT_TRUE(vs.ok());
-  Row inserted = vs->MakeInsertRow(DailyRow("a", "b", 1, 1), 4);
+  std::vector<uint8_t> inserted(vs->physical().RowByteSize());
+  vs->MakeInsertRow(DailyRow("a", "b", 1, 1), 4, inserted.data());
   Row out;
-  EXPECT_EQ(ReadVersion(*vs, inserted, 4, &out), ReadOutcome::kRow);
-  EXPECT_EQ(ReadVersion(*vs, inserted, 3, &out), ReadOutcome::kIgnore);
-  EXPECT_EQ(ReadVersion(*vs, inserted, 2, &out), ReadOutcome::kExpired);
+  EXPECT_EQ(ReadRecord(*vs, inserted.data(), 4, &out), ReadOutcome::kRow);
+  EXPECT_EQ(ReadRecord(*vs, inserted.data(), 3, &out), ReadOutcome::kIgnore);
+  EXPECT_EQ(ReadRecord(*vs, inserted.data(), 2, &out),
+            ReadOutcome::kExpired);
 
-  Row deleted = vs->MakeInsertRow(DailyRow("a", "b", 1, 8000), 4);
-  vs->SetSlot(&deleted, 0, 4, Op::kDelete);
-  deleted[vs->PreIndex(0, 0)] = Value::Int32(8000);
-  EXPECT_EQ(ReadVersion(*vs, deleted, 4, &out), ReadOutcome::kIgnore);
-  EXPECT_EQ(ReadVersion(*vs, deleted, 3, &out), ReadOutcome::kRow);
+  std::vector<uint8_t> deleted(vs->physical().RowByteSize());
+  vs->MakeInsertRow(DailyRow("a", "b", 1, 8000), 4, deleted.data());
+  vs->SetSlot(deleted.data(), 0, 4, Op::kDelete);
+  vs->CopyCurrentToPre(deleted.data(), 0);
+  EXPECT_EQ(ReadRecord(*vs, deleted.data(), 4, &out), ReadOutcome::kIgnore);
+  EXPECT_EQ(ReadRecord(*vs, deleted.data(), 3, &out), ReadOutcome::kRow);
   EXPECT_EQ(out[4].AsInt32(), 8000);
 }
 
 // The byte-level resolver the reader runs (ResolveVersionRaw +
 // MaterializeVersionRawInto, filling one reused row) against the Row
-// reference of Table 1 (ResolveVersion / ReadVersion), over every
+// reference of Table 1 (rowref::ResolveVersion / ReadVersion), over every
 // populated-slot configuration for n in {2, 3, 4}: each slot's operation
 // and a strictly decreasing VN per slot, which includes the Table-2 revive
 // shapes (an insert stamped over a delete) and histories whose oldest
@@ -194,16 +219,15 @@ TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
         int op_combos = 1;
         for (int i = 0; i < m; ++i) op_combos *= 3;
         for (int combo = 0; combo < op_combos; ++combo) {
-          Row phys = vs->MakeInsertRow(DailyRow("Berkeley", "racquetball",
-                                                14, 1000),
-                                       vns[0]);
+          Row phys = rowref::MakeInsertRow(
+              *vs, DailyRow("Berkeley", "racquetball", 14, 1000), vns[0]);
           int c = combo;
           for (int slot = 0; slot < m; ++slot) {
-            vs->SetSlot(&phys, slot, vns[slot], kOps[c % 3]);
+            rowref::SetSlot(*vs, &phys, slot, vns[slot], kOps[c % 3]);
             c /= 3;
             // Distinct pre-update values per slot; an insert's PV is NULL.
             phys[vs->PreIndex(0, slot)] =
-                vs->Operation(phys, slot).value() == Op::kInsert
+                rowref::Operation(*vs, phys, slot).value() == Op::kInsert
                     ? Value::Null(TypeId::kInt32)
                     : Value::Int32(100 * (slot + 1));
           }
@@ -213,13 +237,13 @@ TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
                          << "n=" << n << " m=" << m << " vns=" << vn_mask
                          << " ops=" << combo << " session=" << session);
             const VersionResolution row_res =
-                ResolveVersion(*vs, phys, session);
+                rowref::ResolveVersion(*vs, phys, session);
             const VersionResolution raw_res =
                 ResolveVersionRaw(*vs, rec.data(), session);
             ASSERT_EQ(raw_res.outcome, row_res.outcome);
             ASSERT_EQ(raw_res.slot, row_res.slot);
             Row expected;
-            if (ReadVersion(*vs, phys, session, &expected) !=
+            if (rowref::ReadVersion(*vs, phys, session, &expected) !=
                 ReadOutcome::kRow) {
               continue;
             }

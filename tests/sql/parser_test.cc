@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace wvm::sql {
 namespace {
 
@@ -164,6 +167,25 @@ TEST(ParserTest, UnaryMinus) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)->binary_op, BinaryOp::kAdd);
   EXPECT_EQ((*r)->child0->kind, ExprKind::kUnary);
+}
+
+TEST(ParserTest, IntegerLiteralsMustFitInt64) {
+  Result<ExprPtr> max = ParseExpression("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)->literal.AsInt64(), INT64_MAX);
+
+  // Out of range: an error naming the literal, not a saturated value. The
+  // minus sign is a unary operator, so INT64_MIN cannot be written as a
+  // literal either.
+  for (const char* text : {"99999999999999999999", "-9223372036854775808"}) {
+    Result<ExprPtr> r = ParseExpression(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(text[0] == '-' ? text + 1 : text),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  EXPECT_FALSE(Parse("SELECT a FROM t WHERE a = 99999999999999999999").ok());
 }
 
 TEST(ParserTest, KindMismatchErrors) {
