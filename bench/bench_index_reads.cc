@@ -9,11 +9,13 @@
 // excluded from the baseline, since bench_diff.py never fails on
 // one-sided metrics.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
@@ -39,8 +41,8 @@ Schema SummarySchema() {
 }
 
 Row MakeRow(int64_t id, int64_t qty) {
-  return {Value::Int64(id), Value::String("g" + std::to_string(id % kGroups)),
-          Value::String("dim-" + std::to_string(id % 9973)),
+  return {Value::Int64(id), Value::String(StrPrintf("g%" PRId64, id % kGroups)),
+          Value::String(StrPrintf("dim-%" PRId64, id % 9973)),
           Value::Int64(qty)};
 }
 

@@ -7,6 +7,7 @@
 //     tuples also mean fewer per page.
 // This bench measures all of it: page fetches / misses / disk I/O per
 // phase, per engine, with a buffer pool smaller than the working set.
+#include <cinttypes>
 #include <cstdio>
 
 #include "baselines/mv2pl_engine.h"
@@ -15,6 +16,7 @@
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace wvm {
 namespace {
@@ -31,7 +33,7 @@ Schema WideSchema() {
 }
 
 Row MakeRow(int64_t id, int64_t qty) {
-  return {Value::Int64(id), Value::String("dim" + std::to_string(id % 97)),
+  return {Value::Int64(id), Value::String(StrPrintf("dim%" PRId64, id % 97)),
           Value::Int64(qty)};
 }
 

@@ -7,8 +7,11 @@
 // plus the global expiration check a session runs per query.
 #include <benchmark/benchmark.h>
 
+#include <cinttypes>
+
 #include "bench/bench_json.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/rewriter.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
@@ -27,7 +30,7 @@ Schema ItemSchema() {
 }
 
 Row Item(int64_t id, int64_t qty) {
-  return {Value::Int64(id), Value::String("g" + std::to_string(id % 16)),
+  return {Value::Int64(id), Value::String(StrPrintf("g%" PRId64, id % 16)),
           Value::Int64(qty)};
 }
 

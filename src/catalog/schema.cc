@@ -1,6 +1,8 @@
 #include "catalog/schema.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -98,20 +100,26 @@ Status Schema::ValidateRow(const Row& row) const {
         columns_.size()));
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) continue;
-    const TypeId expect = columns_[i].type;
-    const TypeId got = row[i].type();
-    const bool numeric_ok = (expect == TypeId::kInt32 ||
-                             expect == TypeId::kInt64 ||
-                             expect == TypeId::kDouble) &&
-                            row[i].IsNumeric();
-    if (got != expect && !numeric_ok) {
-      return Status::InvalidArgument(StrPrintf(
-          "column '%s' expects %s, got %s", columns_[i].name.c_str(),
-          TypeIdToString(expect), TypeIdToString(got)));
-    }
+    WVM_RETURN_IF_ERROR(CheckColumnValue(columns_[i], row[i]));
   }
   return Status::OK();
+}
+
+Status CheckColumnValue(const Column& col, const Value& v) {
+  if (v.is_null() || v.type() == col.type) return Status::OK();
+  if (col.type == TypeId::kInt32 && v.type() == TypeId::kInt64) {
+    if (v.AsInt64() == static_cast<int32_t>(v.AsInt64())) return Status::OK();
+    return Status::InvalidArgument(StrPrintf(
+        "value %lld out of range for INT32 column '%s'",
+        static_cast<long long>(v.AsInt64()), col.name.c_str()));
+  }
+  if ((col.type == TypeId::kInt64 && v.type() == TypeId::kInt32) ||
+      (col.type == TypeId::kDouble && v.IsNumeric())) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(StrPrintf(
+      "cannot store %s value into column '%s' of type %s",
+      TypeIdToString(v.type()), col.name.c_str(), TypeIdToString(col.type)));
 }
 
 std::string Schema::ToString() const {
@@ -123,7 +131,9 @@ std::string Schema::ToString() const {
     if (c.updatable) s += " UPDATABLE";
     parts.push_back(std::move(s));
   }
-  std::string out = "(" + Join(parts, ", ") + ")";
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ")";
   if (!key_indices_.empty()) {
     std::vector<std::string> keys;
     for (size_t k : key_indices_) keys.push_back(columns_[k].name);
@@ -177,7 +187,10 @@ void EncodeValue(const Column& col, const Value& v, uint8_t* slot) {
       break;
     }
     case TypeId::kDouble: {
-      const double x = v.AsDouble();
+      // One encoding per value: -0.0 == +0.0, and every NaN is one key.
+      double x = v.AsDouble();
+      if (x == 0.0) x = 0.0;
+      if (std::isnan(x)) x = std::numeric_limits<double>::quiet_NaN();
       std::memcpy(slot, &x, 8);
       break;
     }
@@ -231,21 +244,6 @@ Value DecodeValue(const Column& col, const uint8_t* slot) {
 
 }  // namespace
 
-Value NormalizeValueForColumn(const Column& col, const Value& v) {
-  if (v.is_null()) return Value::Null(col.type);
-  // Encode/decode through the column codec: whatever survives the round
-  // trip is by definition what a heap-deserialized row would carry.
-  uint8_t buf[256];
-  std::vector<uint8_t> heap_buf;
-  uint8_t* slot = buf;
-  if (col.width > sizeof(buf)) {
-    heap_buf.resize(col.width);
-    slot = heap_buf.data();
-  }
-  EncodeValue(col, v, slot);
-  return DecodeValue(col, slot);
-}
-
 void SerializeRow(const Schema& schema, const Row& row, uint8_t* out) {
   WVM_CHECK(row.size() == schema.num_columns());
   std::memset(out, 0, schema.NullBitmapBytes());
@@ -294,6 +292,60 @@ void CopyRecordColumn(const Schema& schema, size_t dst, size_t src,
   } else {
     data[dst / 8] &= static_cast<uint8_t>(~bit);
   }
+}
+
+KeyCodec::KeyCodec(const Schema& record, std::vector<size_t> columns)
+    : columns_(std::move(columns)) {
+  std::vector<Column> layout;
+  for (size_t c : columns_) {
+    layout.push_back(record.column(c));
+    offsets_.push_back(record.ColumnOffset(c));
+  }
+  layout_ = Schema(std::move(layout));
+}
+
+void KeyCodec::FromRecord(const uint8_t* rec, std::string* out) const {
+  out->assign(layout_.RowByteSize(), '\0');
+  uint8_t* key = reinterpret_cast<uint8_t*>(out->data());
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    if (RecordColumnIsNull(rec, columns_[j])) {
+      key[j / 8] |= static_cast<uint8_t>(1u << (j % 8));
+    } else {
+      std::memcpy(key + layout_.ColumnOffset(j), rec + offsets_[j],
+                  layout_.column(j).width);
+    }
+  }
+}
+
+bool KeyCodec::FromValues(const Row& values, std::string* out,
+                          bool whole_row) const {
+  out->assign(layout_.RowByteSize(), '\0');
+  bool holds = whole_row || values.size() == columns_.size();
+  for (size_t j = 0; holds && j < columns_.size(); ++j) {
+    const size_t i = whole_row ? columns_[j] : j;
+    holds = i < values.size() &&
+            CheckColumnValue(layout_.column(j), values[i]).ok();
+    if (holds) {
+      SerializeColumn(layout_, values[i], j,
+                      reinterpret_cast<uint8_t*>(out->data()));
+    }
+  }
+  if (!holds) out->clear();
+  return holds;
+}
+
+size_t KeyCodec::Mismatch(const uint8_t* rec, std::string_view key) const {
+  if (key.size() != layout_.RowByteSize()) return 0;
+  const uint8_t* k = reinterpret_cast<const uint8_t*>(key.data());
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    const bool null = RecordColumnIsNull(rec, columns_[j]);
+    if (null != RecordColumnIsNull(k, j) ||
+        (!null && std::memcmp(k + layout_.ColumnOffset(j), rec + offsets_[j],
+                              layout_.column(j).width) != 0)) {
+      return j;
+    }
+  }
+  return columns_.size();
 }
 
 }  // namespace wvm

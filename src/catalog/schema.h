@@ -2,7 +2,9 @@
 #define OPENWVM_CATALOG_SCHEMA_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/value.h"
@@ -116,17 +118,17 @@ class Schema {
   std::vector<SecondaryIndexSpec> secondary_indexes_;
 };
 
-// Canonicalizes `v` to the value the column would hold after a storage
-// round trip (strings truncated to the declared width and cut at the first
-// NUL, NULLs retyped to the column type). Index keys must be normalized
-// this way so probes with in-memory values agree with keys extracted from
-// heap-deserialized rows.
-Value NormalizeValueForColumn(const Column& col, const Value& v);
+// Whether column `col` can hold `v` as the same value: NULL, a value of
+// the column's type, an INT32 or INT64 within an integer column's range,
+// or any numeric for a DOUBLE column. The one such rule: ValidateRow, SQL
+// coercion and key probes all ask it. InvalidArgument names the column.
+Status CheckColumnValue(const Column& col, const Value& v);
 
 // Serializes `row` into exactly schema.RowByteSize() bytes at `out`.
 // Layout: null bitmap, then fixed-width column slots in schema order.
-// Strings longer than the declared width are truncated, and a string slot
-// is zero from its first NUL on, so equal values have equal bytes.
+// Equal values have equal bytes: strings longer than the declared width
+// are truncated, a string slot is zero from its first NUL on, -0.0 is
+// stored as +0.0 and every NaN as one quiet NaN.
 void SerializeRow(const Schema& schema, const Row& row, uint8_t* out);
 
 // Inverse of SerializeRow.
@@ -150,6 +152,52 @@ void SerializeColumn(const Schema& schema, const Value& v, size_t i,
 // width.
 void CopyRecordColumn(const Schema& schema, size_t dst, size_t src,
                       uint8_t* data);
+
+// A key: the bytes a list of columns has in a serialized record, laid out
+// as a record of just those columns (packed null bits, then the slots in
+// list order). Keys and indexes cover only non-updatable columns (§3.1,
+// §4.3), so a tuple's key bytes never change while it lives; as equal
+// values have equal bytes, equal keys are equal byte strings. This codec
+// is the only code that makes key bytes.
+class KeyCodec {
+ public:
+  KeyCodec() = default;
+  // `columns` are positions in `record`, the serialized record layout.
+  KeyCodec(const Schema& record, std::vector<size_t> columns);
+
+  const std::vector<size_t>& columns() const { return columns_; }
+
+  // The key record `rec` carries.
+  void FromRecord(const uint8_t* rec, std::string* out) const;
+  // The key of probe values, one per column in list order (with
+  // `whole_row`, a row indexed by record position), encoded as a record
+  // stores them. False, with *out empty — no key's bytes, so the probe
+  // finds nothing — when a value is one its column cannot hold.
+  bool FromValues(const Row& values, std::string* out,
+                  bool whole_row = false) const;
+
+  // The list position of the first column whose bytes in record `rec`
+  // differ from `key`'s, or columns().size() when `rec` carries `key`.
+  // Compared in place; nothing is decoded.
+  size_t Mismatch(const uint8_t* rec, std::string_view key) const;
+  bool RecordHasKey(const uint8_t* rec, std::string_view key) const {
+    return Mismatch(rec, key) == columns_.size();
+  }
+
+ private:
+  Schema layout_;                 // the key columns as a record
+  std::vector<size_t> columns_;
+  std::vector<size_t> offsets_;   // their slot offsets in `record`
+};
+
+// Hashes key bytes; transparent, so a map keyed by std::string is probed
+// with a std::string_view and a probe allocates nothing.
+struct KeyBytesHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>()(key);
+  }
+};
 
 }  // namespace wvm
 

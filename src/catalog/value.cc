@@ -120,7 +120,10 @@ std::string RowToString(const Row& row) {
   std::vector<std::string> parts;
   parts.reserve(row.size());
   for (const Value& v : row) parts.push_back(v.ToString());
-  return "(" + Join(parts, ", ") + ")";
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ")";
+  return out;
 }
 
 namespace {

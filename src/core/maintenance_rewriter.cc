@@ -32,33 +32,16 @@ RowPredicate CursorPredicate(const sql::Expr* where, const Schema& logical,
              const Row& row) { return bound.Test(row); };
 }
 
-// Coerces a value to a column's type where a lossless conversion exists
-// (string literals to DATE, integer literals to INT32/DOUBLE). An INT64
-// outside INT32's range does not fit an INT32 column.
+// A string constant for a DATE column is parsed; any other value must be
+// one the column can hold (CheckColumnValue): an INT64 outside INT32's
+// range does not fit an INT32 column, nor a DOUBLE an integer column.
 Result<Value> CoerceToColumn(const Column& col, Value v) {
-  if (v.is_null()) return Value::Null(col.type);
-  if (v.type() == col.type) return v;
-  if (col.type == TypeId::kDate && v.type() == TypeId::kString) {
+  if (col.type == TypeId::kDate && v.type() == TypeId::kString &&
+      !v.is_null()) {
     return Value::ParseDate(v.AsString());
   }
-  if (col.type == TypeId::kInt32 && v.type() == TypeId::kInt64) {
-    if (v.AsInt64() != v.AsInt32()) {
-      return Status::InvalidArgument(StrPrintf(
-          "value %lld out of range for INT32 column '%s'",
-          static_cast<long long>(v.AsInt64()), col.name.c_str()));
-    }
-    return Value::Int32(v.AsInt32());
-  }
-  if (col.type == TypeId::kInt64 && v.type() == TypeId::kInt32) {
-    return Value::Int64(v.AsInt64());
-  }
-  if (col.type == TypeId::kDouble && v.IsNumeric()) {
-    return Value::Double(v.AsDouble());
-  }
-  return Status::InvalidArgument(StrPrintf(
-      "cannot store %s value into column '%s' of type %s",
-      TypeIdToString(v.type()), col.name.c_str(),
-      TypeIdToString(col.type)));
+  WVM_RETURN_IF_ERROR(CheckColumnValue(col, v));
+  return v;
 }
 
 }  // namespace

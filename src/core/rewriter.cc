@@ -1,5 +1,6 @@
 #include "core/rewriter.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -152,11 +153,12 @@ Result<sql::SelectStmt> RewriteReaderQuery(const sql::SelectStmt& stmt,
   return out;
 }
 
-std::optional<std::vector<Row>> BindIndexKeys(
-    const std::vector<query::BoundExpr>& conjuncts,
-    const std::vector<size_t>& columns, size_t max_candidates) {
+std::optional<std::vector<std::string>> BindIndexKeys(
+    const std::vector<query::BoundExpr>& conjuncts, const KeyCodec& index,
+    size_t max_candidates) {
+  const std::vector<size_t>& columns = index.columns();
   if (columns.empty()) return std::nullopt;
-  std::vector<std::vector<Value>> candidates(columns.size());
+  std::vector<const std::vector<Value>*> candidates(columns.size(), nullptr);
   for (const query::BoundExpr& e : conjuncts) {
     // A conjunct without keys remains an ordinary filter.
     if (!e.key_column().has_value()) continue;
@@ -164,32 +166,32 @@ std::optional<std::vector<Row>> BindIndexKeys(
       // First binding conjunct per column wins; further conjuncts on the
       // same column (or declined shapes) still filter every candidate row,
       // so a superset of the true key set is always correct.
-      if (columns[i] != *e.key_column() || !candidates[i].empty()) continue;
-      for (const Value& v : e.key_values()) {
-        bool dup = false;
-        for (const Value& u : candidates[i]) dup = dup || u == v;
-        if (!dup) candidates[i].push_back(v);
+      if (columns[i] == *e.key_column() && candidates[i] == nullptr) {
+        candidates[i] = &e.key_values();
       }
     }
   }
   size_t total = 1;
-  for (const std::vector<Value>& c : candidates) {
-    if (c.empty()) return std::nullopt;  // column unbound: no point access
-    if (c.size() > max_candidates / total) return std::nullopt;
-    total *= c.size();
+  for (const std::vector<Value>* c : candidates) {
+    if (c == nullptr) return std::nullopt;  // column unbound: no point access
+    if (c->size() > max_candidates / total) return std::nullopt;
+    total *= c->size();
   }
-  std::vector<Row> keys;
+  std::vector<std::string> keys;
   keys.reserve(total);
+  Row values(columns.size());
+  std::string key;
   std::vector<size_t> pick(columns.size(), 0);
   for (;;) {
-    Row key;
-    key.reserve(columns.size());
     for (size_t i = 0; i < columns.size(); ++i) {
-      key.push_back(candidates[i][pick[i]]);
+      values[i] = (*candidates[i])[pick[i]];
     }
-    keys.push_back(std::move(key));
+    if (index.FromValues(values, &key) &&
+        std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(key);
+    }
     size_t i = 0;
-    while (i < columns.size() && ++pick[i] == candidates[i].size()) {
+    while (i < columns.size() && ++pick[i] == candidates[i]->size()) {
       pick[i] = 0;
       ++i;
     }

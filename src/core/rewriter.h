@@ -2,6 +2,7 @@
 #define OPENWVM_CORE_REWRITER_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -45,21 +46,22 @@ sql::ExprPtr BuildVersionCase(const VersionedSchema& vschema,
 
 // --- Index-routing predicate analysis (§4.3) -------------------------------
 
-// Extracts the candidate index keys that bound WHERE conjuncts carry for
-// the column positions in `columns`: each conjunct's key_column() and
-// key_values() (one value for `col = constant`, several for the IN-list
-// OR), already normalized through the column codec, so probing a hash
-// index keyed by heap-deserialized rows is exact. The result enumerates
-// the cartesian product of the per-column candidate sets, each entry a Row
-// in `columns` order; the first conjunct carrying keys for a column wins.
+// Extracts the candidate keys that bound WHERE conjuncts carry for the
+// columns of `index`: each conjunct's key_column() and key_values() (one
+// value for `col = constant`, several for the IN-list OR). The result
+// enumerates the cartesian product of the per-column candidate sets, each
+// entry encoded by `index` into the key bytes a stored tuple with those
+// values carries, duplicates dropped; the first conjunct carrying keys for
+// a column wins. A comparand its column cannot hold (an INT64 beyond an
+// INT32 column's range) equals no stored value, so its keys are dropped.
 //
 // Returns nullopt — caller falls back to the heap scan — when any column
 // stays unbound or the product exceeds `max_candidates`. Bindings are an
 // access-path hint only: the caller must still evaluate every conjunct on
 // the candidate rows, so a conservative nullopt is always safe.
-std::optional<std::vector<Row>> BindIndexKeys(
-    const std::vector<query::BoundExpr>& conjuncts,
-    const std::vector<size_t>& columns, size_t max_candidates = 64);
+std::optional<std::vector<std::string>> BindIndexKeys(
+    const std::vector<query::BoundExpr>& conjuncts, const KeyCodec& index,
+    size_t max_candidates = 64);
 
 }  // namespace wvm::core
 

@@ -62,17 +62,18 @@ Result<MaintenanceTxn*> VnlEngine::BeginMaintenance() {
   // sit exactly one version past it.
   WVM_PARANOID_ASSERT_OK(
       CheckWriterProtocol(vn, version_relation_->current_vn()));
-  active_txn_.reset(new MaintenanceTxn(this, vn));
-  return active_txn_.get();
+  txns_.push_back(MaintenanceTxn(this, vn));
+  active_txn_ = &txns_.back();
+  return active_txn_;
 }
 
 Status VnlEngine::CommitLocked(MaintenanceTxn* txn) {
-  if (txn == nullptr || txn != active_txn_.get() || !txn->active()) {
+  if (txn == nullptr || txn != active_txn_ || !txn->active()) {
     return Status::FailedPrecondition("transaction is not active");
   }
   WVM_RETURN_IF_ERROR(version_relation_->CommitMaintenance(txn->vn()));
   txn->active_ = false;
-  finished_txn_ = std::move(active_txn_);
+  active_txn_ = nullptr;
   return Status::OK();
 }
 
@@ -87,7 +88,7 @@ Status VnlEngine::CommitWhenQuiescent(MaintenanceTxn* txn,
   for (;;) {
     {
       MutexLock lock(mu_);
-      if (txn == nullptr || txn != active_txn_.get() || !txn->active()) {
+      if (txn == nullptr || txn != active_txn_ || !txn->active()) {
         return Status::FailedPrecondition("transaction is not active");
       }
       if (sessions_.active_sessions() == 0) {
@@ -107,7 +108,7 @@ Status VnlEngine::CommitWhenQuiescent(MaintenanceTxn* txn,
 
 Status VnlEngine::Abort(MaintenanceTxn* txn) {
   MutexLock lock(mu_);
-  if (txn == nullptr || txn != active_txn_.get() || !txn->active()) {
+  if (txn == nullptr || txn != active_txn_ || !txn->active()) {
     return Status::FailedPrecondition("transaction is not active");
   }
   const Vn current = version_relation_->current_vn();
@@ -127,7 +128,7 @@ Status VnlEngine::Abort(MaintenanceTxn* txn) {
   }
   WVM_RETURN_IF_ERROR(version_relation_->AbortMaintenance());
   txn->active_ = false;
-  finished_txn_ = std::move(active_txn_);
+  active_txn_ = nullptr;
   return Status::OK();
 }
 

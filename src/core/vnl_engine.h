@@ -2,6 +2,7 @@
 #define OPENWVM_CORE_VNL_ENGINE_H_
 
 #include <chrono>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -142,13 +143,13 @@ class VnlEngine {
   SessionManager sessions_;
   ScanMetricsSink scan_metrics_;
 
-  mutable Mutex mu_;  // guards tables_, active_txn_ and finished_txn_
+  mutable Mutex mu_;  // guards tables_, txns_ and active_txn_
   std::map<std::string, std::unique_ptr<VnlTable>> tables_ GUARDED_BY(mu_);
-  std::unique_ptr<MaintenanceTxn> active_txn_ GUARDED_BY(mu_);
-  // The last finished transaction, kept so its handle stays valid (and
-  // inactive) until the next one finishes: a maintenance call through it
-  // fails with kFailedPrecondition instead of reading freed memory.
-  std::unique_ptr<MaintenanceTxn> finished_txn_ GUARDED_BY(mu_);
+  // Every transaction begun, kept for the engine's life (a few dozen bytes
+  // each) at a stable address, so a handle never dangles: a maintenance
+  // call through a finished one fails with kFailedPrecondition.
+  std::deque<MaintenanceTxn> txns_ GUARDED_BY(mu_);
+  MaintenanceTxn* active_txn_ GUARDED_BY(mu_) = nullptr;
 
   mutable Mutex scan_mu_;  // guards scan_options_
   ScanOptions scan_options_ GUARDED_BY(scan_mu_);

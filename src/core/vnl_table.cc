@@ -23,9 +23,18 @@ VnlTable::VnlTable(std::string name, VersionedSchema vschema,
       sessions_(sessions),
       metrics_(metrics),
       engine_(engine),
-      secondary_specs_(vschema_.logical().secondary_indexes()) {
+      key_codec_(vschema_.physical(), vschema_.logical().key_indices()) {
+  const Schema& logical = vschema_.logical();
+  std::vector<size_t> fixed;
+  for (size_t i = 0; i < logical.num_columns(); ++i) {
+    if (!logical.column(i).updatable) fixed.push_back(i);
+  }
+  fixed_codec_ = KeyCodec(vschema_.physical(), std::move(fixed));
+  for (const SecondaryIndexSpec& spec : logical.secondary_indexes()) {
+    secondary_codecs_.emplace_back(vschema_.physical(), spec.column_indices);
+  }
   MutexLock lock(index_mu_);
-  secondary_postings_.resize(secondary_specs_.size());
+  secondary_postings_.resize(secondary_codecs_.size());
 }
 
 Status VnlTable::CheckTxn(const MaintenanceTxn* txn) const {
@@ -36,78 +45,61 @@ Status VnlTable::CheckTxn(const MaintenanceTxn* txn) const {
   return Status::OK();
 }
 
-Row VnlTable::RecordKey(const uint8_t* rec,
-                        const std::vector<size_t>& cols) const {
-  Row key;
-  key.reserve(cols.size());
-  for (size_t c : cols) {
-    key.push_back(DeserializeColumn(vschema_.physical(), rec, c));
-  }
-  return key;
-}
-
-std::optional<Rid> VnlTable::IndexLookup(const Row& key) const {
-  if (!vschema_.logical().has_unique_key()) return std::nullopt;
-  // Normalize through the column codec: heap rows only ever carry
-  // round-tripped values, so an over-width probe string must be truncated
-  // the same way to hit.
-  const Row normalized = NormalizeKey(key);
+std::optional<Rid> VnlTable::IndexLookup(std::string_view key) const {
   MutexLock lock(index_mu_);
-  auto it = key_index_.find(normalized);
+  auto it = key_index_.find(key);
   if (it == key_index_.end()) return std::nullopt;
   return it->second;
 }
 
-void VnlTable::IndexTupleInserted(const uint8_t* rec, Rid rid) {
-  const Schema& logical = vschema_.logical();
-  const bool has_key = logical.has_unique_key();
-  if (!has_key && secondary_specs_.empty()) return;
-  MutexLock lock(index_mu_);
-  if (has_key) key_index_[RecordKey(rec, logical.key_indices())] = rid;
-  for (size_t s = 0; s < secondary_specs_.size(); ++s) {
-    secondary_postings_[s][RecordKey(rec, secondary_specs_[s].column_indices)]
-        .push_back(rid);
-  }
-}
-
-void VnlTable::IndexTupleErased(const uint8_t* rec, Rid rid) {
-  const Schema& logical = vschema_.logical();
-  const bool has_key = logical.has_unique_key();
-  if (!has_key && secondary_specs_.empty()) return;
+void VnlTable::IndexTuple(const uint8_t* rec, Rid rid, bool add) {
+  const bool has_key = vschema_.logical().has_unique_key();
+  if (!has_key && secondary_codecs_.empty()) return;
+  std::string key;
   MutexLock lock(index_mu_);
   if (has_key) {
-    auto it = key_index_.find(RecordKey(rec, logical.key_indices()));
-    // Erase only our own entry: a stale duplicate must never knock out a
-    // live tuple's mapping.
-    if (it != key_index_.end() && it->second == rid) key_index_.erase(it);
+    key_codec_.FromRecord(rec, &key);
+    if (add) {
+      key_index_[key] = rid;
+    } else if (auto it = key_index_.find(key);
+               it != key_index_.end() && it->second == rid) {
+      // Erase only our own entry: a stale duplicate must never knock out
+      // a live tuple's mapping.
+      key_index_.erase(it);
+    }
   }
-  for (size_t s = 0; s < secondary_specs_.size(); ++s) {
-    auto it = secondary_postings_[s].find(
-        RecordKey(rec, secondary_specs_[s].column_indices));
-    if (it == secondary_postings_[s].end()) continue;
-    std::vector<Rid>& rids = it->second;
-    rids.erase(std::remove(rids.begin(), rids.end(), rid), rids.end());
-    if (rids.empty()) secondary_postings_[s].erase(it);
+  for (size_t s = 0; s < secondary_codecs_.size(); ++s) {
+    secondary_codecs_[s].FromRecord(rec, &key);
+    MovePosting(s, key, rid, add);
   }
 }
 
 void VnlTable::IndexTupleRevived(const uint8_t* old_rec,
                                  const uint8_t* new_rec, Rid rid) {
-  if (secondary_specs_.empty()) return;
+  if (secondary_codecs_.empty()) return;
+  std::string key;
   MutexLock lock(index_mu_);
-  for (size_t s = 0; s < secondary_specs_.size(); ++s) {
-    const std::vector<size_t>& cols = secondary_specs_[s].column_indices;
-    const Row old_key = RecordKey(old_rec, cols);
-    Row new_key = RecordKey(new_rec, cols);
-    if (RowEq()(old_key, new_key)) continue;
-    auto it = secondary_postings_[s].find(old_key);
-    if (it != secondary_postings_[s].end()) {
-      std::vector<Rid>& rids = it->second;
-      rids.erase(std::remove(rids.begin(), rids.end(), rid), rids.end());
-      if (rids.empty()) secondary_postings_[s].erase(it);
-    }
-    secondary_postings_[s][std::move(new_key)].push_back(rid);
+  for (size_t s = 0; s < secondary_codecs_.size(); ++s) {
+    secondary_codecs_[s].FromRecord(old_rec, &key);
+    if (secondary_codecs_[s].RecordHasKey(new_rec, key)) continue;
+    MovePosting(s, key, rid, /*add=*/false);
+    secondary_codecs_[s].FromRecord(new_rec, &key);
+    MovePosting(s, key, rid, /*add=*/true);
   }
+}
+
+void VnlTable::MovePosting(size_t s, const std::string& key, Rid rid,
+                           bool add) {
+  KeyMap<std::vector<Rid>>& postings = secondary_postings_[s];
+  if (add) {
+    postings[key].push_back(rid);
+    return;
+  }
+  auto it = postings.find(key);
+  if (it == postings.end()) return;
+  std::vector<Rid>& rids = it->second;
+  rids.erase(std::remove(rids.begin(), rids.end(), rid), rids.end());
+  if (rids.empty()) postings.erase(it);
 }
 
 Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
@@ -129,7 +121,7 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
              op == Op::kDelete;
   }
   std::vector<uint8_t> before_rec;
-  if (revive && !secondary_specs_.empty()) {
+  if (revive && !secondary_codecs_.empty()) {
     before_rec.assign(rec, rec + phys_->heap()->record_size());
   }
 #ifdef WVM_PARANOID_CHECKS
@@ -185,7 +177,7 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
       WVM_ASSIGN_OR_RETURN(Rid new_rid, heap->Insert(rec));
       WVM_PARANOID_ASSERT_OK(
           CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-      IndexTupleInserted(rec, new_rid);
+      IndexTuple(rec, new_rid, /*add=*/true);
       ++txn->stats_.physical_inserts;
       return Status::OK();
     }
@@ -194,9 +186,7 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
       if (revive) {
         WVM_PARANOID_ASSERT_OK(
             CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-        if (!secondary_specs_.empty()) {
-          IndexTupleRevived(before_rec.data(), rec, rid);
-        }
+        IndexTupleRevived(before_rec.data(), rec, rid);
       }
       // Plain in-place version updates never touch postings: indexes cover
       // only non-updatable attributes (§4.3).
@@ -222,7 +212,7 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
       // neither.
       WVM_PARANOID_ASSERT_OK(
           CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-      IndexTupleErased(rec, rid);
+      IndexTuple(rec, rid, /*add=*/false);
       WVM_RETURN_IF_ERROR(heap->Delete(rid));
       ClearTombstone(rid);
       ++txn->stats_.physical_deletes;
@@ -240,16 +230,13 @@ Result<TupleVersionState> VnlTable::StateOf(const uint8_t* rec) const {
 
 Status VnlTable::CheckUpdatablesOnly(const uint8_t* rec,
                                      const Row& next) const {
-  const Schema& logical = vschema_.logical();
-  for (size_t i = 0; i < logical.num_columns(); ++i) {
-    if (!logical.column(i).updatable &&
-        !(DeserializeColumn(vschema_.physical(), rec, i) == next[i])) {
-      return Status::InvalidArgument(
-          "update changes non-updatable attribute '" +
-          logical.column(i).name + "'");
-    }
-  }
-  return Status::OK();
+  std::string fixed;
+  fixed_codec_.FromValues(next, &fixed, /*whole_row=*/true);
+  const size_t changed = fixed_codec_.Mismatch(rec, fixed);
+  if (changed == fixed_codec_.columns().size()) return Status::OK();
+  return Status::InvalidArgument(
+      "update changes non-updatable attribute '" +
+      vschema_.logical().column(fixed_codec_.columns()[changed]).name + "'");
 }
 
 Result<VnlTable::Target> VnlTable::FetchTarget(MaintenanceTxn* txn,
@@ -271,7 +258,8 @@ Status VnlTable::InsertFresh(MaintenanceTxn* txn, const Row& logical_row) {
   return ApplyDecision(txn, fresh, Rid{}, rec.data(), nullptr);
 }
 
-Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
+Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
+                             std::optional<std::string_view> key,
                              const NetEffect& effect,
                              std::optional<Target> target) {
   // Updates and deletes address only tuples the maintenance cursor would
@@ -284,8 +272,10 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
       return Status::OK();
     case NetEffect::Kind::kInsert: {
       WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
-      if (key != nullptr && !RowEq()(NormalizeKey(logical.KeyOf(effect.row)),
-                                     NormalizeKey(*key))) {
+      std::string row_key;
+      if (key.has_value() &&
+          (!key_codec_.FromValues(effect.row, &row_key, /*whole_row=*/true) ||
+           row_key != *key)) {
         return Status::InvalidArgument(
             "inserted row's key differs from the key it is applied to");
       }
@@ -324,7 +314,7 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn, const Row* key,
 }
 
 Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
-                                           const Row& key,
+                                           std::string_view key,
                                            const KeyDecider& decide) {
   std::optional<Rid> rid = IndexLookup(key);
   ++txn->stats_.index_probes;
@@ -339,7 +329,7 @@ Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
     current = vschema_.RawCurrentLogical(target->rec.data());
   }
   WVM_ASSIGN_OR_RETURN(NetEffect effect, decide(current));
-  WVM_RETURN_IF_ERROR(ApplyEffect(txn, &key, effect, std::move(target)));
+  WVM_RETURN_IF_ERROR(ApplyEffect(txn, key, effect, std::move(target)));
   return effect.kind;
 }
 
@@ -352,7 +342,9 @@ Status VnlTable::Insert(MaintenanceTxn* txn, const Row& logical_row) {
     ++txn->stats_.logical_inserts;
     return InsertFresh(txn, logical_row);
   }
-  return ApplyKey(txn, logical.KeyOf(logical_row),
+  std::string key;
+  key_codec_.FromValues(logical_row, &key, /*whole_row=*/true);
+  return ApplyKey(txn, key,
                   [&logical_row](const std::optional<Row>&)
                       -> Result<NetEffect> {
                     return NetEffect{NetEffect::Kind::kInsert, logical_row};
@@ -412,7 +404,8 @@ Result<size_t> VnlTable::Update(MaintenanceTxn* txn,
     WVM_ASSIGN_OR_RETURN(
         Row next, transform(vschema_.RawCurrentLogical(target.rec.data())));
     WVM_RETURN_IF_ERROR(
-        ApplyEffect(txn, nullptr, {NetEffect::Kind::kUpdate, std::move(next)},
+        ApplyEffect(txn, std::nullopt,
+                    {NetEffect::Kind::kUpdate, std::move(next)},
                     std::move(target)));
   }
   return cursor.size();
@@ -426,7 +419,7 @@ Result<size_t> VnlTable::Delete(MaintenanceTxn* txn,
   for (Rid rid : cursor) {
     WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
     WVM_RETURN_IF_ERROR(ApplyEffect(
-        txn, nullptr, {NetEffect::Kind::kDelete, {}}, std::move(target)));
+        txn, std::nullopt, {NetEffect::Kind::kDelete, {}}, std::move(target)));
   }
   return cursor.size();
 }
@@ -434,9 +427,11 @@ Result<size_t> VnlTable::Delete(MaintenanceTxn* txn,
 Result<bool> VnlTable::UpdateByKey(MaintenanceTxn* txn, const Row& key,
                                    const RowTransform& transform) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
+  std::string bytes;
+  key_codec_.FromValues(key, &bytes);
   WVM_ASSIGN_OR_RETURN(
       NetEffect::Kind applied,
-      ApplyKey(txn, key,
+      ApplyKey(txn, bytes,
                [&transform](const std::optional<Row>& current)
                    -> Result<NetEffect> {
                  if (!current.has_value()) return NetEffect{};
@@ -448,9 +443,11 @@ Result<bool> VnlTable::UpdateByKey(MaintenanceTxn* txn, const Row& key,
 
 Result<bool> VnlTable::DeleteByKey(MaintenanceTxn* txn, const Row& key) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
+  std::string bytes;
+  key_codec_.FromValues(key, &bytes);
   WVM_ASSIGN_OR_RETURN(
       NetEffect::Kind applied,
-      ApplyKey(txn, key,
+      ApplyKey(txn, bytes,
                [](const std::optional<Row>& current) -> Result<NetEffect> {
                  if (!current.has_value()) return NetEffect{};
                  return NetEffect{NetEffect::Kind::kDelete, {}};
@@ -468,9 +465,11 @@ Result<BatchApplyStats> VnlTable::ApplyBatch(
   const size_t probes_before = txn->stats_.index_probes;
   const size_t pins_before = txn->stats_.page_pins;
   BatchApplyStats out;
+  std::string key;  // reused, so a probe allocates nothing
   for (const BatchKeyOp& op : ops) {
+    key_codec_.FromValues(op.key, &key);
     WVM_ASSIGN_OR_RETURN(NetEffect::Kind applied,
-                         ApplyKey(txn, op.key, op.decide));
+                         ApplyKey(txn, key, op.decide));
     ++out.keys;
     switch (applied) {
       case NetEffect::Kind::kNone:
@@ -498,7 +497,9 @@ Result<std::optional<Row>> VnlTable::MaintenanceLookup(
   if (!vschema_.logical().has_unique_key()) {
     return Status::FailedPrecondition("table has no unique key");
   }
-  std::optional<Rid> rid = IndexLookup(key);
+  std::string bytes;
+  key_codec_.FromValues(key, &bytes);
+  std::optional<Rid> rid = IndexLookup(bytes);
   ++txn->stats_.index_probes;
   if (!rid.has_value()) return std::optional<Row>();
   WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, *rid));
@@ -516,18 +517,6 @@ Result<std::vector<Row>> VnlTable::MaintenanceRows(
                         return true;
                       }).status());
   return rows;
-}
-
-Row VnlTable::NormalizeKey(const Row& key) const {
-  const Schema& logical = vschema_.logical();
-  Row out;
-  out.reserve(key.size());
-  for (size_t i = 0; i < key.size() && i < logical.key_indices().size();
-       ++i) {
-    out.push_back(NormalizeValueForColumn(
-        logical.column(logical.key_indices()[i]), key[i]));
-  }
-  return out;
 }
 
 namespace {
@@ -692,11 +681,11 @@ Status VnlTable::StreamSnapshot(ReaderStep* step, const RowSink& sink,
 }
 
 Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
-                                  const Row* key, uint64_t lookups,
+                                  std::optional<std::string_view> key,
+                                  uint64_t lookups,
                                   uint64_t scans_avoided, ReaderStep* step,
                                   const RowSink& sink,
                                   SnapshotScanStats* stats) const {
-  const std::vector<size_t>& key_cols = vschema_.logical().key_indices();
   std::vector<uint8_t> rec(phys_->heap()->record_size());
   uint64_t emitted = 0;
   Row row;
@@ -713,7 +702,7 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
     // tuple and an insert may recycle its Rid for a different key. A
     // record that no longer carries the probed key is, for this read,
     // simply absent.
-    if (key != nullptr && !RowEq()(RecordKey(rec.data(), key_cols), *key)) {
+    if (key.has_value() && !key_codec_.RecordHasKey(rec.data(), *key)) {
       continue;
     }
     if (step->Visit(rec.data(), &row)) {
@@ -757,17 +746,15 @@ Result<std::optional<Row>> VnlTable::SnapshotLookup(
   if (!vschema_.logical().has_unique_key()) {
     return Status::FailedPrecondition("table has no unique key");
   }
-  const Row probe = NormalizeKey(key);
+  // An over-width probe string is truncated the way an insert stores it.
+  std::string probe;
+  key_codec_.FromValues(key, &probe);
   std::vector<Rid> candidates;
-  {
-    MutexLock lock(index_mu_);
-    auto it = key_index_.find(probe);
-    if (it != key_index_.end()) candidates.push_back(it->second);
-  }
+  if (std::optional<Rid> rid = IndexLookup(probe)) candidates.push_back(*rid);
   ReaderStep step(vschema_, session.session_vn);
   std::optional<Row> found;
   WVM_RETURN_IF_ERROR(StreamCandidates(
-      candidates, &probe, /*lookups=*/1, /*scans_avoided=*/0, &step,
+      candidates, probe, /*lookups=*/1, /*scans_avoided=*/0, &step,
       [&found](const Row& row) {
         found = row;
         return false;
@@ -856,21 +843,19 @@ bool VnlTable::TryStreamViaIndex(
   // re-evaluated on each candidate, so a superset of the matching keys is
   // safe. The unique key wins over secondary indexes (at most one
   // candidate per bound key).
-  std::optional<std::vector<Row>> keys;
-  size_t secondary = secondary_specs_.size();  // none: the unique key
-  if (logical.has_unique_key()) {
-    keys = BindIndexKeys(invariant, logical.key_indices());
-  }
-  for (size_t s = 0; s < secondary_specs_.size() && !keys.has_value(); ++s) {
-    keys = BindIndexKeys(invariant, secondary_specs_[s].column_indices);
+  std::optional<std::vector<std::string>> keys;
+  size_t secondary = secondary_codecs_.size();  // none: the unique key
+  if (logical.has_unique_key()) keys = BindIndexKeys(invariant, key_codec_);
+  for (size_t s = 0; s < secondary_codecs_.size() && !keys.has_value(); ++s) {
+    keys = BindIndexKeys(invariant, secondary_codecs_[s]);
     secondary = s;
   }
   if (!keys.has_value()) return false;
   std::vector<Rid> candidates;
   {
     MutexLock lock(index_mu_);
-    for (const Row& k : *keys) {
-      if (secondary == secondary_specs_.size()) {
+    for (const std::string& k : *keys) {
+      if (secondary == secondary_codecs_.size()) {
         auto it = key_index_.find(k);
         if (it != key_index_.end()) candidates.push_back(it->second);
         continue;
@@ -888,7 +873,7 @@ bool VnlTable::TryStreamViaIndex(
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  *status = StreamCandidates(candidates, /*key=*/nullptr, keys->size(),
+  *status = StreamCandidates(candidates, /*key=*/std::nullopt, keys->size(),
                              /*scans_avoided=*/1, step, sink, stats);
   return true;
 }
@@ -923,7 +908,7 @@ Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
         WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
         WVM_RETURN_IF_ERROR(SyncTombstone(rid, rec));
       } else {
-        IndexTupleErased(rec, rid);
+        IndexTuple(rec, rid, /*add=*/false);
         WVM_RETURN_IF_ERROR(heap->Delete(rid));
         ClearTombstone(rid);
         // A 2VNL insert over a logically deleted key destroyed the
@@ -1016,11 +1001,11 @@ Result<size_t> VnlTable::CollectGarbage(Vn current_vn,
     // GC runs under the engine mutex (no concurrent maintenance), so an
     // index probe sees either the posting plus a live heap slot, or
     // neither — never a posting whose slot has been reused.
-    IndexTupleErased(rec.data(), rid);
+    IndexTuple(rec.data(), rid, /*add=*/false);
     const Status deleted = heap->Delete(rid);
     if (!deleted.ok()) {
       // The corpse stays: restore its postings; its tombstone was kept.
-      IndexTupleInserted(rec.data(), rid);
+      IndexTuple(rec.data(), rid, /*add=*/true);
       return deleted;
     }
     ClearTombstone(rid);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -27,7 +28,7 @@ class VnlEngine;
 
 // Handle to the single active maintenance transaction. Created by
 // VnlEngine::BeginMaintenance and finished with Commit/Abort; a finished
-// handle stays valid, and inactive, until the next transaction finishes.
+// handle stays valid, and inactive, for the engine's life.
 class MaintenanceTxn {
  public:
   Vn vn() const { return vn_; }
@@ -117,7 +118,9 @@ class VnlTable {
   Result<size_t> Delete(MaintenanceTxn* txn, const RowPredicate& pred);
 
   // Index-based fast paths for key-addressed maintenance. Return false
-  // when the key is absent or logically deleted.
+  // when the key is absent or logically deleted. Keys compare as the bytes
+  // the key columns store (KeyCodec), so a key value its column cannot
+  // hold (CheckColumnValue) matches no tuple.
   Result<bool> UpdateByKey(MaintenanceTxn* txn, const Row& key,
                            const RowTransform& transform);
   Result<bool> DeleteByKey(MaintenanceTxn* txn, const Row& key);
@@ -153,7 +156,9 @@ class VnlTable {
   // Key lookup within the session's snapshot: a one-candidate index read
   // through the same reader step as SnapshotSelect, so point reads share
   // its counters and expiration status. Unlike a routed SELECT it does not
-  // consult the §4.1 window; its one candidate decides expiration.
+  // consult the §4.1 window; its one candidate decides expiration. `key`
+  // is encoded as an insert would store it (an over-width string is
+  // truncated); a value its column cannot hold finds nothing.
   Result<std::optional<Row>> SnapshotLookup(
       const ReaderSession& session, const Row& key,
       SnapshotScanStats* stats = nullptr) const;
@@ -206,8 +211,8 @@ class VnlTable {
   // Version-state triple of a fetched record (decision-table input).
   Result<TupleVersionState> StateOf(const uint8_t* rec) const;
 
-  // `next` must preserve every non-updatable attribute of the current
-  // version, which is the logical prefix of the record `rec`.
+  // `next` must keep the bytes of every non-updatable attribute of the
+  // current version, which is the logical prefix of the record `rec`.
   Status CheckUpdatablesOnly(const uint8_t* rec, const Row& next) const;
 
   // A tuple fetched for a maintenance decision: its record bytes.
@@ -220,25 +225,22 @@ class VnlTable {
   // Reads the tuple at `rid` for a maintenance decision (one page pin).
   Result<Target> FetchTarget(MaintenanceTxn* txn, Rid rid) const;
 
-  // The per-key step behind every key-addressed write: probes `key`,
-  // fetches its tuple, asks `decide` for the net effect and applies it.
-  // Returns the kind of action applied (kNone when nothing was written).
-  Result<NetEffect::Kind> ApplyKey(MaintenanceTxn* txn, const Row& key,
+  // The per-key step behind every key-addressed write: probes the unique
+  // key bytes `key` (key_codec_), fetches its tuple, asks `decide` for the
+  // net effect and applies it. Returns the kind of action applied (kNone
+  // when nothing was written).
+  Result<NetEffect::Kind> ApplyKey(MaintenanceTxn* txn, std::string_view key,
                                    const KeyDecider& decide);
 
   // The validate-decide-apply tail shared by ApplyKey and the cursor
   // statements: checks `effect` against `target` (nullopt when the key has
   // no physical tuple), takes the Tables 2-4 cell and applies it. `key`,
-  // when set, is the key a kInsert row must carry.
-  Status ApplyEffect(MaintenanceTxn* txn, const Row* key,
+  // when set, is the key bytes a kInsert row must carry.
+  Status ApplyEffect(MaintenanceTxn* txn, std::optional<std::string_view> key,
                      const NetEffect& effect, std::optional<Target> target);
 
   // Table 2 line 3: a brand-new physical tuple for `logical_row`.
   Status InsertFresh(MaintenanceTxn* txn, const Row& logical_row);
-
-  // Key-shaped row normalized through the column codec (what the hash
-  // index stores).
-  Row NormalizeKey(const Row& key) const;
 
   // Incremental cursor (Example 4.3): collects the Rids of tuples the
   // maintenance txn can see (skips logically deleted tuples) matching
@@ -269,9 +271,11 @@ class VnlTable {
   // Index-candidate source: reads each Rid (ascending = heap order) into
   // one reused buffer and runs it through `step`; a Rid reclaimed since
   // the probe is skipped. With `key` set (point lookups) a record must
-  // still carry that normalized unique key — the slot-reuse guard. Records
-  // the read's counters, `lookups` hash probes and `scans_avoided`.
-  Status StreamCandidates(const std::vector<Rid>& rids, const Row* key,
+  // still carry those unique key bytes — the slot-reuse guard, a memcmp on
+  // the record. Records the read's counters, `lookups` hash probes and
+  // `scans_avoided`.
+  Status StreamCandidates(const std::vector<Rid>& rids,
+                          std::optional<std::string_view> key,
                           uint64_t lookups, uint64_t scans_avoided,
                           ReaderStep* step, const RowSink& sink,
                           SnapshotScanStats* stats) const;
@@ -296,24 +300,28 @@ class VnlTable {
                          SnapshotScanStats* stats, Status* status) const
       EXCLUDES(index_mu_);
 
-  std::optional<Rid> IndexLookup(const Row& key) const EXCLUDES(index_mu_);
+  // The one unique-key probe: the Rid whose tuple carries the key bytes
+  // `key`, if any.
+  std::optional<Rid> IndexLookup(std::string_view key) const
+      EXCLUDES(index_mu_);
 
   // Index maintenance, always at tuple granularity and under a single
   // index_mu_ acquisition: the unique-key entry and every secondary
-  // posting move together. Keys are decoded from the tuple's record, so
-  // they carry exactly the values a normalized probe (NormalizeKey) does.
-  void IndexTupleInserted(const uint8_t* rec, Rid rid) EXCLUDES(index_mu_);
-  void IndexTupleErased(const uint8_t* rec, Rid rid) EXCLUDES(index_mu_);
+  // posting of the tuple `rec` at `rid` are added (`add`) or removed
+  // together. Keys are the record's bytes of the indexed columns
+  // (KeyCodec::FromRecord), the bytes a probe encodes.
+  void IndexTuple(const uint8_t* rec, Rid rid, bool add) EXCLUDES(index_mu_);
   // Table-2 re-insert over a logically deleted key: the tuple keeps its
   // Rid but assumes a new logical identity whose non-updatable attributes
-  // may differ — secondary postings whose key changed from `old_rec` to
-  // `new_rec` must move. The unique key itself is unchanged by
-  // construction.
+  // may differ — secondary postings whose key bytes differ between
+  // `old_rec` and `new_rec` must move. The unique key itself is unchanged
+  // by construction.
   void IndexTupleRevived(const uint8_t* old_rec, const uint8_t* new_rec,
                          Rid rid) EXCLUDES(index_mu_);
-
-  // The values of the record `rec` at logical columns `cols`, decoded.
-  Row RecordKey(const uint8_t* rec, const std::vector<size_t>& cols) const;
+  // Adds `rid` to, or removes it from, secondary index `s`'s posting list
+  // for `key`.
+  void MovePosting(size_t s, const std::string& key, Rid rid, bool add)
+      REQUIRES(index_mu_);
 
   // Rollback-without-logging (§7): reverts every tuple stamped with
   // txn_vn. Returns true when the revert was lossless (all pre-states
@@ -351,17 +359,23 @@ class VnlTable {
   ScanMetricsSink* metrics_;
   VnlEngine* engine_;  // scan options + Version relation; may be null
 
-  // Declared secondary indexes (§4.3), fixed at construction. Specs are
-  // immutable and read lock-free; the posting maps (parallel vector, same
-  // order) live under index_mu_ with the unique-key index.
-  std::vector<SecondaryIndexSpec> secondary_specs_;
+  // Key codecs over the physical record, fixed at construction and read
+  // lock-free: the unique key, the non-updatable columns (an update must
+  // keep their bytes) and each declared secondary index (§4.3), whose
+  // posting maps (parallel vector, same order) live under index_mu_ with
+  // the unique-key index.
+  KeyCodec key_codec_;
+  KeyCodec fixed_codec_;
+  std::vector<KeyCodec> secondary_codecs_;
 
-  using PostingMap = std::unordered_map<Row, std::vector<Rid>, RowHash, RowEq>;
+  template <typename T>
+  using KeyMap = std::unordered_map<std::string, T, KeyBytesHash,
+                                    std::equal_to<>>;
 
   mutable Mutex index_mu_;
-  std::unordered_map<Row, Rid, RowHash, RowEq> key_index_
+  KeyMap<Rid> key_index_ GUARDED_BY(index_mu_);
+  std::vector<KeyMap<std::vector<Rid>>> secondary_postings_
       GUARDED_BY(index_mu_);
-  std::vector<PostingMap> secondary_postings_ GUARDED_BY(index_mu_);
 
   // Tombstone set: Rid -> tupleVN for exactly the tuples whose slot-0
   // operation is delete. Mutated only where the heap is (ApplyDecision,

@@ -264,7 +264,7 @@ bool BoundExpr::CollectKeys(uint32_t i, const Schema& schema, size_t* column,
   const size_t c = nodes_[n.lhs].column;
   if (!values->empty() && *column != c) return false;  // mixed-column OR
   *column = c;
-  values->push_back(NormalizeValueForColumn(*col, v));
+  values->push_back(v);
   return true;
 }
 

@@ -70,9 +70,9 @@ class BoundExpr {
 
   // For `column = constant`, or an OR of such equalities over one column
   // (the IN-list shape), whose every comparand matches the column's type
-  // losslessly (an int for an int column, a DATE for a DATE column, a
-  // string no wider than a string column): the column and its comparands,
-  // normalized through the column codec. nullopt otherwise.
+  // (an int for an int column, a DATE for a DATE column, a string no wider
+  // than a string column): the column and its comparands, as bound — a
+  // KeyCodec turns them into key bytes. nullopt otherwise.
   const std::optional<size_t>& key_column() const { return key_column_; }
   const std::vector<Value>& key_values() const { return key_values_; }
 

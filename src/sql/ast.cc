@@ -176,7 +176,7 @@ std::string LiteralToSql(const Value& v) {
       return out;
     }
     case TypeId::kDate:
-      return "'" + v.ToString() + "'";
+      return StrPrintf("'%s'", v.ToString().c_str());
     default:
       return v.ToString();
   }
@@ -278,7 +278,10 @@ std::string InsertStmt::ToSql() const {
   for (const auto& row : rows) {
     std::vector<std::string> vals;
     for (const ExprPtr& e : row) vals.push_back(e->ToSql());
-    tuples.push_back("(" + Join(vals, ", ") + ")");
+    std::string tuple = "(";
+    tuple += Join(vals, ", ");
+    tuple += ")";
+    tuples.push_back(std::move(tuple));
   }
   out += Join(tuples, ", ");
   return out;

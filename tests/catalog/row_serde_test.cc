@@ -2,6 +2,7 @@
 
 #include "catalog/schema.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace wvm {
 namespace {
@@ -64,7 +65,9 @@ TEST(RowSerdeTest, StringExactWidth) {
 
 TEST(RowSerdeTest, ManyColumnsBitmapSpansBytes) {
   std::vector<Column> cols;
-  for (int i = 0; i < 20; ++i) cols.push_back(Column::Int32("c" + std::to_string(i)));
+  for (int i = 0; i < 20; ++i) {
+    cols.push_back(Column::Int32(StrPrintf("c%d", i)));
+  }
   Schema schema(cols);
   EXPECT_EQ(schema.NullBitmapBytes(), 3u);
 

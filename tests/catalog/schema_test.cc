@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace wvm {
 namespace {
 
@@ -152,30 +154,52 @@ TEST(SchemaTest, SecondaryIndexKeepsDeclaredColumnOrder) {
             (std::vector<size_t>{2, 1}));
 }
 
-// --- NormalizeValueForColumn: codec round-trip ----------------------------
+// --- CheckColumnValue: the one rule for what a column can hold -----------
 
-TEST(NormalizeValueForColumnTest, TruncatesOverWidthStrings) {
-  const Column col = Column::String("grp", 4);
-  const Value v = NormalizeValueForColumn(col, Value::String("abcdefgh"));
-  EXPECT_TRUE(v == Value::String("abcd"));
+TEST(CheckColumnValueTest, IntegersCrossWidthsOnlyInRange) {
+  EXPECT_TRUE(CheckColumnValue(Column::Int32("c"), Value::Int64(-7)).ok());
+  EXPECT_TRUE(CheckColumnValue(Column::Int32("c"),
+                               Value::Int64(INT32_MIN)).ok());
+  EXPECT_TRUE(CheckColumnValue(Column::Int64("c"),
+                               Value::Int32(INT32_MAX)).ok());
+  const Status st =
+      CheckColumnValue(Column::Int32("c"), Value::Int64((1LL << 32) + 9));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "value 4294967305 out of range for INT32 column 'c'");
+  EXPECT_FALSE(
+      CheckColumnValue(Column::Int32("c"), Value::Int64(INT32_MAX + 1LL)).ok());
 }
 
-TEST(NormalizeValueForColumnTest, CoercesCrossWidthIntegers) {
-  EXPECT_EQ(NormalizeValueForColumn(Column::Int32("c"), Value::Int64(7))
-                .type(),
-            TypeId::kInt32);
-  EXPECT_EQ(NormalizeValueForColumn(Column::Int64("c"), Value::Int32(7))
-                .type(),
-            TypeId::kInt64);
+TEST(CheckColumnValueTest, AnyNumericIntoDoubleButNoDoubleIntoIntegers) {
+  EXPECT_TRUE(CheckColumnValue(Column::Double("d"), Value::Int32(3)).ok());
+  EXPECT_TRUE(CheckColumnValue(Column::Double("d"), Value::Int64(3)).ok());
+  const Status st = CheckColumnValue(Column::Int32("c"), Value::Double(7.5));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(),
+            "cannot store DOUBLE value into column 'c' of type INT32");
+  EXPECT_FALSE(CheckColumnValue(Column::Int64("c"), Value::Double(7.0)).ok());
 }
 
-TEST(NormalizeValueForColumnTest, PreservesNullsAndFittingValues) {
-  EXPECT_TRUE(NormalizeValueForColumn(Column::String("s", 8),
-                                      Value::Null(TypeId::kString))
-                  .is_null());
-  EXPECT_TRUE(NormalizeValueForColumn(Column::String("s", 8),
-                                      Value::String("ok")) ==
-              Value::String("ok"));
+TEST(CheckColumnValueTest, OtherTypesMustMatchAndNullsAlwaysFit) {
+  EXPECT_FALSE(CheckColumnValue(Column::Int32("c"), Value::String("x")).ok());
+  EXPECT_FALSE(CheckColumnValue(Column::Date("d"), Value::String("x")).ok());
+  EXPECT_FALSE(CheckColumnValue(Column::Date("d"), Value::Int32(1)).ok());
+  EXPECT_FALSE(CheckColumnValue(Column::Bool("b"), Value::Int64(1)).ok());
+  EXPECT_FALSE(CheckColumnValue(Column::String("s", 4), Value::Int64(1)).ok());
+  EXPECT_TRUE(CheckColumnValue(Column::Date("d"), Value::Date(1996, 10, 14))
+                  .ok());
+  EXPECT_TRUE(CheckColumnValue(Column::Int32("c"),
+                               Value::Null(TypeId::kString)).ok());
+}
+
+// ValidateRow asks the same rule, so it never accepts a value storage
+// would turn into a different number.
+TEST(SchemaTest, ValidateRowRejectsValuesStoredAsOtherNumbers) {
+  const Schema s({Column::Int32("k"), Column::Double("d")});
+  EXPECT_TRUE(s.ValidateRow({Value::Int64(9), Value::Int32(1)}).ok());
+  EXPECT_FALSE(s.ValidateRow({Value::Double(7.5), Value::Int32(1)}).ok());
+  EXPECT_FALSE(
+      s.ValidateRow({Value::Int64((1LL << 32) + 9), Value::Int32(1)}).ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 
 namespace wvm::core {
@@ -194,7 +195,7 @@ TEST_P(ConcurrentStressTest, SessionsAlwaysSeeACommittedState) {
 INSTANTIATE_TEST_SUITE_P(AllN, ConcurrentStressTest,
                          ::testing::Values(2, 3),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

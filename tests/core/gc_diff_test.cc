@@ -12,6 +12,7 @@
 // and index point reads must agree with a heap scan.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <map>
 #include <string>
 #include <vector>
@@ -165,7 +166,7 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
     const int64_t keys = rng.Uniform(8, 48);
     auto make_row = [&](int64_t id) -> Row {
       return {Value::Int64(id),
-              Value::String("g" + std::to_string(rng.Uniform(0, 3))),
+              Value::String(StrPrintf("g%" PRId64, rng.Uniform(0, 3))),
               Value::Int64(rng.Uniform(0, 1000))};
     };
     std::vector<ReaderSession> sessions;
@@ -291,7 +292,7 @@ TEST_P(GcDiffTest, SeedsBatch3) {
 
 INSTANTIATE_TEST_SUITE_P(AllN, GcDiffTest, ::testing::Values(2, 3),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

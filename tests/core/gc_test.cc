@@ -1,7 +1,10 @@
 // Garbage collection of logically deleted tuples (§7 future work).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
@@ -320,7 +323,7 @@ TEST_P(GcTest, IndexRoutedReadsAgreeWithScansAfterGc) {
       ASSERT_TRUE(table
                       ->Insert(*txn,
                                {Value::Int64(id),
-                                Value::String("g" + std::to_string(id % 3)),
+                                Value::String(StrPrintf("g%" PRId64, id % 3)),
                                 Value::Int64(id)})
                       .ok());
     }
@@ -379,7 +382,7 @@ TEST_P(GcTest, IndexRoutedReadsAgreeWithScansAfterGc) {
 
 INSTANTIATE_TEST_SUITE_P(AllN, GcTest, ::testing::Values(2, 3),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -94,7 +95,7 @@ Value RandomNote(Rng* rng) {
 // ('g1xxy') ties with it on the whole slot.
 Row MakeItem(Rng* rng, int64_t id) {
   return {Value::Int64(id),
-          Value::String("g" + std::to_string(rng->Uniform(0, 4)) +
+          Value::String(StrPrintf("g%" PRId64, rng->Uniform(0, 4)) +
                         (rng->Bernoulli(0.2) ? "xx" : "")),
           Value::Date(1996, 10, static_cast<int>(rng->Uniform(1, 5))),
           rng->Bernoulli(0.15)
@@ -115,9 +116,9 @@ query::ParamMap GenParams(Rng* rng) {
           {"m32", Value::Int32(kInt32Min)},
           {"neg", Value::Int64(-1)},
           {"f", Value::Double(rng->Uniform(0, 8) / 2.0)},
-          {"s", Value::String("g" + std::to_string(rng->Uniform(0, 4)))},
+          {"s", Value::String(StrPrintf("g%" PRId64, rng->Uniform(0, 4)))},
           {"d", Value::Date(1996, 10, static_cast<int>(rng->Uniform(1, 5)))},
-          {"ds", Value::String("10/0" + std::to_string(rng->Uniform(1, 4)) +
+          {"ds", Value::String(StrPrintf("10/0%" PRId64, rng->Uniform(1, 4)) +
                                "/96")},
           {"bad", Value::String("soon")},
           {"nul", Value::Null(TypeId::kInt64)},

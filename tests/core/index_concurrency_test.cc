@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <map>
 #include <mutex>
 #include <string>
@@ -33,6 +34,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
@@ -89,7 +91,7 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
   auto read_once = [&](const ReaderSession& session, Rng* rng) {
     const bool point = rng->Bernoulli(0.5);
     const int64_t k = rng->Uniform(0, kKeySpace - 1);
-    const std::string g = "g" + std::to_string(rng->Uniform(0, kGroups - 1));
+    const std::string g = StrPrintf("g%" PRId64, rng->Uniform(0, kGroups - 1));
     const query::ParamMap params = {{"k", Value::Int64(k)},
                                     {"g", Value::String(g)}};
     Result<query::QueryResult> res =
@@ -180,7 +182,7 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
     const int ops = static_cast<int>(rng.Uniform(2, 10));
     for (int i = 0; i < ops; ++i) {
       const int64_t id = rng.Uniform(0, kKeySpace - 1);
-      const std::string g = "g" + std::to_string(id % kGroups);
+      const std::string g = StrPrintf("g%" PRId64, id % kGroups);
       const int64_t qty = rng.Uniform(0, 1000);
       if (scratch.count(id) == 0) {
         ASSERT_TRUE(table
@@ -235,7 +237,7 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
 INSTANTIATE_TEST_SUITE_P(AllN, IndexConcurrencyTest,
                          ::testing::Values(2, 3),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

@@ -17,6 +17,7 @@
 // record must equal SerializeRow of the reference's tuple for its key.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -328,7 +329,7 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
     ReferenceTable ref(table->versioned_schema());
 
     auto key_of = [&] {
-      return "k" + std::to_string(rng.Uniform(0, kKeys - 1));
+      return StrPrintf("k%" PRId64, rng.Uniform(0, kKeys - 1));
     };
     // Strings are kept shorter than their widths; NULLs and DATEs vary.
     auto updatables = [&](Row* row) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
@@ -108,12 +112,11 @@ Schema KeyedSchema() {
 }
 
 // Parses `where_sql`, binds its top-level conjuncts against KeyedSchema()
-// and `params`, and hands the bound conjuncts to BindIndexKeys over
-// `columns`.
-std::optional<std::vector<Row>> Bind(const std::string& where_sql,
-                                     const std::vector<size_t>& columns,
-                                     const query::ParamMap& params = {},
-                                     size_t max_candidates = 64) {
+// and `params`, and hands the bound conjuncts to BindIndexKeys over an
+// index on `columns`.
+std::optional<std::vector<std::string>> Bind(
+    const std::string& where_sql, const std::vector<size_t>& columns,
+    const query::ParamMap& params = {}, size_t max_candidates = 64) {
   Result<sql::SelectStmt> stmt =
       sql::ParseSelect("SELECT * FROM t WHERE " + where_sql);
   WVM_CHECK(stmt.ok());
@@ -124,14 +127,22 @@ std::optional<std::vector<Row>> Bind(const std::string& where_sql,
   for (const sql::Expr* e : conjuncts) {
     bound.push_back(query::BoundExpr::Bind(*e, schema, params));
   }
-  return BindIndexKeys(bound, columns, max_candidates);
+  return BindIndexKeys(bound, KeyCodec(schema, columns), max_candidates);
+}
+
+// The key bytes a stored KeyedSchema() tuple with `values` at `columns`
+// carries.
+std::string Key(const std::vector<size_t>& columns, const Row& values) {
+  std::string out;
+  WVM_CHECK(KeyCodec(KeyedSchema(), columns).FromValues(values, &out));
+  return out;
 }
 
 TEST(BindIndexKeysTest, BindsSingleEquality) {
   auto keys = Bind("id = 7", {0});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 1u);
-  EXPECT_TRUE((*keys)[0][0] == Value::Int64(7));
+  EXPECT_EQ((*keys)[0], Key({0}, {Value::Int64(7)}));
 }
 
 TEST(BindIndexKeysTest, BindsMirroredAndParamEqualities) {
@@ -142,7 +153,7 @@ TEST(BindIndexKeysTest, BindsMirroredAndParamEqualities) {
   keys = Bind("id = :k", {0}, {{"k", Value::Int64(3)}});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 1u);
-  EXPECT_TRUE((*keys)[0][0] == Value::Int64(3));
+  EXPECT_EQ((*keys)[0], Key({0}, {Value::Int64(3)}));
 
   // Unbound parameter: the scan path owns the error report.
   EXPECT_FALSE(Bind("id = :missing", {0}).has_value());
@@ -151,7 +162,8 @@ TEST(BindIndexKeysTest, BindsMirroredAndParamEqualities) {
 TEST(BindIndexKeysTest, BindsInListOrWithDedup) {
   auto keys = Bind("id = 1 OR id = 2 OR id = 1", {0});
   ASSERT_TRUE(keys.has_value());
-  EXPECT_EQ(keys->size(), 2u);
+  EXPECT_EQ(*keys, (std::vector<std::string>{Key({0}, {Value::Int64(1)}),
+                                             Key({0}, {Value::Int64(2)})}));
 }
 
 TEST(BindIndexKeysTest, MixedColumnOrIsDeclined) {
@@ -163,10 +175,13 @@ TEST(BindIndexKeysTest, CompositeBindingTakesCartesianProduct) {
                    {0, 1});
   ASSERT_TRUE(keys.has_value());
   EXPECT_EQ(keys->size(), 4u);
-  for (const Row& k : *keys) {
-    ASSERT_EQ(k.size(), 2u);
-    EXPECT_EQ(k[0].type(), TypeId::kInt64);
-    EXPECT_EQ(k[1].type(), TypeId::kString);
+  for (int64_t id : {1, 2}) {
+    for (const char* grp : {"a", "b"}) {
+      const std::string k =
+          Key({0, 1}, {Value::Int64(id), Value::String(grp)});
+      EXPECT_EQ(std::count(keys->begin(), keys->end(), k), 1)
+          << id << " " << grp;
+    }
   }
 }
 
@@ -183,7 +198,7 @@ TEST(BindIndexKeysTest, FirstBindingConjunctWinsPerColumn) {
   auto keys = Bind("id = 1 AND id = 2", {0});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 1u);
-  EXPECT_TRUE((*keys)[0][0] == Value::Int64(1));
+  EXPECT_EQ((*keys)[0], Key({0}, {Value::Int64(1)}));
 }
 
 TEST(BindIndexKeysTest, HashUnsafeComparandsAreDeclined) {
@@ -196,13 +211,15 @@ TEST(BindIndexKeysTest, HashUnsafeComparandsAreDeclined) {
 
 TEST(BindIndexKeysTest, NormalizesCrossWidthIntegers) {
   // `cnt` is Int32; the parser produces an Int64 literal. The bound key
-  // must round-trip through the column codec so it hashes like a stored
-  // row's value.
+  // is the bytes a stored INT32 5 carries.
   auto keys = Bind("cnt = 5", {2});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 1u);
-  EXPECT_EQ((*keys)[0][0].type(), TypeId::kInt32);
-  EXPECT_TRUE((*keys)[0][0] == Value::Int32(5));
+  EXPECT_EQ((*keys)[0], Key({2}, {Value::Int32(5)}));
+  // A literal no INT32 can equal matches no key.
+  keys = Bind("cnt = 4294967301", {2});
+  ASSERT_TRUE(keys.has_value());
+  EXPECT_TRUE(keys->empty());
 }
 
 // DATE columns bind exactly what the scan's comparison would match: a
@@ -212,17 +229,16 @@ TEST(BindIndexKeysTest, BindsDateParamOnKeyWithDate) {
                    {{"d", Value::Date(1996, 10, 14)}});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 1u);
-  EXPECT_TRUE((*keys)[0][0] == Value::Int64(4));
-  EXPECT_EQ((*keys)[0][1].type(), TypeId::kDate);
-  EXPECT_TRUE((*keys)[0][1] == Value::Date(1996, 10, 14));
+  EXPECT_EQ((*keys)[0],
+            Key({0, 5}, {Value::Int64(4), Value::Date(1996, 10, 14)}));
 }
 
 TEST(BindIndexKeysTest, BindsParseableDateStringToParsedDate) {
   auto keys = Bind("id = 4 AND day = '10/14/96'", {0, 5});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 1u);
-  EXPECT_EQ((*keys)[0][1].type(), TypeId::kDate);
-  EXPECT_TRUE((*keys)[0][1] == Value::Date(1996, 10, 14));
+  EXPECT_EQ((*keys)[0],
+            Key({0, 5}, {Value::Int64(4), Value::Date(1996, 10, 14)}));
 }
 
 TEST(BindIndexKeysTest, UnparseableDateStringIsDeclined) {
@@ -245,8 +261,10 @@ TEST(BindIndexKeysTest, BindsEveryDateInAnInList) {
       {0, 5}, {{"d", Value::Date(1996, 10, 15)}});
   ASSERT_TRUE(keys.has_value());
   ASSERT_EQ(keys->size(), 2u);
-  EXPECT_TRUE((*keys)[0][1] == Value::Date(1996, 10, 14));
-  EXPECT_TRUE((*keys)[1][1] == Value::Date(1996, 10, 15));
+  EXPECT_EQ((*keys)[0],
+            Key({0, 5}, {Value::Int64(4), Value::Date(1996, 10, 14)}));
+  EXPECT_EQ((*keys)[1],
+            Key({0, 5}, {Value::Int64(4), Value::Date(1996, 10, 15)}));
 }
 
 TEST(BindIndexKeysTest, CandidateCapDeclinesWideInLists) {
@@ -407,7 +425,7 @@ TEST_P(RewriteEquivalenceTest, RandomHistoriesMatchNativeEngine) {
 INSTANTIATE_TEST_SUITE_P(AllN, RewriteEquivalenceTest,
                          ::testing::Values(2, 3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "tests/support/row_reference.h"
 
@@ -201,7 +202,7 @@ TEST_P(RollbackTest, AbortOfNetEffectSequences) {
 
 INSTANTIATE_TEST_SUITE_P(AllN, RollbackTest, ::testing::Values(2, 3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

@@ -7,10 +7,12 @@
 // for any SnapshotSelect.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "core/vnl_table.h"
 #include "query/executor.h"
@@ -28,7 +30,7 @@ Schema ItemSchema() {
 }
 
 Row Item(int64_t id, int64_t qty) {
-  return {Value::Int64(id), Value::String("g" + std::to_string(id % 4)),
+  return {Value::Int64(id), Value::String(StrPrintf("g%" PRId64, id % 4)),
           Value::Int64(qty)};
 }
 
@@ -154,7 +156,7 @@ TEST_P(ScanMetricsInvariantTest, InvariantRejectionsAreFilteredNotCopied) {
 INSTANTIATE_TEST_SUITE_P(AllN, ScanMetricsInvariantTest,
                          ::testing::Values(2, 3),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace

@@ -9,6 +9,7 @@
 // the first one in heap order, as the reader step does.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <functional>
 #include <string>
 #include <vector>
@@ -43,7 +44,7 @@ Schema DiffSchema() {
 Row MakeItem(Rng* rng, int64_t id) {
   Row row;
   row.push_back(Value::Int64(id));
-  row.push_back(Value::String("g" + std::to_string(rng->Uniform(0, 5))));
+  row.push_back(Value::String(StrPrintf("g%" PRId64, rng->Uniform(0, 5))));
   if (rng->Bernoulli(0.2)) {
     row.push_back(Value::Null(TypeId::kString));
   } else {

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "sql/parser.h"
 
@@ -314,6 +320,143 @@ TEST_P(VnlTableTest, MaintenanceRequiresActiveTxn) {
             StatusCode::kFailedPrecondition);
 }
 
+// A handle stays valid, and inactive, however many transactions have
+// finished since: every call through it fails cleanly.
+TEST_P(VnlTableTest, StaleHandlesFailWithoutTouchingFreedMemory) {
+  std::vector<MaintenanceTxn*> stale;
+  for (int i = 0; i < 3; ++i) {
+    MaintenanceTxn* txn = Begin();
+    stale.push_back(txn);
+    if (i == 1) {
+      ASSERT_TRUE(engine_->Abort(txn).ok());
+    } else {
+      Commit(txn);
+    }
+  }
+  MaintenanceTxn* live = Begin();
+  // stale[2] is one transaction old, stale[1] two and stale[0] three.
+  for (MaintenanceTxn* txn : stale) {
+    EXPECT_FALSE(txn->active());
+    EXPECT_EQ(table_->Insert(txn, DailyRow("X", "y", 1, 1)).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine_->Commit(txn).code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(engine_->Abort(txn).code(), StatusCode::kFailedPrecondition);
+  }
+  EXPECT_TRUE(live->active());
+  Commit(live);
+}
+
+// Keys are compared as the bytes their column stores: a probe value the
+// key column cannot hold finds nothing, rather than whatever row its
+// truncated or reinterpreted bits happen to name.
+TEST_P(VnlTableTest, ProbesWithValuesTheKeyCannotHoldFindNothing) {
+  Result<VnlTable*> created = engine_->CreateTable(
+      "IntKeyed", Schema({Column::Int32("k"), Column::Int64("v", true)}, {0}));
+  ASSERT_TRUE(created.ok());
+  VnlTable* t = created.value();
+  MaintenanceTxn* load = Begin();
+  ASSERT_TRUE(t->Insert(load, {Value::Int32(0), Value::Int64(100)}).ok());
+  ASSERT_TRUE(t->Insert(load, {Value::Int32(5), Value::Int64(105)}).ok());
+  Commit(load);
+
+  const std::vector<Value> unholdable = {
+      Value::Double(9.5), Value::Double(7.5), Value::String("x"),
+      Value::Int64((1LL << 32) + 5)};
+  ReaderSession session = engine_->OpenSession();
+  for (const Value& k : unholdable) {
+    SCOPED_TRACE(k.ToString());
+    Result<std::optional<Row>> found = t->SnapshotLookup(session, {k});
+    ASSERT_TRUE(found.ok());
+    EXPECT_FALSE(found->has_value());
+  }
+  MaintenanceTxn* txn = Begin();
+  RowTransform bump = [](const Row& row) -> Result<Row> {
+    Row next = row;
+    next[1] = Value::Int64(next[1].AsInt64() + 1);
+    return next;
+  };
+  for (const Value& k : unholdable) {
+    SCOPED_TRACE(k.ToString());
+    Result<bool> updated = t->UpdateByKey(txn, {k}, bump);
+    ASSERT_TRUE(updated.ok());
+    EXPECT_FALSE(updated.value());
+    Result<bool> deleted = t->DeleteByKey(txn, {k});
+    ASSERT_TRUE(deleted.ok());
+    EXPECT_FALSE(deleted.value());
+    Result<std::optional<Row>> current = t->MaintenanceLookup(txn, {k});
+    ASSERT_TRUE(current.ok());
+    EXPECT_FALSE(current->has_value());
+  }
+  // An INT64 in the column's range is the same key.
+  Result<bool> updated = t->UpdateByKey(txn, {Value::Int64(5)}, bump);
+  ASSERT_TRUE(updated.ok());
+  EXPECT_TRUE(updated.value());
+  Commit(txn);
+  engine_->CloseSession(session);
+
+  ReaderSession after = engine_->OpenSession();
+  for (int32_t k : {0, 5}) {
+    Result<std::optional<Row>> row =
+        t->SnapshotLookup(after, {Value::Int32(k)});
+    ASSERT_TRUE(row.ok());
+    ASSERT_TRUE(row->has_value());
+    EXPECT_EQ((**row)[1].AsInt64(), k == 0 ? 100 : 106);
+  }
+}
+
+// ValidateRow turns away values storage would turn into other numbers.
+TEST_P(VnlTableTest, InsertRejectsValuesStoredAsOtherNumbers) {
+  Result<VnlTable*> created = engine_->CreateTable(
+      "IntKeyed", Schema({Column::Int32("k"), Column::Int64("v", true)}, {0}));
+  ASSERT_TRUE(created.ok());
+  VnlTable* t = created.value();
+  MaintenanceTxn* txn = Begin();
+  EXPECT_EQ(t->Insert(txn, {Value::Double(7.5), Value::Int64(1)}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      t->Insert(txn, {Value::Int64((1LL << 32) + 9), Value::Int64(1)}).code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(t->Insert(txn, {Value::Int32(1), Value::Double(2.0)}).code(),
+            StatusCode::kInvalidArgument);
+  Result<std::vector<Row>> rows = t->MaintenanceRows(txn);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(rows->empty());
+  Commit(txn);
+}
+
+// -0.0 and 0.0 are one key, and a NaN key is an ordinary key.
+TEST_P(VnlTableTest, SignedZeroAndNaNKeysAreOrdinaryKeys) {
+  Result<VnlTable*> created = engine_->CreateTable(
+      "DoubleKeyed",
+      Schema({Column::Double("k"), Column::Int64("v", true)}, {0}));
+  ASSERT_TRUE(created.ok());
+  VnlTable* t = created.value();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(t->Insert(txn, {Value::Double(-0.0), Value::Int64(1)}).ok());
+  EXPECT_EQ(t->Insert(txn, {Value::Double(0.0), Value::Int64(2)}).code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(t->Insert(txn, {Value::Double(nan), Value::Int64(3)}).ok());
+  EXPECT_EQ(t->Insert(txn, {Value::Double(-nan), Value::Int64(4)}).code(),
+            StatusCode::kAlreadyExists);
+  Result<bool> updated =
+      t->UpdateByKey(txn, {Value::Double(nan)}, [](const Row& row) {
+        return Result<Row>(Row{row[0], Value::Int64(30)});
+      });
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_TRUE(updated.value());
+  Commit(txn);
+
+  ReaderSession s = engine_->OpenSession();
+  for (const auto& [k, v] : std::vector<std::pair<double, int64_t>>{
+           {0.0, 1}, {-0.0, 1}, {nan, 30}}) {
+    Result<std::optional<Row>> row = t->SnapshotLookup(s, {Value::Double(k)});
+    ASSERT_TRUE(row.ok());
+    ASSERT_TRUE(row->has_value()) << k;
+    EXPECT_EQ((**row)[1].AsInt64(), v);
+  }
+}
+
 TEST_P(VnlTableTest, SingleWriterEnforced) {
   Result<MaintenanceTxn*> a = engine_->BeginMaintenance();
   ASSERT_TRUE(a.ok());
@@ -400,7 +543,7 @@ TEST_P(VnlTableTest, ReaderIsolationUnderConcurrentMaintenance) {
 
 INSTANTIATE_TEST_SUITE_P(AllN, VnlTableTest, ::testing::Values(2, 3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return StrPrintf("n%d", info.param);
                          });
 
 }  // namespace
