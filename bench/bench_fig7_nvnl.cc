@@ -105,7 +105,7 @@ void Run() {
     const VersionResolution res = ResolveVersionRaw(vs, t, vn);
     switch (res.outcome) {
       case ReadOutcome::kRow:
-        MaterializeVersionRawInto(vs, t, res, {}, &out);
+        MaterializeVersionRawInto(vs, t, res, vs.logical_columns(), &out);
         std::printf("%9lld  total_sales = %d\n",
                     static_cast<long long>(vn), out[4].AsInt32());
         ++visible;

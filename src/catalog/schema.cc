@@ -27,6 +27,7 @@ Schema::Schema(std::vector<Column> columns, std::vector<size_t> key_indices)
     offsets_.push_back(off);
     off += c.width;
   }
+  row_bytes_ = off;
 }
 
 Result<size_t> Schema::IndexOf(const std::string& name) const {
@@ -52,10 +53,6 @@ size_t Schema::AttributeBytes() const {
   size_t total = 0;
   for (const Column& c : columns_) total += c.width;
   return total;
-}
-
-size_t Schema::RowByteSize() const {
-  return NullBitmapBytes() + AttributeBytes();
 }
 
 Row Schema::KeyOf(const Row& row) const {
@@ -332,6 +329,11 @@ bool KeyCodec::FromValues(const Row& values, std::string* out,
   }
   if (!holds) out->clear();
   return holds;
+}
+
+Row KeyCodec::Decode(std::string_view key) const {
+  WVM_CHECK(key.size() == layout_.RowByteSize());
+  return DeserializeRow(layout_, reinterpret_cast<const uint8_t*>(key.data()));
 }
 
 size_t KeyCodec::Mismatch(const uint8_t* rec, std::string_view key) const {

@@ -82,7 +82,7 @@ class Schema {
   size_t AttributeBytes() const;
 
   // Physical serialized row size: null bitmap + attribute bytes.
-  size_t RowByteSize() const;
+  size_t RowByteSize() const { return row_bytes_; }
   size_t NullBitmapBytes() const { return (columns_.size() + 7) / 8; }
 
   // Byte offset of column i's fixed-width slot inside a serialized row
@@ -115,6 +115,7 @@ class Schema {
   std::vector<Column> columns_;
   std::vector<size_t> key_indices_;
   std::vector<size_t> offsets_;  // per-column slot offsets, bitmap included
+  size_t row_bytes_ = 0;
   std::vector<SecondaryIndexSpec> secondary_indexes_;
 };
 
@@ -155,10 +156,15 @@ void CopyRecordColumn(const Schema& schema, size_t dst, size_t src,
 
 // A key: the bytes a list of columns has in a serialized record, laid out
 // as a record of just those columns (packed null bits, then the slots in
-// list order). Keys and indexes cover only non-updatable columns (§3.1,
-// §4.3), so a tuple's key bytes never change while it lives; as equal
-// values have equal bytes, equal keys are equal byte strings. This codec
-// is the only code that makes key bytes.
+// list order). As equal values have equal bytes, equal keys are equal
+// byte strings. Unique keys and indexes cover only non-updatable columns
+// (§3.1, §4.3), so a tuple's index key bytes never change while it lives.
+// A GROUP BY key may cover an updatable column: a reader makes it with the
+// codec of the version it reads, whose columns are that version's physical
+// positions (the column's pre-update copy for an older version), and gets
+// the bytes the current version would have if it held those values. This
+// codec is the only code that makes key bytes, and Decode the only code
+// that turns them back into Values.
 class KeyCodec {
  public:
   KeyCodec() = default;
@@ -175,6 +181,9 @@ class KeyCodec {
   // finds nothing — when a value is one its column cannot hold.
   bool FromValues(const Row& values, std::string* out,
                   bool whole_row = false) const;
+  // The values of key bytes `key` (a FromRecord or FromValues result), one
+  // per column in list order, typed as the columns are.
+  Row Decode(std::string_view key) const;
 
   // The list position of the first column whose bytes in record `rec`
   // differ from `key`'s, or columns().size() when `rec` carries `key`.

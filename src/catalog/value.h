@@ -139,8 +139,9 @@ Result<Value> ValueDiv(const Value& a, const Value& b);
 // Unary minus, with the same NULL and overflow rules.
 Result<Value> ValueNegate(const Value& v);
 
-// Hash/eq functors so Row can key unordered_map (the executor's group-by
-// keys and the baseline engines' indexes; 2VNL keys on KeyCodec bytes).
+// Hash/eq functors so Row can key unordered_map (the baseline engines'
+// indexes and the warehouse's delta folding; 2VNL indexes and GROUP BY
+// key on KeyCodec bytes).
 struct RowHash {
   size_t operator()(const Row& row) const {
     size_t h = 0xcbf29ce484222325ULL;

@@ -31,6 +31,9 @@ Result<VersionedSchema> VersionedSchema::Create(Schema logical, int n) {
   vs.updatable_ = logical.UpdatableIndices();
   vs.logical_cols_ = logical.num_columns();
   vs.updatable_ordinal_.assign(vs.logical_cols_, -1);
+  for (size_t i = 0; i < vs.logical_cols_; ++i) {
+    vs.logical_columns_.push_back(i);
+  }
   for (size_t u = 0; u < vs.updatable_.size(); ++u) {
     vs.updatable_ordinal_[vs.updatable_[u]] = static_cast<int>(u);
   }
@@ -64,6 +67,14 @@ size_t VersionedSchema::OperationIndex(int slot) const {
 size_t VersionedSchema::PreIndex(size_t updatable_ordinal, int slot) const {
   WVM_CHECK(updatable_ordinal < updatable_.size());
   return TupleVnIndex(slot) + 2 + updatable_ordinal;
+}
+
+std::vector<size_t> VersionedSchema::VersionColumns(
+    const std::vector<size_t>& logical, int slot) const {
+  std::vector<size_t> physical;
+  physical.reserve(logical.size());
+  for (size_t i : logical) physical.push_back(VersionColumn(i, slot));
+  return physical;
 }
 
 Vn VersionedSchema::RawTupleVn(const uint8_t* rec, int slot) const {
@@ -236,19 +247,12 @@ Row LogicalPlaceholders(const VersionedSchema& vs) {
 
 void MaterializeVersionRawInto(const VersionedSchema& vs, const uint8_t* rec,
                                const VersionResolution& res,
-                               const std::vector<bool>& needed, Row* out) {
+                               const std::vector<size_t>& columns, Row* out) {
   WVM_CHECK(res.outcome == ReadOutcome::kRow);
-  const size_t logical_cols = vs.logical().num_columns();
-  WVM_CHECK(out->size() == logical_cols);
-  WVM_CHECK(needed.empty() || needed.size() == logical_cols);
-  for (size_t i = 0; i < logical_cols; ++i) {
-    if (!needed.empty() && !needed[i]) continue;
-    size_t src = i;
-    if (res.slot >= 0) {
-      const int u = vs.UpdatableOrdinal(i);
-      if (u >= 0) src = vs.PreIndex(static_cast<size_t>(u), res.slot);
-    }
-    (*out)[i] = DeserializeColumn(vs.physical(), rec, src);
+  WVM_CHECK(out->size() == vs.logical().num_columns());
+  for (size_t i : columns) {
+    (*out)[i] = DeserializeColumn(vs.physical(), rec,
+                                  vs.VersionColumn(i, res.slot));
   }
 }
 

@@ -28,6 +28,11 @@ class VersionedSchema {
 
   // Logical column positions of updatable attributes.
   const std::vector<size_t>& updatable() const { return updatable_; }
+  // Every logical column position, in order: the column list of a
+  // whole-row materialization.
+  const std::vector<size_t>& logical_columns() const {
+    return logical_columns_;
+  }
 
   // Physical column indexes of a version group's columns. Logical column
   // `i` is physical column `i`: logical columns come first.
@@ -53,9 +58,19 @@ class VersionedSchema {
   // prefix), decoded.
   Row RawCurrentLogical(const uint8_t* rec) const;
 
-  // Ordinal of logical column `i` within updatable() (its pre-column
-  // group position), or -1 when the column is not updatable.
-  int UpdatableOrdinal(size_t i) const { return updatable_ordinal_[i]; }
+  // The physical column that holds logical column `i` in the version a
+  // reader resolved to `slot` (VersionResolution::slot): `i` itself for
+  // the current version (-1) and for a non-updatable column, else the
+  // column's pre-update copy in that slot. The one slot -> column rule:
+  // projected materialization and the per-version GROUP BY key codecs both
+  // ask it.
+  size_t VersionColumn(size_t i, int slot) const {
+    const int u = slot < 0 ? -1 : updatable_ordinal_[i];
+    return u < 0 ? i : PreIndex(static_cast<size_t>(u), slot);
+  }
+  // VersionColumn of each of `logical`, in list order.
+  std::vector<size_t> VersionColumns(const std::vector<size_t>& logical,
+                                     int slot) const;
 
   // --- Record mutators ---------------------------------------------------
   // The moves of Tables 2-4 (§3.3) and §5 as in-place edits of a record.
@@ -102,6 +117,7 @@ class VersionedSchema {
   int n_ = 2;
   std::vector<size_t> updatable_;  // logical indices
   std::vector<int> updatable_ordinal_;  // logical index -> ordinal or -1
+  std::vector<size_t> logical_columns_;  // 0 .. logical_cols_ - 1
   size_t logical_cols_ = 0;
 };
 
@@ -133,19 +149,19 @@ VersionResolution ResolveVersionRaw(const VersionedSchema& vs,
 Row LogicalPlaceholders(const VersionedSchema& vs);
 
 // Byte-level materialization, the reader's only form: writes the logical
-// columns marked in `needed` (size = logical column count; empty = all) of
-// the version `res` refers to into *out, in place — current values, with
-// the resolved slot's pre-update values substituted for updatable
-// attributes. Only valid when `res.outcome == kRow`. *out must hold
-// logical arity (start from LogicalPlaceholders); positions outside
-// `needed` are left untouched. A reader that reuses one row per read thus
-// writes its NULL placeholders once and overwrites only the projected
-// columns per tuple: every downstream column index stays valid, narrow
-// SELECTs skip decoding wide unused attributes, and no per-tuple row is
-// allocated.
+// columns `columns` (logical positions; vs.logical_columns() for a whole
+// row) of the version `res` refers to into *out, in place — current
+// values, with the resolved slot's pre-update values substituted for
+// updatable attributes (VersionColumn). Only valid when
+// `res.outcome == kRow`. *out must hold logical arity (start from
+// LogicalPlaceholders); positions outside `columns` are left untouched. A
+// reader that reuses one row per read thus writes its NULL placeholders
+// once and overwrites only the projected columns per tuple: every
+// downstream column index stays valid, narrow SELECTs skip decoding wide
+// unused attributes, and no per-tuple row is allocated.
 void MaterializeVersionRawInto(const VersionedSchema& vs, const uint8_t* rec,
                                const VersionResolution& res,
-                               const std::vector<bool>& needed, Row* out);
+                               const std::vector<size_t>& columns, Row* out);
 
 }  // namespace wvm::core
 

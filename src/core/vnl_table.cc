@@ -316,6 +316,9 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
 Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
                                            std::string_view key,
                                            const KeyDecider& decide) {
+  if (!vschema_.logical().has_unique_key()) {
+    return Status::FailedPrecondition("table has no unique key");
+  }
   std::optional<Rid> rid = IndexLookup(key);
   ++txn->stats_.index_probes;
   std::optional<Target> target;
@@ -376,8 +379,8 @@ Result<std::vector<Rid>> VnlTable::CollectCursor(
     // The maintenance transaction reads the latest version (first row of
     // Table 1); logically deleted tuples are invisible to it.
     if (op.value() == Op::kDelete) return true;
-    MaterializeVersionRawInto(vschema_, rec, {ReadOutcome::kRow, -1}, {},
-                              &current);
+    MaterializeVersionRawInto(vschema_, rec, {ReadOutcome::kRow, -1},
+                              vschema_.logical_columns(), &current);
     Result<bool> keep = pred(current);
     if (!keep.ok()) {
       status = keep.status();
@@ -458,10 +461,6 @@ Result<bool> VnlTable::DeleteByKey(MaintenanceTxn* txn, const Row& key) {
 Result<BatchApplyStats> VnlTable::ApplyBatch(
     MaintenanceTxn* txn, const std::vector<BatchKeyOp>& ops) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  if (!vschema_.logical().has_unique_key()) {
-    return Status::FailedPrecondition(
-        "batched maintenance requires a unique key");
-  }
   const size_t probes_before = txn->stats_.index_probes;
   const size_t pins_before = txn->stats_.page_pins;
   BatchApplyStats out;
@@ -521,16 +520,24 @@ Result<std::vector<Row>> VnlTable::MaintenanceRows(
 
 namespace {
 
-// Logical payload bytes a projected materialization actually copies: the
-// summed widths of the kept columns (everything when the mask is empty).
-uint64_t ProjectedAttributeBytes(const Schema& logical,
-                                 const std::vector<bool>& projection) {
-  if (projection.empty()) return logical.AttributeBytes();
-  uint64_t bytes = 0;
-  for (size_t i = 0; i < logical.num_columns() && i < projection.size();
-       ++i) {
-    if (projection[i]) bytes += logical.column(i).width;
+// The logical columns a projection mask keeps (every column when it is
+// empty).
+std::vector<size_t> ProjectedColumns(const VersionedSchema& vs,
+                                     const std::vector<bool>& projection) {
+  if (projection.empty()) return vs.logical_columns();
+  std::vector<size_t> columns;
+  for (size_t i = 0; i < projection.size(); ++i) {
+    if (projection[i]) columns.push_back(i);
   }
+  return columns;
+}
+
+// Declared attribute bytes of logical columns `columns`: what copying
+// them costs.
+uint64_t AttributeBytes(const Schema& logical,
+                        const std::vector<size_t>& columns) {
+  uint64_t bytes = 0;
+  for (size_t i : columns) bytes += logical.column(i).width;
   return bytes;
 }
 
@@ -541,21 +548,31 @@ uint64_t ProjectedAttributeBytes(const Schema& logical,
 class VnlTable::ReaderStep {
  public:
   // `invariant` and `reconstructed` are the pushed-down WHERE conjuncts,
-  // bound once for the read; they must outlive the step.
+  // bound once for the read; they must outlive the step. `key_cols` are
+  // the logical GROUP BY columns (none: the read makes no keys).
   ReaderStep(const VersionedSchema& vs, Vn session_vn,
              const std::vector<query::BoundExpr>& invariant,
              const std::vector<query::BoundExpr>& reconstructed,
-             std::vector<bool> projection)
+             const std::vector<bool>& projection,
+             const std::vector<size_t>& key_cols)
       : vs_(vs),
         session_vn_(session_vn),
         invariant_(invariant),
         reconstructed_(reconstructed),
-        projection_(std::move(projection)),
-        row_bytes_(ProjectedAttributeBytes(vs.logical(), projection_)) {}
+        projection_(ProjectedColumns(vs, projection)),
+        row_bytes_(AttributeBytes(vs.logical(), projection_)),
+        key_bytes_(AttributeBytes(vs.logical(), key_cols)) {
+    // One codec per version a tuple can resolve to, current first: a key
+    // over an updatable column reads that version's copy of it.
+    for (int slot = -1; !key_cols.empty() && slot < vs.num_slots(); ++slot) {
+      key_codecs_.emplace_back(vs.physical(),
+                               vs.VersionColumns(key_cols, slot));
+    }
+  }
 
   // An unfiltered read of every column.
   ReaderStep(const VersionedSchema& vs, Vn session_vn)
-      : ReaderStep(vs, session_vn, kNoConjuncts, kNoConjuncts, {}) {}
+      : ReaderStep(vs, session_vn, kNoConjuncts, kNoConjuncts, {}, {}) {}
 
   // Runs one physical record through Table 1 and the pushed-down WHERE.
   // True when a row survives, filled into *out in place; false when the
@@ -598,8 +615,8 @@ class VnlTable::ReaderStep {
       } else {
         if (!decoded) {
           if (current_.empty()) current_ = LogicalPlaceholders(vs_);
-          MaterializeVersionRawInto(vs_, rec, {ReadOutcome::kRow, -1}, {},
-                                    &current_);
+          MaterializeVersionRawInto(vs_, rec, {ReadOutcome::kRow, -1},
+                                    vs_.logical_columns(), &current_);
           decoded = true;
         }
         Result<bool> r = c.Test(current_);
@@ -621,8 +638,16 @@ class VnlTable::ReaderStep {
       // already paid; they show up as reconstructed - emitted.
       if (!keep.value()) return false;
     }
+    if (!key_codecs_.empty()) {
+      key_codecs_[res.slot + 1].FromRecord(rec, &key_);
+      ++keys_made_;
+    }
     return true;
   }
+
+  // The GROUP BY key bytes of the row Visit last let through (empty when
+  // the read makes no keys).
+  std::string_view key() const { return key_; }
 
   // Stops the read with `st` (also a source's heap-read failure). Always
   // false, so Visit can return it.
@@ -641,8 +666,9 @@ class VnlTable::ReaderStep {
       stats->ignored += counts_.ignored;
     }
     if (metrics != nullptr) {
-      metrics->RecordScan(scanned_, reconstructed_rows_, filtered_, emitted,
-                          reconstructed_rows_ * row_bytes_);
+      metrics->RecordScan(
+          scanned_, reconstructed_rows_, filtered_, emitted,
+          reconstructed_rows_ * row_bytes_ + keys_made_ * key_bytes_);
     }
   }
 
@@ -653,13 +679,17 @@ class VnlTable::ReaderStep {
   Vn session_vn_;
   const std::vector<query::BoundExpr>& invariant_;
   const std::vector<query::BoundExpr>& reconstructed_;
-  std::vector<bool> projection_;  // empty = every logical column
-  uint64_t row_bytes_;
+  std::vector<size_t> projection_;  // logical columns materialized
+  uint64_t row_bytes_;              // their declared widths
+  uint64_t key_bytes_;              // declared widths of the GROUP BY columns
+  std::vector<KeyCodec> key_codecs_;  // [slot + 1]; empty: no keys
+  std::string key_;
   Row current_;  // current version, decoded for generic invariant conjuncts
 
   uint64_t scanned_ = 0;
   uint64_t reconstructed_rows_ = 0;
   uint64_t filtered_ = 0;
+  uint64_t keys_made_ = 0;
   SnapshotScanStats counts_;
   Status status_;
 };
@@ -671,7 +701,7 @@ Status VnlTable::StreamSnapshot(ReaderStep* step, const RowSink& sink,
   const Status scanned = phys_->heap()->Scan([&](Rid, const uint8_t* rec) {
     if (step->Visit(rec, &row)) {
       ++emitted;
-      return sink(row);
+      return sink(row, step->key());
     }
     return step->status().ok();
   });
@@ -707,7 +737,7 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
     }
     if (step->Visit(rec.data(), &row)) {
       ++emitted;
-      if (!sink(row)) break;
+      if (!sink(row, step->key())) break;
     } else if (!step->status().ok()) {
       break;
     }
@@ -729,7 +759,7 @@ Result<std::vector<Row>> VnlTable::SnapshotRows(
   std::vector<Row> rows;
   WVM_RETURN_IF_ERROR(StreamSnapshot(
       &step,
-      [&rows](const Row& row) {
+      [&rows](const Row& row, std::string_view) {
         rows.push_back(row);
         return true;
       },
@@ -755,7 +785,7 @@ Result<std::optional<Row>> VnlTable::SnapshotLookup(
   std::optional<Row> found;
   WVM_RETURN_IF_ERROR(StreamCandidates(
       candidates, probe, /*lookups=*/1, /*scans_avoided=*/0, &step,
-      [&found](const Row& row) {
+      [&found](const Row& row, std::string_view) {
         found = row;
         return false;
       },
@@ -786,6 +816,7 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
     return true;
   };
   std::vector<bool> projection;
+  std::vector<size_t> key_cols;
   source.project = [&](const std::vector<bool>& needed) {
     projection = needed;
     if (projection.empty()) return;
@@ -795,11 +826,12 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
     // conjuncts run before materialization and need nothing kept.)
     for (const query::BoundExpr& c : reconstructed) c.MarkColumns(&projection);
   };
+  source.group = [&](const std::vector<size_t>& cols) { key_cols = cols; };
   source.scan = [&](const RowSink& sink) {
     const ScanOptions opts =
         engine_ != nullptr ? engine_->scan_options() : ScanOptions{};
     ReaderStep step(vschema_, session.session_vn, invariant, reconstructed,
-                    projection);
+                    projection, key_cols);
     if (opts.index_routing) {
       Status routed;
       if (TryStreamViaIndex(session, invariant, &step, sink, stats,

@@ -120,7 +120,8 @@ class VnlTable {
   // Index-based fast paths for key-addressed maintenance. Return false
   // when the key is absent or logically deleted. Keys compare as the bytes
   // the key columns store (KeyCodec), so a key value its column cannot
-  // hold (CheckColumnValue) matches no tuple.
+  // hold (CheckColumnValue) matches no tuple. Require a unique key
+  // (kFailedPrecondition otherwise).
   Result<bool> UpdateByKey(MaintenanceTxn* txn, const Row& key,
                            const RowTransform& transform);
   Result<bool> DeleteByKey(MaintenanceTxn* txn, const Row& key);
@@ -137,7 +138,8 @@ class VnlTable {
   // kUpdate / kDelete on an absent or logically deleted key return
   // kNotFound("no such key"); a kInsert row whose key differs from the
   // op's key is kInvalidArgument. Stops at the first failing key, leaving
-  // the keys before it applied. Requires a unique key.
+  // the keys before it applied. Requires a unique key: on a table without
+  // one the first op fails with kFailedPrecondition.
   Result<BatchApplyStats> ApplyBatch(MaintenanceTxn* txn,
                                      const std::vector<BatchKeyOp>& ops);
 
@@ -228,7 +230,8 @@ class VnlTable {
   // The per-key step behind every key-addressed write: probes the unique
   // key bytes `key` (key_codec_), fetches its tuple, asks `decide` for the
   // net effect and applies it. Returns the kind of action applied (kNone
-  // when nothing was written).
+  // when nothing was written); kFailedPrecondition on a table without a
+  // unique key.
   Result<NetEffect::Kind> ApplyKey(MaintenanceTxn* txn, std::string_view key,
                                    const KeyDecider& decide);
 
@@ -258,10 +261,12 @@ class VnlTable {
   // Two record sources feed it: the heap pass (StreamSnapshot) and sorted
   // Rid candidates (StreamCandidates). Each source keeps one Row per read,
   // which the step fills in place (MaterializeVersionRawInto): NULL
-  // placeholders once, projected columns per surviving tuple. The sink
-  // sees that row by const reference, valid only for the call.
+  // placeholders once, projected columns per surviving tuple. For a
+  // grouped read the step also fills one reused buffer with the row's
+  // GROUP BY key bytes, made by the key codec of the version it resolved.
+  // The sink sees the row and the key, both valid only for the call.
   class ReaderStep;
-  using RowSink = std::function<bool(const Row&)>;
+  using RowSink = query::KeyedRowSink;
 
   // Heap pass: one TableHeap::Scan with `sink` run inline, per record, on
   // the calling thread. Publishes the read's counters.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -126,8 +128,9 @@ struct SelectPlan {
   std::vector<BoundExpr> items;  // ungrouped select list
   // Grouped: group items are addressed by their position inside the group
   // key, so output depends only on the key, never on which of a group's
-  // rows arrived first.
-  std::vector<size_t> key_cols;
+  // rows arrived first. The codec's columns are the GROUP BY columns; it
+  // decodes the key bytes a source hands over.
+  KeyCodec key_codec;
   std::vector<Aggregate> aggs;
   std::vector<Output> outputs;
 
@@ -158,10 +161,12 @@ struct SelectPlan {
     if (stmt.select_star) {
       return Status::InvalidArgument("SELECT * cannot be grouped");
     }
+    std::vector<size_t> key_cols;
     for (const std::string& g : stmt.group_by) {
       WVM_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(g));
-      plan.key_cols.push_back(idx);
+      key_cols.push_back(idx);
     }
+    plan.key_codec = KeyCodec(schema, std::move(key_cols));
     for (size_t i = 0; i < stmt.items.size(); ++i) {
       const sql::Expr& e = *stmt.items[i].expr;
       if (e.kind == sql::ExprKind::kAggCall) {
@@ -194,10 +199,11 @@ struct SelectPlan {
     return plan;
   }
 
-  // The input columns the plan reads ("projection pushdown"): the select
-  // list, aggregate inputs, group keys and the residual WHERE. Empty means
-  // every column — SELECT *, or a name that does not resolve (the
-  // evaluator reports it identically either way).
+  // The input columns the plan reads off rows ("projection pushdown"): the
+  // select list, aggregate inputs and the residual WHERE. Group keys arrive
+  // as bytes, so they are not marked. Empty means every column — SELECT *,
+  // or a name that does not resolve (the evaluator reports it identically
+  // either way).
   std::vector<bool> ReferencedColumns(size_t num_columns) const {
     if (select_star) return {};
     std::vector<bool> needed(num_columns, false);
@@ -211,50 +217,51 @@ struct SelectPlan {
     for (const Aggregate& agg : aggs) {
       if (agg.input.has_value()) mark(*agg.input);
     }
-    for (size_t c : key_cols) needed[c] = true;
     if (all) return {};
     return needed;
   }
 };
 
 // Streams the rows of `source` that pass the residual WHERE (logical AND;
-// NULL and false both reject) into `emit`, a Status(const Row&) callable.
+// NULL and false both reject) into `emit`, a
+// Status(const Row&, std::string_view key) callable.
 // The first failure stops the scan; a scan-side failure (e.g. session
 // expiration mid-stream) outranks one the truncated stream caused.
 template <typename Emit>
 Status ScanKept(const SelectPlan& plan, const PushdownSource& source,
                 Emit emit) {
   Status status;
-  WVM_RETURN_IF_ERROR(source.scan([&](const Row& row) {
+  WVM_RETURN_IF_ERROR(source.scan([&](const Row& row, std::string_view key) {
     for (const BoundExpr& e : plan.where) {
       Result<bool> keep = e.Test(row);
       if (!keep.ok()) status = keep.status();
       if (!keep.ok() || !keep.value()) return status.ok();
     }
-    status = emit(row);
-    return status.ok();
+    Status emitted = emit(row, key);
+    if (emitted.ok()) return true;
+    status = std::move(emitted);
+    return false;
   }));
   return status;
 }
 
 Result<QueryResult> ExecuteAggregate(const SelectPlan& plan,
                                      const PushdownSource& source) {
-  // Hash groups, probed with one reused key; a key is copied only when its
-  // group is inserted. Group g's aggregate a is states[g * aggs.size() + a].
+  // Hash groups on the key bytes the source hands over, probed with a view
+  // of them: a key is copied, and decoded to Values, only when its group
+  // is inserted. Group g's aggregate a is states[g * aggs.size() + a].
   const std::vector<SelectPlan::Aggregate>& aggs = plan.aggs;
-  std::unordered_map<Row, size_t, RowHash, RowEq> group_of;
-  std::vector<const Row*> group_keys;  // node keys: stable across rehash
+  std::unordered_map<std::string, size_t, KeyBytesHash, std::equal_to<>>
+      group_of;
+  std::vector<Row> group_keys;  // decoded, in insertion order
   std::vector<AggState> states;
-  Row probe(plan.key_cols.size());
   Value scratch;
-  WVM_RETURN_IF_ERROR(ScanKept(plan, source, [&](const Row& row) {
-    for (size_t k = 0; k < plan.key_cols.size(); ++k) {
-      probe[k] = row[plan.key_cols[k]];
-    }
-    auto it = group_of.find(probe);
+  WVM_RETURN_IF_ERROR(ScanKept(plan, source, [&](const Row& row,
+                                                 std::string_view key) {
+    auto it = group_of.find(key);
     if (it == group_of.end()) {
-      it = group_of.emplace(probe, group_keys.size()).first;
-      group_keys.push_back(&it->first);
+      it = group_of.emplace(key, group_keys.size()).first;
+      group_keys.push_back(plan.key_codec.Decode(key));
       states.resize(states.size() + aggs.size());
     }
     AggState* group = &states[it->second * aggs.size()];
@@ -273,7 +280,7 @@ Result<QueryResult> ExecuteAggregate(const SelectPlan& plan,
   result.column_names = plan.column_names;
 
   // A grand-total aggregate (no GROUP BY) always yields one row.
-  if (plan.key_cols.empty() && group_keys.empty()) {
+  if (plan.key_codec.columns().empty() && group_keys.empty()) {
     Row out;
     for (const SelectPlan::Aggregate& agg : aggs) {
       out.push_back(AggState{}.Finalize(agg.func));
@@ -285,7 +292,7 @@ Result<QueryResult> ExecuteAggregate(const SelectPlan& plan,
   std::vector<size_t> order(group_keys.size());
   for (size_t g = 0; g < order.size(); ++g) order[g] = g;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return RowLess()(*group_keys[a], *group_keys[b]);
+    return RowLess()(group_keys[a], group_keys[b]);
   });
   result.rows.reserve(order.size());
   for (size_t g : order) {
@@ -294,7 +301,7 @@ Result<QueryResult> ExecuteAggregate(const SelectPlan& plan,
     out.reserve(plan.outputs.size());
     for (const SelectPlan::Output& o : plan.outputs) {
       out.push_back(o.is_aggregate ? group[o.pos].Finalize(aggs[o.pos].func)
-                                   : (*group_keys[g])[o.pos]);
+                                   : group_keys[g][o.pos]);
     }
     result.rows.push_back(std::move(out));
   }
@@ -307,10 +314,26 @@ Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                   const Schema& input_schema,
                                   const RowSource& source,
                                   const ParamMap& params) {
+  // Keys are the bytes the row's values encode to as the columns store
+  // them; a value its column cannot hold stops the read.
+  KeyCodec codec;  // no columns until the SELECT groups
   PushdownSource rows;
-  rows.scan = [&source](const std::function<bool(const Row&)>& sink) {
-    source(sink);
-    return Status::OK();
+  rows.group = [&](const std::vector<size_t>& key_cols) {
+    codec = KeyCodec(input_schema, key_cols);
+  };
+  rows.scan = [&](const KeyedRowSink& sink) {
+    Status status;
+    std::string key;
+    source([&](const Row& row) {
+      if (!codec.FromValues(row, &key, /*whole_row=*/true)) {
+        status = Status::InvalidArgument(
+            "row " + RowToString(row) +
+            " has a GROUP BY value its column cannot hold");
+        return false;
+      }
+      return sink(row, key);
+    });
+    return status;
   };
   return ExecuteSelect(stmt, input_schema, rows, params);
 }
@@ -335,11 +358,18 @@ Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
   if (source.project != nullptr) {
     source.project(plan.ReferencedColumns(input_schema.num_columns()));
   }
-  if (plan.grouped) return ExecuteAggregate(plan, source);
+  if (plan.grouped) {
+    if (source.group == nullptr) {
+      return Status::InvalidArgument("the row source cannot group");
+    }
+    source.group(plan.key_codec.columns());
+    return ExecuteAggregate(plan, source);
+  }
   QueryResult result;
   result.column_names = plan.column_names;
   Value scratch;
-  WVM_RETURN_IF_ERROR(ScanKept(plan, source, [&](const Row& row) {
+  WVM_RETURN_IF_ERROR(ScanKept(plan, source, [&](const Row& row,
+                                                 std::string_view) {
     if (plan.select_star) {
       result.rows.push_back(row);
       return Status::OK();
@@ -359,11 +389,30 @@ Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
 Result<QueryResult> ExecuteSelect(const sql::SelectStmt& stmt,
                                   const Table& table,
                                   const ParamMap& params) {
+  const Schema& schema = table.schema();
+  std::vector<bool> needed;  // empty: every column
+  KeyCodec codec;            // no columns until the SELECT groups
   PushdownSource source;
-  source.scan = [&table](const std::function<bool(const Row&)>& sink) {
-    return table.ScanRows([&](Rid, const Row& row) { return sink(row); });
+  source.project = [&needed](const std::vector<bool>& n) { needed = n; };
+  source.group = [&](const std::vector<size_t>& key_cols) {
+    codec = KeyCodec(schema, key_cols);
   };
-  return ExecuteSelect(stmt, table.schema(), source, params);
+  source.scan = [&](const KeyedRowSink& sink) {
+    Row row;
+    row.reserve(schema.num_columns());
+    for (const Column& c : schema.columns()) row.push_back(Value::Null(c.type));
+    std::string key;
+    return table.heap()->Scan([&](Rid, const uint8_t* rec) {
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (needed.empty() || needed[i]) {
+          row[i] = DeserializeColumn(schema, rec, i);
+        }
+      }
+      codec.FromRecord(rec, &key);
+      return sink(row, key);
+    });
+  };
+  return ExecuteSelect(stmt, schema, source, params);
 }
 
 std::string QueryResult::ToString() const {

@@ -1,13 +1,16 @@
 // Generated-SQL differential suite: a seeded grammar generator writes
-// WHERE clauses and select lists over a 2VNL/3VNL table with a randomized
-// maintenance history, and every query runs four ways:
+// WHERE clauses, select lists and aggregates (COUNT, COUNT(*), SUM, AVG,
+// MIN and MAX, grand totals and GROUP BY one or two columns, updatable
+// ones included) over a 2VNL/3VNL table with a randomized maintenance
+// history, and every query runs four ways:
 //
 //   1. the native heap pass (SnapshotSelect, index routing off);
 //   2. the native routed read (SnapshotSelect, index routing on);
 //   3. the §4.1 rewritten SQL, run by query::ExecuteSelect over the
 //      widened physical table;
 //   4. a reference: a tree-walk evaluator local to this file, run over the
-//      Row-based Table-1 reference (ResolveVersion / MaterializeVersion).
+//      Row-based Table-1 reference (ResolveVersion / MaterializeVersion),
+//      which groups through an ordered map of its own.
 //
 // All four must agree on the status code and on the rows, in order. The
 // generator covers column references (unknown names included), literals of
@@ -23,13 +26,15 @@
 // that order and the rewritten statement is handed its conjuncts in it;
 // and the rewritten SQL cannot detect session expiration (§4.1), so it is
 // compared only where the reference did not expire, and it rejects unknown
-// columns at rewrite time, so those queries only have to fail there.
+// columns and GROUP BY over an updatable column at rewrite time, so those
+// queries only have to fail there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,7 +138,10 @@ class SqlGen {
 
   std::string Select() {
     std::string sql = "SELECT ";
-    if (rng_->Bernoulli(0.15)) {
+    std::vector<std::string> group_by;
+    if (Coin(0.3)) {
+      sql += AggregateItems(&group_by);
+    } else if (rng_->Bernoulli(0.15)) {
       sql += "*";
     } else {
       const int items = static_cast<int>(rng_->Uniform(1, 3));
@@ -156,6 +164,7 @@ class SqlGen {
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       sql += (i == 0 ? " WHERE " : " AND ") + conjuncts[i];
     }
+    if (!group_by.empty()) sql += " GROUP BY " + Join(group_by, ", ");
     return sql;
   }
 
@@ -219,6 +228,39 @@ class SqlGen {
       return Pick(kS);
     }
     return Literal();
+  }
+
+  // A grouped select list: zero to two GROUP BY columns (updatable ones
+  // included), each usually selected, at a random place, and one to three
+  // aggregates over a column or a scalar expression.
+  std::string AggregateItems(std::vector<std::string>* group_by) {
+    static const std::vector<std::string> kFuncs = {"COUNT", "SUM", "AVG",
+                                                    "MIN", "MAX"};
+    const int keys = static_cast<int>(rng_->Uniform(0, 2));
+    for (int k = 0; k < keys; ++k) {
+      const std::string col = Column();
+      if (std::find(group_by->begin(), group_by->end(), col) ==
+          group_by->end()) {
+        group_by->push_back(col);
+      }
+    }
+    std::vector<std::string> items;
+    const int aggs = static_cast<int>(rng_->Uniform(1, 3));
+    for (int a = 0; a < aggs; ++a) {
+      if (Coin(0.15)) {
+        items.push_back("COUNT(*)");
+        continue;
+      }
+      items.push_back(Pick(kFuncs) + "(" +
+                      (Coin(0.7) ? Column() : Scalar(1)) + ")");
+    }
+    for (const std::string& g : *group_by) {
+      if (!Coin(0.8)) continue;
+      const int64_t at =
+          rng_->Uniform(0, static_cast<int64_t>(items.size()));
+      items.insert(items.begin() + at, g);
+    }
+    return Join(items, ", ");
   }
 
   // An equality or IN-list over an indexed column (id, grp or day).
@@ -472,12 +514,95 @@ bool HasUnknownColumn(const sql::SelectStmt& stmt, const Schema& logical) {
   };
   for (const sql::SelectItem& item : stmt.items) check(*item.expr);
   if (stmt.where != nullptr) check(*stmt.where);
+  for (const std::string& g : stmt.group_by) {
+    unknown = unknown || !logical.IndexOf(g).ok();
+  }
   return unknown;
 }
 
+bool GroupsOnUpdatable(const sql::SelectStmt& stmt, const Schema& logical) {
+  for (const std::string& g : stmt.group_by) {
+    Result<size_t> idx = logical.IndexOf(g);
+    if (idx.ok() && logical.column(idx.value()).updatable) return true;
+  }
+  return false;
+}
+
+// The reference aggregate: one function's running state over a group's
+// inputs in row order. SUM and AVG add integers in 64 bits, checked, until
+// a DOUBLE arrives; MIN and MAX keep the first of equal values and refuse
+// to order values of incompatible types.
+struct RefAccumulator {
+  explicit RefAccumulator(sql::AggFunc f) : func(f) {}
+
+  sql::AggFunc func;
+  int64_t count = 0;
+  bool is_double = false;
+  int64_t int_sum = 0;
+  double double_sum = 0;
+  Value best;
+
+  Status Add(const Value& v) {
+    if (v.is_null()) return Status::OK();
+    if (func == sql::AggFunc::kSum || func == sql::AggFunc::kAvg) {
+      if (!v.IsNumeric()) return Status::InvalidArgument("SUM of non-number");
+      if (v.type() == TypeId::kDouble && !is_double) {
+        is_double = true;
+        double_sum = static_cast<double>(int_sum);
+      }
+      if (is_double) {
+        double_sum += v.AsDouble();
+      } else if (__builtin_add_overflow(int_sum, v.AsInt64(), &int_sum)) {
+        return Status::InvalidArgument("SUM overflow");
+      }
+    } else if (func == sql::AggFunc::kMin || func == sql::AggFunc::kMax) {
+      if (count > 0 && v.type() != best.type() &&
+          !(v.IsNumeric() && best.IsNumeric())) {
+        return Status::InvalidArgument("MIN/MAX over mixed types");
+      }
+      if (count == 0 ||
+          (func == sql::AggFunc::kMin ? v < best : best < v)) {
+        best = v;
+      }
+    }
+    ++count;
+    return Status::OK();
+  }
+
+  Value Final() const {
+    switch (func) {
+      case sql::AggFunc::kCount:
+        return Value::Int64(count);
+      case sql::AggFunc::kSum:
+        if (count == 0) return Value::Null(TypeId::kInt64);
+        return is_double ? Value::Double(double_sum) : Value::Int64(int_sum);
+      case sql::AggFunc::kAvg:
+        if (count == 0) return Value::Null(TypeId::kDouble);
+        return Value::Double(
+            (is_double ? double_sum : static_cast<double>(int_sum)) /
+            static_cast<double>(count));
+      case sql::AggFunc::kMin:
+      case sql::AggFunc::kMax:
+        return count == 0 ? Value::Null(TypeId::kInt64) : best;
+    }
+    return Value();
+  }
+};
+
+// Group values in Value order, NULLs first: the order grouped output is
+// sorted in.
+struct RefKeyLess {
+  bool operator()(const Row& a, const Row& b) const {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
 // The reference read: every physical tuple in heap order through Table 1
 // (Row form), then the WHERE conjuncts in native order, then the select
-// list, each evaluated by the tree walk.
+// list, each evaluated by the tree walk. A grouped read feeds each kept
+// row to its group's accumulators as it arrives, so the first failing
+// input ends the read where the native one does.
 Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
                                            Vn session_vn,
                                            const sql::SelectStmt& stmt,
@@ -490,6 +615,16 @@ Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
     return true;
   }));
   const std::vector<const sql::Expr*> where = NativeOrder(stmt, logical);
+  bool grouped = !stmt.group_by.empty();
+  for (const sql::SelectItem& item : stmt.items) {
+    grouped = grouped || item.expr->kind == sql::ExprKind::kAggCall;
+  }
+  std::vector<size_t> key_cols;
+  for (const std::string& g : stmt.group_by) {
+    WVM_ASSIGN_OR_RETURN(size_t idx, logical.IndexOf(g));
+    key_cols.push_back(idx);
+  }
+  std::map<Row, std::vector<RefAccumulator>, RefKeyLess> groups;
   query::QueryResult out;
   if (stmt.select_star) {
     for (const Column& c : logical.columns()) {
@@ -517,6 +652,29 @@ Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
       }
     }
     if (!keep) continue;
+    if (grouped) {
+      Row key;
+      for (size_t c : key_cols) key.push_back(row[c]);
+      auto [it, inserted] = groups.try_emplace(key);
+      for (size_t i = 0; i < stmt.items.size(); ++i) {
+        const sql::Expr& e = *stmt.items[i].expr;
+        if (e.kind != sql::ExprKind::kAggCall) continue;
+        if (inserted) it->second.emplace_back(e.agg);
+      }
+      size_t a = 0;
+      for (const sql::SelectItem& item : stmt.items) {
+        const sql::Expr& e = *item.expr;
+        if (e.kind != sql::ExprKind::kAggCall) continue;
+        RefAccumulator& acc = it->second[a++];
+        if (e.agg_star) {
+          ++acc.count;
+          continue;
+        }
+        WVM_ASSIGN_OR_RETURN(Value v, RefEval(*e.child0, logical, row, params));
+        WVM_RETURN_IF_ERROR(acc.Add(v));
+      }
+      continue;
+    }
     if (stmt.select_star) {
       out.rows.push_back(row);
       continue;
@@ -525,6 +683,29 @@ Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
     for (const sql::SelectItem& item : stmt.items) {
       WVM_ASSIGN_OR_RETURN(Value v, RefEval(*item.expr, logical, row, params));
       projected.push_back(std::move(v));
+    }
+    out.rows.push_back(std::move(projected));
+  }
+  if (!grouped) return out;
+  if (key_cols.empty() && groups.empty()) {
+    for (const sql::SelectItem& item : stmt.items) {
+      groups[Row{}].emplace_back(item.expr->agg);
+    }
+  }
+  for (const auto& [key, accs] : groups) {
+    Row projected;
+    size_t a = 0;
+    for (const sql::SelectItem& item : stmt.items) {
+      if (item.expr->kind == sql::ExprKind::kAggCall) {
+        projected.push_back(accs[a++].Final());
+        continue;
+      }
+      // A plain item is a GROUP BY column (the generator writes no other).
+      for (size_t g = 0; g < stmt.group_by.size(); ++g) {
+        if (stmt.group_by[g] == item.expr->column) {
+          projected.push_back(key[g]);
+        }
+      }
     }
     out.rows.push_back(std::move(projected));
   }
@@ -601,6 +782,10 @@ class GeneratedSqlDiffTest : public ::testing::Test {
                              table->versioned_schema());
       if (HasUnknownColumn(*stmt, logical)) {
         EXPECT_FALSE(rewritten.ok());
+        continue;
+      }
+      if (GroupsOnUpdatable(*stmt, logical)) {
+        EXPECT_EQ(rewritten.status().code(), StatusCode::kUnimplemented);
         continue;
       }
       ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();

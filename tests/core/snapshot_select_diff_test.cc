@@ -96,18 +96,24 @@ const char* kQueries[] = {
 
 // The Row-based Table-1 reference: every physical tuple, deserialized,
 // resolved at the session VN by ReadVersion, and the visible logical rows
-// handed to the executor, which evaluates the whole WHERE itself. The
-// first expired tuple in heap order ends the read with kSessionExpired;
-// a WHERE error on an earlier tuple ends it first.
+// handed to the executor, which evaluates the whole WHERE itself. A
+// grouped read's keys are encoded from those logical values, not off the
+// record. The first expired tuple in heap order ends the read with
+// kSessionExpired; a WHERE error on an earlier tuple ends it first.
 Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
                                            const ReaderSession& session,
                                            const sql::SelectStmt& stmt,
                                            const query::ParamMap& params) {
   const VersionedSchema& vs = table.versioned_schema();
+  KeyCodec codec;  // no columns unless the SELECT groups
   query::PushdownSource source;
-  source.scan = [&](const std::function<bool(const Row&)>& sink) {
+  source.group = [&](const std::vector<size_t>& key_cols) {
+    codec = KeyCodec(vs.logical(), key_cols);
+  };
+  source.scan = [&](const query::KeyedRowSink& sink) {
     Status expired;
     Row logical;
+    std::string key;
     WVM_RETURN_IF_ERROR(table.physical_table().ScanRows(
         [&](Rid, const Row& phys) {
           switch (rowref::ReadVersion(vs, phys, session.session_vn, &logical)) {
@@ -117,7 +123,8 @@ Result<query::QueryResult> ReferenceSelect(const VnlTable& table,
               expired = Status::SessionExpired("reference: tuple expired");
               return false;
             case ReadOutcome::kRow:
-              return sink(logical);
+              WVM_CHECK(codec.FromValues(logical, &key, /*whole_row=*/true));
+              return sink(logical, key);
           }
           return false;
         }));

@@ -87,7 +87,7 @@ ReadOutcome ReadRecord(const VersionedSchema& vs, const uint8_t* rec,
   const VersionResolution res = ResolveVersionRaw(vs, rec, session_vn);
   if (res.outcome == ReadOutcome::kRow) {
     *out = LogicalPlaceholders(vs);
-    MaterializeVersionRawInto(vs, rec, res, {}, out);
+    MaterializeVersionRawInto(vs, rec, res, vs.logical_columns(), out);
   }
   return res.outcome;
 }
@@ -122,8 +122,8 @@ TEST(VersionedSchemaTest, ProjectionsRoundTrip) {
 
   EXPECT_EQ(vs->RawCurrentLogical(rec.data())[4].AsInt32(), 15000);
   Row pre = LogicalPlaceholders(*vs);
-  MaterializeVersionRawInto(*vs, rec.data(), {ReadOutcome::kRow, 0}, {},
-                            &pre);
+  MaterializeVersionRawInto(*vs, rec.data(), {ReadOutcome::kRow, 0},
+                            vs->logical_columns(), &pre);
   EXPECT_EQ(pre[4].AsInt32(), 12000);
   // Non-updatable attributes come from the current values.
   EXPECT_EQ(pre[0].AsString(), "San Jose");
@@ -247,7 +247,8 @@ TEST(VersionedSchemaTest, RawResolverMatchesRowReference) {
                 ReadOutcome::kRow) {
               continue;
             }
-            MaterializeVersionRawInto(*vs, rec.data(), raw_res, {}, &got);
+            MaterializeVersionRawInto(*vs, rec.data(), raw_res,
+                                      vs->logical_columns(), &got);
             ASSERT_EQ(got.size(), expected.size());
             for (size_t i = 0; i < got.size(); ++i) {
               EXPECT_TRUE(got[i] == expected[i])

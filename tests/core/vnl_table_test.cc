@@ -404,6 +404,35 @@ TEST_P(VnlTableTest, ProbesWithValuesTheKeyCannotHoldFindNothing) {
   }
 }
 
+// Every key-addressed write needs a unique key to address: on a keyless
+// table it fails with kFailedPrecondition instead of finding no tuple.
+TEST_P(VnlTableTest, KeyAddressedWritesNeedAUniqueKey) {
+  Result<VnlTable*> created = engine_->CreateTable(
+      "Keyless", Schema({Column::Int32("k"), Column::Int64("v", true)}));
+  ASSERT_TRUE(created.ok());
+  VnlTable* t = created.value();
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(t->Insert(txn, {Value::Int32(1), Value::Int64(2)}).ok());
+  RowTransform bump = [](const Row& row) -> Result<Row> { return row; };
+  EXPECT_EQ(t->UpdateByKey(txn, {Value::Int32(1)}, bump).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t->DeleteByKey(txn, {Value::Int32(1)}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t->MaintenanceLookup(txn, {Value::Int32(1)}).status().code(),
+            StatusCode::kFailedPrecondition);
+  const BatchKeyOp op{{Value::Int32(1)},
+                      [](const std::optional<Row>&) -> Result<NetEffect> {
+                        return NetEffect{NetEffect::Kind::kDelete, {}};
+                      }};
+  EXPECT_EQ(t->ApplyBatch(txn, {op}).status().code(),
+            StatusCode::kFailedPrecondition);
+  // Nothing was written: the row is still there, once.
+  Result<std::vector<Row>> rows = t->MaintenanceRows(txn);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 1u);
+  Commit(txn);
+}
+
 // ValidateRow turns away values storage would turn into other numbers.
 TEST_P(VnlTableTest, InsertRejectsValuesStoredAsOtherNumbers) {
   Result<VnlTable*> created = engine_->CreateTable(

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -301,6 +303,89 @@ TEST(ExecutorAggregateTest, Int64SumOverflowIsInvalidArgument) {
       RunOverColumn("SELECT SUM(q) FROM t", Column::Int64("q"), rows);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// GROUP BY groups on the bytes a column stores, so a RowSource value its
+// column cannot hold has no key: the read fails instead of grouping it.
+TEST(ExecutorAggregateTest, GroupValueTheColumnCannotHoldIsInvalidArgument) {
+  const std::vector<std::pair<Column, Value>> cases = {
+      {Column::Int32("k"), Value::Int64(1LL << 40)},
+      {Column::Int32("k"), Value::Double(2.5)},
+      {Column::Int64("k"), Value::String("x")},
+      {Column::Date("k"), Value::Int32(19961014)},
+  };
+  for (const auto& [column, bad] : cases) {
+    SCOPED_TRACE(bad.ToString());
+    const std::vector<Row> rows = {{Value::Null(column.type)}, {bad}};
+    Result<QueryResult> r =
+        RunOverColumn("SELECT k, COUNT(*) FROM t GROUP BY k", column, rows);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    // Ungrouped reads never make keys.
+    EXPECT_TRUE(RunOverColumn("SELECT k FROM t", column, rows).ok());
+  }
+  // A row too short to have the GROUP BY column.
+  Schema schema({Column::Int64("a"), Column::Int64("k")});
+  RowSource short_rows = [](const std::function<bool(const Row&)>& sink) {
+    sink({Value::Int64(1)});
+  };
+  Result<sql::SelectStmt> stmt =
+      sql::ParseSelect("SELECT k, COUNT(*) FROM t GROUP BY k");
+  ASSERT_TRUE(stmt.ok());
+  Result<QueryResult> r = ExecuteSelect(*stmt, schema, short_rows, {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A group is the value its column would store: an over-width string is
+// its truncation, an INT32 in an INT64 column that INT64, and -0.0 and
+// +0.0, like every NaN, are one group.
+TEST(ExecutorAggregateTest, GroupsAreWhatTheColumnStores) {
+  Result<QueryResult> s = RunOverColumn(
+      "SELECT k, COUNT(*) FROM t GROUP BY k", Column::String("k", 4),
+      {{Value::String("abcdef")}, {Value::String("abcdxy")},
+       {Value::String("ab")}});
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ASSERT_EQ(s->rows.size(), 2u);
+  EXPECT_EQ(s->rows[0][0].AsString(), "ab");
+  EXPECT_EQ(s->rows[1][0].AsString(), "abcd");
+  EXPECT_EQ(s->rows[1][1].AsInt64(), 2);
+
+  Result<QueryResult> i = RunOverColumn(
+      "SELECT k, COUNT(*) FROM t GROUP BY k", Column::Int64("k"),
+      {{Value::Int32(7)}, {Value::Int64(7)}});
+  ASSERT_TRUE(i.ok()) << i.status().ToString();
+  ASSERT_EQ(i->rows.size(), 1u);
+  EXPECT_EQ(i->rows[0][0].type(), TypeId::kInt64);
+  EXPECT_EQ(i->rows[0][1].AsInt64(), 2);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Result<QueryResult> d = RunOverColumn(
+      "SELECT k, COUNT(*) FROM t GROUP BY k", Column::Double("k"),
+      {{Value::Double(-0.0)}, {Value::Double(nan)}, {Value::Double(0.0)},
+       {Value::Double(-nan)}});
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  ASSERT_EQ(d->rows.size(), 2u);
+  EXPECT_EQ(d->rows[0][1].AsInt64() + d->rows[1][1].AsInt64(), 4);
+  EXPECT_EQ(d->rows[0][1].AsInt64(), 2);
+}
+
+// A source that cannot hand over keys cannot run a grouped SELECT.
+TEST(ExecutorAggregateTest, GroupedSelectNeedsAGroupingSource) {
+  Schema schema({Column::Int64("k")});
+  PushdownSource source;
+  source.scan = [](const KeyedRowSink& sink) {
+    sink({Value::Int64(1)}, "");
+    return Status::OK();
+  };
+  Result<sql::SelectStmt> grouped =
+      sql::ParseSelect("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(grouped.ok());
+  Result<QueryResult> r = ExecuteSelect(*grouped, schema, source, {});
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  Result<sql::SelectStmt> plain = sql::ParseSelect("SELECT k FROM t");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_TRUE(ExecuteSelect(*plain, schema, source, {}).ok());
 }
 
 // --- Reference-aggregation oracle -----------------------------------------
