@@ -1,5 +1,7 @@
 #include "core/invariant_checker.h"
 
+#include <cstring>
+
 #include "common/strings.h"
 
 namespace wvm::core {
@@ -24,30 +26,23 @@ Status CheckWriterProtocol(Vn maintenance_vn, Vn current_vn) {
   return Status::OK();
 }
 
-Status CheckSecondaryIndexMutation(PhysicalAction action,
-                                   const std::optional<Op>& before_op,
-                                   const std::optional<Op>& new_op) {
-  (void)new_op;
-  switch (action) {
-    case PhysicalAction::kInsertTuple:
-    case PhysicalAction::kDeleteTuple:
-      // A tuple physically appearing/disappearing legitimately moves
-      // postings for every index, §4.3 notwithstanding.
-      return Status::OK();
-    case PhysicalAction::kUpdateTuple:
-      if (before_op.has_value() && *before_op == Op::kDelete) {
-        // Table-2 re-insert over a logically deleted key: executed as a
-        // physical update (netting to insert across transactions, or to
-        // update within one), but the tuple's logical identity is new and
-        // its non-updatable attributes may change — postings must follow.
-        return Status::OK();
-      }
+Status CheckNonUpdatablesKept(const VersionedSchema& vs,
+                              const uint8_t* before, const uint8_t* after) {
+  const Schema& logical = vs.logical();
+  const Schema& physical = vs.physical();
+  for (size_t i = 0; i < logical.num_columns(); ++i) {
+    if (logical.column(i).updatable) continue;
+    const size_t offset = physical.ColumnOffset(i);
+    if (RecordColumnIsNull(before, i) != RecordColumnIsNull(after, i) ||
+        std::memcmp(before + offset, after + offset,
+                    physical.column(i).width) != 0) {
       return Status::Internal(
-          "secondary-index postings mutated by an in-place version update: "
-          "indexes over non-updatable attributes are maintenance-free for "
-          "logical updates and deletes (§4.3)");
+          "in-place update rewrote non-updatable attribute '" +
+          logical.column(i).name +
+          "': older versions read it from the current copy (§3.1)");
+    }
   }
-  return Status::Internal("bad physical action");
+  return Status::OK();
 }
 
 Status CheckTupleTransition(Vn maintenance_vn,

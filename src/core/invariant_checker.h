@@ -42,22 +42,15 @@ Status CheckTupleTransition(Vn maintenance_vn,
                             const std::optional<TupleVersionState>& before,
                             const std::optional<TupleVersionState>& after);
 
-// §4.3 net-effect rule for secondary indexes: postings cover only
-// non-updatable attributes, so they may move ONLY when a tuple physically
-// appears or disappears — never for a logical *update* (Tables 2-4 execute
-// those as in-place version updates that cannot change indexed values) and
-// never for a logical delete kept as a versioned tuple. The one physical
-// UPDATE allowed through is the Table-2 re-insert over a logically deleted
-// key (`before_op == delete`): the tuple gets a brand-new logical identity
-// and its non-updatable attributes may legitimately differ from the
-// corpse's. That covers both the cross-transaction revive (nets to insert)
-// and the same-transaction delete-then-insert (nets to update). `before_op`
-// is the tuple's slot-0 operation before the mutation (nullopt when the
-// tuple did not exist). Call before mutating postings with the decision
-// being applied.
-Status CheckSecondaryIndexMutation(PhysicalAction action,
-                                   const std::optional<Op>& before_op,
-                                   const std::optional<Op>& new_op);
+// §3.1: a tuple's non-updatable attributes are fixed when it is physically
+// inserted — pre-update copies exist only for updatable ones, so every
+// version takes the others from the one current copy. An in-place update
+// of record `before` to `after` (any Tables 2-4 cell, a re-insert over a
+// logically deleted tuple, a rollback revert) must therefore keep each
+// non-updatable column's bytes and null bit. The indexes cover only such
+// columns (§4.3), so this is also why an update never moves a posting.
+Status CheckNonUpdatablesKept(const VersionedSchema& vs,
+                              const uint8_t* before, const uint8_t* after);
 
 // --- Reader side (Table 1, §3.2 / §5) -------------------------------------
 

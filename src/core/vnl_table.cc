@@ -74,20 +74,6 @@ void VnlTable::IndexTuple(const uint8_t* rec, Rid rid, bool add) {
   }
 }
 
-void VnlTable::IndexTupleRevived(const uint8_t* old_rec,
-                                 const uint8_t* new_rec, Rid rid) {
-  if (secondary_codecs_.empty()) return;
-  std::string key;
-  MutexLock lock(index_mu_);
-  for (size_t s = 0; s < secondary_codecs_.size(); ++s) {
-    secondary_codecs_[s].FromRecord(old_rec, &key);
-    if (secondary_codecs_[s].RecordHasKey(new_rec, key)) continue;
-    MovePosting(s, key, rid, /*add=*/false);
-    secondary_codecs_[s].FromRecord(new_rec, &key);
-    MovePosting(s, key, rid, /*add=*/true);
-  }
-}
-
 void VnlTable::MovePosting(size_t s, const std::string& key, Rid rid,
                            bool add) {
   KeyMap<std::vector<Rid>>& postings = secondary_postings_[s];
@@ -102,38 +88,65 @@ void VnlTable::MovePosting(size_t s, const std::string& key, Rid rid,
   if (rids.empty()) postings.erase(it);
 }
 
+Result<Rid> VnlTable::WriteTuple(Rid rid, const uint8_t* before,
+                                 const uint8_t* after) {
+  // Slot 0's operation on either side, decoded before anything is written.
+  bool was_deleted = false;
+  bool is_deleted = false;
+  if (before != nullptr) {
+    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(before, 0));
+    was_deleted = op == Op::kDelete;
+  }
+  if (after != nullptr) {
+    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(after, 0));
+    is_deleted = op == Op::kDelete;
+  }
+  TableHeap* heap = phys_->heap();
+  if (before == nullptr) {
+    WVM_ASSIGN_OR_RETURN(rid, heap->Insert(after));
+    IndexTuple(after, rid, /*add=*/true);
+  } else if (after == nullptr) {
+    IndexTuple(before, rid, /*add=*/false);
+    const Status deleted = heap->Delete(rid);
+    if (!deleted.ok()) {
+      IndexTuple(before, rid, /*add=*/true);
+      return deleted;
+    }
+  } else {
+    WVM_PARANOID_ASSERT_OK(CheckNonUpdatablesKept(vschema_, before, after));
+    WVM_RETURN_IF_ERROR(heap->Update(rid, after));
+  }
+  if (is_deleted || was_deleted) {
+    MutexLock lock(tomb_mu_);
+    if (is_deleted) {
+      tombstones_[rid] = vschema_.RawTupleVn(after, 0);
+    } else {
+      tombstones_.erase(rid);
+    }
+  }
+  return rid;
+}
+
 Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
-                               const MaintenanceDecision& d, Rid rid,
-                               uint8_t* rec, const Row* mv_logical) {
-  // A Table-2 re-insert over a logically deleted key executes as a
-  // physical UPDATE whose SetCurrent may overwrite non-updatable columns
-  // (the corpse's values are dead). This holds for both the cross-
-  // transaction revive (nets to insert) and a same-transaction
-  // delete-then-insert (nets to update), so the trigger is the before
-  // image being logically deleted. Keep the before image for the postings
-  // move; the edits below clobber it.
-  bool revive = false;
-  std::optional<Op> before_op;
-  if (d.action != PhysicalAction::kInsertTuple) {
-    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
-    before_op = op;
-    revive = d.action == PhysicalAction::kUpdateTuple && d.cv_from_mv &&
-             op == Op::kDelete;
+                               const MaintenanceDecision& d, Target* target,
+                               const Row* mv_logical) {
+  // The cell edits a copy, so the write sees both records: in the room
+  // FetchTarget left after the fetched record, or, for Table 2's
+  // no-conflict row, in a fresh record whose older version slots are empty
+  // (the cell writes all of slot 0).
+  const size_t size = phys_->heap()->record_size();
+  std::vector<uint8_t> fresh;
+  uint8_t* rec;
+  if (target != nullptr) {
+    rec = target->rec.data() + size;
+    std::memcpy(rec, target->rec.data(), size);
+  } else {
+    fresh.resize(size);
+    rec = fresh.data();
+    for (int slot = 1; slot < vschema_.num_slots(); ++slot) {
+      vschema_.ClearSlot(rec, slot);
+    }
   }
-  std::vector<uint8_t> before_rec;
-  if (revive && !secondary_codecs_.empty()) {
-    before_rec.assign(rec, rec + phys_->heap()->record_size());
-  }
-#ifdef WVM_PARANOID_CHECKS
-  // For non-insert actions `rec` still holds the pre-mutation image here;
-  // a fresh insert has no "before" (MakeInsertRow built `rec` from air).
-  std::optional<TupleVersionState> paranoid_before;
-  if (d.action != PhysicalAction::kInsertTuple) {
-    Result<TupleVersionState> before = StateOf(rec);
-    WVM_PARANOID_ASSERT_OK(before.status());
-    paranoid_before = before.value();
-  }
-#endif
   // Order matters: preserve the old version (push back / PV <- CV) before
   // overwriting the current values.
   if (d.push_back) vschema_.PushBack(rec);
@@ -149,19 +162,15 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
   } else if (d.new_op.has_value()) {
     vschema_.SetSlot(rec, 0, vschema_.RawTupleVn(rec, 0), *d.new_op);
   }
-  // An nVNL pop undoes a same-transaction revive, so slot 0 may be the
-  // corpse's delete stamp again; it is the one update whose resulting op
-  // the decision does not name.
-  std::optional<Op> popped_op;
-  if (d.pop_slot) {
-    vschema_.PushForward(rec);
-    WVM_ASSIGN_OR_RETURN(popped_op, vschema_.RawOperation(rec, 0));
-  }
+  if (d.pop_slot) vschema_.PushForward(rec);
+  const bool deletes = d.action == PhysicalAction::kDeleteTuple;
 
 #ifdef WVM_PARANOID_CHECKS
   {
+    std::optional<TupleVersionState> paranoid_before;
     std::optional<TupleVersionState> paranoid_after;
-    if (d.action != PhysicalAction::kDeleteTuple) {
+    if (target != nullptr) paranoid_before = target->state;
+    if (!deletes) {
       Result<TupleVersionState> after = StateOf(rec);
       WVM_PARANOID_ASSERT_OK(after.status());
       paranoid_after = after.value();
@@ -171,55 +180,15 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
   }
 #endif
 
-  TableHeap* heap = phys_->heap();
-  switch (d.action) {
-    case PhysicalAction::kInsertTuple: {
-      WVM_ASSIGN_OR_RETURN(Rid new_rid, heap->Insert(rec));
-      WVM_PARANOID_ASSERT_OK(
-          CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-      IndexTuple(rec, new_rid, /*add=*/true);
-      ++txn->stats_.physical_inserts;
-      return Status::OK();
-    }
-    case PhysicalAction::kUpdateTuple: {
-      WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
-      if (revive) {
-        WVM_PARANOID_ASSERT_OK(
-            CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-        IndexTupleRevived(before_rec.data(), rec, rid);
-      }
-      // Plain in-place version updates never touch postings: indexes cover
-      // only non-updatable attributes (§4.3).
-      // Tombstones follow slot 0 from what the decision already says — a
-      // plain update that keeps a live op costs no decode and no lookup.
-      if (popped_op.has_value()) {
-        if (*popped_op == Op::kDelete) {
-          MarkTombstone(rid, vschema_.RawTupleVn(rec, 0));
-        } else {
-          ClearTombstone(rid);
-        }
-      } else if (d.new_op == Op::kDelete) {
-        MarkTombstone(rid, vschema_.RawTupleVn(rec, 0));
-      } else if (revive) {
-        ClearTombstone(rid);
-      }
-      ++txn->stats_.physical_updates;
-      return Status::OK();
-    }
-    case PhysicalAction::kDeleteTuple: {
-      // Erase the postings before the heap slot disappears: readers that
-      // probe the index either see the posting and a live slot, or
-      // neither.
-      WVM_PARANOID_ASSERT_OK(
-          CheckSecondaryIndexMutation(d.action, before_op, d.new_op));
-      IndexTuple(rec, rid, /*add=*/false);
-      WVM_RETURN_IF_ERROR(heap->Delete(rid));
-      ClearTombstone(rid);
-      ++txn->stats_.physical_deletes;
-      return Status::OK();
-    }
-  }
-  WVM_UNREACHABLE("bad physical action");
+  WVM_RETURN_IF_ERROR(
+      WriteTuple(target != nullptr ? target->rid : Rid{},
+                 target != nullptr ? target->rec.data() : nullptr,
+                 deletes ? nullptr : rec)
+          .status());
+  ++(target == nullptr ? txn->stats_.physical_inserts
+     : deletes          ? txn->stats_.physical_deletes
+                        : txn->stats_.physical_updates);
+  return Status::OK();
 }
 
 Result<TupleVersionState> VnlTable::StateOf(const uint8_t* rec) const {
@@ -235,27 +204,19 @@ Status VnlTable::CheckUpdatablesOnly(const uint8_t* rec,
   const size_t changed = fixed_codec_.Mismatch(rec, fixed);
   if (changed == fixed_codec_.columns().size()) return Status::OK();
   return Status::InvalidArgument(
-      "update changes non-updatable attribute '" +
-      vschema_.logical().column(fixed_codec_.columns()[changed]).name + "'");
+      "row changes non-updatable attribute '" +
+      vschema_.logical().column(fixed_codec_.columns()[changed]).name +
+      "', fixed when its tuple was inserted");
 }
 
 Result<VnlTable::Target> VnlTable::FetchTarget(MaintenanceTxn* txn,
                                                Rid rid) const {
-  Target target{rid, std::vector<uint8_t>(phys_->heap()->record_size()), {}};
+  Target target{rid, std::vector<uint8_t>(2 * phys_->heap()->record_size()),
+                {}};
   WVM_RETURN_IF_ERROR(phys_->heap()->Read(rid, target.rec.data()));
   ++txn->stats_.page_pins;
   WVM_ASSIGN_OR_RETURN(target.state, StateOf(target.rec.data()));
   return target;
-}
-
-Status VnlTable::InsertFresh(MaintenanceTxn* txn, const Row& logical_row) {
-  // MakeInsertRow already writes slot 0 and the null PV, so the physical
-  // insert carries none of the cell's bookkeeping steps.
-  MaintenanceDecision fresh;
-  fresh.action = PhysicalAction::kInsertTuple;
-  std::vector<uint8_t> rec(phys_->heap()->record_size());
-  vschema_.MakeInsertRow(logical_row, txn->vn(), rec.data());
-  return ApplyDecision(txn, fresh, Rid{}, rec.data(), nullptr);
 }
 
 Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
@@ -284,11 +245,14 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
       if (target.has_value()) existing = target->state;
       WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
                            DecideInsert(txn->vn(), existing));
-      if (d.action == PhysicalAction::kInsertTuple) {
-        return InsertFresh(txn, effect.row);
+      // The one conflict Table 2 lets through is a logically deleted
+      // tuple, re-inserted in place: it keeps its non-updatable attributes
+      // like any update (§3.1), in every cell and for every n.
+      if (target.has_value()) {
+        WVM_RETURN_IF_ERROR(
+            CheckUpdatablesOnly(target->rec.data(), effect.row));
       }
-      return ApplyDecision(txn, d, target->rid, target->rec.data(),
-                           &effect.row);
+      return ApplyDecision(txn, d, target ? &*target : nullptr, &effect.row);
     }
     case NetEffect::Kind::kUpdate: {
       if (!visible) return Status::NotFound("no such key");
@@ -299,15 +263,14 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
       WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
                            DecideUpdate(txn->vn(), target->state));
       ++txn->stats_.logical_updates;
-      return ApplyDecision(txn, d, target->rid, target->rec.data(),
-                           &effect.row);
+      return ApplyDecision(txn, d, &*target, &effect.row);
     }
     case NetEffect::Kind::kDelete: {
       if (!visible) return Status::NotFound("no such key");
       WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
                            DecideDelete(txn->vn(), target->state));
       ++txn->stats_.logical_deletes;
-      return ApplyDecision(txn, d, target->rid, target->rec.data(), nullptr);
+      return ApplyDecision(txn, d, &*target, nullptr);
     }
   }
   WVM_UNREACHABLE("bad net-effect kind");
@@ -339,12 +302,12 @@ Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
 Status VnlTable::Insert(MaintenanceTxn* txn, const Row& logical_row) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
   const Schema& logical = vschema_.logical();
-  WVM_RETURN_IF_ERROR(logical.ValidateRow(logical_row));
   if (!logical.has_unique_key()) {
     // No key can conflict: always Table 2 line 3.
-    ++txn->stats_.logical_inserts;
-    return InsertFresh(txn, logical_row);
+    return ApplyEffect(txn, std::nullopt,
+                       {NetEffect::Kind::kInsert, logical_row}, std::nullopt);
   }
+  WVM_RETURN_IF_ERROR(logical.ValidateRow(logical_row));
   std::string key;
   key_codec_.FromValues(logical_row, &key, /*whole_row=*/true);
   return ApplyKey(txn, key,
@@ -925,71 +888,47 @@ Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {
     return true;
   }));
 
+  std::vector<uint8_t> rec(size);  // the reverted record
   for (size_t v = 0; v < rids.size(); ++v) {
-    const Rid rid = rids[v];
-    uint8_t* rec = recs.data() + v * size;
-    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
+    const uint8_t* before = recs.data() + v * size;
+    std::memcpy(rec.data(), before, size);
+    WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(before, 0));
     const bool has_history =
-        vschema_.n() > 2 && !vschema_.RawSlotEmpty(rec, 1);
-
+        vschema_.n() > 2 && !vschema_.RawSlotEmpty(before, 1);
+    bool removed = false;
     if (op == Op::kInsert) {
       if (has_history) {
         // The insert pushed older versions back; popping the slot restores
-        // them exactly (CV of a deleted tuple is never read).
-        vschema_.PushForward(rec);
-        WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
-        WVM_RETURN_IF_ERROR(SyncTombstone(rid, rec));
+        // them exactly (its non-updatable attributes were the corpse's).
+        vschema_.PushForward(rec.data());
       } else {
-        IndexTuple(rec, rid, /*add=*/false);
-        WVM_RETURN_IF_ERROR(heap->Delete(rid));
-        ClearTombstone(rid);
         // A 2VNL insert over a logically deleted key destroyed the
         // pre-delete values; older sessions cannot be reconstructed.
         // A genuinely fresh insert is lossless, but the two cases are
         // indistinguishable without a log, so stay conservative.
+        removed = true;
         lossless = false;
       }
-      continue;
-    }
-
-    // Restore the current values from the saved pre-update values.
-    if (op == Op::kUpdate) vschema_.CopyPreToCurrent(rec, 0);
-    // (op == delete: current values were never overwritten.)
-
-    if (has_history) {
-      vschema_.PushForward(rec);  // slot 0 restored from slot 1: exact
     } else {
-      // The pre-transaction {tupleVN, operation, PV} are unrecoverable in
-      // 2VNL; stamp the tuple as of current_vn. Sessions at current_vn
-      // read the (correct) current values; older sessions must expire.
-      vschema_.SetSlot(rec, 0, current_vn, Op::kUpdate);
-      vschema_.CopyCurrentToPre(rec, 0);
-      lossless = false;
+      // Restore the current values from the saved pre-update values.
+      if (op == Op::kUpdate) vschema_.CopyPreToCurrent(rec.data(), 0);
+      // (op == delete: current values were never overwritten.)
+      if (has_history) {
+        vschema_.PushForward(rec.data());  // slot 0 restored from slot 1
+      } else {
+        // The pre-transaction {tupleVN, operation, PV} are unrecoverable
+        // in 2VNL; stamp the tuple as of current_vn. Sessions at
+        // current_vn read the (correct) current values; older sessions
+        // must expire.
+        vschema_.SetSlot(rec.data(), 0, current_vn, Op::kUpdate);
+        vschema_.CopyCurrentToPre(rec.data(), 0);
+        lossless = false;
+      }
     }
-    WVM_RETURN_IF_ERROR(heap->Update(rid, rec));
-    WVM_RETURN_IF_ERROR(SyncTombstone(rid, rec));
+    WVM_RETURN_IF_ERROR(
+        WriteTuple(rids[v], before, removed ? nullptr : rec.data()).status());
   }
   return lossless;
-}
-
-void VnlTable::MarkTombstone(Rid rid, Vn vn) {
-  MutexLock lock(tomb_mu_);
-  tombstones_[rid] = vn;
-}
-
-void VnlTable::ClearTombstone(Rid rid) {
-  MutexLock lock(tomb_mu_);
-  tombstones_.erase(rid);
-}
-
-Status VnlTable::SyncTombstone(Rid rid, const uint8_t* rec) {
-  WVM_ASSIGN_OR_RETURN(Op op, vschema_.RawOperation(rec, 0));
-  if (op == Op::kDelete) {
-    MarkTombstone(rid, vschema_.RawTupleVn(rec, 0));
-  } else {
-    ClearTombstone(rid);
-  }
-  return Status::OK();
 }
 
 size_t VnlTable::tombstone_count() const {
@@ -1025,22 +964,15 @@ Result<size_t> VnlTable::CollectGarbage(Vn current_vn,
     WVM_RETURN_IF_ERROR(oracle);
   }
 #endif
+  // GC runs under the engine mutex (no concurrent maintenance), so an
+  // index probe sees either a victim's entries plus its live heap slot, or
+  // neither — never an entry whose slot has been reused. A failed delete
+  // keeps the corpse, its entries and its tombstone.
   TableHeap* heap = phys_->heap();
   std::vector<uint8_t> rec(heap->record_size());
   for (Rid rid : victims) {
     WVM_RETURN_IF_ERROR(heap->Read(rid, rec.data()));
-    // Postings go first, atomically with reclamation from a reader's view:
-    // GC runs under the engine mutex (no concurrent maintenance), so an
-    // index probe sees either the posting plus a live heap slot, or
-    // neither — never a posting whose slot has been reused.
-    IndexTuple(rec.data(), rid, /*add=*/false);
-    const Status deleted = heap->Delete(rid);
-    if (!deleted.ok()) {
-      // The corpse stays: restore its postings; its tombstone was kept.
-      IndexTuple(rec.data(), rid, /*add=*/true);
-      return deleted;
-    }
-    ClearTombstone(rid);
+    WVM_RETURN_IF_ERROR(WriteTuple(rid, rec.data(), nullptr).status());
   }
   return victims.size();
 }

@@ -102,9 +102,12 @@ class VnlTable {
   // many keys; Insert, UpdateByKey and DeleteByKey are one-key calls of
   // it; the cursor Update/Delete share its validate-decide-apply tail.
 
-  // Logical insert. Resolves unique-key conflicts per Table 2 (re-insert
-  // of a logically deleted key becomes a physical update). Tables without
-  // a unique key always take a fresh physical insert.
+  // Logical insert. Resolves unique-key conflicts per Table 2: a live
+  // key is kAlreadyExists; a re-insert of a logically deleted key becomes
+  // a physical update of its tuple, whose non-updatable attributes were
+  // fixed at its insert (§3.1), so a row that changes one is
+  // kInvalidArgument naming the column, and nothing is written. Tables
+  // without a unique key always take a fresh physical insert.
   Status Insert(MaintenanceTxn* txn, const Row& logical_row);
 
   // Logical update of every tuple satisfying `pred`, via a materialized
@@ -202,22 +205,18 @@ class VnlTable {
 
   Status CheckTxn(const MaintenanceTxn* txn) const;
 
-  // Applies one decision-table cell to the tuple at `rid`: edits its
-  // record `rec` in place with the VersionedSchema byte mutators and
-  // writes it back (for kInsertTuple, `rec` is the complete fresh record).
-  // `mv_logical` carries the operation's values when the cell copies
-  // CV <- MV.
-  Status ApplyDecision(MaintenanceTxn* txn, const MaintenanceDecision& d,
-                       Rid rid, uint8_t* rec, const Row* mv_logical);
-
   // Version-state triple of a fetched record (decision-table input).
   Result<TupleVersionState> StateOf(const uint8_t* rec) const;
 
-  // `next` must keep the bytes of every non-updatable attribute of the
-  // current version, which is the logical prefix of the record `rec`.
+  // §3.1: a tuple's non-updatable attributes are fixed when it is
+  // physically inserted, so `next` — an update's row, or a re-insert's
+  // over the logically deleted tuple `rec` — must keep the bytes `rec`
+  // holds for each of them. kInvalidArgument names the first that differs.
   Status CheckUpdatablesOnly(const uint8_t* rec, const Row& next) const;
 
-  // A tuple fetched for a maintenance decision: its record bytes.
+  // A tuple fetched for a maintenance decision: its record bytes, followed
+  // by as many bytes of room for the record a decision writes in its place
+  // (ApplyDecision), so one allocation holds both sides of WriteTuple.
   struct Target {
     Rid rid;
     std::vector<uint8_t> rec;
@@ -242,8 +241,13 @@ class VnlTable {
   Status ApplyEffect(MaintenanceTxn* txn, std::optional<std::string_view> key,
                      const NetEffect& effect, std::optional<Target> target);
 
-  // Table 2 line 3: a brand-new physical tuple for `logical_row`.
-  Status InsertFresh(MaintenanceTxn* txn, const Row& logical_row);
+  // Applies one decision-table cell to `target` (nullptr for Table 2's
+  // no-conflict row, whose record starts with its older slots empty):
+  // edits a copy of its record with the VersionedSchema byte mutators and
+  // ends in one WriteTuple. `mv_logical` carries the operation's values
+  // when the cell copies CV <- MV.
+  Status ApplyDecision(MaintenanceTxn* txn, const MaintenanceDecision& d,
+                       Target* target, const Row* mv_logical);
 
   // Incremental cursor (Example 4.3): collects the Rids of tuples the
   // maintenance txn can see (skips logically deleted tuples) matching
@@ -310,19 +314,29 @@ class VnlTable {
   std::optional<Rid> IndexLookup(std::string_view key) const
       EXCLUDES(index_mu_);
 
-  // Index maintenance, always at tuple granularity and under a single
-  // index_mu_ acquisition: the unique-key entry and every secondary
-  // posting of the tuple `rec` at `rid` are added (`add`) or removed
-  // together. Keys are the record's bytes of the indexed columns
+  // The one physical write of a tuple, and the only caller of TableHeap's
+  // Insert, Update and Delete: the tuple at `rid` goes from record
+  // `before` to record `after`. A null `before` inserts `after` fresh (the
+  // new Rid is returned); a null `after` deletes the tuple, whose record
+  // is `before`; with both, `after` overwrites it in place. Maintenance
+  // (ApplyDecision), rollback and GC each end in one call. The write keeps
+  // the indexes and the tombstone set in step with the heap:
+  //  - a physical insert adds the tuple's unique-key entry and secondary
+  //    postings; a physical delete removes them first, so an index probe
+  //    sees the entry and a live slot or neither, and restores them when
+  //    the heap delete fails. An in-place update keeps every non-updatable
+  //    byte (§3.1, asserted in paranoid builds), so it moves no entry;
+  //  - `rid` is in the tombstone set exactly when slot 0 of `after` is a
+  //    delete. An in-place update where neither side's slot 0 is a delete
+  //    takes neither the index lock nor the tombstone lock.
+  Result<Rid> WriteTuple(Rid rid, const uint8_t* before, const uint8_t* after)
+      EXCLUDES(index_mu_, tomb_mu_);
+
+  // Adds (`add`) or removes the unique-key entry and every secondary
+  // posting of the tuple `rec` at `rid`, under one index_mu_ acquisition.
+  // Keys are the record's bytes of the indexed columns
   // (KeyCodec::FromRecord), the bytes a probe encodes.
   void IndexTuple(const uint8_t* rec, Rid rid, bool add) EXCLUDES(index_mu_);
-  // Table-2 re-insert over a logically deleted key: the tuple keeps its
-  // Rid but assumes a new logical identity whose non-updatable attributes
-  // may differ — secondary postings whose key bytes differ between
-  // `old_rec` and `new_rec` must move. The unique key itself is unchanged
-  // by construction.
-  void IndexTupleRevived(const uint8_t* old_rec, const uint8_t* new_rec,
-                         Rid rid) EXCLUDES(index_mu_);
   // Adds `rid` to, or removes it from, secondary index `s`'s posting list
   // for `key`.
   void MovePosting(size_t s, const std::string& key, Rid rid, bool add)
@@ -333,8 +347,8 @@ class VnlTable {
   // fully reconstructed — guaranteed for n > 2 when history slots were
   // available); false when sessions older than current_vn must be expired.
   // Heap I/O failures surface as a non-OK status instead of aborting.
-  // Victims are found by one heap pass on record bytes and reverted with
-  // the same byte mutators as maintenance.
+  // Victims are found by one heap pass on record bytes, reverted with the
+  // same byte mutators as maintenance and written back by WriteTuple.
   Result<bool> RollbackTxn(Vn txn_vn, Vn current_vn);
 
   // Garbage collection (§7): physically removes logically deleted tuples
@@ -348,14 +362,6 @@ class VnlTable {
 
   // Logically deleted tuples still in the heap (the GC backlog).
   size_t tombstone_count() const EXCLUDES(tomb_mu_);
-
-  // Tombstone-set maintenance: MarkTombstone records that slot 0 of the
-  // tuple at `rid` is a delete stamped `vn`; ClearTombstone that it is
-  // not (or that the tuple is physically gone).
-  void MarkTombstone(Rid rid, Vn vn) EXCLUDES(tomb_mu_);
-  void ClearTombstone(Rid rid) EXCLUDES(tomb_mu_);
-  // Marks or clears `rid` from the slot 0 of its current record `rec`.
-  Status SyncTombstone(Rid rid, const uint8_t* rec) EXCLUDES(tomb_mu_);
 
   std::string name_;
   VersionedSchema vschema_;
@@ -383,9 +389,8 @@ class VnlTable {
       GUARDED_BY(index_mu_);
 
   // Tombstone set: Rid -> tupleVN for exactly the tuples whose slot-0
-  // operation is delete. Mutated only where the heap is (ApplyDecision,
-  // RollbackTxn, CollectGarbage); ordered so GC reclaims in Rid order,
-  // which is the heap's page order.
+  // operation is delete. Mutated only by WriteTuple; ordered so GC
+  // reclaims in Rid order, which is the heap's page order.
   mutable Mutex tomb_mu_;
   std::map<Rid, Vn> tombstones_ GUARDED_BY(tomb_mu_);
 };

@@ -1,15 +1,16 @@
 // Tombstone-driven garbage collection vs the full-heap rule (§7).
 //
 // Randomized maintenance histories — inserts, updates, deletes,
-// same-transaction insert+delete, revives over corpses, generated
-// per-key event sequences, lossy (n=2) and lossless (n=3) aborts — run
-// under reader
-// sessions pinned at several ages. Before every GC the test derives the
-// victims itself with one full ScanRows pass and the reclamation rule
-// (slot-0 operation delete, tupleVN <= currentVN, minActiveSessionVN >=
-// tupleVN). After the GC, tuples_reclaimed, tuples_pending, and the
-// physical heap bytes (Rid by Rid) must match that reference collection,
-// and index point reads must agree with a heap scan.
+// same-transaction insert+delete, re-inserts over corpses (revives that
+// keep the corpse's non-updatable values, and ones that must fail),
+// generated per-key event sequences, lossy (n=2) and lossless (n=3)
+// aborts — run under reader sessions pinned at several ages. Before every
+// GC the test derives the victims itself with one full ScanRows pass and
+// the reclamation rule (slot-0 operation delete, tupleVN <= currentVN,
+// minActiveSessionVN >= tupleVN). After the GC, tuples_reclaimed,
+// tuples_pending, and the physical heap bytes (Rid by Rid) must match
+// that reference collection, and index point reads must agree with a
+// heap scan.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -37,29 +38,6 @@ Schema ItemSchema() {
 }
 
 Row Key(int64_t id) { return {Value::Int64(id)}; }
-
-// One generated maintenance event: inserts and updates carry the full
-// row, deletes the key.
-struct Event {
-  Op op;
-  Row row;
-};
-
-void ApplyEvent(VnlTable* table, MaintenanceTxn* txn, const Event& ev) {
-  switch (ev.op) {
-    case Op::kInsert:
-      ASSERT_TRUE(table->Insert(txn, ev.row).ok());
-      break;
-    case Op::kUpdate: {
-      auto to_row = [&ev](const Row&) -> Result<Row> { return ev.row; };
-      ASSERT_TRUE(table->UpdateByKey(txn, {ev.row[0]}, to_row).value());
-      break;
-    }
-    case Op::kDelete:
-      ASSERT_TRUE(table->DeleteByKey(txn, ev.row).value());
-      break;
-  }
-}
 
 // Rid -> raw record bytes of every live tuple.
 using HeapImage = std::map<Rid, std::string>;
@@ -197,9 +175,13 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
                 table->MaintenanceLookup(txn, Key(id));
             ASSERT_TRUE(cur.ok());
             if (!cur->has_value()) {
-              // Over a corpse this is a Table-2 revive.
-              ASSERT_TRUE(table->Insert(txn, make_row(id)).ok());
-              if (rng.Bernoulli(0.25)) {
+              // Over a corpse this is a Table-2 revive, which must keep the
+              // corpse's grp (§3.1).
+              StatusCode want;
+              const Row row =
+                  rowref::PlanInsert(*table, make_row(id), &rng, &want);
+              ASSERT_EQ(table->Insert(txn, row).code(), want);
+              if (rng.Bernoulli(0.25) && want == StatusCode::kOk) {
                 ASSERT_TRUE(table->DeleteByKey(txn, Key(id)).value());
               }
             } else if (rng.Bernoulli(0.5)) {
@@ -215,9 +197,8 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
           }
         } else {
           // A legal event sequence with repeated touches of hot keys,
-          // applied one event at a time.
+          // each event applied as it is generated.
           std::map<int64_t, std::optional<Row>> view;
-          std::vector<Event> events;
           const int count = static_cast<int>(rng.Uniform(1, 16));
           for (int e = 0; e < count; ++e) {
             const int64_t id = rng.Uniform(0, keys / 2);  // hot keys
@@ -230,18 +211,18 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
             }
             std::optional<Row>& cur = it->second;
             if (!cur.has_value()) {
-              cur = make_row(id);
-              events.push_back({Op::kInsert, *cur});
+              StatusCode want;
+              Row row = rowref::PlanInsert(*table, make_row(id), &rng, &want);
+              ASSERT_EQ(table->Insert(txn, row).code(), want);
+              if (want == StatusCode::kOk) cur = std::move(row);
             } else if (rng.Bernoulli(0.5)) {
               (*cur)[2] = Value::Int64(rng.Uniform(0, 1000));
-              events.push_back({Op::kUpdate, *cur});
+              auto to_cur = [&cur](const Row&) -> Result<Row> { return *cur; };
+              ASSERT_TRUE(table->UpdateByKey(txn, Key(id), to_cur).value());
             } else {
-              events.push_back({Op::kDelete, Key(id)});
+              ASSERT_TRUE(table->DeleteByKey(txn, Key(id)).value());
               cur.reset();
             }
-          }
-          for (const Event& ev : events) {
-            ASSERT_NO_FATAL_FAILURE(ApplyEvent(table, txn, ev));
           }
         }
         if (rng.Bernoulli(0.2)) {

@@ -847,9 +847,11 @@ class GeneratedSqlDiffTest : public ::testing::Test {
         } else if (dice < 0.75) {
           ASSERT_TRUE(table->DeleteByKey(txn, key).ok());
         } else {
-          const Status s = table->Insert(txn, MakeItem(&rng, id));
-          ASSERT_TRUE(s.ok() || s.code() == StatusCode::kAlreadyExists)
-              << s.ToString();
+          StatusCode want;
+          const Row item =
+              rowref::PlanInsert(*table, MakeItem(&rng, id), &rng, &want);
+          const Status s = table->Insert(txn, item);
+          ASSERT_EQ(s.code(), want) << s.ToString();
         }
       }
     };

@@ -1,8 +1,8 @@
 // Concurrent secondary-index maintenance: reader threads issue
 // index-routed SnapshotSelects (unique-key point reads and secondary
 // group-equality reads) while a maintenance thread churns the table with
-// inserts, updates, deletes, and revives (which move postings), and a GC
-// thread reclaims corpses (which drops postings). Every routed read must
+// inserts, updates, deletes, and re-inserts over corpses (revives), and a
+// GC thread reclaims corpses (which drops postings). Every routed read must
 // equal the mutex-protected reference model at the session's VN — posting
 // mutations must never surface a row the snapshot should not contain, nor
 // lose one it should. Registered against the TSan/ASan/UBSan/paranoid
@@ -14,12 +14,11 @@
 // so their routed reads race the writer's next BeginMaintenance. Each
 // such read must return the session's snapshot rows or kSessionExpired.
 //
-// Each id's group is pinned (grp = g(id % kGroups)): a revive that CHANGED
-// a non-updatable attribute would rewrite the tuple's shared attribute
-// region for every retained version, so concurrently-open older sessions
-// legitimately observe the new value mid-session — a per-VN reference
-// model cannot express that. Key-changing posting moves are covered
-// deterministically by index_read_diff_test and gc_test instead.
+// Groups are drawn at random for every insert. A re-insert over a corpse
+// must keep the corpse's group (§3.1: non-updatable attributes are fixed
+// at the tuple's insert), so it either revives the tuple with its group
+// and postings unchanged or fails with kInvalidArgument; either way every
+// older session keeps reading the group its version had.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,6 +37,7 @@
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -182,14 +182,22 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
     const int ops = static_cast<int>(rng.Uniform(2, 10));
     for (int i = 0; i < ops; ++i) {
       const int64_t id = rng.Uniform(0, kKeySpace - 1);
-      const std::string g = StrPrintf("g%" PRId64, id % kGroups);
+      const std::string g =
+          StrPrintf("g%" PRId64, rng.Uniform(0, kGroups - 1));
       const int64_t qty = rng.Uniform(0, 1000);
+      // Inserts a row for `id`: fresh, or a revive of its corpse that
+      // succeeds exactly when it keeps the corpse's group.
+      auto insert = [&] {
+        StatusCode want;
+        const Row row = rowref::PlanInsert(
+            table, {Value::Int64(id), Value::String(g), Value::Int64(qty)},
+            &rng, &want);
+        const Status s = table.Insert(txn, row);
+        ASSERT_EQ(s.code(), want) << s.ToString();
+        if (s.ok()) scratch[id] = {row[1].AsString(), qty};
+      };
       if (scratch.count(id) == 0) {
-        ASSERT_TRUE(table
-                        .Insert(txn, {Value::Int64(id), Value::String(g),
-                                      Value::Int64(qty)})
-                        .ok());
-        scratch[id] = {g, qty};
+        ASSERT_NO_FATAL_FAILURE(insert());
       } else if (rng.Bernoulli(0.4)) {
         Result<bool> r = table.UpdateByKey(
             txn, {Value::Int64(id)}, [qty](const Row& row) -> Result<Row> {
@@ -204,17 +212,12 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
         ASSERT_TRUE(r.ok() && r.value());
         scratch.erase(id);
       } else {
-        // Revive: delete + immediate re-insert, exercising the physical
-        // UPDATE that re-adds a posting while readers hold older
-        // snapshots. The group is pinned to the id (see above), so the
-        // posting's key is stable even though the posting itself churns.
+        // Revive: delete + immediate re-insert, the physical UPDATE of a
+        // corpse while readers hold older snapshots.
         Result<bool> r = table.DeleteByKey(txn, {Value::Int64(id)});
         ASSERT_TRUE(r.ok() && r.value());
-        ASSERT_TRUE(table
-                        .Insert(txn, {Value::Int64(id), Value::String(g),
-                                      Value::Int64(qty)})
-                        .ok());
-        scratch[id] = {g, qty};
+        scratch.erase(id);
+        ASSERT_NO_FATAL_FAILURE(insert());
       }
     }
     {

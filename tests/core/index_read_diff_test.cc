@@ -21,6 +21,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/row_reference.h"
 
 namespace wvm::core {
 namespace {
@@ -174,8 +175,8 @@ class IndexReadDiffTest : public ::testing::Test {
   }
 
   // One full randomized scenario: load, churn (updates, deletes, and
-  // revives that move secondary postings), reads before / during / after
-  // maintenance, GC, and (some seeds) expiration.
+  // re-inserts over corpses, which revive them or fail), reads before /
+  // during / after maintenance, GC, and (some seeds) expiration.
   void RunSeed(uint64_t seed) {
     SCOPED_TRACE(StrPrintf("seed=%llu",
                            static_cast<unsigned long long>(seed)));
@@ -231,11 +232,14 @@ class IndexReadDiffTest : public ::testing::Test {
           ASSERT_TRUE(table->DeleteByKey(*churn, key).ok());
         } else {
           // A re-insert over a logically deleted key is the Table-2 revive:
-          // the fresh random grp/tag/day move secondary postings. Over a
-          // live key it is a legitimate uniqueness error.
-          const Status s = table->Insert(*churn, MakeItem(&rng, id));
-          ASSERT_TRUE(s.ok() || s.code() == StatusCode::kAlreadyExists)
-              << s.ToString();
+          // it keeps the tuple's Rid and postings, and must keep its
+          // grp/tag/cnt/day (§3.1). Over a live key it is a uniqueness
+          // error.
+          StatusCode want;
+          const Row item =
+              rowref::PlanInsert(*table, MakeItem(&rng, id), &rng, &want);
+          const Status s = table->Insert(*churn, item);
+          ASSERT_EQ(s.code(), want) << s.ToString();
         }
       }
     };

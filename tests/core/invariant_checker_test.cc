@@ -288,43 +288,95 @@ TEST(ReaderResolutionTest, MalformedTuples) {
 }
 
 // ---------------------------------------------------------------------------
-// §4.3 net-effect rule: secondary postings move only when a tuple
-// physically appears/disappears or is revived over a logically deleted key.
+// §3.1: non-updatable bytes are fixed when a tuple is physically inserted,
+// so every in-place update keeps them (and secondary postings, which cover
+// only such columns, never move on one).
 
-TEST(SecondaryIndexMutationTest, AllowsPhysicalInsertAndDelete) {
-  EXPECT_TRUE(CheckSecondaryIndexMutation(PhysicalAction::kInsertTuple,
-                                          std::nullopt, Op::kInsert)
-                  .ok());
-  EXPECT_TRUE(CheckSecondaryIndexMutation(PhysicalAction::kDeleteTuple,
-                                          Op::kInsert, std::nullopt)
-                  .ok());
+// (k key, s non-updatable, v updatable), stored at `vn` as an insert.
+struct FixedTuple {
+  VersionedSchema vs;
+  std::vector<uint8_t> rec;
+
+  FixedTuple(int n, const Row& row, Vn vn)
+      : vs(VersionedSchema::Create(
+               Schema({Column::Int64("k"), Column::String("s", 4),
+                       Column::Int64("v", /*updatable=*/true)},
+                      {0}),
+               n)
+               .value()),
+        rec(vs.physical().RowByteSize()) {
+    vs.MakeInsertRow(row, vn, rec.data());
+  }
+};
+
+Row KSV(int64_t k, const char* s, int64_t v) {
+  return {Value::Int64(k), s == nullptr ? Value::Null(TypeId::kString)
+                                        : Value::String(s),
+          Value::Int64(v)};
 }
 
-TEST(SecondaryIndexMutationTest, AllowsRevivesOverDeletedTuples) {
-  // Re-insert over a logically deleted key: physically an UPDATE, logically
-  // a brand-new tuple whose non-updatable attributes may differ. Across
-  // transactions it nets to insert; within one, to update — both legal.
-  EXPECT_TRUE(CheckSecondaryIndexMutation(PhysicalAction::kUpdateTuple,
-                                          Op::kDelete, Op::kInsert)
-                  .ok());
-  EXPECT_TRUE(CheckSecondaryIndexMutation(PhysicalAction::kUpdateTuple,
-                                          Op::kDelete, Op::kUpdate)
-                  .ok());
+TEST(NonUpdatablesKeptTest, AcceptsEveryCellThatKeepsThem) {
+  for (int n : {2, 3}) {
+    FixedTuple t(n, KSV(1, "a", 10), 1);
+    std::vector<uint8_t> after = t.rec;
+    // Table 3 first row (update), then Table 4 (delete), then a revive
+    // over the corpse with the same s, and a rollback-style revert.
+    t.vs.PushBack(after.data());
+    t.vs.CopyCurrentToPre(after.data(), 0);
+    t.vs.SetCurrent(after.data(), KSV(1, "a", 20));
+    t.vs.SetSlot(after.data(), 0, 2, Op::kUpdate);
+    EXPECT_TRUE(CheckNonUpdatablesKept(t.vs, t.rec.data(), after.data()).ok());
+    std::vector<uint8_t> deleted = after;
+    t.vs.SetSlot(deleted.data(), 0, 2, Op::kDelete);
+    EXPECT_TRUE(CheckNonUpdatablesKept(t.vs, after.data(), deleted.data()).ok());
+    std::vector<uint8_t> revived = deleted;
+    t.vs.SetCurrent(revived.data(), KSV(1, "a", 30));
+    t.vs.SetSlot(revived.data(), 0, 2, Op::kUpdate);
+    EXPECT_TRUE(
+        CheckNonUpdatablesKept(t.vs, deleted.data(), revived.data()).ok());
+    std::vector<uint8_t> reverted = revived;
+    t.vs.CopyPreToCurrent(reverted.data(), 0);
+    EXPECT_TRUE(
+        CheckNonUpdatablesKept(t.vs, revived.data(), reverted.data()).ok());
+  }
 }
 
-TEST(SecondaryIndexMutationTest, RejectsInPlaceVersionUpdates) {
-  EXPECT_FALSE(CheckSecondaryIndexMutation(PhysicalAction::kUpdateTuple,
-                                           Op::kUpdate, Op::kUpdate)
-                   .ok());
-  EXPECT_FALSE(CheckSecondaryIndexMutation(PhysicalAction::kUpdateTuple,
-                                           Op::kInsert, Op::kInsert)
-                   .ok());
-  EXPECT_FALSE(CheckSecondaryIndexMutation(PhysicalAction::kUpdateTuple,
-                                           Op::kUpdate, Op::kDelete)
-                   .ok());
-  EXPECT_FALSE(CheckSecondaryIndexMutation(PhysicalAction::kUpdateTuple,
-                                           std::nullopt, std::nullopt)
-                   .ok());
+TEST(NonUpdatablesKeptTest, RejectsRevivesThatChangeThem) {
+  // A re-insert over a logically deleted tuple, across transactions (nets
+  // to insert) or within one (nets to update), with a different s: every
+  // version older sessions read would show the new s.
+  for (Op net : {Op::kInsert, Op::kUpdate}) {
+    FixedTuple t(3, KSV(1, "a", 10), 1);
+    t.vs.SetSlot(t.rec.data(), 0, 2, Op::kDelete);
+    std::vector<uint8_t> revived = t.rec;
+    t.vs.SetCurrent(revived.data(), KSV(1, "b", 20));
+    t.vs.SetSlot(revived.data(), 0, 3, net);
+    const Status s =
+        CheckNonUpdatablesKept(t.vs, t.rec.data(), revived.data());
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << OpToString(net);
+    EXPECT_NE(s.message().find("'s'"), std::string::npos) << s.ToString();
+  }
+}
+
+TEST(NonUpdatablesKeptTest, RejectsAnyRewriteOfANonUpdatableColumn) {
+  // Whatever the slot-0 operations on either side, an in-place update may
+  // not change a non-updatable column's bytes, its null bit, or the key.
+  for (Op before_op : {Op::kInsert, Op::kUpdate, Op::kDelete}) {
+    for (Op after_op : {Op::kInsert, Op::kUpdate, Op::kDelete}) {
+      for (const Row& next :
+           {KSV(1, "b", 10), KSV(1, nullptr, 10), KSV(2, "a", 10)}) {
+        FixedTuple t(2, KSV(1, "a", 10), 1);
+        t.vs.SetSlot(t.rec.data(), 0, 1, before_op);
+        std::vector<uint8_t> after = t.rec;
+        t.vs.SetCurrent(after.data(), next);
+        t.vs.SetSlot(after.data(), 0, 2, after_op);
+        EXPECT_FALSE(
+            CheckNonUpdatablesKept(t.vs, t.rec.data(), after.data()).ok())
+            << OpToString(before_op) << " -> " << OpToString(after_op)
+            << ": " << RowToString(next);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

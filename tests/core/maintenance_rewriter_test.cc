@@ -167,6 +167,65 @@ TEST_F(MaintenanceRewriterTest, DeleteStatementExample44) {
   EXPECT_FALSE(gone->has_value());
 }
 
+// SQL DELETE then INSERT of one key is a Table-2 revive, within one
+// transaction (nets to update) or across two (nets to insert). Example
+// 4.2's conflicting-tuple branch sets only r.<updatable>: the re-inserted
+// row must carry the tuple's non-updatable values (§3.1).
+TEST_F(MaintenanceRewriterTest, DeleteThenInsertIsARevive) {
+  ASSERT_TRUE(engine_
+                  ->CreateTable("Stores",
+                                Schema({Column::Int64("id"),
+                                        Column::String("region", 4),
+                                        Column::Int64("sales", true)},
+                                       {0}))
+                  .ok());
+  MaintenanceTxn* txn = Begin();
+  Exec(txn,
+       "INSERT INTO DailySales VALUES "
+       "('San Jose', 'CA', 'golf equip', '10/13/96', 5000)");
+  Exec(txn, "INSERT INTO Stores VALUES (1, 'W', 10), (2, 'E', 20)");
+  Commit(txn);
+  ReaderSession before = engine_->OpenSession();
+
+  txn = Begin();
+  EXPECT_EQ(Exec(txn, "DELETE FROM DailySales WHERE city = 'San Jose'"), 1u);
+  EXPECT_EQ(Exec(txn,
+                 "INSERT INTO DailySales VALUES "
+                 "('San Jose', 'CA', 'golf equip', '10/13/96', 6000)"),
+            1u);
+  EXPECT_EQ(Exec(txn, "DELETE FROM Stores WHERE id = 1"), 1u);
+  EXPECT_EQ(rewriter_->Execute(txn, "INSERT INTO Stores VALUES (1, 'E', 11)")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Exec(txn, "INSERT INTO Stores VALUES (1, 'W', 11)"), 1u);
+  EXPECT_EQ(Exec(txn, "DELETE FROM Stores WHERE id = 2"), 1u);
+  Commit(txn);
+
+  txn = Begin();
+  EXPECT_EQ(rewriter_->Execute(txn, "INSERT INTO Stores VALUES (2, 'W', 21)")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Exec(txn, "INSERT INTO Stores VALUES (2, 'E', 21)"), 1u);
+  Commit(txn);
+
+  Result<std::optional<Row>> old_row = Lookup(before, 13);
+  ASSERT_TRUE(old_row.ok());
+  EXPECT_EQ((**old_row)[4].AsInt32(), 5000);
+  ReaderSession after = engine_->OpenSession();
+  Result<std::optional<Row>> new_row = Lookup(after, 13);
+  ASSERT_TRUE(new_row.ok());
+  EXPECT_EQ((**new_row)[4].AsInt32(), 6000);
+  VnlTable* stores = engine_->GetTable("Stores").value();
+  Result<std::vector<Row>> rows = stores->SnapshotRows(after);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ(RowToString((*rows)[0]), "(1, W, 11)");
+  EXPECT_EQ(RowToString((*rows)[1]), "(2, E, 21)");
+  EXPECT_EQ(stores->physical_rows(), 2u);
+}
+
 TEST_F(MaintenanceRewriterTest, ParamsAreBound) {
   MaintenanceTxn* txn = Begin();
   Result<size_t> r = rewriter_->Execute(

@@ -11,9 +11,10 @@
 // columns, for n in {2, 3, 4}. Part two replays 52 seeded maintenance
 // histories per n through the engine and through the reference, which
 // decides each write with the same decision tables: key inserts, updates
-// and deletes, re-inserts over corpses, same-transaction
-// delete-then-insert, batched keys, cursor Update/Delete, commits, aborts
-// and GC under pinned reader sessions. After every statement each live
+// and deletes, re-inserts over corpses (refused when they change a
+// version-invariant attribute), same-transaction delete-then-insert,
+// batched keys, cursor Update/Delete, commits, aborts and GC under pinned
+// reader sessions. After every statement each live
 // record must equal SerializeRow of the reference's tuple for its key.
 #include <gtest/gtest.h>
 
@@ -146,8 +147,8 @@ TEST_P(RecordMutatorTest, SetPreNull) {
 }
 
 TEST_P(RecordMutatorTest, SetCurrent) {
-  // A revive may rewrite version-invariant attributes too; the new note is
-  // shorter than the old one, so its slot's tail must be zeroed.
+  // CV <- MV writes every logical column; the new note is shorter than the
+  // old one, so its slot's tail must be zeroed.
   for (const Row& mv :
        {Logical("a", 8, "x", 1), Logical("c", 0, std::nullopt, 0),
         Logical("b", 1, "0123456789", 28)}) {
@@ -186,8 +187,14 @@ class ReferenceTable {
  public:
   explicit ReferenceTable(const VersionedSchema& vs) : vs_(vs) {}
 
+  // Table 2, where a re-insert over a corpse must keep its non-updatable
+  // values (§3.1); a refused insert changes nothing.
   Status Insert(Vn vn, const Row& row) {
     auto it = tuples_.find(row[0].AsString());
+    std::optional<Row> tuple;
+    if (it != tuples_.end()) tuple = it->second;
+    const StatusCode outcome = rowref::InsertOutcome(vs_, tuple, row);
+    if (outcome != StatusCode::kOk) return Status(outcome, "refused");
     std::optional<TupleVersionState> existing;
     if (it != tuples_.end()) existing = State(it->second);
     WVM_ASSIGN_OR_RETURN(MaintenanceDecision d, DecideInsert(vn, existing));
@@ -216,6 +223,15 @@ class ReferenceTable {
                          DecideDelete(vn, State(it->second)));
     Apply(d, vn, it, nullptr);
     return true;
+  }
+
+  // The logically deleted tuple of `key`, if it has one.
+  const Row* Corpse(const std::string& key) const {
+    auto it = tuples_.find(key);
+    if (it == tuples_.end() || State(it->second).op != Op::kDelete) {
+      return nullptr;
+    }
+    return &it->second;
   }
 
   // Current logical rows the maintenance txn can see, by key.
@@ -354,6 +370,18 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
       updatables(&row);
       return row;
     };
+    // A row to insert for `key`. Over a corpse, half the time (one draw,
+    // taken only then) it keeps the corpse's version-invariant attributes,
+    // so revives both succeed and fail.
+    auto insert_row = [&](const std::string& key) {
+      Row row = make_row(key);
+      const Row* corpse = ref.Corpse(key);
+      if (corpse != nullptr && rng.Bernoulli(0.5)) {
+        row = rowref::WithNonUpdatablesOf(table->versioned_schema(), *corpse,
+                                          std::move(row));
+      }
+      return row;
+    };
     // A new row for an existing key: version-invariant attributes kept.
     auto next_of = [&](const Row& current) {
       Row next = current;
@@ -383,8 +411,9 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
         const int64_t pick = rng.Uniform(0, 99);
         const std::string key = key_of();
         if (pick < 30) {
-          // Over a live key this fails; over a corpse it is a revive.
-          const Row row = make_row(key);
+          // Over a live key this fails; over a corpse it is a revive, which
+          // fails too when it changes a version-invariant attribute.
+          const Row row = insert_row(key);
           const Status got = table->Insert(txn, row);
           const Status want = ref.Insert(vn, row);
           ASSERT_EQ(got.code(), want.code()) << got.ToString();
@@ -409,15 +438,16 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
           ASSERT_EQ(*got, ref.Delete(vn, key).value());
           ASSERT_NO_FATAL_FAILURE(expect_same("delete"));
         } else if (pick < 75) {
-          // Same-transaction delete-then-insert, possibly with new
-          // version-invariant attributes (a secondary posting moves).
+          // Same-transaction delete-then-insert: a revive, refused when it
+          // changes a version-invariant attribute.
           Result<bool> got = table->DeleteByKey(txn, {Value::String(key)});
           ASSERT_TRUE(got.ok());
           ASSERT_EQ(*got, ref.Delete(vn, key).value());
           ASSERT_NO_FATAL_FAILURE(expect_same("delete before re-insert"));
-          const Row row = make_row(key);
-          ASSERT_TRUE(table->Insert(txn, row).ok());
-          ASSERT_TRUE(ref.Insert(vn, row).ok());
+          const Row row = insert_row(key);
+          const Status reinserted = table->Insert(txn, row);
+          ASSERT_EQ(reinserted.code(), ref.Insert(vn, row).code())
+              << reinserted.ToString();
           ASSERT_NO_FATAL_FAILURE(expect_same("re-insert"));
         } else if (pick < 83) {
           // Batched keys: update the visible ones, insert the rest. The
@@ -435,19 +465,25 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
                                      ? NetEffect{NetEffect::Kind::kUpdate,
                                                  next_of(*current)}
                                      : NetEffect{NetEffect::Kind::kInsert,
-                                                 make_row(k)});
+                                                 insert_row(k)});
                              return decided.back();
                            }});
           }
+          // A refused revive stops the batch, the keys before it applied.
           Result<BatchApplyStats> got = table->ApplyBatch(txn, ops);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ASSERT_EQ(decided.size(), ops.size());
+          Status want;
           for (const NetEffect& effect : decided) {
             if (effect.kind == NetEffect::Kind::kUpdate) {
               ASSERT_TRUE(ref.Update(vn, effect.row).value());
             } else {
-              ASSERT_TRUE(ref.Insert(vn, effect.row).ok());
+              want = ref.Insert(vn, effect.row);
+              if (!want.ok()) break;
             }
+          }
+          ASSERT_EQ(got.status().code(), want.code())
+              << got.status().ToString();
+          if (want.ok()) {
+            ASSERT_EQ(decided.size(), ops.size());
           }
           ASSERT_NO_FATAL_FAILURE(expect_same("batch"));
         } else if (pick < 93) {

@@ -200,6 +200,44 @@ TEST_P(RollbackTest, AbortOfNetEffectSequences) {
   EXPECT_EQ(table_->physical_rows(), 5u);
 }
 
+// A same-transaction delete + re-insert over (k key, s non-updatable,
+// v updatable) row (1, a, 10). Rollback restores v from the saved
+// pre-update copy and has none for s (§3.1), so a re-insert may not have
+// rewritten s: after the abort the current row is exactly (1, a, 10).
+TEST_P(RollbackTest, AbortOfSameTxnDeleteReinsertRestoresTheRow) {
+  auto table = engine_->CreateTable(
+      "ksv", Schema({Column::Int64("k"), Column::String("s", 4),
+                     Column::Int64("v", /*updatable=*/true)},
+                    {0}));
+  ASSERT_TRUE(table.ok());
+  VnlTable* ksv = table.value();
+  auto ksv_row = [](const char* s, int64_t v) {
+    return Row{Value::Int64(1), Value::String(s), Value::Int64(v)};
+  };
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(ksv->Insert(txn, ksv_row("a", 10)).ok());
+  Commit(txn);
+
+  for (const char* s : {"b", "a"}) {
+    SCOPED_TRACE(StrPrintf("re-insert s = %s", s));
+    txn = Begin();
+    ASSERT_TRUE(ksv->DeleteByKey(txn, {Value::Int64(1)}).value());
+    const Status reinserted = ksv->Insert(txn, ksv_row(s, 20));
+    EXPECT_EQ(reinserted.code(), *s == 'a' ? StatusCode::kOk
+                                           : StatusCode::kInvalidArgument)
+        << reinserted.ToString();
+    ASSERT_TRUE(engine_->Abort(txn).ok());
+
+    txn = Begin();
+    Result<std::optional<Row>> current =
+        ksv->MaintenanceLookup(txn, {Value::Int64(1)});
+    ASSERT_TRUE(current.ok());
+    ASSERT_TRUE(current->has_value());
+    EXPECT_EQ(RowToString(**current), RowToString(ksv_row("a", 10)));
+    ASSERT_TRUE(engine_->Abort(txn).ok());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllN, RollbackTest, ::testing::Values(2, 3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return StrPrintf("n%d", info.param);

@@ -227,10 +227,13 @@ class SnapshotSelectDiffTest : public ::testing::Test {
         } else if (dice < 0.75) {
           ASSERT_TRUE(table->DeleteByKey(*churn, key).ok());
         } else {
-          const Status s = table->Insert(*churn, MakeItem(&rng, id));
-          // Re-inserting a live key is a legitimate uniqueness error.
-          ASSERT_TRUE(s.ok() || s.code() == StatusCode::kAlreadyExists)
-              << s.ToString();
+          // Re-inserting a live key is a uniqueness error; over a corpse
+          // it must keep the corpse's non-updatable values (§3.1).
+          StatusCode want;
+          const Row item =
+              rowref::PlanInsert(*table, MakeItem(&rng, id), &rng, &want);
+          const Status s = table->Insert(*churn, item);
+          ASSERT_EQ(s.code(), want) << s.ToString();
         }
       }
     };

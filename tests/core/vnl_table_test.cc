@@ -570,6 +570,162 @@ TEST_P(VnlTableTest, ReaderIsolationUnderConcurrentMaintenance) {
   writer.join();
 }
 
+// §3.1: pre-update copies exist only for updatable attributes, so every
+// version of a tuple reads its non-updatable ones from the one current
+// copy, and a re-insert over a logically deleted tuple must keep them.
+// Schema (k key, s non-updatable, v updatable), (1, a, 10) committed at
+// VN 1 and a session pinned there.
+class ReinsertTest : public VnlTableTest {
+ protected:
+  void SetUp() override {
+    Schema schema({Column::Int64("k"), Column::String("s", 4),
+                   Column::Int64("v", /*updatable=*/true)},
+                  {0});
+    ASSERT_TRUE(schema.AddSecondaryIndex("by_s", {"s"}).ok());
+    auto table = engine_->CreateTable("ksv", std::move(schema));
+    ASSERT_TRUE(table.ok());
+    ksv_ = table.value();
+    MaintenanceTxn* txn = Begin();
+    ASSERT_TRUE(ksv_->Insert(txn, KSV("a", 10)).ok());
+    Commit(txn);
+    pinned_ = engine_->OpenSession();
+  }
+
+  static Row KSV(const char* s, int64_t v) {
+    return {Value::Int64(1), Value::String(s), Value::Int64(v)};
+  }
+
+  // What `session` reads for key 1 by point lookup and by heap pass (the
+  // two must agree); nullopt when it sees no row.
+  Result<std::optional<Row>> Read(const ReaderSession& session) {
+    Result<std::optional<Row>> point =
+        ksv_->SnapshotLookup(session, {Value::Int64(1)});
+    Result<std::vector<Row>> rows = ksv_->SnapshotRows(session);
+    EXPECT_EQ(point.status().code(), rows.status().code());
+    if (point.ok() && rows.ok()) {
+      EXPECT_EQ(point->has_value(), rows->size() == 1);
+      if (point->has_value() && rows->size() == 1) {
+        EXPECT_EQ(RowToString(**point), RowToString(rows->front()));
+      }
+    }
+    return point;
+  }
+
+  void ExpectReads(const ReaderSession& session,
+                   const std::optional<Row>& want) {
+    Result<std::optional<Row>> got = Read(session);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->has_value(), want.has_value());
+    if (want.has_value()) {
+      EXPECT_EQ(RowToString(**got), RowToString(*want));
+    }
+  }
+
+  // Rows the routed secondary-index read finds for s = `s`.
+  size_t RowsWithS(const ReaderSession& session, const char* s) {
+    Result<sql::SelectStmt> stmt =
+        sql::ParseSelect(StrPrintf("SELECT k FROM ksv WHERE s = '%s'", s));
+    WVM_CHECK(stmt.ok());
+    Result<query::QueryResult> got = ksv_->SnapshotSelect(session, *stmt);
+    WVM_CHECK(got.ok());
+    return got->rows.size();
+  }
+
+  std::vector<uint8_t> HeapImage() const {
+    const TableHeap* heap = ksv_->physical_table().heap();
+    std::vector<uint8_t> image;
+    WVM_CHECK(heap->Scan([&](Rid, const uint8_t* rec) {
+                    image.insert(image.end(), rec, rec + heap->record_size());
+                    return true;
+                  })
+                  .ok());
+    return image;
+  }
+
+  void ExpectRejected(MaintenanceTxn* txn, const Row& row) {
+    const std::vector<uint8_t> before = HeapImage();
+    const Status s = ksv_->Insert(txn, row);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("'s'"), std::string::npos) << s.ToString();
+    EXPECT_EQ(HeapImage(), before);
+  }
+
+  VnlTable* ksv_ = nullptr;
+  ReaderSession pinned_;
+};
+
+TEST_P(ReinsertTest, SameTxnReinsertCannotRewriteNonUpdatables) {
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  ExpectRejected(txn, KSV("b", 20));
+  ExpectReads(pinned_, KSV("a", 10));
+  Commit(txn);
+  // (1, b, 10) never existed: the older session still reads (1, a, 10).
+  ExpectReads(pinned_, KSV("a", 10));
+  ExpectReads(engine_->OpenSession(), std::nullopt);
+  EXPECT_EQ(RowsWithS(pinned_, "b"), 0u);
+}
+
+TEST_P(ReinsertTest, SameTxnReinsertWithEqualNonUpdatablesRevives) {
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  ASSERT_TRUE(ksv_->Insert(txn, KSV("a", 20)).ok());
+  ExpectReads(pinned_, KSV("a", 10));
+  Commit(txn);
+  ExpectReads(pinned_, KSV("a", 10));
+  const ReaderSession fresh = engine_->OpenSession();
+  ExpectReads(fresh, KSV("a", 20));
+  EXPECT_EQ(RowsWithS(fresh, "a"), 1u);
+  EXPECT_EQ(ksv_->physical_rows(), 1u);
+}
+
+TEST_P(ReinsertTest, LaterTxnReinsertCannotRewriteNonUpdatables) {
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  Commit(txn);
+  // For n = 2 too: no reader could see the change there, but the rule is
+  // one for every n.
+  txn = Begin();
+  ExpectRejected(txn, KSV("b", 30));
+  Commit(txn);
+  // The failed re-insert wrote nothing, so the session two versions back
+  // still reads the pre-delete version, inside the §4.1 window or not.
+  ExpectReads(pinned_, KSV("a", 10));
+  ExpectReads(engine_->OpenSession(), std::nullopt);
+  // The corpse stays tombstoned: the pinned session still reads it.
+  Result<VnlEngine::GcStats> gc = engine_->CollectGarbage();
+  ASSERT_TRUE(gc.ok());
+  EXPECT_EQ(gc->tuples_reclaimed, 0u);
+  EXPECT_EQ(gc->tuples_pending, 1u);
+}
+
+TEST_P(ReinsertTest, LaterTxnReinsertWithEqualNonUpdatablesRevives) {
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  Commit(txn);
+  txn = Begin();
+  ASSERT_TRUE(ksv_->Insert(txn, KSV("a", 30)).ok());
+  Commit(txn);
+  if (GetParam() > 2) {
+    ExpectReads(pinned_, KSV("a", 10));
+  } else {
+    EXPECT_EQ(Read(pinned_).status().code(), StatusCode::kSessionExpired);
+  }
+  const ReaderSession fresh = engine_->OpenSession();
+  ExpectReads(fresh, KSV("a", 30));
+  EXPECT_EQ(RowsWithS(fresh, "a"), 1u);
+  EXPECT_EQ(ksv_->physical_rows(), 1u);
+  // The revive took the tuple out of the tombstone set.
+  Result<VnlEngine::GcStats> gc = engine_->CollectGarbage();
+  ASSERT_TRUE(gc.ok());
+  EXPECT_EQ(gc->tuples_pending, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllN, ReinsertTest, ::testing::Values(2, 3, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return StrPrintf("n%d", info.param);
+                         });
+
 INSTANTIATE_TEST_SUITE_P(AllN, VnlTableTest, ::testing::Values(2, 3, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return StrPrintf("n%d", info.param);

@@ -157,6 +157,60 @@ bool RollbackTuple(const VersionedSchema& vs, Row* phys, Vn current_vn) {
   return true;
 }
 
+namespace {
+
+bool IsCorpse(const VersionedSchema& vs, const std::optional<Row>& phys) {
+  return phys.has_value() && Operation(vs, *phys, 0).value() == Op::kDelete;
+}
+
+// The physical tuple in `table`'s heap whose key columns hold `row`'s key.
+std::optional<Row> KeyTuple(const VnlTable& table, const Row& row) {
+  std::optional<Row> found;
+  WVM_CHECK(table.physical_table()
+                .ScanRows([&](Rid, const Row& phys) {
+                  for (size_t k : table.logical_schema().key_indices()) {
+                    if (!(phys[k] == row[k])) return true;
+                  }
+                  found = phys;
+                  return false;
+                })
+                .ok());
+  return found;
+}
+
+}  // namespace
+
+StatusCode InsertOutcome(const VersionedSchema& vs,
+                         const std::optional<Row>& existing, const Row& row) {
+  if (!existing.has_value()) return StatusCode::kOk;
+  if (!IsCorpse(vs, existing)) return StatusCode::kAlreadyExists;
+  const Schema& logical = vs.logical();
+  for (size_t i = 0; i < logical.num_columns(); ++i) {
+    if (!logical.column(i).updatable && !((*existing)[i] == row[i])) {
+      return StatusCode::kInvalidArgument;
+    }
+  }
+  return StatusCode::kOk;
+}
+
+Row WithNonUpdatablesOf(const VersionedSchema& vs, const Row& phys, Row row) {
+  const Schema& logical = vs.logical();
+  for (size_t i = 0; i < logical.num_columns(); ++i) {
+    if (!logical.column(i).updatable) row[i] = phys[i];
+  }
+  return row;
+}
+
+Row PlanInsert(const VnlTable& table, Row drawn, Rng* rng, StatusCode* want) {
+  const VersionedSchema& vs = table.versioned_schema();
+  const std::optional<Row> existing = KeyTuple(table, drawn);
+  if (IsCorpse(vs, existing) && rng->Bernoulli(0.5)) {
+    drawn = WithNonUpdatablesOf(vs, *existing, std::move(drawn));
+  }
+  *want = InsertOutcome(vs, existing, drawn);
+  return drawn;
+}
+
 VersionResolution ResolveVersion(const VersionedSchema& vs, const Row& phys,
                                  Vn session_vn) {
   const int m = PopulatedSlots(vs, phys);

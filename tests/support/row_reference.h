@@ -1,10 +1,14 @@
 #ifndef OPENWVM_TESTS_SUPPORT_ROW_REFERENCE_H_
 #define OPENWVM_TESTS_SUPPORT_ROW_REFERENCE_H_
 
+#include <optional>
+
 #include "catalog/schema.h"
 #include "common/result.h"
+#include "common/rng.h"
 #include "core/decision_tables.h"
 #include "core/versioned_schema.h"
+#include "core/vnl_table.h"
 
 // The Row form of paper Tables 1-4 (§3.1-§3.3, §5): a physical tuple held
 // as a decoded Row of VersionedSchema::physical(), with the slot
@@ -61,6 +65,32 @@ void ApplyDecision(const VersionedSchema& vs, const MaintenanceDecision& d,
 // last committed version. Returns false when the tuple must leave the heap
 // instead (an insert with no older version to restore).
 bool RollbackTuple(const VersionedSchema& vs, Row* phys, Vn current_vn);
+
+// --- Table 2's conflicts under §3.1 --------------------------------------
+//
+// A tuple's non-updatable attributes are fixed when it is physically
+// inserted: a re-insert over a logically deleted tuple keeps them, like an
+// update. Generators use these to predict what an engine Insert returns.
+
+// The status an insert of `row` (logical) must return when `existing` is
+// the physical tuple holding its key (nullopt: none): kAlreadyExists over a
+// live tuple, kInvalidArgument over a logically deleted one whose
+// non-updatable values (compared as Values) differ from the row's, kOk
+// otherwise.
+StatusCode InsertOutcome(const VersionedSchema& vs,
+                         const std::optional<Row>& existing, const Row& row);
+
+// `row` with the non-updatable values of physical tuple `phys`: the row a
+// re-insert over it may carry.
+Row WithNonUpdatablesOf(const VersionedSchema& vs, const Row& phys, Row row);
+
+// A generator's insert of the row it drew into `table`, whose heap it
+// scans for the tuple holding the row's key: over a logically deleted
+// tuple, half the time (one `rng` draw, taken only then) the row
+// takes the corpse's non-updatable values, so generated histories hold
+// both revives that succeed and revives that must fail. Returns the row to
+// insert; *want is the status the insert must return.
+Row PlanInsert(const VnlTable& table, Row drawn, Rng* rng, StatusCode* want);
 
 // --- Table 1 -------------------------------------------------------------
 
