@@ -5,6 +5,7 @@
 
 #include "bench/bench_json.h"
 #include "common/logging.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 
 namespace wvm::core {
@@ -32,9 +33,7 @@ void Run() {
   WVM_CHECK(table_or.ok());
   VnlTable& table = *table_or.value();
 
-  RowPredicate golf = [](const Row& row) -> Result<bool> {
-    return row[0].AsString() == "San Jose";
-  };
+  MaintenanceRewriter sql(&engine);
   auto run_txn = [&](const std::function<void(MaintenanceTxn*)>& body) {
     Result<MaintenanceTxn*> txn = engine.BeginMaintenance();
     WVM_CHECK(txn.ok());
@@ -53,14 +52,13 @@ void Run() {
   });
   run_txn([](MaintenanceTxn*) {});  // VN 4
   run_txn([&](MaintenanceTxn* t) {  // VN 5: update to 10,200
-    WVM_CHECK(table.Update(t, golf, [](const Row& row) -> Result<Row> {
-      Row next = row;
-      next[4] = Value::Int32(10200);
-      return next;
-    }).ok());
+    WVM_CHECK(sql.Execute(t, "UPDATE DailySales SET total_sales = 10200 "
+                             "WHERE city = 'San Jose'")
+                  .ok());
   });
   run_txn([&](MaintenanceTxn* t) {  // VN 6: delete
-    WVM_CHECK(table.Delete(t, golf).ok());
+    WVM_CHECK(
+        sql.Execute(t, "DELETE FROM DailySales WHERE city = 'San Jose'").ok());
   });
 
   // The tuple's record, read through the byte accessors.

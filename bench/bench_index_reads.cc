@@ -46,6 +46,15 @@ Row MakeRow(int64_t id, int64_t qty) {
           Value::Int64(qty)};
 }
 
+// The per-key step of a keyed update: column `col` of the key's row + 1.
+core::KeyDecider Bump(size_t col) {
+  return [col](const std::optional<Row>& row) -> Result<core::NetEffect> {
+    if (!row.has_value()) return core::NetEffect{};
+    return core::NetEffect::Update(
+        {{col, Value::Int64((*row)[col].AsInt64() + 1)}});
+  };
+}
+
 Schema DatedSchema() {
   return Schema({Column::Int64("store"), Column::Date("day"),
                  Column::Int64("qty", /*updatable=*/true)},
@@ -183,15 +192,10 @@ void Run() {
   {
     Result<core::MaintenanceTxn*> txn = engine.BeginMaintenance();
     WVM_CHECK(txn.ok());
+    std::vector<core::BatchKeyOp> op = {{{Value::Int64(0)}, Bump(3)}};
     for (int i = 0; i < kRows / 20; ++i) {
-      const int64_t id = rng.Uniform(0, kRows - 1);
-      Result<bool> r = table.UpdateByKey(
-          txn.value(), {Value::Int64(id)}, [](const Row& row) -> Result<Row> {
-            Row next = row;
-            next[3] = Value::Int64(next[3].AsInt64() + 1);
-            return next;
-          });
-      WVM_CHECK(r.ok());
+      op[0].key[0] = Value::Int64(rng.Uniform(0, kRows - 1));
+      WVM_CHECK(table.ApplyBatch(txn.value(), op).ok());
     }
     WVM_CHECK(engine.Commit(txn.value()).ok());
   }
@@ -278,13 +282,9 @@ void RunDatedKey() {
     WVM_CHECK(txn.ok());
     for (int64_t i = 0; i < kDatedRows; i += 20) {
       const Row k = MakeDatedRow(i);
-      Result<bool> r = table.UpdateByKey(
-          txn.value(), {k[0], k[1]}, [](const Row& row) -> Result<Row> {
-            Row next = row;
-            next[2] = Value::Int64(next[2].AsInt64() + 1);
-            return next;
-          });
-      WVM_CHECK(r.ok() && r.value());
+      Result<core::BatchApplyStats> r =
+          table.ApplyBatch(txn.value(), {{{k[0], k[1]}, Bump(2)}});
+      WVM_CHECK(r.ok() && r->updates == 1);
     }
     WVM_CHECK(engine.Commit(txn.value()).ok());
   }

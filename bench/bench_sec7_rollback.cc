@@ -102,16 +102,19 @@ VnlResult VnlAbort(int n, int txn_size) {
 
   Result<core::MaintenanceTxn*> txn = engine->BeginMaintenance();
   WVM_CHECK(txn.ok());
+  // One key per ApplyBatch: the per-key step a keyed update runs.
+  std::vector<core::BatchKeyOp> op = {
+      {{Value::Int64(0)},
+       [](const std::optional<Row>& row) -> Result<core::NetEffect> {
+         if (!row.has_value()) return core::NetEffect{};
+         return core::NetEffect::Update(
+             {{1, Value::Int64((*row)[1].AsInt64() + 1)}});
+       }}};
   const auto u0 = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < txn_size; ++i) {
-    Result<bool> r = table->UpdateByKey(
-        txn.value(), {Value::Int64(i % kRows)},
-        [](const Row& row) -> Result<Row> {
-          Row next = row;
-          next[1] = Value::Int64(next[1].AsInt64() + 1);
-          return next;
-        });
-    WVM_CHECK(r.ok() && r.value());
+    op[0].key[0] = Value::Int64(i % kRows);
+    Result<core::BatchApplyStats> r = table->ApplyBatch(txn.value(), op);
+    WVM_CHECK(r.ok() && r->updates == 1);
   }
   const double update_ms = MsSince(u0);
 

@@ -12,6 +12,7 @@
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/rewriter.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
@@ -57,17 +58,13 @@ struct VnlFixture {
     // old version exercise the pre-update path of Table 1.
     Result<core::MaintenanceTxn*> churn = engine->BeginMaintenance();
     WVM_CHECK(churn.ok());
-    WVM_CHECK(table
-                  ->Update(churn.value(),
-                           [](const Row& row) -> Result<bool> {
-                             return row[0].AsInt64() % 2 == 0;
-                           },
-                           [](const Row& row) -> Result<Row> {
-                             Row next = row;
-                             next[2] =
-                                 Value::Int64(next[2].AsInt64() + 1000);
-                             return next;
-                           })
+    // Even ids are exactly the even groups (grp = g<id % 16>).
+    WVM_CHECK(core::MaintenanceRewriter(engine.get())
+                  .Execute(churn.value(),
+                           "UPDATE items SET qty = qty + 1000 WHERE grp = "
+                           "'g0' OR grp = 'g2' OR grp = 'g4' OR grp = 'g6' "
+                           "OR grp = 'g8' OR grp = 'g10' OR grp = 'g12' OR "
+                           "grp = 'g14'")
                   .ok());
     WVM_CHECK(engine->Commit(churn.value()).ok());
   }

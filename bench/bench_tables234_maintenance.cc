@@ -198,15 +198,18 @@ void BM_VnlUpdateByKey(benchmark::State& state) {
   Result<core::MaintenanceTxn*> txn = fx.engine->BeginMaintenance();
   WVM_CHECK(txn.ok());
   int64_t id = 0;
+  // One key per ApplyBatch: the per-key step a keyed update runs.
+  std::vector<core::BatchKeyOp> op = {
+      {{Value::Int64(0)},
+       [](const std::optional<Row>& row) -> Result<core::NetEffect> {
+         if (!row.has_value()) return core::NetEffect{};
+         return core::NetEffect::Update(
+             {{1, Value::Int64((*row)[1].AsInt64() + 1)}});
+       }}};
   for (auto _ : state) {
-    Result<bool> r = fx.table->UpdateByKey(
-        txn.value(), {Value::Int64(id)},
-        [](const Row& row) -> Result<Row> {
-          Row next = row;
-          next[1] = Value::Int64(next[1].AsInt64() + 1);
-          return next;
-        });
-    WVM_CHECK(r.ok() && r.value());
+    op[0].key[0] = Value::Int64(id);
+    Result<core::BatchApplyStats> r = fx.table->ApplyBatch(txn.value(), op);
+    WVM_CHECK(r.ok() && r->updates == 1);
     id = (id + 1) % 8192;
   }
   WVM_CHECK(fx.engine->Commit(txn.value()).ok());
@@ -237,11 +240,17 @@ void BM_VnlDeleteThenReinsert(benchmark::State& state) {
   Result<core::MaintenanceTxn*> txn = fx.engine->BeginMaintenance();
   WVM_CHECK(txn.ok());
   int64_t id = 0;
+  std::vector<core::BatchKeyOp> del = {
+      {{Value::Int64(0)},
+       [](const std::optional<Row>&) -> Result<core::NetEffect> {
+         return core::NetEffect::Delete();
+       }}};
   for (auto _ : state) {
     // delete + insert of the same key: Table 4 line 1 then Table 2 line 2
     // (net effect update).
-    Result<bool> d = fx.table->DeleteByKey(txn.value(), {Value::Int64(id)});
-    WVM_CHECK(d.ok() && d.value());
+    del[0].key[0] = Value::Int64(id);
+    Result<core::BatchApplyStats> d = fx.table->ApplyBatch(txn.value(), del);
+    WVM_CHECK(d.ok() && d->deletes == 1);
     WVM_CHECK(fx.table->Insert(txn.value(),
                                {Value::Int64(id), Value::Int64(7)}).ok());
     id = (id + 1) % 8192;

@@ -1,5 +1,7 @@
 #include "baselines/vnl_adapter.h"
 
+#include <cmath>
+
 namespace wvm::baselines {
 
 Result<std::unique_ptr<VnlAdapter>> VnlAdapter::Create(BufferPool* pool,
@@ -71,18 +73,37 @@ Status VnlAdapter::MaintInsert(const Row& row) {
 }
 
 Status VnlAdapter::MaintUpdate(const Row& key, const Row& row) {
-  WVM_ASSIGN_OR_RETURN(
-      bool found,
-      table_->UpdateByKey(CurrentTxn(), key,
-                          [&row](const Row&) -> Result<Row> { return row; }));
-  if (!found) return Status::NotFound("no such key");
-  return Status::OK();
+  const Schema& logical = table_->logical_schema();
+  WVM_RETURN_IF_ERROR(logical.ValidateRow(row));
+  // The full row becomes edits of every updatable column and of any other
+  // it changes, which the engine refuses (§3.1). NaN equals NaN here.
+  core::KeyDecider decide =
+      [&](const std::optional<Row>& current) -> Result<core::NetEffect> {
+    core::NetEffect effect = core::NetEffect::Update({});
+    for (size_t i = 0; current.has_value() && i < row.size(); ++i) {
+      const Value& now = (*current)[i];
+      const bool nans = row[i].type() == TypeId::kDouble &&
+                        now.type() == TypeId::kDouble &&
+                        std::isnan(row[i].AsDouble()) &&
+                        std::isnan(now.AsDouble());
+      if (logical.column(i).updatable || (row[i] != now && !nans)) {
+        effect.edits.push_back({i, row[i]});
+      }
+    }
+    return effect;
+  };
+  return table_->ApplyBatch(CurrentTxn(), {{key, std::move(decide)}})
+      .status();
 }
 
 Status VnlAdapter::MaintDelete(const Row& key) {
-  WVM_ASSIGN_OR_RETURN(bool found, table_->DeleteByKey(CurrentTxn(), key));
-  if (!found) return Status::NotFound("no such key");
-  return Status::OK();
+  return table_
+      ->ApplyBatch(CurrentTxn(),
+                   {{key,
+                     [](const std::optional<Row>&) -> Result<core::NetEffect> {
+                       return core::NetEffect::Delete();
+                     }}})
+      .status();
 }
 
 Result<WarehouseEngine::MaintBatchStats> VnlAdapter::MaintApplyBatch(

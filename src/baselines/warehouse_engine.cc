@@ -24,12 +24,21 @@ Result<WarehouseEngine::MaintBatchStats> WarehouseEngine::MaintApplyBatch(
         ++stats.index_probes;
         ++stats.inserts;
         break;
-      case MaintNetAction::Kind::kUpdate:
-        WVM_RETURN_IF_ERROR(MaintUpdate(op.key, action.row));
+      case MaintNetAction::Kind::kUpdate: {
+        if (!current.has_value()) return Status::NotFound("no such key");
+        Row next = std::move(*current);
+        for (const core::ColumnEdit& e : action.edits) {
+          if (e.column >= next.size()) {
+            return Status::InvalidArgument("update edits no column");
+          }
+          next[e.column] = e.value;
+        }
+        WVM_RETURN_IF_ERROR(MaintUpdate(op.key, next));
         ++stats.index_probes;
         ++stats.page_pins;
         ++stats.updates;
         break;
+      }
       case MaintNetAction::Kind::kDelete:
         WVM_RETURN_IF_ERROR(MaintDelete(op.key));
         ++stats.index_probes;

@@ -57,7 +57,8 @@ class WarehouseEngine {
   // uncommitted writes (what the incremental view-maintenance loop needs).
   virtual Result<std::optional<Row>> MaintReadKey(const Row& key) = 0;
   virtual Status MaintInsert(const Row& row) = 0;
-  // `row` carries the new full logical tuple; its key must equal `key`.
+  // `row` carries the new full logical tuple; its key, and every other
+  // non-updatable attribute, must equal the stored tuple's.
   virtual Status MaintUpdate(const Row& key, const Row& row) = 0;
   virtual Status MaintDelete(const Row& key) = 0;
   virtual Status CommitMaintenance() = 0;
@@ -65,17 +66,18 @@ class WarehouseEngine {
   // --- Batched maintenance ----------------------------------------------------
 
   // The per-key maintenance types are the core engine's (see
-  // core/decision_tables.h): a net action of none / insert / update /
-  // delete plus its row, an op pairing a key with the callback that
-  // decides that action from the key's current row, and the batch's
-  // counts.
+  // core/decision_tables.h): a net action of none / insert (a full row) /
+  // update (edits to updatable columns) / delete, an op pairing a key with
+  // the callback that decides that action from the key's current row, and
+  // the batch's counts.
   using MaintNetAction = core::NetEffect;
   using MaintBatchOp = core::BatchKeyOp;
   using MaintBatchStats = core::BatchApplyStats;
 
   // Applies one per-key decision per op. The default implementation is
   // the serial fallback the locking and offline engines run:
-  // MaintReadKey + MaintInsert/MaintUpdate/MaintDelete per key, with
+  // MaintReadKey + MaintInsert/MaintUpdate/MaintDelete per key (an
+  // update's edits merged into the row MaintReadKey returned), with
   // facade-call accounting (one probe per call, one pin per row actually
   // read or rewritten). The 2VNL adapter runs core ApplyBatch and reports
   // the engine's real counters.

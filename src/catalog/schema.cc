@@ -350,4 +350,16 @@ size_t KeyCodec::Mismatch(const uint8_t* rec, std::string_view key) const {
   return columns_.size();
 }
 
+size_t KeyCodec::Mismatch(const uint8_t* rec, const uint8_t* other) const {
+  for (size_t j = 0; j < columns_.size(); ++j) {
+    const bool null = RecordColumnIsNull(rec, columns_[j]);
+    if (null != RecordColumnIsNull(other, columns_[j]) ||
+        (!null && std::memcmp(rec + offsets_[j], other + offsets_[j],
+                              layout_.column(j).width) != 0)) {
+      return j;
+    }
+  }
+  return columns_.size();
+}
+
 }  // namespace wvm

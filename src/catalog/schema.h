@@ -192,6 +192,11 @@ class KeyCodec {
   bool RecordHasKey(const uint8_t* rec, std::string_view key) const {
     return Mismatch(rec, key) == columns_.size();
   }
+  // The list position of the first column whose bytes differ between
+  // records `rec` and `other` of the codec's record layout, or
+  // columns().size() when they agree on every column. In place, like the
+  // overload above.
+  size_t Mismatch(const uint8_t* rec, const uint8_t* other) const;
 
  private:
   Schema layout_;                 // the key columns as a record

@@ -3,6 +3,8 @@
 
 #include <functional>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "catalog/schema.h"
 #include "common/result.h"
@@ -70,17 +72,33 @@ Result<MaintenanceDecision> DecideDelete(Vn maintenance_vn,
 // action per key from the key's current row, and VnlTable runs it through
 // the decision tables.
 
-// The net maintenance action for one key. kInsert and kUpdate carry the
-// full new logical row; kNone and kDelete leave `row` empty.
+// MV for one updatable attribute: its logical column and new value.
+struct ColumnEdit {
+  size_t column;
+  Value value;
+};
+
+// The net maintenance action for one key. kInsert carries the full new
+// logical row; kUpdate carries edits, applied in order, to updatable
+// attributes only (§3.1: nothing else of a live tuple can change).
 struct NetEffect {
   enum class Kind { kNone, kInsert, kUpdate, kDelete };
+  static NetEffect Insert(Row row) {
+    return {Kind::kInsert, std::move(row), {}};
+  }
+  static NetEffect Update(std::vector<ColumnEdit> edits) {
+    return {Kind::kUpdate, {}, std::move(edits)};
+  }
+  static NetEffect Delete() { return {Kind::kDelete, {}, {}}; }
+
   Kind kind = Kind::kNone;
   Row row;
+  std::vector<ColumnEdit> edits;
 };
 
 // Decides a key's net effect from its current logical row as the
 // maintenance transaction sees it (nullopt when the key is absent or
-// logically deleted).
+// logically deleted). VnlTable and the baseline engines both run it.
 using KeyDecider =
     std::function<Result<NetEffect>(const std::optional<Row>& current)>;
 

@@ -23,27 +23,6 @@ Result<Value> EvalConstant(const sql::Expr& expr,
   return *v;  // may point into `bound`: copied before it is destroyed
 }
 
-// The cursor predicate of UPDATE / DELETE (Examples 4.3, 4.4), bound
-// once: every tuple without a WHERE, else the rows it accepts.
-RowPredicate CursorPredicate(const sql::Expr* where, const Schema& logical,
-                             const query::ParamMap& params) {
-  if (where == nullptr) return [](const Row&) -> Result<bool> { return true; };
-  return [bound = query::BoundExpr::Bind(*where, logical, params)](
-             const Row& row) { return bound.Test(row); };
-}
-
-// A string constant for a DATE column is parsed; any other value must be
-// one the column can hold (CheckColumnValue): an INT64 outside INT32's
-// range does not fit an INT32 column, nor a DOUBLE an integer column.
-Result<Value> CoerceToColumn(const Column& col, Value v) {
-  if (col.type == TypeId::kDate && v.type() == TypeId::kString &&
-      !v.is_null()) {
-    return Value::ParseDate(v.AsString());
-  }
-  WVM_RETURN_IF_ERROR(CheckColumnValue(col, v));
-  return v;
-}
-
 }  // namespace
 
 Result<size_t> MaintenanceRewriter::ExecuteInsert(
@@ -76,46 +55,12 @@ Result<size_t> MaintenanceRewriter::ExecuteInsert(
     for (size_t i = 0; i < exprs.size(); ++i) {
       WVM_ASSIGN_OR_RETURN(Value v, EvalConstant(*exprs[i], params));
       WVM_ASSIGN_OR_RETURN(row[targets[i]],
-                           CoerceToColumn(logical.column(targets[i]),
-                                          std::move(v)));
+                           query::CoerceToColumn(logical.column(targets[i]),
+                                                 std::move(v)));
     }
     WVM_RETURN_IF_ERROR(table->Insert(txn, row));
   }
   return stmt.rows.size();
-}
-
-Result<size_t> MaintenanceRewriter::ExecuteUpdate(
-    MaintenanceTxn* txn, const sql::UpdateStmt& stmt,
-    const query::ParamMap& params) {
-  WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.table));
-  const Schema& logical = table->logical_schema();
-
-  // Resolve SET targets and bind their expressions up front.
-  std::vector<std::pair<size_t, query::BoundExpr>> sets;
-  for (const auto& [col, expr] : stmt.sets) {
-    WVM_ASSIGN_OR_RETURN(size_t idx, logical.IndexOf(col));
-    sets.emplace_back(idx, query::BoundExpr::Bind(*expr, logical, params));
-  }
-
-  RowTransform transform = [&](const Row& row) -> Result<Row> {
-    Row next = row;
-    Value scratch;
-    for (const auto& [idx, expr] : sets) {
-      WVM_ASSIGN_OR_RETURN(const Value* v, expr.Eval(row, &scratch));
-      WVM_ASSIGN_OR_RETURN(next[idx], CoerceToColumn(logical.column(idx), *v));
-    }
-    return next;
-  };
-  return table->Update(txn, CursorPredicate(stmt.where.get(), logical, params),
-                       transform);
-}
-
-Result<size_t> MaintenanceRewriter::ExecuteDelete(
-    MaintenanceTxn* txn, const sql::DeleteStmt& stmt,
-    const query::ParamMap& params) {
-  WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.table));
-  return table->Delete(txn, CursorPredicate(stmt.where.get(),
-                                            table->logical_schema(), params));
 }
 
 Result<size_t> MaintenanceRewriter::Execute(MaintenanceTxn* txn,
@@ -125,10 +70,15 @@ Result<size_t> MaintenanceRewriter::Execute(MaintenanceTxn* txn,
   switch (stmt.kind) {
     case sql::StatementKind::kInsert:
       return ExecuteInsert(txn, *stmt.insert, params);
-    case sql::StatementKind::kUpdate:
-      return ExecuteUpdate(txn, *stmt.update, params);
-    case sql::StatementKind::kDelete:
-      return ExecuteDelete(txn, *stmt.del, params);
+    case sql::StatementKind::kUpdate: {
+      WVM_ASSIGN_OR_RETURN(VnlTable * table,
+                           engine_->GetTable(stmt.update->table));
+      return table->Update(txn, *stmt.update, params);
+    }
+    case sql::StatementKind::kDelete: {
+      WVM_ASSIGN_OR_RETURN(VnlTable * table, engine_->GetTable(stmt.del->table));
+      return table->Delete(txn, *stmt.del, params);
+    }
     case sql::StatementKind::kSelect:
       return Status::InvalidArgument(
           "SELECT is a reader statement; use the reader rewrite (§4.1)");

@@ -16,7 +16,12 @@ namespace wvm::core {
 //
 // INSERT runs the per-row loop of Example 4.2 for every VALUES list: each
 // row is one VnlTable::Insert, so a failing row (e.g. a duplicate key)
-// returns its error with the rows before it applied.
+// returns its error with the rows before it applied. UPDATE and DELETE
+// hand the parsed statement to VnlTable::Update / Delete, which bind WHERE
+// and SET once and read the cursor through the Table-1 reader step at
+// maintenanceVN (index-routed when WHERE binds a unique key or a
+// secondary index); an UPDATE is a list of edits to updatable columns, so
+// a SET on any other column fails with kInvalidArgument before any write.
 //
 // Explain() renders the cursor pseudocode for a statement in the style of
 // the paper's examples, which doubles as executable documentation.
@@ -37,12 +42,6 @@ class MaintenanceRewriter {
  private:
   Result<size_t> ExecuteInsert(MaintenanceTxn* txn,
                                const sql::InsertStmt& stmt,
-                               const query::ParamMap& params);
-  Result<size_t> ExecuteUpdate(MaintenanceTxn* txn,
-                               const sql::UpdateStmt& stmt,
-                               const query::ParamMap& params);
-  Result<size_t> ExecuteDelete(MaintenanceTxn* txn,
-                               const sql::DeleteStmt& stmt,
                                const query::ParamMap& params);
 
   VnlEngine* const engine_;

@@ -18,11 +18,13 @@ namespace wvm::core {
 
 // Engine-level knobs for the snapshot read path.
 struct ScanOptions {
-  // Route SnapshotSelect through the unique-key / secondary hash indexes
-  // when the WHERE clause binds them with equality (IN-list) conjuncts and
-  // the session is inside the §4.1 version window, where per-tuple
-  // expiration is impossible. Off forces every query down the heap pass
-  // (the reference the routed path is diffed and benchmarked against).
+  // Route SnapshotSelect and the maintenance cursor (VnlTable::Update and
+  // Delete) through the unique-key / secondary hash indexes when the WHERE
+  // clause binds them with equality (IN-list) conjuncts and, for a
+  // snapshot read, the session is inside the §4.1 version window, where
+  // per-tuple expiration is impossible. Off forces every read down the
+  // heap pass (the reference the routed path is diffed and benchmarked
+  // against).
   bool index_routing = true;
 };
 

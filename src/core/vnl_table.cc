@@ -129,7 +129,7 @@ Result<Rid> VnlTable::WriteTuple(Rid rid, const uint8_t* before,
 
 Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
                                const MaintenanceDecision& d, Target* target,
-                               const Row* mv_logical) {
+                               const NetEffect& effect) {
   // The cell edits a copy, so the write sees both records: in the room
   // FetchTarget left after the fetched record, or, for Table 2's
   // no-conflict row, in a fresh record whose older version slots are empty
@@ -152,9 +152,18 @@ Status VnlTable::ApplyDecision(MaintenanceTxn* txn,
   if (d.push_back) vschema_.PushBack(rec);
   if (d.pv_from_cv) vschema_.CopyCurrentToPre(rec, 0);
   if (d.pv_null) vschema_.SetPreNull(rec, 0);
-  if (d.cv_from_mv) {
-    WVM_CHECK(mv_logical != nullptr);
-    vschema_.SetCurrent(rec, *mv_logical);
+  if (d.cv_from_mv && effect.kind == NetEffect::Kind::kInsert) {
+    vschema_.SetCurrent(rec, effect.row);
+    // Table 2's one allowed conflict, a re-insert over a logically deleted
+    // tuple, keeps its non-updatable attributes (§3.1), for every n.
+    if (target != nullptr) {
+      WVM_RETURN_IF_ERROR(CheckReviveKeepsFixed(target->rec.data(), rec));
+    }
+  } else if (d.cv_from_mv) {
+    // Logical column i is physical column i.
+    for (const ColumnEdit& e : effect.edits) {
+      SerializeColumn(vschema_.physical(), e.value, e.column, rec);
+    }
   }
   if (d.set_tuple_vn) {
     WVM_CHECK(d.new_op.has_value());
@@ -197,11 +206,9 @@ Result<TupleVersionState> VnlTable::StateOf(const uint8_t* rec) const {
                            vschema_.n() > 2 && !vschema_.RawSlotEmpty(rec, 1)};
 }
 
-Status VnlTable::CheckUpdatablesOnly(const uint8_t* rec,
-                                     const Row& next) const {
-  std::string fixed;
-  fixed_codec_.FromValues(next, &fixed, /*whole_row=*/true);
-  const size_t changed = fixed_codec_.Mismatch(rec, fixed);
+Status VnlTable::CheckReviveKeepsFixed(const uint8_t* before,
+                                       const uint8_t* after) const {
+  const size_t changed = fixed_codec_.Mismatch(before, after);
   if (changed == fixed_codec_.columns().size()) return Status::OK();
   return Status::InvalidArgument(
       "row changes non-updatable attribute '" +
@@ -228,6 +235,8 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
   const bool visible =
       target.has_value() && target->state.op != Op::kDelete;
   const Schema& logical = vschema_.logical();
+  MaintenanceDecision d;
+  size_t* applied = nullptr;
   switch (effect.kind) {
     case NetEffect::Kind::kNone:
       return Status::OK();
@@ -240,40 +249,42 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
         return Status::InvalidArgument(
             "inserted row's key differs from the key it is applied to");
       }
-      ++txn->stats_.logical_inserts;
       std::optional<TupleVersionState> existing;
       if (target.has_value()) existing = target->state;
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                           DecideInsert(txn->vn(), existing));
-      // The one conflict Table 2 lets through is a logically deleted
-      // tuple, re-inserted in place: it keeps its non-updatable attributes
-      // like any update (§3.1), in every cell and for every n.
-      if (target.has_value()) {
-        WVM_RETURN_IF_ERROR(
-            CheckUpdatablesOnly(target->rec.data(), effect.row));
-      }
-      return ApplyDecision(txn, d, target ? &*target : nullptr, &effect.row);
+      WVM_ASSIGN_OR_RETURN(d, DecideInsert(txn->vn(), existing));
+      applied = &txn->stats_.logical_inserts;
+      break;
     }
     case NetEffect::Kind::kUpdate: {
       if (!visible) return Status::NotFound("no such key");
-      WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
-      // Non-updatable attributes (including the unique key) must not
-      // change.
-      WVM_RETURN_IF_ERROR(CheckUpdatablesOnly(target->rec.data(), effect.row));
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                           DecideUpdate(txn->vn(), target->state));
-      ++txn->stats_.logical_updates;
-      return ApplyDecision(txn, d, &*target, &effect.row);
+      // An update edits updatable attributes only: a tuple's others were
+      // fixed at its insert (§3.1).
+      for (const ColumnEdit& e : effect.edits) {
+        const Column* col = e.column < logical.num_columns()
+                                ? &logical.column(e.column)
+                                : nullptr;
+        if (col == nullptr || !col->updatable) {
+          return Status::InvalidArgument(StrPrintf(
+              "update edits '%s', not an updatable attribute",
+              col != nullptr ? col->name.c_str() : "no column"));
+        }
+        WVM_RETURN_IF_ERROR(CheckColumnValue(*col, e.value));
+      }
+      WVM_ASSIGN_OR_RETURN(d, DecideUpdate(txn->vn(), target->state));
+      applied = &txn->stats_.logical_updates;
+      break;
     }
     case NetEffect::Kind::kDelete: {
       if (!visible) return Status::NotFound("no such key");
-      WVM_ASSIGN_OR_RETURN(MaintenanceDecision d,
-                           DecideDelete(txn->vn(), target->state));
-      ++txn->stats_.logical_deletes;
-      return ApplyDecision(txn, d, &*target, nullptr);
+      WVM_ASSIGN_OR_RETURN(d, DecideDelete(txn->vn(), target->state));
+      applied = &txn->stats_.logical_deletes;
+      break;
     }
   }
-  WVM_UNREACHABLE("bad net-effect kind");
+  WVM_RETURN_IF_ERROR(
+      ApplyDecision(txn, d, target ? &*target : nullptr, effect));
+  ++*applied;
+  return Status::OK();
 }
 
 Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
@@ -304,8 +315,8 @@ Status VnlTable::Insert(MaintenanceTxn* txn, const Row& logical_row) {
   const Schema& logical = vschema_.logical();
   if (!logical.has_unique_key()) {
     // No key can conflict: always Table 2 line 3.
-    return ApplyEffect(txn, std::nullopt,
-                       {NetEffect::Kind::kInsert, logical_row}, std::nullopt);
+    return ApplyEffect(txn, std::nullopt, NetEffect::Insert(logical_row),
+                       std::nullopt);
   }
   WVM_RETURN_IF_ERROR(logical.ValidateRow(logical_row));
   std::string key;
@@ -313,112 +324,35 @@ Status VnlTable::Insert(MaintenanceTxn* txn, const Row& logical_row) {
   return ApplyKey(txn, key,
                   [&logical_row](const std::optional<Row>&)
                       -> Result<NetEffect> {
-                    return NetEffect{NetEffect::Kind::kInsert, logical_row};
+                    return NetEffect::Insert(logical_row);
                   })
       .status();
 }
 
-Result<std::vector<Rid>> VnlTable::CollectCursor(
-    Vn maintenance_vn, const RowPredicate& pred) const {
-  std::vector<Rid> matches;
-  Status status;
-  Row current = LogicalPlaceholders(vschema_);
-  const Status scanned = phys_->heap()->Scan([&](Rid rid, const uint8_t* rec) {
-    // Single-writer protocol cross-check: no tuple may carry a VN the
-    // maintenance transaction has not reached yet.
-    const Vn vn = vschema_.RawTupleVn(rec, 0);
-    if (vn > maintenance_vn) {
-      status = Status::Internal(StrPrintf(
-          "tuple stamped with future VN %lld > maintenance VN %lld: "
-          "single-writer protocol violated",
-          static_cast<long long>(vn), static_cast<long long>(maintenance_vn)));
-      return false;
-    }
-    Result<Op> op = vschema_.RawOperation(rec, 0);
-    if (!op.ok()) {
-      status = op.status();
-      return false;
-    }
-    // The maintenance transaction reads the latest version (first row of
-    // Table 1); logically deleted tuples are invisible to it.
-    if (op.value() == Op::kDelete) return true;
-    MaterializeVersionRawInto(vschema_, rec, {ReadOutcome::kRow, -1},
-                              vschema_.logical_columns(), &current);
-    Result<bool> keep = pred(current);
-    if (!keep.ok()) {
-      status = keep.status();
-      return false;
-    }
-    if (keep.value()) matches.push_back(rid);
-    return true;
-  });
-  WVM_RETURN_IF_ERROR(scanned);
-  WVM_RETURN_IF_ERROR(status);
-  return matches;
-}
-
 Result<size_t> VnlTable::Update(MaintenanceTxn* txn,
-                                const RowPredicate& pred,
-                                const RowTransform& transform) {
+                                const sql::UpdateStmt& stmt,
+                                const query::ParamMap& params) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  WVM_ASSIGN_OR_RETURN(std::vector<Rid> cursor,
-                       CollectCursor(txn->vn(), pred));
-  for (Rid rid : cursor) {
-    // Deferred fetch: the cursor holds Rids only; the row is read when the
-    // decision procedure actually needs it.
-    WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
-    WVM_ASSIGN_OR_RETURN(
-        Row next, transform(vschema_.RawCurrentLogical(target.rec.data())));
-    WVM_RETURN_IF_ERROR(
-        ApplyEffect(txn, std::nullopt,
-                    {NetEffect::Kind::kUpdate, std::move(next)},
-                    std::move(target)));
+  const Schema& logical = vschema_.logical();
+  // SET binds first; each target must be an updatable column (§3.1).
+  SetList sets;
+  for (const auto& [name, expr] : stmt.sets) {
+    WVM_ASSIGN_OR_RETURN(size_t col, logical.IndexOf(name));
+    if (!logical.column(col).updatable) {
+      return Status::InvalidArgument(
+          StrPrintf("UPDATE sets non-updatable column '%s' (§3.1)",
+                    logical.column(col).name.c_str()));
+    }
+    sets.emplace_back(col, query::BoundExpr::Bind(*expr, logical, params));
   }
-  return cursor.size();
+  return RunCursor(txn, stmt.where.get(), params, &sets);
 }
 
 Result<size_t> VnlTable::Delete(MaintenanceTxn* txn,
-                                const RowPredicate& pred) {
+                                const sql::DeleteStmt& stmt,
+                                const query::ParamMap& params) {
   WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  WVM_ASSIGN_OR_RETURN(std::vector<Rid> cursor,
-                       CollectCursor(txn->vn(), pred));
-  for (Rid rid : cursor) {
-    WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
-    WVM_RETURN_IF_ERROR(ApplyEffect(
-        txn, std::nullopt, {NetEffect::Kind::kDelete, {}}, std::move(target)));
-  }
-  return cursor.size();
-}
-
-Result<bool> VnlTable::UpdateByKey(MaintenanceTxn* txn, const Row& key,
-                                   const RowTransform& transform) {
-  WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  std::string bytes;
-  key_codec_.FromValues(key, &bytes);
-  WVM_ASSIGN_OR_RETURN(
-      NetEffect::Kind applied,
-      ApplyKey(txn, bytes,
-               [&transform](const std::optional<Row>& current)
-                   -> Result<NetEffect> {
-                 if (!current.has_value()) return NetEffect{};
-                 WVM_ASSIGN_OR_RETURN(Row next, transform(*current));
-                 return NetEffect{NetEffect::Kind::kUpdate, std::move(next)};
-               }));
-  return applied != NetEffect::Kind::kNone;
-}
-
-Result<bool> VnlTable::DeleteByKey(MaintenanceTxn* txn, const Row& key) {
-  WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  std::string bytes;
-  key_codec_.FromValues(key, &bytes);
-  WVM_ASSIGN_OR_RETURN(
-      NetEffect::Kind applied,
-      ApplyKey(txn, bytes,
-               [](const std::optional<Row>& current) -> Result<NetEffect> {
-                 if (!current.has_value()) return NetEffect{};
-                 return NetEffect{NetEffect::Kind::kDelete, {}};
-               }));
-  return applied != NetEffect::Kind::kNone;
+  return RunCursor(txn, stmt.where.get(), params, nullptr);
 }
 
 Result<BatchApplyStats> VnlTable::ApplyBatch(
@@ -469,18 +403,6 @@ Result<std::optional<Row>> VnlTable::MaintenanceLookup(
   return std::optional<Row>(vschema_.RawCurrentLogical(target.rec.data()));
 }
 
-Result<std::vector<Row>> VnlTable::MaintenanceRows(
-    MaintenanceTxn* txn) const {
-  WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  // The cursor's predicate sees every row the maintenance txn can see.
-  std::vector<Row> rows;
-  WVM_RETURN_IF_ERROR(CollectCursor(txn->vn(), [&rows](const Row& row) {
-                        rows.push_back(row);
-                        return true;
-                      }).status());
-  return rows;
-}
-
 namespace {
 
 // The logical columns a projection mask keeps (every column when it is
@@ -507,19 +429,24 @@ uint64_t AttributeBytes(const Schema& logical,
 }  // namespace
 
 // The Table-1 reader step: all per-tuple read logic, on record bytes. One
-// instance serves one read.
+// instance serves one read: a session's snapshot, or the maintenance
+// cursor at maintenanceVN (Table 1's first row: each tuple's latest).
 class VnlTable::ReaderStep {
  public:
   // `invariant` and `reconstructed` are the pushed-down WHERE conjuncts,
   // bound once for the read; they must outlive the step. `key_cols` are
   // the logical GROUP BY columns (none: the read makes no keys).
+  // `maintenance` marks the maintenance cursor: it publishes nothing,
+  // counts probes and fetches there, and yields Rids (cursor()), not rows.
   ReaderStep(const VersionedSchema& vs, Vn session_vn,
              const std::vector<query::BoundExpr>& invariant,
              const std::vector<query::BoundExpr>& reconstructed,
              const std::vector<bool>& projection,
-             const std::vector<size_t>& key_cols)
+             const std::vector<size_t>& key_cols,
+             MaintenanceTxn::Stats* maintenance = nullptr)
       : vs_(vs),
         session_vn_(session_vn),
+        maintenance_(maintenance),
         invariant_(invariant),
         reconstructed_(reconstructed),
         projection_(ProjectedColumns(vs, projection)),
@@ -552,6 +479,15 @@ class VnlTable::ReaderStep {
     const VersionResolution res = ResolveVersionRaw(vs_, rec, session_vn_);
     WVM_PARANOID_ASSERT_OK(
         CheckReaderResolutionRaw(vs_, rec, session_vn_, res));
+    // Single-writer cross-check: the maintenance cursor resolves every
+    // tuple to its current version unless one carries a later VN.
+    if (res.slot >= 0 && maintenance_ != nullptr) {
+      return Fail(Status::Internal(StrPrintf(
+          "tuple stamped with future VN %lld > maintenance VN %lld: "
+          "single-writer protocol violated",
+          static_cast<long long>(vs_.RawTupleVn(rec, 0)),
+          static_cast<long long>(session_vn_))));
+    }
     switch (res.outcome) {
       case ReadOutcome::kIgnore:
         ++counts_.ignored;
@@ -611,6 +547,13 @@ class VnlTable::ReaderStep {
   // The GROUP BY key bytes of the row Visit last let through (empty when
   // the read makes no keys).
   std::string_view key() const { return key_; }
+  // The maintenance cursor's Rids, in source order (null: a snapshot read).
+  std::vector<Rid>* cursor() {
+    return maintenance_ != nullptr ? &cursor_ : nullptr;
+  }
+
+  Vn session_vn() const { return session_vn_; }
+  MaintenanceTxn::Stats* maintenance() const { return maintenance_; }
 
   // Stops the read with `st` (also a source's heap-read failure). Always
   // false, so Visit can return it.
@@ -620,9 +563,10 @@ class VnlTable::ReaderStep {
   }
   const Status& status() const { return status_; }
 
-  // Reports the read once: `emitted` rows reached the sink.
+  // Reports a snapshot read once: `emitted` rows reached the sink.
   void Publish(ScanMetricsSink* metrics, SnapshotScanStats* stats,
                uint64_t emitted) const {
+    if (maintenance_ != nullptr) return;
     if (stats != nullptr) {
       stats->current_reads += counts_.current_reads;
       stats->pre_update_reads += counts_.pre_update_reads;
@@ -640,6 +584,7 @@ class VnlTable::ReaderStep {
 
   const VersionedSchema& vs_;
   Vn session_vn_;
+  MaintenanceTxn::Stats* maintenance_;
   const std::vector<query::BoundExpr>& invariant_;
   const std::vector<query::BoundExpr>& reconstructed_;
   std::vector<size_t> projection_;  // logical columns materialized
@@ -647,6 +592,7 @@ class VnlTable::ReaderStep {
   uint64_t key_bytes_;              // declared widths of the GROUP BY columns
   std::vector<KeyCodec> key_codecs_;  // [slot + 1]; empty: no keys
   std::string key_;
+  std::vector<Rid> cursor_;
   Row current_;  // current version, decoded for generic invariant conjuncts
 
   uint64_t scanned_ = 0;
@@ -661,9 +607,14 @@ Status VnlTable::StreamSnapshot(ReaderStep* step, const RowSink& sink,
                                 SnapshotScanStats* stats) const {
   uint64_t emitted = 0;
   Row row;
-  const Status scanned = phys_->heap()->Scan([&](Rid, const uint8_t* rec) {
+  std::vector<Rid>* cursor = step->cursor();
+  const Status scanned = phys_->heap()->Scan([&](Rid rid, const uint8_t* rec) {
     if (step->Visit(rec, &row)) {
       ++emitted;
+      if (cursor != nullptr) {
+        cursor->push_back(rid);
+        return true;
+      }
       return sink(row, step->key());
     }
     return step->status().ok();
@@ -682,6 +633,7 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
   std::vector<uint8_t> rec(phys_->heap()->record_size());
   uint64_t emitted = 0;
   Row row;
+  std::vector<Rid>* cursor = step->cursor();
   for (Rid rid : rids) {
     const Status read = phys_->heap()->Read(rid, rec.data());
     // Reclaimed between probe and read: the heap pass would not see it
@@ -700,12 +652,21 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
     }
     if (step->Visit(rec.data(), &row)) {
       ++emitted;
-      if (!sink(row, step->key())) break;
+      if (cursor != nullptr) {
+        cursor->push_back(rid);
+      } else if (!sink(row, step->key())) {
+        break;
+      }
     } else if (!step->status().ok()) {
       break;
     }
   }
   step->Publish(metrics_, stats, emitted);
+  if (MaintenanceTxn::Stats* maintenance = step->maintenance()) {
+    maintenance->index_probes += lookups;
+    maintenance->page_pins += rids.size();
+    return step->status();
+  }
   if (stats != nullptr) {
     stats->index_lookups += lookups;
     stats->index_served_rows += emitted;
@@ -791,38 +752,85 @@ Result<query::QueryResult> VnlTable::SnapshotSelect(
   };
   source.group = [&](const std::vector<size_t>& cols) { key_cols = cols; };
   source.scan = [&](const RowSink& sink) {
-    const ScanOptions opts =
-        engine_ != nullptr ? engine_->scan_options() : ScanOptions{};
     ReaderStep step(vschema_, session.session_vn, invariant, reconstructed,
                     projection, key_cols);
-    if (opts.index_routing) {
-      Status routed;
-      if (TryStreamViaIndex(session, invariant, &step, sink, stats,
-                            &routed)) {
-        return routed;
-      }
-    }
-    return StreamSnapshot(&step, sink, stats);
+    return Stream(&step, invariant, sink, stats);
   };
   return query::ExecuteSelect(stmt, logical, source, params);
 }
 
-bool VnlTable::TryStreamViaIndex(
-    const ReaderSession& session,
-    const std::vector<query::BoundExpr>& invariant, ReaderStep* step,
-    const RowSink& sink, SnapshotScanStats* stats, Status* status) const {
-  if (engine_ == nullptr) return false;
+Result<size_t> VnlTable::RunCursor(MaintenanceTxn* txn,
+                                   const sql::Expr* where,
+                                   const query::ParamMap& params,
+                                   const SetList* sets) {
+  const Schema& logical = vschema_.logical();
+  // The whole WHERE is the read's, split as SnapshotSelect splits what it
+  // absorbs; only the columns `reconstructed` conjuncts read are decoded.
+  std::vector<query::BoundExpr> invariant;
+  std::vector<query::BoundExpr> reconstructed;
+  if (where != nullptr) {
+    std::vector<const sql::Expr*> conjuncts;
+    sql::CollectConjuncts(*where, &conjuncts);
+    for (const sql::Expr* c : conjuncts) {
+      query::BoundExpr bound =
+          query::BoundExpr::Bind(*c, logical, params, &vschema_.physical());
+      (bound.touches_updatable() ? reconstructed : invariant)
+          .push_back(std::move(bound));
+    }
+  }
+  std::vector<bool> projection(logical.num_columns(), false);
+  for (const query::BoundExpr& c : reconstructed) c.MarkColumns(&projection);
+  ReaderStep step(vschema_, txn->vn(), invariant, reconstructed, projection,
+                  {}, &txn->stats_);
+  WVM_RETURN_IF_ERROR(Stream(
+      &step, invariant, [](const Row&, std::string_view) { return true; },
+      nullptr));
+  const std::vector<Rid> cursor = std::move(*step.cursor());
+
+  // Deferred fetch: the cursor holds Rids only; each tuple is read when it
+  // is written, and SET sees its current values of the columns it reads.
+  static const SetList kNoSets;  // a DELETE
+  const SetList& set_list = sets != nullptr ? *sets : kNoSets;
+  std::vector<bool> reads(logical.num_columns(), false);
+  for (const auto& [col, expr] : set_list) expr.MarkColumns(&reads);
+  const std::vector<size_t> read_cols = ProjectedColumns(vschema_, reads);
+  Row current = LogicalPlaceholders(vschema_);
+  NetEffect effect = sets ? NetEffect::Update({}) : NetEffect::Delete();
+  Value scratch;
+  for (Rid rid : cursor) {
+    WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, rid));
+    MaterializeVersionRawInto(vschema_, target.rec.data(),
+                              {ReadOutcome::kRow, -1}, read_cols, &current);
+    effect.edits.clear();
+    for (const auto& [col, expr] : set_list) {
+      WVM_ASSIGN_OR_RETURN(const Value* v, expr.Eval(current, &scratch));
+      WVM_ASSIGN_OR_RETURN(Value value,
+                           query::CoerceToColumn(logical.column(col), *v));
+      effect.edits.push_back({col, std::move(value)});
+    }
+    WVM_RETURN_IF_ERROR(
+        ApplyEffect(txn, std::nullopt, effect, std::move(target)));
+  }
+  return cursor.size();
+}
+
+Status VnlTable::Stream(ReaderStep* step,
+                        const std::vector<query::BoundExpr>& invariant,
+                        const RowSink& sink, SnapshotScanStats* stats) const {
+  if (engine_ == nullptr || !engine_->scan_options().index_routing) {
+    return StreamSnapshot(step, sink, stats);
+  }
   const Schema& logical = vschema_.logical();
   // Eligibility is the §4.1 version window itself (gap <= n-1, one less
   // while maintenance is active): inside it no tuple the session can meet
   // resolves kExpired, so skipping unprobed tuples cannot change the
-  // read's status. Sessions outside it take the heap pass, which decides
-  // expiration on every heap tuple — including ones the WHERE rejects —
-  // keeping the two paths status-identical. Peek() reads the window under
-  // the Version relation's latch without fetching its page.
-  if (!engine_->version_relation()->Peek().Admits(session.session_vn,
+  // read's status. Peek() reads the window under the Version relation's
+  // latch without fetching its page. The maintenance transaction reads
+  // the latest versions, which never expire.
+  if (step->maintenance() == nullptr &&
+      !engine_->version_relation()->Peek().Admits(step->session_vn(),
                                                   vschema_.n())) {
-    return false;
+    return StreamSnapshot(step, sink, stats);
   }
   // The heap pass evaluates invariant conjuncts in WHERE order on every
   // visible tuple, so one that can fail to evaluate raises its error on
@@ -830,7 +838,9 @@ bool VnlTable::TryStreamViaIndex(
   // fetches. Such reads take the heap pass too.
   bool may_fail = false;
   for (const query::BoundExpr& c : invariant) {
-    if (may_fail && c.key_column().has_value()) return false;
+    if (may_fail && c.key_column().has_value()) {
+      return StreamSnapshot(step, sink, stats);
+    }
     may_fail = may_fail || c.can_fail();
   }
 
@@ -845,7 +855,7 @@ bool VnlTable::TryStreamViaIndex(
     keys = BindIndexKeys(invariant, secondary_codecs_[s]);
     secondary = s;
   }
-  if (!keys.has_value()) return false;
+  if (!keys.has_value()) return StreamSnapshot(step, sink, stats);
   std::vector<Rid> candidates;
   {
     MutexLock lock(index_mu_);
@@ -868,9 +878,8 @@ bool VnlTable::TryStreamViaIndex(
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  *status = StreamCandidates(candidates, /*key=*/std::nullopt, keys->size(),
-                             /*scans_avoided=*/1, step, sink, stats);
-  return true;
+  return StreamCandidates(candidates, /*key=*/std::nullopt, keys->size(),
+                          /*scans_avoided=*/1, step, sink, stats);
 }
 
 Result<bool> VnlTable::RollbackTxn(Vn txn_vn, Vn current_vn) {

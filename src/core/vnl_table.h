@@ -1,7 +1,6 @@
 #ifndef OPENWVM_CORE_VNL_TABLE_H_
 #define OPENWVM_CORE_VNL_TABLE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -62,13 +61,6 @@ class MaintenanceTxn {
   Stats stats_;
 };
 
-// Per-row callbacks used by the cursor-style maintenance statements
-// (§4.2): both receive the *logical* current row, indexed by logical
-// column position. The row handed to a RowPredicate is valid only for the
-// call.
-using RowPredicate = std::function<Result<bool>(const Row&)>;
-using RowTransform = std::function<Result<Row>(const Row&)>;
-
 // Counters describing how a snapshot scan classified the physical tuples
 // it visited (Table 1 outcomes) — reported by the reader-overhead bench.
 struct SnapshotScanStats {
@@ -96,11 +88,12 @@ class VnlTable {
 
   // --- Maintenance operations (§3.3, Tables 2-4) --------------------------
   //
-  // Every key-addressed write runs one per-key step: probe the unique-key
-  // index, fetch the tuple, decide a NetEffect from its current row, pick
-  // the Tables 2-4 cell, and apply it. ApplyBatch loops that step over
-  // many keys; Insert, UpdateByKey and DeleteByKey are one-key calls of
-  // it; the cursor Update/Delete share its validate-decide-apply tail.
+  // A key-addressed write is one per-key step: probe the unique-key index,
+  // fetch the tuple, decide a NetEffect from its current row, apply the
+  // Tables 2-4 cell. ApplyBatch loops it; Insert is one call of it. The
+  // cursor statements Update and Delete bind like a read and share its
+  // validate-decide-apply tail. An update is a list of edits to updatable
+  // columns, and only those columns are encoded.
 
   // Logical insert. Resolves unique-key conflicts per Table 2: a live
   // key is kAlreadyExists; a re-insert of a logically deleted key becomes
@@ -110,44 +103,37 @@ class VnlTable {
   // without a unique key always take a fresh physical insert.
   Status Insert(MaintenanceTxn* txn, const Row& logical_row);
 
-  // Logical update of every tuple satisfying `pred`, via a materialized
-  // cursor (Example 4.3). `transform` maps the current logical row to the
-  // new one; non-updatable attributes must be preserved. Returns the
-  // number of tuples updated.
-  Result<size_t> Update(MaintenanceTxn* txn, const RowPredicate& pred,
-                        const RowTransform& transform);
-
-  // Logical delete of every tuple satisfying `pred` (Example 4.4).
-  Result<size_t> Delete(MaintenanceTxn* txn, const RowPredicate& pred);
-
-  // Index-based fast paths for key-addressed maintenance. Return false
-  // when the key is absent or logically deleted. Keys compare as the bytes
-  // the key columns store (KeyCodec), so a key value its column cannot
-  // hold (CheckColumnValue) matches no tuple. Require a unique key
-  // (kFailedPrecondition otherwise).
-  Result<bool> UpdateByKey(MaintenanceTxn* txn, const Row& key,
-                           const RowTransform& transform);
-  Result<bool> DeleteByKey(MaintenanceTxn* txn, const Row& key);
+  // The cursor loops of Examples 4.3-4.4 (§4.2): UPDATE or DELETE every
+  // tuple the maintenance transaction sees that satisfies WHERE (all
+  // without one); returns how many. The table name is not checked. WHERE
+  // and SET bind once; a SET of a non-updatable column is kInvalidArgument
+  // (unknown: kNotFound) before anything is read. The cursor is a read at
+  // maintenanceVN through SnapshotSelect's reader step, index-routed with
+  // no §4.1 window, counted in MaintenanceTxn::Stats; it holds every Rid,
+  // in heap order, before the first write, and a tuple stamped after
+  // maintenanceVN fails it with kInternal (single-writer check).
+  Result<size_t> Update(MaintenanceTxn* txn, const sql::UpdateStmt& stmt,
+                        const query::ParamMap& params = {});
+  Result<size_t> Delete(MaintenanceTxn* txn, const sql::DeleteStmt& stmt,
+                        const query::ParamMap& params = {});
 
   // Current logical row for `key`, as the maintenance txn sees it
-  // (nullopt when absent or logically deleted).
+  // (nullopt when absent or logically deleted). Keys compare as KeyCodec
+  // bytes, so a value the key column cannot hold matches no tuple.
+  // Requires a unique key (kFailedPrecondition otherwise).
   Result<std::optional<Row>> MaintenanceLookup(MaintenanceTxn* txn,
                                                const Row& key) const;
 
   // Runs the per-key step for each op, in `ops` order: one index probe,
   // at most one page pin and one decision-table transition per key, with
-  // `decide` handed the row MaintenanceLookup would return, so
-  // state-dependent maintenance (view deltas) costs no extra probe.
-  // kUpdate / kDelete on an absent or logically deleted key return
-  // kNotFound("no such key"); a kInsert row whose key differs from the
-  // op's key is kInvalidArgument. Stops at the first failing key, leaving
-  // the keys before it applied. Requires a unique key: on a table without
-  // one the first op fails with kFailedPrecondition.
+  // `decide` handed the row MaintenanceLookup would return. kUpdate /
+  // kDelete on an absent or logically deleted key are kNotFound("no such
+  // key"); a kInsert row with another key, and an edit of a non-updatable
+  // column or with a value its column cannot hold, are kInvalidArgument.
+  // Stops at the first failing key, the keys before it applied. On a table
+  // without a unique key the first op fails with kFailedPrecondition.
   Result<BatchApplyStats> ApplyBatch(MaintenanceTxn* txn,
                                      const std::vector<BatchKeyOp>& ops);
-
-  // All logical rows visible to the maintenance transaction.
-  Result<std::vector<Row>> MaintenanceRows(MaintenanceTxn* txn) const;
 
   // --- Reader operations (§3.2, Table 1) ----------------------------------
 
@@ -169,23 +155,15 @@ class VnlTable {
       SnapshotScanStats* stats = nullptr) const;
 
   // Runs a SELECT over the session's snapshot (aggregates, grouping, the
-  // full query layer). Statement table name is not checked against this
-  // table — the engine routes by name.
-  //
-  // The read is fully streaming and runs on serialized records: Table-1
-  // version resolution, predicate evaluation, and projection happen per
-  // tuple inside one pass. Every expression is bound once per call
-  // (query::BoundExpr): names, parameters and comparand types are resolved
-  // before the first tuple. WHERE conjuncts that reference only base
-  // (logical) columns are pushed into the pass. Conjuncts over
-  // version-invariant (non-updatable) columns are evaluated, in WHERE
-  // order, before the logical row is materialized — a `column cmp
-  // constant` conjunct over an int, string or DATE column on the record
-  // bytes — so filtered-out tuples cost zero Row copies.
-  //
-  // The pass is fed by the unique-key or a secondary index when routing
-  // applies (see TryStreamViaIndex), else by one serial heap pass on the
-  // calling thread. Both sources emit rows in heap order.
+  // full query layer). The statement's table name is not checked — the
+  // engine routes by name. The read streams serialized records: Table-1
+  // resolution, predicates and projection run per tuple in one pass, with
+  // every expression bound once (query::BoundExpr). WHERE conjuncts over
+  // logical columns are pushed into the pass; those over version-invariant
+  // (non-updatable) columns run, in WHERE order, before the row is
+  // materialized (`column cmp constant` over an int, string or DATE column
+  // on the record bytes), so filtered-out tuples cost no Row copy. The
+  // index (see Stream) or one heap pass feeds it, both in heap order.
   Result<query::QueryResult> SnapshotSelect(
       const ReaderSession& session, const sql::SelectStmt& stmt,
       const query::ParamMap& params = {},
@@ -208,11 +186,11 @@ class VnlTable {
   // Version-state triple of a fetched record (decision-table input).
   Result<TupleVersionState> StateOf(const uint8_t* rec) const;
 
-  // §3.1: a tuple's non-updatable attributes are fixed when it is
-  // physically inserted, so `next` — an update's row, or a re-insert's
-  // over the logically deleted tuple `rec` — must keep the bytes `rec`
-  // holds for each of them. kInvalidArgument names the first that differs.
-  Status CheckUpdatablesOnly(const uint8_t* rec, const Row& next) const;
+  // §3.1: a re-insert over the logically deleted tuple `before`, writing
+  // record `after`, must keep the bytes of each non-updatable column,
+  // compared in place; kInvalidArgument names the first that differs.
+  Status CheckReviveKeepsFixed(const uint8_t* before,
+                               const uint8_t* after) const;
 
   // A tuple fetched for a maintenance decision: its record bytes, followed
   // by as many bytes of room for the record a decision writes in its place
@@ -226,48 +204,39 @@ class VnlTable {
   // Reads the tuple at `rid` for a maintenance decision (one page pin).
   Result<Target> FetchTarget(MaintenanceTxn* txn, Rid rid) const;
 
-  // The per-key step behind every key-addressed write: probes the unique
-  // key bytes `key` (key_codec_), fetches its tuple, asks `decide` for the
-  // net effect and applies it. Returns the kind of action applied (kNone
-  // when nothing was written); kFailedPrecondition on a table without a
-  // unique key.
+  // The per-key step: probes the unique key bytes `key`, fetches its tuple
+  // and applies what `decide` returns. Returns the kind applied (kNone:
+  // nothing written); kFailedPrecondition on a table without a unique key.
   Result<NetEffect::Kind> ApplyKey(MaintenanceTxn* txn, std::string_view key,
                                    const KeyDecider& decide);
 
-  // The validate-decide-apply tail shared by ApplyKey and the cursor
-  // statements: checks `effect` against `target` (nullopt when the key has
-  // no physical tuple), takes the Tables 2-4 cell and applies it. `key`,
-  // when set, is the key bytes a kInsert row must carry.
+  // The validate-decide-apply tail of ApplyKey and the cursor statements:
+  // checks `effect` against `target` (nullopt: no tuple; `key`, when set,
+  // is what a kInsert row must carry) and applies its Tables 2-4 cell. A
+  // logical action counts once it is applied.
   Status ApplyEffect(MaintenanceTxn* txn, std::optional<std::string_view> key,
                      const NetEffect& effect, std::optional<Target> target);
 
   // Applies one decision-table cell to `target` (nullptr for Table 2's
-  // no-conflict row, whose record starts with its older slots empty):
-  // edits a copy of its record with the VersionedSchema byte mutators and
-  // ends in one WriteTuple. `mv_logical` carries the operation's values
-  // when the cell copies CV <- MV.
+  // no-conflict row): edits a copy of its record with the VersionedSchema
+  // byte mutators and ends in one WriteTuple. CV <- MV encodes an insert's
+  // whole row, or only an update's edited columns.
   Status ApplyDecision(MaintenanceTxn* txn, const MaintenanceDecision& d,
-                       Target* target, const Row* mv_logical);
+                       Target* target, const NetEffect& effect);
 
-  // Incremental cursor (Example 4.3): collects the Rids of tuples the
-  // maintenance txn can see (skips logically deleted tuples) matching
-  // `pred` on the current logical projection — rows are re-fetched at
-  // apply time, so non-matching tuples are never copied. `maintenance_vn`
-  // cross-checks the single-writer protocol: a tuple already stamped with
-  // a later VN means a concurrent writer slipped past BeginMaintenance.
-  Result<std::vector<Rid>> CollectCursor(Vn maintenance_vn,
-                                         const RowPredicate& pred) const;
+  // The loop of Examples 4.3-4.4 (see Update): collects the cursor of
+  // `where`, then updates each tuple by `sets`, or deletes it when null.
+  using SetList = std::vector<std::pair<size_t, query::BoundExpr>>;
+  Result<size_t> RunCursor(MaintenanceTxn* txn, const sql::Expr* where,
+                           const query::ParamMap& params, const SetList* sets);
 
-  // The one Table-1 reader step (defined in vnl_table.cc): every snapshot
-  // read runs each physical record, as serialized bytes, through it —
+  // The one Table-1 reader step (vnl_table.cc): every read, a session's or
+  // the maintenance cursor's, runs each record's bytes through it —
   // classification, invariant conjuncts in WHERE order, projected
-  // materialization, reconstructed conjuncts — and it counts what it did.
-  // Two record sources feed it: the heap pass (StreamSnapshot) and sorted
-  // Rid candidates (StreamCandidates). Each source keeps one Row per read,
-  // which the step fills in place (MaterializeVersionRawInto): NULL
-  // placeholders once, projected columns per surviving tuple. For a
-  // grouped read the step also fills one reused buffer with the row's
-  // GROUP BY key bytes, made by the key codec of the version it resolved.
+  // materialization, reconstructed conjuncts — and counts what it did. The
+  // heap pass (StreamSnapshot) and sorted Rid candidates (StreamCandidates)
+  // feed it; each keeps one Row per read, filled in place. A grouped read
+  // also gets the row's GROUP BY key bytes, of the version it resolved.
   // The sink sees the row and the key, both valid only for the call.
   class ReaderStep;
   using RowSink = query::KeyedRowSink;
@@ -277,36 +246,27 @@ class VnlTable {
   Status StreamSnapshot(ReaderStep* step, const RowSink& sink,
                         SnapshotScanStats* stats) const;
 
-  // Index-candidate source: reads each Rid (ascending = heap order) into
-  // one reused buffer and runs it through `step`; a Rid reclaimed since
-  // the probe is skipped. With `key` set (point lookups) a record must
-  // still carry those unique key bytes — the slot-reuse guard, a memcmp on
-  // the record. Records the read's counters, `lookups` hash probes and
-  // `scans_avoided`.
+  // Index-candidate source: runs each Rid (ascending = heap order) through
+  // `step`, skipping one reclaimed since the probe. With `key` set (point
+  // lookups) a record must still carry those unique key bytes (the
+  // slot-reuse guard). Records the read's counters, `lookups` probes and
+  // `scans_avoided`; the maintenance cursor's go to its txn's stats.
   Status StreamCandidates(const std::vector<Rid>& rids,
                           std::optional<std::string_view> key,
                           uint64_t lookups, uint64_t scans_avoided,
                           ReaderStep* step, const RowSink& sink,
                           SnapshotScanStats* stats) const;
 
-  // §4.3 index-routed read: serves the same row stream as the heap pass
-  // out of the unique-key index (or a secondary posting list) when the
-  // bound invariant conjuncts carry index keys (BindIndexKeys), and the
-  // session is inside the §4.1 version window (currentVN - sessionVN <=
-  // n-1, one less while maintenance is active;
-  // VersionRelation::Snapshot::Admits), where no tuple can resolve
-  // kExpired — the heap pass decides expiration per tuple, including
-  // tuples the WHERE rejects, so sessions outside the window must take it
-  // to keep the two paths status-identical. For the same reason no
-  // conjunct whose can_fail() flag is set may precede one carrying keys.
-  // A maintenance transaction that begins after the check can still
-  // expire the read on a candidate it rewrote. Returns false (leaving
-  // *status untouched) when no index applies; true with the read's status
-  // in *status otherwise.
-  bool TryStreamViaIndex(const ReaderSession& session,
-                         const std::vector<query::BoundExpr>& invariant,
-                         ReaderStep* step, const RowSink& sink,
-                         SnapshotScanStats* stats, Status* status) const
+  // Feeds `step` one read's records in heap order: from the index (§4.3)
+  // when the invariant conjuncts bind index keys (BindIndexKeys) and the
+  // step is the maintenance cursor or its session is inside the §4.1
+  // window (Snapshot::Admits; no tuple resolves kExpired there, and no
+  // can_fail() conjunct may precede a binding one, so both sources give
+  // one status), else by one heap pass. A maintenance transaction begun
+  // after the check can still expire the read on a candidate it rewrote.
+  Status Stream(ReaderStep* step,
+                const std::vector<query::BoundExpr>& invariant,
+                const RowSink& sink, SnapshotScanStats* stats) const
       EXCLUDES(index_mu_);
 
   // The one unique-key probe: the Rid whose tuple carries the key bytes
@@ -316,19 +276,16 @@ class VnlTable {
 
   // The one physical write of a tuple, and the only caller of TableHeap's
   // Insert, Update and Delete: the tuple at `rid` goes from record
-  // `before` to record `after`. A null `before` inserts `after` fresh (the
-  // new Rid is returned); a null `after` deletes the tuple, whose record
-  // is `before`; with both, `after` overwrites it in place. Maintenance
-  // (ApplyDecision), rollback and GC each end in one call. The write keeps
-  // the indexes and the tombstone set in step with the heap:
-  //  - a physical insert adds the tuple's unique-key entry and secondary
-  //    postings; a physical delete removes them first, so an index probe
-  //    sees the entry and a live slot or neither, and restores them when
-  //    the heap delete fails. An in-place update keeps every non-updatable
-  //    byte (§3.1, asserted in paranoid builds), so it moves no entry;
+  // `before` (null: a fresh insert, whose Rid is returned) to `after`
+  // (null: a delete). Maintenance, rollback and GC each end in one call.
+  // It keeps the indexes and the tombstone set in step with the heap:
+  //  - an insert adds the tuple's unique-key entry and postings; a delete
+  //    removes them first (a probe sees the entry and a live slot, or
+  //    neither) and restores them when the heap delete fails. An in-place
+  //    update keeps every non-updatable byte (§3.1, asserted in paranoid
+  //    builds), so it moves no entry;
   //  - `rid` is in the tombstone set exactly when slot 0 of `after` is a
-  //    delete. An in-place update where neither side's slot 0 is a delete
-  //    takes neither the index lock nor the tombstone lock.
+  //    delete; an update with no delete on either side takes no lock.
   Result<Rid> WriteTuple(Rid rid, const uint8_t* before, const uint8_t* after)
       EXCLUDES(index_mu_, tomb_mu_);
 
@@ -343,12 +300,10 @@ class VnlTable {
       REQUIRES(index_mu_);
 
   // Rollback-without-logging (§7): reverts every tuple stamped with
-  // txn_vn. Returns true when the revert was lossless (all pre-states
-  // fully reconstructed — guaranteed for n > 2 when history slots were
-  // available); false when sessions older than current_vn must be expired.
-  // Heap I/O failures surface as a non-OK status instead of aborting.
-  // Victims are found by one heap pass on record bytes, reverted with the
-  // same byte mutators as maintenance and written back by WriteTuple.
+  // txn_vn, found by one heap pass, with maintenance's byte mutators and
+  // WriteTuple. True when lossless (guaranteed for n > 2 when history
+  // slots were available); false when sessions older than current_vn must
+  // be expired. Heap I/O failures surface as a non-OK status.
   Result<bool> RollbackTxn(Vn txn_vn, Vn current_vn);
 
   // Garbage collection (§7): physically removes logically deleted tuples
@@ -371,7 +326,7 @@ class VnlTable {
   VnlEngine* engine_;  // scan options + Version relation; may be null
 
   // Key codecs over the physical record, fixed at construction and read
-  // lock-free: the unique key, the non-updatable columns (an update must
+  // lock-free: the unique key, the non-updatable columns (a revive must
   // keep their bytes) and each declared secondary index (§4.3), whose
   // posting maps (parallel vector, same order) live under index_mu_ with
   // the unique-key index.

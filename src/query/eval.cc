@@ -421,4 +421,13 @@ Status BoundExpr::Run(uint32_t i, const Row& row, Value* tmp,
   return Status::OK();
 }
 
+Result<Value> CoerceToColumn(const Column& col, Value v) {
+  if (col.type == TypeId::kDate && v.type() == TypeId::kString &&
+      !v.is_null()) {
+    return Value::ParseDate(v.AsString());
+  }
+  WVM_RETURN_IF_ERROR(CheckColumnValue(col, v));
+  return v;
+}
+
 }  // namespace wvm::query

@@ -140,6 +140,12 @@ class BoundExpr {
   std::optional<RecordTest> record_;
 };
 
+// SQL assignment of `v` to column `col` (INSERT VALUES, UPDATE SET): a
+// string for a DATE column is parsed; any other value must be one the
+// column can hold (CheckColumnValue), so an INT64 outside INT32's range
+// does not fit an INT32 column, nor a DOUBLE an integer column.
+Result<Value> CoerceToColumn(const Column& col, Value v);
+
 }  // namespace wvm::query
 
 #endif  // OPENWVM_QUERY_EVAL_H_

@@ -84,7 +84,6 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
   // runs the support arithmetic against the current row the engine
   // fetched with its single probe.
   using baselines::WarehouseEngine;
-  using Kind = WarehouseEngine::MaintNetAction::Kind;
   std::vector<WarehouseEngine::MaintBatchOp> ops;
   ops.reserve(std::min(kGroupsPerBatch, deltas.size()));
   auto flush = [&]() -> Status {
@@ -111,8 +110,8 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
           return Status::InvalidArgument(
               "retraction for a group absent from the view");
         }
-        return WarehouseEngine::MaintNetAction{
-            Kind::kInsert, MakeRow(d->dims, d->total, d->support)};
+        return WarehouseEngine::MaintNetAction::Insert(
+            MakeRow(d->dims, d->total, d->support));
       }
       const int64_t new_total = (*current)[total_col()].AsInt64() + d->total;
       const int64_t new_support =
@@ -121,10 +120,13 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
         return Status::InvalidArgument("view support underflow");
       }
       if (new_support == 0) {
-        return WarehouseEngine::MaintNetAction{Kind::kDelete, {}};
+        return WarehouseEngine::MaintNetAction::Delete();
       }
-      return WarehouseEngine::MaintNetAction{
-          Kind::kUpdate, MakeRow(d->dims, new_total, new_support)};
+      // Self-maintainable: the new row is the old one with its two
+      // aggregate columns edited.
+      return WarehouseEngine::MaintNetAction::Update(
+          {{total_col(), Value::Int64(new_total)},
+           {support_col(), Value::Int64(new_support)}});
     };
     ops.push_back({delta.dims, std::move(decide)});
     if (ops.size() >= kGroupsPerBatch) WVM_RETURN_IF_ERROR(flush());

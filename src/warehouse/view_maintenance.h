@@ -60,13 +60,13 @@ class SummaryView {
   };
 
   // Propagates one delta batch into the materialized view through an
-  // engine's open maintenance transaction. Events are first folded into
-  // per-group net deltas (the batch's net effect), then each touched
-  // group becomes one per-key net action, handed to the engine's
-  // MaintApplyBatch in chunks of 64 groups, so each group costs one
-  // index probe and at most one page pin on the 2VNL engine. Events whose
-  // dimension count differs from the view's fail with kInvalidArgument
-  // before any group is applied.
+  // engine's open maintenance transaction. Events are folded into
+  // per-group net deltas, and each touched group becomes one net action
+  // decided from its delta and view row alone (insert, a {total, support}
+  // edit, or a delete when support reaches 0), handed to MaintApplyBatch
+  // in chunks of 64 groups: one index probe and at most one page pin per
+  // group on the 2VNL engine. Events whose dimension count differs from
+  // the view's fail with kInvalidArgument before any group is applied.
   Result<ApplyStats> ApplyDelta(baselines::WarehouseEngine* engine,
                                 const DeltaBatch& batch) const;
 

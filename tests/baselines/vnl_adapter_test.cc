@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "tests/baselines/engine_test_util.h"
 
 namespace wvm::baselines {
@@ -56,6 +58,32 @@ TEST_F(VnlAdapterTest, CrudThroughTheFacade) {
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0][1].AsInt64(), 11);
   ASSERT_TRUE(adapter_->CloseReader(*reader).ok());
+}
+
+// The facade's full row becomes edits of updatable columns: a row that
+// changes the key is refused before anything is written, and a NaN that
+// stays a NaN is no change.
+TEST_F(VnlAdapterTest, MaintUpdateChangesOnlyUpdatableColumns) {
+  ASSERT_TRUE(adapter_->BeginMaintenance().ok());
+  ASSERT_TRUE(adapter_->MaintInsert(Item(1, 10)).ok());
+  EXPECT_EQ(adapter_->MaintUpdate(Key(1), Item(2, 11)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(adapter_->MaintUpdate(Key(1), {Value::Int64(1)}).code(),
+            StatusCode::kInvalidArgument);
+  Result<std::optional<Row>> row = adapter_->MaintReadKey(Key(1));
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((**row)[1].AsInt64(), 10);
+  ASSERT_TRUE(adapter_->CommitMaintenance().ok());
+
+  auto doubles = VnlAdapter::Create(
+      &pool_, Schema({Column::Double("k"), Column::Int64("v", true)}, {0}));
+  ASSERT_TRUE(doubles.ok());
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  ASSERT_TRUE((*doubles)->BeginMaintenance().ok());
+  ASSERT_TRUE((*doubles)->MaintInsert({nan, Value::Int64(1)}).ok());
+  ASSERT_TRUE((*doubles)->MaintUpdate({nan}, {nan, Value::Int64(2)}).ok());
+  EXPECT_EQ((**(*doubles)->MaintReadKey({nan}))[1].AsInt64(), 2);
+  ASSERT_TRUE((*doubles)->CommitMaintenance().ok());
 }
 
 TEST_F(VnlAdapterTest, UnknownReaderRejected) {

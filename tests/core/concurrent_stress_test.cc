@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/vnl_engine.h"
+#include "tests/support/keyed_maintenance.h"
 
 namespace wvm::core {
 namespace {
@@ -144,17 +145,12 @@ TEST_P(ConcurrentStressTest, SessionsAlwaysSeeACommittedState) {
                                        Value::Int64(qty)}).ok());
         scratch[id] = qty;
       } else if (rng.Bernoulli(0.6)) {
-        Result<bool> r = table.UpdateByKey(
-            txn, {Value::Int64(id)},
-            [qty](const Row& row) -> Result<Row> {
-              Row next = row;
-              next[1] = Value::Int64(qty);
-              return next;
-            });
+        Result<bool> r = testutil::SetKey(&table, txn, {Value::Int64(id)}, 1,
+                                          Value::Int64(qty));
         ASSERT_TRUE(r.ok() && r.value());
         scratch[id] = qty;
       } else {
-        Result<bool> r = table.DeleteByKey(txn, {Value::Int64(id)});
+        Result<bool> r = testutil::DeleteKey(&table, txn, {Value::Int64(id)});
         ASSERT_TRUE(r.ok() && r.value());
         scratch.erase(id);
       }

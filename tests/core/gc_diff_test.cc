@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/vnl_engine.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -182,17 +183,18 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
                   rowref::PlanInsert(*table, make_row(id), &rng, &want);
               ASSERT_EQ(table->Insert(txn, row).code(), want);
               if (rng.Bernoulli(0.25) && want == StatusCode::kOk) {
-                ASSERT_TRUE(table->DeleteByKey(txn, Key(id)).value());
+                ASSERT_TRUE(testutil::DeleteKey(table, txn, Key(id)).value());
               }
             } else if (rng.Bernoulli(0.5)) {
               Row next = **cur;
               next[2] = Value::Int64(rng.Uniform(0, 1000));
-              auto to_next = [&next](const Row&) -> Result<Row> {
+              auto to_next = [&next](const Row&) -> Row {
                 return next;
               };
-              ASSERT_TRUE(table->UpdateByKey(txn, Key(id), to_next).value());
+              ASSERT_TRUE(
+                  testutil::UpdateKey(table, txn, Key(id), to_next).value());
             } else {
-              ASSERT_TRUE(table->DeleteByKey(txn, Key(id)).value());
+              ASSERT_TRUE(testutil::DeleteKey(table, txn, Key(id)).value());
             }
           }
         } else {
@@ -217,10 +219,11 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
               if (want == StatusCode::kOk) cur = std::move(row);
             } else if (rng.Bernoulli(0.5)) {
               (*cur)[2] = Value::Int64(rng.Uniform(0, 1000));
-              auto to_cur = [&cur](const Row&) -> Result<Row> { return *cur; };
-              ASSERT_TRUE(table->UpdateByKey(txn, Key(id), to_cur).value());
+              auto to_cur = [&cur](const Row&) -> Row { return *cur; };
+              ASSERT_TRUE(
+                  testutil::UpdateKey(table, txn, Key(id), to_cur).value());
             } else {
-              ASSERT_TRUE(table->DeleteByKey(txn, Key(id)).value());
+              ASSERT_TRUE(testutil::DeleteKey(table, txn, Key(id)).value());
               cur.reset();
             }
           }

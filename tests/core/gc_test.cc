@@ -5,9 +5,11 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 
 namespace wvm::core {
 namespace {
@@ -48,12 +50,11 @@ class GcTest : public ::testing::TestWithParam<int> {
 
   void DeleteIds(int64_t lo, int64_t hi) {
     MaintenanceTxn* txn = Begin();
-    ASSERT_TRUE(table_
-                    ->Delete(txn,
-                             [lo, hi](const Row& row) -> Result<bool> {
-                               const int64_t id = row[0].AsInt64();
-                               return id >= lo && id <= hi;
-                             })
+    ASSERT_TRUE(MaintenanceRewriter(engine_.get())
+                    .Execute(txn, StrPrintf("DELETE FROM items WHERE id >= "
+                                            "%lld AND id <= %lld",
+                                            static_cast<long long>(lo),
+                                            static_cast<long long>(hi)))
                     .ok());
     Commit(txn);
   }
@@ -100,7 +101,7 @@ TEST_P(GcTest, BacklogCountsUncommittedDeletesWhileGcIsDeferred) {
   Load(6);
   DeleteIds(0, 1);
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->DeleteByKey(txn, {Value::Int64(5)}).ok());
+  ASSERT_TRUE(testutil::DeleteKey(table_, txn, {Value::Int64(5)}).ok());
   // A transaction is active: the pass is deferred, the backlog reported.
   VnlEngine::GcStats stats = engine_->CollectGarbage().value();
   EXPECT_EQ(stats.tuples_reclaimed, 0u);
@@ -138,7 +139,7 @@ TEST_P(GcTest, PoolFailureReturnsStatusAndKeepsTombstones) {
     auto txn = engine->BeginMaintenance();
     ASSERT_TRUE(txn.ok());
     for (int64_t i : {int64_t{0}, int64_t{1}, kRows - 1}) {
-      ASSERT_TRUE(table->DeleteByKey(*txn, {Value::Int64(i)}).ok());
+      ASSERT_TRUE(testutil::DeleteKey(table, *txn, {Value::Int64(i)}).ok());
     }
     ASSERT_TRUE(engine->Commit(*txn).ok());
   }
@@ -271,11 +272,8 @@ TEST_P(GcTest, ReclaimedKeysCanBeReinsertedFresh) {
 TEST_P(GcTest, DoesNotTouchLiveTuplesOrActiveTxnWrites) {
   Load(5);
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_
-                  ->Delete(txn,
-                           [](const Row& row) -> Result<bool> {
-                             return row[0].AsInt64() == 0;
-                           })
+  ASSERT_TRUE(MaintenanceRewriter(engine_.get())
+                  .Execute(txn, "DELETE FROM items WHERE id = 0")
                   .ok());
   // The delete is uncommitted (tupleVN > currentVN): GC must skip it.
   VnlEngine::GcStats stats = engine_->CollectGarbage().value();
@@ -332,11 +330,8 @@ TEST_P(GcTest, IndexRoutedReadsAgreeWithScansAfterGc) {
   {
     auto txn = engine->BeginMaintenance();
     ASSERT_TRUE(txn.ok());
-    ASSERT_TRUE(table
-                    ->Delete(*txn,
-                             [](const Row& row) -> Result<bool> {
-                               return row[1].AsString() == "g1";
-                             })
+    ASSERT_TRUE(MaintenanceRewriter(engine)
+                    .Execute(*txn, "DELETE FROM t WHERE grp = 'g1'")
                     .ok());
     ASSERT_TRUE(engine->Commit(*txn).ok());
   }

@@ -48,6 +48,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -834,18 +835,17 @@ class GeneratedSqlDiffTest : public ::testing::Test {
           const Value qty = RandomQty(&rng);
           const Value amt = RandomAmt(&rng);
           const Value note = RandomNote(&rng);
-          ASSERT_TRUE(table
-                          ->UpdateByKey(txn, key,
-                                        [&](const Row& row) -> Result<Row> {
-                                          Row next = row;
-                                          next[5] = qty;
-                                          next[6] = amt;
-                                          next[7] = note;
-                                          return next;
-                                        })
+          ASSERT_TRUE(testutil::UpdateKey(table, txn, key,
+                                          [&](const Row& row) {
+                                            Row next = row;
+                                            next[5] = qty;
+                                            next[6] = amt;
+                                            next[7] = note;
+                                            return next;
+                                          })
                           .ok());
         } else if (dice < 0.75) {
-          ASSERT_TRUE(table->DeleteByKey(txn, key).ok());
+          ASSERT_TRUE(testutil::DeleteKey(table, txn, key).ok());
         } else {
           StatusCode want;
           const Row item =

@@ -37,6 +37,7 @@
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -199,22 +200,18 @@ TEST_P(IndexConcurrencyTest, RoutedReadsAlwaysSeeACommittedState) {
       if (scratch.count(id) == 0) {
         ASSERT_NO_FATAL_FAILURE(insert());
       } else if (rng.Bernoulli(0.4)) {
-        Result<bool> r = table.UpdateByKey(
-            txn, {Value::Int64(id)}, [qty](const Row& row) -> Result<Row> {
-              Row next = row;
-              next[2] = Value::Int64(qty);
-              return next;
-            });
+        Result<bool> r = testutil::SetKey(&table, txn, {Value::Int64(id)}, 2,
+                                          Value::Int64(qty));
         ASSERT_TRUE(r.ok() && r.value());
         scratch[id].second = qty;
       } else if (rng.Bernoulli(0.5)) {
-        Result<bool> r = table.DeleteByKey(txn, {Value::Int64(id)});
+        Result<bool> r = testutil::DeleteKey(&table, txn, {Value::Int64(id)});
         ASSERT_TRUE(r.ok() && r.value());
         scratch.erase(id);
       } else {
         // Revive: delete + immediate re-insert, the physical UPDATE of a
         // corpse while readers hold older snapshots.
-        Result<bool> r = table.DeleteByKey(txn, {Value::Int64(id)});
+        Result<bool> r = testutil::DeleteKey(&table, txn, {Value::Int64(id)});
         ASSERT_TRUE(r.ok() && r.value());
         scratch.erase(id);
         ASSERT_NO_FATAL_FAILURE(insert());

@@ -21,6 +21,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -217,19 +218,18 @@ class IndexReadDiffTest : public ::testing::Test {
         const double dice = rng.UniformDouble(0.0, 1.0);
         if (dice < 0.45) {
           const int64_t delta = rng.Uniform(-300, 300);
-          ASSERT_TRUE(table
-                          ->UpdateByKey(*churn, key,
-                                        [&](const Row& row) -> Result<Row> {
-                                          Row next = row;
-                                          next[4] = Value::Int64(
-                                              next[4].AsInt64() + delta);
-                                          next[5] = Value::Double(
-                                              next[5].AsDouble() * 0.5);
-                                          return next;
-                                        })
+          ASSERT_TRUE(testutil::UpdateKey(table, *churn, key,
+                                          [&](const Row& row) {
+                                            Row next = row;
+                                            next[4] = Value::Int64(
+                                                next[4].AsInt64() + delta);
+                                            next[5] = Value::Double(
+                                                next[5].AsDouble() * 0.5);
+                                            return next;
+                                          })
                           .ok());
         } else if (dice < 0.7) {
-          ASSERT_TRUE(table->DeleteByKey(*churn, key).ok());
+          ASSERT_TRUE(testutil::DeleteKey(table, *churn, key).ok());
         } else {
           // A re-insert over a logically deleted key is the Table-2 revive:
           // it keeps the tuple's Rid and postings, and must keep its

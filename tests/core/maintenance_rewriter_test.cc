@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "core/vnl_engine.h"
+#include "tests/support/keyed_maintenance.h"
 
 namespace wvm::core {
 namespace {
@@ -88,7 +89,7 @@ TEST_F(MaintenanceRewriterTest, MultiRowInsertAppliesPrefixBeforeDuplicate) {
       "('Berkeley', 'CA', 'racquetball', '10/14/96', 70), "
       "('San Jose', 'CA', 'golf equip', '10/14/96', 11)");
   EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
-  Result<std::vector<Row>> rows = table_->MaintenanceRows(txn);
+  Result<std::vector<Row>> rows = testutil::MaintenanceRows(*table_);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   std::vector<std::string> cities;
   for (const Row& row : *rows) cities.push_back(row[0].AsString());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 
 namespace wvm::core {
@@ -37,12 +38,11 @@ class MultiTableTxnTest : public ::testing::Test {
     WVM_CHECK(engine_->Commit(load).ok());
   }
 
-  RowTransform AddAmount(int64_t delta) {
-    return [delta](const Row& row) -> Result<Row> {
-      Row next = row;
-      next[1] = Value::Int64(next[1].AsInt64() + delta);
-      return next;
-    };
+  // One maintenance statement in `txn`; the rewriter routes it to its
+  // table by name. True when it touches exactly one tuple.
+  bool Exec(MaintenanceTxn* txn, const std::string& sql) {
+    Result<size_t> n = MaintenanceRewriter(engine_.get()).Execute(txn, sql);
+    return n.ok() && *n == 1;
   }
 
   std::pair<int64_t, int64_t> ReadBoth(const ReaderSession& s) {
@@ -67,12 +67,12 @@ TEST_F(MultiTableTxnTest, TablesSwitchVersionsAtomically) {
   ReaderSession before = engine_->OpenSession();
 
   MaintenanceTxn* txn = engine_->BeginMaintenance().value();
-  ASSERT_TRUE(sales_->UpdateByKey(txn, {Value::String("San Jose")},
-                                  AddAmount(50)).value());
+  ASSERT_TRUE(Exec(txn, "UPDATE sales SET total_sales = total_sales + 50 "
+                        "WHERE city = 'San Jose'"));
   // Mid-transaction: the open session sees the OLD pair from both tables.
   EXPECT_EQ(ReadBoth(before), std::make_pair(int64_t{100}, int64_t{10}));
-  ASSERT_TRUE(returns_->UpdateByKey(txn, {Value::String("San Jose")},
-                                    AddAmount(5)).value());
+  ASSERT_TRUE(Exec(txn, "UPDATE returns SET total_returns = total_returns "
+                        "+ 5 WHERE city = 'San Jose'"));
   ASSERT_TRUE(engine_->Commit(txn).ok());
 
   // Old session: still the old pair. New session: the new pair.
@@ -83,8 +83,8 @@ TEST_F(MultiTableTxnTest, TablesSwitchVersionsAtomically) {
 
 TEST_F(MultiTableTxnTest, AbortRevertsEveryTable) {
   MaintenanceTxn* txn = engine_->BeginMaintenance().value();
-  ASSERT_TRUE(sales_->UpdateByKey(txn, {Value::String("San Jose")},
-                                  AddAmount(999)).value());
+  ASSERT_TRUE(Exec(txn, "UPDATE sales SET total_sales = total_sales + 999 "
+                        "WHERE city = 'San Jose'"));
   ASSERT_TRUE(returns_->Insert(txn, {Value::String("Berkeley"),
                                      Value::Int64(7)}).ok());
   ASSERT_TRUE(engine_->Abort(txn).ok());
@@ -99,9 +99,8 @@ TEST_F(MultiTableTxnTest, AbortRevertsEveryTable) {
 
 TEST_F(MultiTableTxnTest, GcSweepsAllTables) {
   MaintenanceTxn* txn = engine_->BeginMaintenance().value();
-  ASSERT_TRUE(sales_->DeleteByKey(txn, {Value::String("San Jose")}).value());
-  ASSERT_TRUE(
-      returns_->DeleteByKey(txn, {Value::String("San Jose")}).value());
+  ASSERT_TRUE(Exec(txn, "DELETE FROM sales WHERE city = 'San Jose'"));
+  ASSERT_TRUE(Exec(txn, "DELETE FROM returns WHERE city = 'San Jose'"));
   ASSERT_TRUE(engine_->Commit(txn).ok());
 
   VnlEngine::GcStats stats = engine_->CollectGarbage().value();

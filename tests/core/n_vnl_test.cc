@@ -5,6 +5,8 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "tests/support/row_reference.h"
 
@@ -34,12 +36,9 @@ Row GolfKey() {
           Value::String("golf equip"), Value::Date(1996, 10, 14)};
 }
 
-RowPredicate GolfPred() {
-  return [](const Row& row) -> Result<bool> {
-    return row[0].AsString() == "San Jose" &&
-           row[2].AsString() == "golf equip";
-  };
-}
+// The San Jose golf tuples, as a §4.2 cursor WHERE.
+constexpr const char* kGolf =
+    "WHERE city = 'San Jose' AND product_line = 'golf equip'";
 
 class NVnlTest : public ::testing::Test {
  protected:
@@ -52,6 +51,11 @@ class NVnlTest : public ::testing::Test {
     auto table = engine_->CreateTable("DailySales", DailySales());
     WVM_CHECK(table.ok());
     table_ = table.value();
+  }
+
+  // Runs one §4.2 maintenance statement in `txn`.
+  bool Exec(MaintenanceTxn* txn, const std::string& sql) {
+    return MaintenanceRewriter(engine_.get()).Execute(txn, sql).ok();
   }
 
   MaintenanceTxn* Begin() {
@@ -73,17 +77,12 @@ class NVnlTest : public ::testing::Test {
     Commit(t3);
     EmptyTxn();  // VN 4
     MaintenanceTxn* t5 = Begin();
-    ASSERT_TRUE(table_
-                    ->Update(t5, GolfPred(),
-                             [](const Row& row) -> Result<Row> {
-                               Row next = row;
-                               next[4] = Value::Int32(10200);
-                               return next;
-                             })
-                    .ok());
+    ASSERT_TRUE(Exec(t5, StrPrintf("UPDATE DailySales SET total_sales = "
+                                   "10200 %s",
+                                   kGolf)));
     Commit(t5);
     MaintenanceTxn* t6 = Begin();
-    ASSERT_TRUE(table_->Delete(t6, GolfPred()).ok());
+    ASSERT_TRUE(Exec(t6, StrPrintf("DELETE FROM DailySales %s", kGolf)));
     Commit(t6);
   }
 
@@ -172,15 +171,9 @@ TEST_F(NVnlTest, SessionSurvivesNMinusOneOverlaps) {
     // n-1 further maintenance txns each touch the tuple.
     for (int i = 0; i < n - 1; ++i) {
       MaintenanceTxn* txn = Begin();
-      ASSERT_TRUE(table_
-                      ->Update(txn, GolfPred(),
-                               [](const Row& row) -> Result<Row> {
-                                 Row next = row;
-                                 next[4] = Value::Int32(
-                                     next[4].AsInt32() + 1);
-                                 return next;
-                               })
-                      .ok());
+      ASSERT_TRUE(Exec(txn, StrPrintf("UPDATE DailySales SET total_sales = "
+                                      "total_sales + 1 %s",
+                                      kGolf)));
       Commit(txn);
       Result<std::optional<Row>> r = table_->SnapshotLookup(s, GolfKey());
       ASSERT_TRUE(r.ok()) << "n=" << n << " overlap " << i + 1 << ": "
@@ -189,14 +182,8 @@ TEST_F(NVnlTest, SessionSurvivesNMinusOneOverlaps) {
     }
     // One more pushes the session over the edge.
     MaintenanceTxn* txn = Begin();
-    ASSERT_TRUE(table_
-                    ->Update(txn, GolfPred(),
-                             [](const Row& row) -> Result<Row> {
-                               Row next = row;
-                               next[4] = Value::Int32(0);
-                               return next;
-                             })
-                    .ok());
+    ASSERT_TRUE(Exec(txn, StrPrintf("UPDATE DailySales SET total_sales = 0 %s",
+                                    kGolf)));
     Commit(txn);
     Result<std::optional<Row>> r = table_->SnapshotLookup(s, GolfKey());
     EXPECT_EQ(r.status().code(), StatusCode::kSessionExpired)
@@ -226,25 +213,19 @@ TEST_F(NVnlTest, RandomHistoryMatchesReferenceModel) {
                    Value::Int32(static_cast<int32_t>(
                        rng.Uniform(1, 10000)))};
         const int choice = static_cast<int>(rng.Uniform(0, 2));
-        RowPredicate pred = [day](const Row& r) -> Result<bool> {
-          return r[3].AsDateRaw() % 100 == day;
-        };
+        const std::string where = StrPrintf("WHERE date = '10/%d/96'", day);
         if (choice == 0 && current.count(day) == 0) {
           ASSERT_TRUE(table_->Insert(txn, row).ok());
           current[day] = row[4].AsInt32();
         } else if (choice == 1 && current.count(day) > 0) {
           const int32_t v = row[4].AsInt32();
-          ASSERT_TRUE(table_
-                          ->Update(txn, pred,
-                                   [v](const Row& r) -> Result<Row> {
-                                     Row next = r;
-                                     next[4] = Value::Int32(v);
-                                     return next;
-                                   })
-                          .ok());
+          ASSERT_TRUE(Exec(txn, StrPrintf("UPDATE DailySales SET total_sales = "
+                                          "%d %s",
+                                          v, where.c_str())));
           current[day] = v;
         } else if (choice == 2 && current.count(day) > 0) {
-          ASSERT_TRUE(table_->Delete(txn, pred).ok());
+          ASSERT_TRUE(Exec(
+              txn, StrPrintf("DELETE FROM DailySales %s", where.c_str())));
           current.erase(day);
         }
       }

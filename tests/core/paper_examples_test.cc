@@ -8,6 +8,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "tests/support/row_reference.h"
 
@@ -62,12 +64,23 @@ class PaperExamplesTest : public ::testing::Test {
   void Commit(MaintenanceTxn* txn) { WVM_CHECK(engine_->Commit(txn).ok()); }
   void EmptyTxn() { Commit(Begin()); }
 
-  RowPredicate KeyIs(const std::string& city, const std::string& pl,
-                     int day) {
-    return [=](const Row& row) -> Result<bool> {
-      return row[0].AsString() == city && row[2].AsString() == pl &&
-             row[3].AsDateRaw() == 19961000 + day;
-    };
+  // The cursor statements of Examples 4.3 and 4.4, as SQL through the
+  // maintenance rewriter: true when they touch exactly one tuple.
+  bool SetSales(MaintenanceTxn* t, const char* city, const char* pl, int day,
+                int32_t sales) {
+    return Exec(t, StrPrintf("UPDATE DailySales SET total_sales = %d WHERE "
+                             "city = '%s' AND product_line = '%s' AND "
+                             "date = '10/%d/96'",
+                             sales, city, pl, day));
+  }
+  bool Remove(MaintenanceTxn* t, const char* city, const char* pl, int day) {
+    return Exec(t, StrPrintf("DELETE FROM DailySales WHERE city = '%s' AND "
+                             "product_line = '%s' AND date = '10/%d/96'",
+                             city, pl, day));
+  }
+  bool Exec(MaintenanceTxn* t, const std::string& sql) {
+    Result<size_t> n = MaintenanceRewriter(engine_.get()).Execute(t, sql);
+    return n.ok() && *n == 1;
   }
 
   // Drives the relation to exactly the Figure 4 state.
@@ -89,15 +102,8 @@ class PaperExamplesTest : public ::testing::Test {
     ASSERT_TRUE(
         table_->Insert(t4, DailyRow("San Jose", "golf equip", 15, 1500))
             .ok());
-    ASSERT_TRUE(table_
-                    ->Update(t4, KeyIs("Berkeley", "racquetball", 14),
-                             [](const Row& row) -> Result<Row> {
-                               Row next = row;
-                               next[4] = Value::Int32(12000);
-                               return next;
-                             })
-                    .ok());
-    ASSERT_TRUE(table_->Delete(t4, KeyIs("Novato", "rollerblades", 13)).ok());
+    ASSERT_TRUE(SetSales(t4, "Berkeley", "racquetball", 14, 12000));
+    ASSERT_TRUE(Remove(t4, "Novato", "rollerblades", 13));
     Commit(t4);
   }
 
@@ -187,16 +193,9 @@ TEST_F(PaperExamplesTest, Figure5TransactionProducesFigure6) {
   ASSERT_TRUE(
       table_->Insert(t5, DailyRow("Novato", "rollerblades", 13, 6000))
           .ok());
-  ASSERT_TRUE(table_
-                  ->Update(t5, KeyIs("San Jose", "golf equip", 14),
-                           [](const Row& row) -> Result<Row> {
-                             Row next = row;
-                             next[4] = Value::Int32(10200);
-                             return next;
-                           })
-                  .ok());
+  ASSERT_TRUE(SetSales(t5, "San Jose", "golf equip", 14, 10200));
   ASSERT_TRUE(
-      table_->Delete(t5, KeyIs("Berkeley", "racquetball", 14)).ok());
+      Remove(t5, "Berkeley", "racquetball", 14));
   Commit(t5);
 
   ExpectPhysicalState({
@@ -219,16 +218,9 @@ TEST_F(PaperExamplesTest, SessionsStraddlingFigure5) {
   ASSERT_TRUE(
       table_->Insert(t5, DailyRow("San Jose", "golf equip", 16, 11000))
           .ok());
-  ASSERT_TRUE(table_
-                  ->Update(t5, KeyIs("San Jose", "golf equip", 14),
-                           [](const Row& row) -> Result<Row> {
-                             Row next = row;
-                             next[4] = Value::Int32(10200);
-                             return next;
-                           })
-                  .ok());
+  ASSERT_TRUE(SetSales(t5, "San Jose", "golf equip", 14, 10200));
   ASSERT_TRUE(
-      table_->Delete(t5, KeyIs("Berkeley", "racquetball", 14)).ok());
+      Remove(t5, "Berkeley", "racquetball", 14));
   Commit(t5);
 
   Result<std::vector<Row>> rows4 = table_->SnapshotRows(at4);

@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "core/vnl_engine.h"
+#include "tests/support/keyed_maintenance.h"
 
 namespace wvm::core {
 namespace {
@@ -85,14 +86,8 @@ TEST_F(QuiescentCommitTest, SessionsNeverExpireUnderThePolicy) {
   ReaderSession session = engine_->OpenSession();
   for (int round = 0; round < 3; ++round) {
     MaintenanceTxn* txn = engine_->BeginMaintenance().value();
-    WVM_CHECK(table_
-                  ->UpdateByKey(txn, {Value::Int64(0)},
-                                [](const Row& row) -> Result<Row> {
-                                  Row next = row;
-                                  next[1] = Value::Int64(
-                                      next[1].AsInt64() + 1);
-                                  return next;
-                                })
+    WVM_CHECK(testutil::SetKey(table_, txn, {Value::Int64(0)}, 1,
+                               Value::Int64(round + 1))
                   .value());
     // The policy: while our session lives, commits wait (we simulate the
     // arbitration by committing only after briefly failing).

@@ -13,13 +13,18 @@
 // decides each write with the same decision tables: key inserts, updates
 // and deletes, re-inserts over corpses (refused when they change a
 // version-invariant attribute), same-transaction delete-then-insert,
-// batched keys, cursor Update/Delete, commits, aborts and GC under pinned
-// reader sessions. After every statement each live
-// record must equal SerializeRow of the reference's tuple for its key.
+// batched keys, generated UPDATE/DELETE SQL through MaintenanceRewriter
+// (routed, record-test and reconstructed WHERE shapes; a SET on a
+// version-invariant column must fail and write nothing), commits, aborts
+// and GC under pinned reader sessions. Each history runs on two engines,
+// index routing on and off. After every statement each live record of
+// both must equal SerializeRow of the reference's tuple for its key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -28,7 +33,9 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -327,6 +334,112 @@ class ReferenceTable {
   Tuples tuples_;
 };
 
+// One engine of a seed's pair: the history runs on two, one with index
+// routing on and one with it off, and both must write the same records.
+struct Side {
+  Side(int n, bool index_routing) : pool(64, &disk) {
+    engine = VnlEngine::Create(&pool, n).value();
+    engine->SetScanOptions({index_routing});
+    table = engine->CreateTable("accounts", AccountSchema()).value();
+  }
+
+  DiskManager disk;
+  BufferPool pool;
+  std::unique_ptr<VnlEngine> engine;
+  VnlTable* table;
+  MaintenanceTxn* txn = nullptr;
+  std::optional<ReaderSession> pinned;
+};
+
+// A generated §4.2 cursor statement (Examples 4.3-4.4) and what it does to
+// one visible row: `matches` is its WHERE, `apply` its SET (a DELETE
+// leaves `apply` empty).
+struct CursorStatement {
+  std::string sql;
+  query::ParamMap params;
+  std::function<bool(const Row&)> matches;
+  std::function<Row(const Row&)> apply;
+  bool sets_non_updatable = false;
+};
+
+// WHERE is one of three shapes: unique-key `=` or an IN-list (routed
+// through the key index), a version-invariant predicate (run on record
+// bytes, or routed through the region index), or a predicate over an
+// updatable column (tested on the decoded row). SET is a constant or
+// `qty + :d`; one UPDATE in ten also sets a version-invariant column.
+CursorStatement MakeCursorStatement(Rng* rng) {
+  CursorStatement st;
+  std::string where;
+  switch (rng->Uniform(0, 2)) {
+    case 0: {
+      std::vector<std::string> keys;
+      for (int64_t i = rng->Uniform(1, 3); i > 0; --i) {
+        keys.push_back(StrPrintf("k%" PRId64, rng->Uniform(0, kKeys - 1)));
+      }
+      for (const std::string& k : keys) {
+        where += (where.empty() ? "" : " OR ") + ("k = '" + k + "'");
+      }
+      st.matches = [keys](const Row& row) {
+        return std::find(keys.begin(), keys.end(), row[0].AsString()) !=
+               keys.end();
+      };
+      break;
+    }
+    case 1: {
+      if (rng->Bernoulli(0.5)) {
+        static const char* kRegions[] = {"N", "S", "EW"};
+        const std::string region = kRegions[rng->Uniform(0, 2)];
+        where = "region = '" + region + "'";
+        st.matches = [region](const Row& row) {
+          return row[1].AsString() == region;
+        };
+      } else {
+        const int month = static_cast<int>(rng->Uniform(1, 12));
+        where = StrPrintf("opened < '%02d/01/2020'", month);
+        st.matches = [month](const Row& row) {
+          return row[2].AsDateRaw() < 20200001 + month * 100;
+        };
+      }
+      break;
+    }
+    default: {
+      const int64_t lo = rng->Uniform(-50, 50);
+      where = StrPrintf("qty > %" PRId64, lo);
+      st.matches = [lo](const Row& row) { return row[3].AsInt64() > lo; };
+      break;
+    }
+  }
+  if (rng->Bernoulli(0.3)) {
+    st.sql = "DELETE FROM accounts WHERE " + where;
+    return st;
+  }
+  std::string set;
+  if (rng->Bernoulli(0.5)) {
+    const int64_t v = rng->Uniform(-50, 50);
+    set = StrPrintf("qty = %" PRId64, v);
+    st.apply = [v](const Row& row) {
+      Row next = row;
+      next[3] = Value::Int64(v);
+      return next;
+    };
+  } else {
+    const int64_t d = rng->Uniform(-9, 9);
+    set = "qty = qty + :d";
+    st.params["d"] = Value::Int64(d);
+    st.apply = [d](const Row& row) {
+      Row next = row;
+      next[3] = Value::Int64(row[3].AsInt64() + d);
+      return next;
+    };
+  }
+  if (rng->Bernoulli(0.1)) {
+    set += rng->Bernoulli(0.5) ? ", region = 'S'" : ", opened = '01/01/2020'";
+    st.sets_non_updatable = true;
+  }
+  st.sql = "UPDATE accounts SET " + set + " WHERE " + where;
+  return st;
+}
+
 class RecordDiffTest : public ::testing::TestWithParam<int> {
  protected:
   void RunSeed(uint64_t seed) {
@@ -334,15 +447,10 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
     SCOPED_TRACE(StrPrintf("seed=%llu n=%d",
                            static_cast<unsigned long long>(seed), n));
     Rng rng(seed * 13 + static_cast<uint64_t>(n));
-    DiskManager disk;
-    BufferPool pool(64, &disk);
-    auto engine_or = VnlEngine::Create(&pool, n);
-    ASSERT_TRUE(engine_or.ok());
-    VnlEngine* engine = engine_or.value().get();
-    auto table_or = engine->CreateTable("accounts", AccountSchema());
-    ASSERT_TRUE(table_or.ok());
-    VnlTable* table = table_or.value();
-    ReferenceTable ref(table->versioned_schema());
+    Side routed(n, /*index_routing=*/true);
+    Side heap(n, /*index_routing=*/false);
+    Side* const sides[] = {&routed, &heap};
+    ReferenceTable ref(routed.table->versioned_schema());
 
     auto key_of = [&] {
       return StrPrintf("k%" PRId64, rng.Uniform(0, kKeys - 1));
@@ -377,8 +485,8 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
       Row row = make_row(key);
       const Row* corpse = ref.Corpse(key);
       if (corpse != nullptr && rng.Bernoulli(0.5)) {
-        row = rowref::WithNonUpdatablesOf(table->versioned_schema(), *corpse,
-                                          std::move(row));
+        row = rowref::WithNonUpdatablesOf(routed.table->versioned_schema(),
+                                          *corpse, std::move(row));
       }
       return row;
     };
@@ -389,22 +497,29 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
       return next;
     };
     auto expect_same = [&](const char* what) {
-      ASSERT_EQ(ref.Mismatch(*table), "") << "after " << what;
+      for (const Side* side : sides) {
+        ASSERT_EQ(ref.Mismatch(*side->table), "")
+            << "after " << what << " (index routing "
+            << (side == &routed ? "on" : "off") << ")";
+      }
     };
 
-    std::optional<ReaderSession> pinned;
     for (int t = 0; t < kTxnsPerSeed; ++t) {
       SCOPED_TRACE(StrPrintf("txn=%d", t));
-      if (!pinned.has_value() && rng.Bernoulli(0.3)) {
-        pinned = engine->OpenSession();
-      } else if (pinned.has_value() && rng.Bernoulli(0.3)) {
-        engine->CloseSession(*pinned);
-        pinned.reset();
+      const bool open = !routed.pinned.has_value() && rng.Bernoulli(0.3);
+      const bool close =
+          !open && routed.pinned.has_value() && rng.Bernoulli(0.3);
+      for (Side* side : sides) {
+        if (open) side->pinned = side->engine->OpenSession();
+        if (close) {
+          side->engine->CloseSession(*side->pinned);
+          side->pinned.reset();
+        }
+        auto txn_or = side->engine->BeginMaintenance();
+        ASSERT_TRUE(txn_or.ok());
+        side->txn = *txn_or;
       }
-      auto txn_or = engine->BeginMaintenance();
-      ASSERT_TRUE(txn_or.ok());
-      MaintenanceTxn* txn = *txn_or;
-      const Vn vn = txn->vn();
+      const Vn vn = routed.txn->vn();
 
       const int statements = static_cast<int>(rng.Uniform(4, 10));
       for (int s = 0; s < statements; ++s) {
@@ -414,140 +529,172 @@ class RecordDiffTest : public ::testing::TestWithParam<int> {
           // Over a live key this fails; over a corpse it is a revive, which
           // fails too when it changes a version-invariant attribute.
           const Row row = insert_row(key);
-          const Status got = table->Insert(txn, row);
           const Status want = ref.Insert(vn, row);
-          ASSERT_EQ(got.code(), want.code()) << got.ToString();
+          for (Side* side : sides) {
+            const Status got = side->table->Insert(side->txn, row);
+            ASSERT_EQ(got.code(), want.code()) << got.ToString();
+          }
           ASSERT_NO_FATAL_FAILURE(expect_same("insert"));
         } else if (pick < 50) {
+          // A keyed update: the changed columns become its edits.
           std::optional<Row> next;
-          Result<bool> got = table->UpdateByKey(
-              txn, {Value::String(key)},
-              [&](const Row& current) -> Result<Row> {
-                next = next_of(current);
-                return *next;
-              });
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ASSERT_EQ(*got, next.has_value());
+          const std::map<std::string, Row> visible = ref.VisibleRows();
+          if (auto it = visible.find(key); it != visible.end()) {
+            next = next_of(it->second);
+          }
+          for (Side* side : sides) {
+            Result<bool> got = testutil::UpdateKey(
+                side->table, side->txn, {Value::String(key)},
+                [&](const Row& current) { return next.value_or(current); });
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_EQ(*got, next.has_value());
+          }
           if (next.has_value()) {
             ASSERT_TRUE(ref.Update(vn, *next).value());
           }
           ASSERT_NO_FATAL_FAILURE(expect_same("update"));
         } else if (pick < 65) {
-          Result<bool> got = table->DeleteByKey(txn, {Value::String(key)});
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ASSERT_EQ(*got, ref.Delete(vn, key).value());
+          const bool want = ref.Delete(vn, key).value();
+          for (Side* side : sides) {
+            Result<bool> got = testutil::DeleteKey(side->table, side->txn,
+                                                   {Value::String(key)});
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_EQ(*got, want);
+          }
           ASSERT_NO_FATAL_FAILURE(expect_same("delete"));
         } else if (pick < 75) {
           // Same-transaction delete-then-insert: a revive, refused when it
           // changes a version-invariant attribute.
-          Result<bool> got = table->DeleteByKey(txn, {Value::String(key)});
-          ASSERT_TRUE(got.ok());
-          ASSERT_EQ(*got, ref.Delete(vn, key).value());
+          const bool deleted = ref.Delete(vn, key).value();
+          for (Side* side : sides) {
+            Result<bool> got = testutil::DeleteKey(side->table, side->txn,
+                                                   {Value::String(key)});
+            ASSERT_TRUE(got.ok());
+            ASSERT_EQ(*got, deleted);
+          }
           ASSERT_NO_FATAL_FAILURE(expect_same("delete before re-insert"));
           const Row row = insert_row(key);
-          const Status reinserted = table->Insert(txn, row);
-          ASSERT_EQ(reinserted.code(), ref.Insert(vn, row).code())
-              << reinserted.ToString();
+          const Status want = ref.Insert(vn, row);
+          for (Side* side : sides) {
+            const Status reinserted = side->table->Insert(side->txn, row);
+            ASSERT_EQ(reinserted.code(), want.code())
+                << reinserted.ToString();
+          }
           ASSERT_NO_FATAL_FAILURE(expect_same("re-insert"));
         } else if (pick < 83) {
           // Batched keys: update the visible ones, insert the rest. The
           // engine asks each decider once, in key order; the reference
-          // applies what they decided in the same order.
+          // applies what they decided in the same order. The heap-pass
+          // twin replays the first engine's decisions.
           std::vector<NetEffect> decided;
-          std::vector<BatchKeyOp> ops;
-          for (int b = 0; b < 3; ++b) {
-            const std::string k = key_of();
-            ops.push_back({{Value::String(k)},
-                           [&, k](const std::optional<Row>& current)
-                               -> Result<NetEffect> {
-                             decided.push_back(
-                                 current.has_value()
-                                     ? NetEffect{NetEffect::Kind::kUpdate,
-                                                 next_of(*current)}
-                                     : NetEffect{NetEffect::Kind::kInsert,
-                                                 insert_row(k)});
-                             return decided.back();
-                           }});
-          }
-          // A refused revive stops the batch, the keys before it applied.
-          Result<BatchApplyStats> got = table->ApplyBatch(txn, ops);
-          Status want;
-          for (const NetEffect& effect : decided) {
-            if (effect.kind == NetEffect::Kind::kUpdate) {
-              ASSERT_TRUE(ref.Update(vn, effect.row).value());
-            } else {
-              want = ref.Insert(vn, effect.row);
-              if (!want.ok()) break;
+          std::vector<Row> rows;  // each decision's new row
+          std::vector<std::string> keys;
+          for (int b = 0; b < 3; ++b) keys.push_back(key_of());
+          StatusCode routed_code = StatusCode::kOk;
+          for (Side* side : sides) {
+            size_t replayed = 0;
+            std::vector<BatchKeyOp> ops;
+            for (const std::string& k : keys) {
+              ops.push_back({{Value::String(k)},
+                             [&, k](const std::optional<Row>& current)
+                                 -> Result<NetEffect> {
+                               if (side != &routed) {
+                                 return decided.at(replayed++);
+                               }
+                               if (current.has_value()) {
+                                 rows.push_back(next_of(*current));
+                                 decided.push_back(NetEffect::Update(
+                                     {{3, rows.back()[3]},
+                                      {4, rows.back()[4]},
+                                      {5, rows.back()[5]}}));
+                               } else {
+                                 rows.push_back(insert_row(k));
+                                 decided.push_back(
+                                     NetEffect::Insert(rows.back()));
+                               }
+                               return decided.back();
+                             }});
+            }
+            // A refused revive stops the batch, the keys before it applied.
+            Result<BatchApplyStats> got =
+                side->table->ApplyBatch(side->txn, ops);
+            if (side == &heap) {
+              ASSERT_EQ(replayed, decided.size());
+              ASSERT_EQ(got.status().code(), routed_code);
+              break;
+            }
+            routed_code = got.status().code();
+            Status want;
+            for (size_t i = 0; i < decided.size(); ++i) {
+              if (decided[i].kind == NetEffect::Kind::kUpdate) {
+                ASSERT_TRUE(ref.Update(vn, rows[i]).value());
+              } else {
+                want = ref.Insert(vn, rows[i]);
+                if (!want.ok()) break;
+              }
+            }
+            ASSERT_EQ(got.status().code(), want.code())
+                << got.status().ToString();
+            if (want.ok()) {
+              ASSERT_EQ(decided.size(), ops.size());
             }
           }
-          ASSERT_EQ(got.status().code(), want.code())
-              << got.status().ToString();
-          if (want.ok()) {
-            ASSERT_EQ(decided.size(), ops.size());
-          }
           ASSERT_NO_FATAL_FAILURE(expect_same("batch"));
-        } else if (pick < 93) {
-          // Cursor update (Example 4.3) of every row in one qty class.
-          const int64_t cls = rng.Uniform(0, 2);
-          auto in_class = [cls](const Row& row) -> Result<bool> {
-            return ((row[3].AsInt64() % 3) + 3) % 3 == cls;
-          };
-          std::map<std::string, Row> nexts;
-          Result<size_t> got = table->Update(
-              txn, in_class, [&](const Row& current) -> Result<Row> {
-                Row next = next_of(current);
-                nexts[current[0].AsString()] = next;
-                return next;
-              });
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          size_t expected = 0;
-          for (const auto& [k, row] : ref.VisibleRows()) {
-            if (in_class(row).value()) ++expected;
-          }
-          ASSERT_EQ(*got, expected);
-          for (const auto& [k, next] : nexts) {
-            ASSERT_TRUE(ref.Update(vn, next).value());
-          }
-          ASSERT_NO_FATAL_FAILURE(expect_same("cursor update"));
         } else {
-          // Cursor delete (Example 4.4) of one region's rows.
-          const std::string region = rng.Bernoulli(0.5) ? "N" : "EW";
-          auto in_region = [&region](const Row& row) -> Result<bool> {
-            return row[1].AsString() == region;
-          };
-          std::vector<std::string> doomed;
+          // A generated cursor statement through MaintenanceRewriter.
+          const CursorStatement st = MakeCursorStatement(&rng);
+          SCOPED_TRACE(st.sql);
+          std::vector<std::pair<std::string, Row>> hits;
           for (const auto& [k, row] : ref.VisibleRows()) {
-            if (in_region(row).value()) doomed.push_back(k);
+            if (st.matches(row)) hits.emplace_back(k, row);
           }
-          Result<size_t> got = table->Delete(txn, in_region);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ASSERT_EQ(*got, doomed.size());
-          for (const std::string& k : doomed) {
-            ASSERT_TRUE(ref.Delete(vn, k).value());
+          for (Side* side : sides) {
+            Result<size_t> got = MaintenanceRewriter(side->engine.get())
+                                     .Execute(side->txn, st.sql, st.params);
+            if (st.sets_non_updatable) {
+              ASSERT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+                  << got.status().ToString();
+              continue;
+            }
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_EQ(*got, hits.size());
           }
-          ASSERT_NO_FATAL_FAILURE(expect_same("cursor delete"));
+          for (const auto& [k, row] : hits) {
+            if (st.sets_non_updatable) break;
+            if (st.apply) {
+              ASSERT_TRUE(ref.Update(vn, st.apply(row)).value());
+            } else {
+              ASSERT_TRUE(ref.Delete(vn, k).value());
+            }
+          }
+          ASSERT_NO_FATAL_FAILURE(expect_same("cursor statement"));
         }
       }
 
-      if (rng.Bernoulli(0.25)) {
-        const Vn current = engine->current_vn();
-        ASSERT_TRUE(engine->Abort(txn).ok());
-        ref.Rollback(vn, current);
-        ASSERT_NO_FATAL_FAILURE(expect_same("abort"));
-      } else {
-        ASSERT_TRUE(engine->Commit(txn).ok());
-        ASSERT_NO_FATAL_FAILURE(expect_same("commit"));
+      const bool abort = rng.Bernoulli(0.25);
+      const Vn current = routed.engine->current_vn();
+      for (Side* side : sides) {
+        ASSERT_TRUE(abort ? side->engine->Abort(side->txn).ok()
+                          : side->engine->Commit(side->txn).ok());
       }
+      if (abort) ref.Rollback(vn, current);
+      ASSERT_NO_FATAL_FAILURE(expect_same(abort ? "abort" : "commit"));
       if (rng.Bernoulli(0.4)) {
-        const Vn current = engine->current_vn();
+        const Vn now = routed.engine->current_vn();
         const Vn min_session =
-            engine->session_manager()->MinActiveSessionVn(current);
-        ASSERT_TRUE(engine->CollectGarbage().ok());
-        ref.CollectGarbage(current, min_session);
+            routed.engine->session_manager()->MinActiveSessionVn(now);
+        for (Side* side : sides) {
+          ASSERT_TRUE(side->engine->CollectGarbage().ok());
+        }
+        ref.CollectGarbage(now, min_session);
         ASSERT_NO_FATAL_FAILURE(expect_same("gc"));
       }
     }
-    if (pinned.has_value()) engine->CloseSession(*pinned);
+    for (Side* side : sides) {
+      if (side->pinned.has_value()) {
+        side->engine->CloseSession(*side->pinned);
+      }
+    }
   }
 };
 

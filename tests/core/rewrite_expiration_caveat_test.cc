@@ -11,6 +11,7 @@
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 
 namespace wvm::core {
 namespace {
@@ -37,13 +38,8 @@ TEST(RewriteExpirationCaveatTest, RewriteServesStaleDataGlobalCheckSaves) {
   // VN 2 and VN 3 both update the tuple: the session's version is gone.
   for (int64_t qty : {200, 300}) {
     MaintenanceTxn* txn = engine.BeginMaintenance().value();
-    ASSERT_TRUE(table
-                    ->UpdateByKey(txn, {Value::Int64(1)},
-                                  [qty](const Row& row) -> Result<Row> {
-                                    Row next = row;
-                                    next[1] = Value::Int64(qty);
-                                    return next;
-                                  })
+    ASSERT_TRUE(testutil::SetKey(table, txn, {Value::Int64(1)}, 1,
+                                 Value::Int64(qty))
                     .value());
     ASSERT_TRUE(engine.Commit(txn).ok());
   }

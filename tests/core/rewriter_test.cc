@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "query/executor.h"
 #include "sql/parser.h"
@@ -329,12 +330,11 @@ TEST_P(RewriteEquivalenceTest, RandomHistoriesMatchNativeEngine) {
   const std::vector<std::string> lines = {"golf equip", "racquetball",
                                           "rollerblades"};
 
-  auto random_key_pred = [&](const std::string& city,
-                             const std::string& pl, int day) {
-    return [=](const Row& row) -> Result<bool> {
-      return row[0].AsString() == city && row[2].AsString() == pl &&
-             row[3].AsDateRaw() % 100 == day;
-    };
+  MaintenanceRewriter maintenance(&engine);
+  auto key_is = [](const std::string& city, const std::string& pl, int day) {
+    return StrPrintf("WHERE city = '%s' AND product_line = '%s' AND date = "
+                     "'10/%d/96'",
+                     city.c_str(), pl.c_str(), day);
   };
 
   const char* kQueries[] = {
@@ -371,17 +371,18 @@ TEST_P(RewriteEquivalenceTest, RandomHistoriesMatchNativeEngine) {
         ASSERT_TRUE(s.ok() || s.code() == StatusCode::kAlreadyExists);
       } else if (choice == 1) {
         const int32_t delta = static_cast<int32_t>(rng.Uniform(-500, 500));
-        ASSERT_TRUE(table
-                        .Update(txn, random_key_pred(city, pl, day),
-                                [delta](const Row& row) -> Result<Row> {
-                                  Row next = row;
-                                  next[4] = Value::Int32(
-                                      next[4].AsInt32() + delta);
-                                  return next;
-                                })
+        ASSERT_TRUE(maintenance
+                        .Execute(txn, StrPrintf("UPDATE DailySales SET "
+                                                "total_sales = total_sales + "
+                                                "%d %s",
+                                                delta,
+                                                key_is(city, pl, day).c_str()))
                         .ok());
       } else {
-        ASSERT_TRUE(table.Delete(txn, random_key_pred(city, pl, day)).ok());
+        ASSERT_TRUE(maintenance
+                        .Execute(txn, "DELETE FROM DailySales " +
+                                          key_is(city, pl, day))
+                        .ok());
       }
     }
     ASSERT_TRUE(engine.Commit(txn).ok());

@@ -6,7 +6,9 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -18,20 +20,6 @@ Schema ItemSchema() {
 
 Row Item(int64_t id, int64_t qty) {
   return {Value::Int64(id), Value::Int64(qty)};
-}
-
-RowPredicate IdIs(int64_t id) {
-  return [id](const Row& row) -> Result<bool> {
-    return row[0].AsInt64() == id;
-  };
-}
-
-RowTransform SetQty(int64_t qty) {
-  return [qty](const Row& row) -> Result<Row> {
-    Row next = row;
-    next[1] = Value::Int64(qty);
-    return next;
-  };
 }
 
 class RollbackTest : public ::testing::TestWithParam<int> {
@@ -51,6 +39,20 @@ class RollbackTest : public ::testing::TestWithParam<int> {
     return txn.value();
   }
   void Commit(MaintenanceTxn* txn) { WVM_CHECK(engine_->Commit(txn).ok()); }
+
+  // The §4.2 cursor statements on one id, as SQL.
+  bool SetQty(MaintenanceTxn* txn, int64_t id, int64_t qty) {
+    return Exec(txn, StrPrintf("UPDATE items SET qty = %lld WHERE id = %lld",
+                               static_cast<long long>(qty),
+                               static_cast<long long>(id)));
+  }
+  bool Remove(MaintenanceTxn* txn, int64_t id) {
+    return Exec(txn, StrPrintf("DELETE FROM items WHERE id = %lld",
+                               static_cast<long long>(id)));
+  }
+  bool Exec(MaintenanceTxn* txn, const std::string& sql) {
+    return MaintenanceRewriter(engine_.get()).Execute(txn, sql).ok();
+  }
 
   void Load() {
     MaintenanceTxn* txn = Begin();
@@ -82,8 +84,8 @@ TEST_P(RollbackTest, AbortRestoresLogicalState) {
 
   MaintenanceTxn* txn = Begin();
   ASSERT_TRUE(table_->Insert(txn, Item(100, 1)).ok());
-  ASSERT_TRUE(table_->Update(txn, IdIs(2), SetQty(999)).ok());
-  ASSERT_TRUE(table_->Delete(txn, IdIs(3)).ok());
+  ASSERT_TRUE(SetQty(txn, 2, 999));
+  ASSERT_TRUE(Remove(txn, 3));
   ASSERT_TRUE(engine_->Abort(txn).ok());
 
   // currentVN is unchanged; the logical state at VN 1 is exactly restored.
@@ -103,12 +105,12 @@ TEST_P(RollbackTest, AbortThenNewTxnReusesVersionNumber) {
   Load();
   MaintenanceTxn* txn = Begin();
   EXPECT_EQ(txn->vn(), 2);
-  ASSERT_TRUE(table_->Update(txn, IdIs(1), SetQty(1)).ok());
+  ASSERT_TRUE(SetQty(txn, 1, 1));
   ASSERT_TRUE(engine_->Abort(txn).ok());
 
   MaintenanceTxn* txn2 = Begin();
   EXPECT_EQ(txn2->vn(), 2);  // the aborted VN was never published
-  ASSERT_TRUE(table_->Update(txn2, IdIs(1), SetQty(42)).ok());
+  ASSERT_TRUE(SetQty(txn2, 1, 42));
   Commit(txn2);
   EXPECT_EQ(StateAt(2).at(1), 42);
   EXPECT_EQ(StateAt(1).at(1), 10);
@@ -132,7 +134,7 @@ TEST_P(RollbackTest, SessionsAtCurrentVersionSurviveAbort) {
   Load();
   ReaderSession s = engine_->OpenSession();  // VN 1 == currentVN
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->Update(txn, IdIs(2), SetQty(999)).ok());
+  ASSERT_TRUE(SetQty(txn, 2, 999));
   ASSERT_TRUE(engine_->Abort(txn).ok());
 
   EXPECT_TRUE(engine_->CheckSession(s).ok());
@@ -149,7 +151,7 @@ TEST_P(RollbackTest, SessionsAtCurrentVersionSurviveAbort) {
 TEST_P(RollbackTest, OlderSessionsAfterDirtyAbort) {
   Load();                                     // VN 1
   MaintenanceTxn* t2 = Begin();
-  ASSERT_TRUE(table_->Update(t2, IdIs(2), SetQty(200)).ok());
+  ASSERT_TRUE(SetQty(t2, 2, 200));
   Commit(t2);                                 // VN 2
   ReaderSession old_session = engine_->OpenSession();
   ASSERT_TRUE(engine_->Commit(Begin()).ok());  // VN 3 (empty)
@@ -158,7 +160,7 @@ TEST_P(RollbackTest, OlderSessionsAfterDirtyAbort) {
 
   MaintenanceTxn* t4 = Begin();
   // Re-modify the same tuple the VN 2 txn touched.
-  ASSERT_TRUE(table_->Update(t4, IdIs(2), SetQty(444)).ok());
+  ASSERT_TRUE(SetQty(t4, 2, 444));
   ASSERT_TRUE(engine_->Abort(t4).ok());
 
   // Sessions at currentVN always survive.
@@ -189,10 +191,10 @@ TEST_P(RollbackTest, AbortOfNetEffectSequences) {
   MaintenanceTxn* txn = Begin();
   // insert + update + delete of a fresh key: net nothing.
   ASSERT_TRUE(table_->Insert(txn, Item(50, 1)).ok());
-  ASSERT_TRUE(table_->Update(txn, IdIs(50), SetQty(2)).ok());
-  ASSERT_TRUE(table_->Delete(txn, IdIs(50)).ok());
+  ASSERT_TRUE(SetQty(txn, 50, 2));
+  ASSERT_TRUE(Remove(txn, 50));
   // delete + reinsert of an existing key: net update.
-  ASSERT_TRUE(table_->Delete(txn, IdIs(4)).ok());
+  ASSERT_TRUE(Remove(txn, 4));
   ASSERT_TRUE(table_->Insert(txn, Item(4, 777)).ok());
   ASSERT_TRUE(engine_->Abort(txn).ok());
 
@@ -221,7 +223,7 @@ TEST_P(RollbackTest, AbortOfSameTxnDeleteReinsertRestoresTheRow) {
   for (const char* s : {"b", "a"}) {
     SCOPED_TRACE(StrPrintf("re-insert s = %s", s));
     txn = Begin();
-    ASSERT_TRUE(ksv->DeleteByKey(txn, {Value::Int64(1)}).value());
+    ASSERT_TRUE(testutil::DeleteKey(ksv, txn, {Value::Int64(1)}).value());
     const Status reinserted = ksv->Insert(txn, ksv_row(s, 20));
     EXPECT_EQ(reinserted.code(), *s == 'a' ? StatusCode::kOk
                                            : StatusCode::kInvalidArgument)

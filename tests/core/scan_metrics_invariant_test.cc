@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "core/vnl_table.h"
 #include "query/executor.h"
@@ -67,24 +68,12 @@ class ScanMetricsInvariantTest : public ::testing::TestWithParam<int> {
   // tuple; a session opened after sees the delete as ignored.
   void Churn() {
     MaintenanceTxn* churn = Begin();
-    WVM_CHECK(table_
-                  ->Update(churn,
-                           [](const Row& row) -> Result<bool> {
-                             return row[0].AsInt64() % 2 == 0;
-                           },
-                           [](const Row& row) -> Result<Row> {
-                             Row next = row;
-                             next[2] =
-                                 Value::Int64(next[2].AsInt64() + 10000);
-                             return next;
-                           })
+    // Even ids are exactly groups g0 and g2 (grp = g<id % 4>).
+    MaintenanceRewriter sql(engine_.get());
+    WVM_CHECK(sql.Execute(churn, "UPDATE items SET qty = qty + 10000 WHERE "
+                                 "grp = 'g0' OR grp = 'g2'")
                   .ok());
-    WVM_CHECK(table_
-                  ->Delete(churn,
-                           [](const Row& row) -> Result<bool> {
-                             return row[0].AsInt64() == 7;
-                           })
-                  .ok());
+    WVM_CHECK(sql.Execute(churn, "DELETE FROM items WHERE id = 7").ok());
     WVM_CHECK(table_->Insert(churn, Item(kRows, 123)).ok());
     Commit(churn);
   }

@@ -22,6 +22,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
 
 namespace wvm::core {
@@ -213,19 +214,18 @@ class SnapshotSelectDiffTest : public ::testing::Test {
         const double dice = rng.UniformDouble(0.0, 1.0);
         if (dice < 0.5) {
           const int64_t delta = rng.Uniform(-300, 300);
-          ASSERT_TRUE(table
-                          ->UpdateByKey(*churn, key,
-                                        [&](const Row& row) -> Result<Row> {
-                                          Row next = row;
-                                          next[5] = Value::Int64(
-                                              next[5].AsInt64() + delta);
-                                          next[6] = Value::Double(
-                                              next[6].AsDouble() * 0.5);
-                                          return next;
-                                        })
+          ASSERT_TRUE(testutil::UpdateKey(table, *churn, key,
+                                          [&](const Row& row) {
+                                            Row next = row;
+                                            next[5] = Value::Int64(
+                                                next[5].AsInt64() + delta);
+                                            next[6] = Value::Double(
+                                                next[6].AsDouble() * 0.5);
+                                            return next;
+                                          })
                           .ok());
         } else if (dice < 0.75) {
-          ASSERT_TRUE(table->DeleteByKey(*churn, key).ok());
+          ASSERT_TRUE(testutil::DeleteKey(table, *churn, key).ok());
         } else {
           // Re-inserting a live key is a uniqueness error; over a corpse
           // it must keep the corpse's non-updatable values (§3.1).

@@ -12,6 +12,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "core/vnl_table.h"
 #include "query/executor.h"
@@ -52,13 +53,8 @@ class StreamingScanTest : public ::testing::TestWithParam<int> {
     // (id 13), and an insert (id 16), so a VN-1 session exercises
     // current reads, pre-update reads, pre-delete reads, and ignore.
     MaintenanceTxn* churn = Begin();
-    WVM_CHECK(table_->Update(churn, GrpIs("g0"), AddQty(1000)).ok());
-    WVM_CHECK(table_
-                  ->Delete(churn,
-                           [](const Row& row) -> Result<bool> {
-                             return row[0].AsInt64() == 13;
-                           })
-                  .ok());
+    WVM_CHECK(AddQty(churn, "g0", 1000));
+    WVM_CHECK(Exec(churn, "DELETE FROM items WHERE id = 13"));
     WVM_CHECK(table_->Insert(churn, Item(16, 9999)).ok());
     Commit(churn);
   }
@@ -71,18 +67,14 @@ class StreamingScanTest : public ::testing::TestWithParam<int> {
 
   void Commit(MaintenanceTxn* txn) { WVM_CHECK(engine_->Commit(txn).ok()); }
 
-  static RowPredicate GrpIs(const std::string& grp) {
-    return [grp](const Row& row) -> Result<bool> {
-      return row[1].AsString() == grp;
-    };
+  // §4.2 cursor statements, as SQL.
+  bool Exec(MaintenanceTxn* txn, const std::string& sql) {
+    return MaintenanceRewriter(engine_.get()).Execute(txn, sql).ok();
   }
-
-  static RowTransform AddQty(int64_t delta) {
-    return [delta](const Row& row) -> Result<Row> {
-      Row next = row;
-      next[2] = Value::Int64(next[2].AsInt64() + delta);
-      return next;
-    };
+  bool AddQty(MaintenanceTxn* txn, const char* grp, int64_t delta) {
+    return Exec(txn, StrPrintf("UPDATE items SET qty = qty + %lld WHERE "
+                               "grp = '%s'",
+                               static_cast<long long>(delta), grp));
   }
 
   // Runs `sql` through the streaming SnapshotSelect path and through the
@@ -169,7 +161,7 @@ TEST_P(StreamingScanTest, UpdatableColumnPredicateSeesSessionVersion) {
   ReaderSession old_s = engine_->OpenSession();
   {
     MaintenanceTxn* txn = Begin();
-    ASSERT_TRUE(table_->Update(txn, GrpIs("g1"), AddQty(100000)).ok());
+    ASSERT_TRUE(AddQty(txn, "g1", 100000));
     Commit(txn);
   }
   ReaderSession new_s = engine_->OpenSession();
@@ -199,7 +191,7 @@ TEST_P(StreamingScanTest, StreamedMatchesMaterializedAcrossTable1States) {
   ReaderSession old_s = engine_->OpenSession();  // sees VN 2 state
   {
     MaintenanceTxn* txn = Begin();  // VN 3: more churn under old_s
-    ASSERT_TRUE(table_->Update(txn, GrpIs("g2"), AddQty(7)).ok());
+    ASSERT_TRUE(AddQty(txn, "g2", 7));
     Commit(txn);
   }
   ReaderSession new_s = engine_->OpenSession();
@@ -235,7 +227,7 @@ TEST_P(StreamingScanTest, FilteredOutTuplesStillTriggerExpiration) {
   // still serves it.
   for (int i = 0; i < 2; ++i) {
     MaintenanceTxn* txn = Begin();
-    ASSERT_TRUE(table_->Update(txn, GrpIs("g0"), AddQty(1)).ok());
+    ASSERT_TRUE(AddQty(txn, "g0", 1));
     Commit(txn);
   }
 
@@ -266,7 +258,7 @@ TEST_P(StreamingScanTest, SnapshotLookupRecordsStats) {
   ReaderSession pre = old_s;
   {
     MaintenanceTxn* txn = Begin();
-    ASSERT_TRUE(table_->Update(txn, GrpIs("g0"), AddQty(5)).ok());
+    ASSERT_TRUE(AddQty(txn, "g0", 5));
     ASSERT_TRUE(table_->Insert(txn, Item(17, 1)).ok());
     Commit(txn);
   }

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -12,8 +13,10 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "sql/parser.h"
+#include "tests/support/keyed_maintenance.h"
 
 namespace wvm::core {
 namespace {
@@ -77,18 +80,20 @@ class VnlTableTest : public ::testing::TestWithParam<int> {
     Commit(txn);
   }
 
-  RowPredicate CityIs(const std::string& city) {
-    return [city](const Row& row) -> Result<bool> {
-      return row[0].AsString() == city;
-    };
+  // The §4.2 cursor statements, as SQL through VnlTable::Update and
+  // Delete.
+  Result<size_t> Exec(MaintenanceTxn* txn, const std::string& sql) {
+    return MaintenanceRewriter(engine_.get()).Execute(txn, sql);
   }
-
-  RowTransform AddSales(int32_t delta) {
-    return [delta](const Row& row) -> Result<Row> {
-      Row next = row;
-      next[4] = Value::Int32(next[4].AsInt32() + delta);
-      return next;
-    };
+  Result<size_t> AddSales(MaintenanceTxn* txn, const char* city,
+                          int32_t delta) {
+    return Exec(txn, StrPrintf("UPDATE DailySales SET total_sales = "
+                               "total_sales + %d WHERE city = '%s'",
+                               delta, city));
+  }
+  Result<size_t> DeleteCity(MaintenanceTxn* txn, const char* city) {
+    return Exec(txn,
+                StrPrintf("DELETE FROM DailySales WHERE city = '%s'", city));
   }
 
   DiskManager disk_;
@@ -111,7 +116,7 @@ TEST_P(VnlTableTest, ReaderSeesPreUpdateVersionDuringMaintenance) {
   ReaderSession s = engine_->OpenSession();  // VN 1
 
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->Update(txn, CityIs("San Jose"), AddSales(5000)).ok());
+  ASSERT_TRUE(AddSales(txn, "San Jose", 5000).ok());
 
   // Uncommitted writes are invisible: the reader still sees 10000.
   Result<std::optional<Row>> row =
@@ -145,7 +150,7 @@ TEST_P(VnlTableTest, DeleteIsLogicalUntilGc) {
   ReaderSession old_session = engine_->OpenSession();
 
   MaintenanceTxn* txn = Begin();
-  Result<size_t> n = table_->Delete(txn, CityIs("Novato"));
+  Result<size_t> n = DeleteCity(txn, "Novato");
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 1u);
   Commit(txn);
@@ -178,7 +183,7 @@ TEST_P(VnlTableTest, InsertDuplicateKeyFails) {
 TEST_P(VnlTableTest, ReinsertAfterDeleteInLaterTxn) {
   LoadInitialData();
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->Delete(txn, CityIs("Novato")).ok());
+  ASSERT_TRUE(DeleteCity(txn, "Novato").ok());
   Commit(txn);
 
   MaintenanceTxn* txn2 = Begin();
@@ -204,7 +209,7 @@ TEST_P(VnlTableTest, NetEffectInsertThenUpdateStaysInsert) {
   MaintenanceTxn* txn = Begin();
   ASSERT_TRUE(
       table_->Insert(txn, DailyRow("Oakland", "tents", 16, 100)).ok());
-  ASSERT_TRUE(table_->Update(txn, CityIs("Oakland"), AddSales(50)).ok());
+  ASSERT_TRUE(AddSales(txn, "Oakland", 50).ok());
   Commit(txn);
 
   // Sessions from before the txn must IGNORE the tuple — if the net
@@ -227,7 +232,7 @@ TEST_P(VnlTableTest, NetEffectInsertThenDeleteVanishes) {
   MaintenanceTxn* txn = Begin();
   ASSERT_TRUE(
       table_->Insert(txn, DailyRow("Oakland", "tents", 16, 100)).ok());
-  ASSERT_TRUE(table_->Delete(txn, CityIs("Oakland")).ok());
+  ASSERT_TRUE(DeleteCity(txn, "Oakland").ok());
   Commit(txn);
 
   ReaderSession s = engine_->OpenSession();
@@ -243,7 +248,7 @@ TEST_P(VnlTableTest, NetEffectDeleteThenInsertIsUpdate) {
   ReaderSession before = engine_->OpenSession();  // VN 1
 
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->Delete(txn, CityIs("Novato")).ok());
+  ASSERT_TRUE(DeleteCity(txn, "Novato").ok());
   ASSERT_TRUE(
       table_->Insert(txn, DailyRow("Novato", "rollerblades", 13, 6000))
           .ok());
@@ -268,8 +273,8 @@ TEST_P(VnlTableTest, UpdateTwiceInSameTxnKeepsOriginalPreVersion) {
   ReaderSession before = engine_->OpenSession();
 
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->Update(txn, CityIs("Berkeley"), AddSales(1000)).ok());
-  ASSERT_TRUE(table_->Update(txn, CityIs("Berkeley"), AddSales(1000)).ok());
+  ASSERT_TRUE(AddSales(txn, "Berkeley", 1000).ok());
+  ASSERT_TRUE(AddSales(txn, "Berkeley", 1000).ok());
   Commit(txn);
 
   Result<std::optional<Row>> old_row =
@@ -291,14 +296,14 @@ TEST_P(VnlTableTest, SessionExpiresAfterTwoOverlapsAtN2) {
 
   // Maintenance txn 2 modifies the tuple; session still fine.
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(table_->Update(txn, CityIs("San Jose"), AddSales(1)).ok());
+  ASSERT_TRUE(AddSales(txn, "San Jose", 1).ok());
   Commit(txn);
   ASSERT_TRUE(table_->SnapshotRows(s).ok());
 
   // Maintenance txn 3 modifies it again: the session can no longer
   // reconstruct version 1 — tuple-level detection fires.
   MaintenanceTxn* txn3 = Begin();
-  ASSERT_TRUE(table_->Update(txn3, CityIs("San Jose"), AddSales(1)).ok());
+  ASSERT_TRUE(AddSales(txn3, "San Jose", 1).ok());
   Result<std::vector<Row>> rows = table_->SnapshotRows(s);
   EXPECT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kSessionExpired);
@@ -314,9 +319,9 @@ TEST_P(VnlTableTest, MaintenanceRequiresActiveTxn) {
   // txn is no longer active; all maintenance ops must fail.
   EXPECT_EQ(table_->Insert(txn, DailyRow("X", "y", 1, 1)).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(table_->Update(txn, CityIs("X"), AddSales(1)).status().code(),
+  EXPECT_EQ(AddSales(txn, "X", 1).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(table_->Delete(txn, CityIs("X")).status().code(),
+  EXPECT_EQ(DeleteCity(txn, "X").status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -370,17 +375,17 @@ TEST_P(VnlTableTest, ProbesWithValuesTheKeyCannotHoldFindNothing) {
     EXPECT_FALSE(found->has_value());
   }
   MaintenanceTxn* txn = Begin();
-  RowTransform bump = [](const Row& row) -> Result<Row> {
+  auto bump = [](const Row& row) {
     Row next = row;
     next[1] = Value::Int64(next[1].AsInt64() + 1);
     return next;
   };
   for (const Value& k : unholdable) {
     SCOPED_TRACE(k.ToString());
-    Result<bool> updated = t->UpdateByKey(txn, {k}, bump);
+    Result<bool> updated = testutil::UpdateKey(t, txn, {k}, bump);
     ASSERT_TRUE(updated.ok());
     EXPECT_FALSE(updated.value());
-    Result<bool> deleted = t->DeleteByKey(txn, {k});
+    Result<bool> deleted = testutil::DeleteKey(t, txn, {k});
     ASSERT_TRUE(deleted.ok());
     EXPECT_FALSE(deleted.value());
     Result<std::optional<Row>> current = t->MaintenanceLookup(txn, {k});
@@ -388,7 +393,7 @@ TEST_P(VnlTableTest, ProbesWithValuesTheKeyCannotHoldFindNothing) {
     EXPECT_FALSE(current->has_value());
   }
   // An INT64 in the column's range is the same key.
-  Result<bool> updated = t->UpdateByKey(txn, {Value::Int64(5)}, bump);
+  Result<bool> updated = testutil::UpdateKey(t, txn, {Value::Int64(5)}, bump);
   ASSERT_TRUE(updated.ok());
   EXPECT_TRUE(updated.value());
   Commit(txn);
@@ -413,21 +418,22 @@ TEST_P(VnlTableTest, KeyAddressedWritesNeedAUniqueKey) {
   VnlTable* t = created.value();
   MaintenanceTxn* txn = Begin();
   ASSERT_TRUE(t->Insert(txn, {Value::Int32(1), Value::Int64(2)}).ok());
-  RowTransform bump = [](const Row& row) -> Result<Row> { return row; };
-  EXPECT_EQ(t->UpdateByKey(txn, {Value::Int32(1)}, bump).status().code(),
+  EXPECT_EQ(testutil::SetKey(t, txn, {Value::Int32(1)}, 1, Value::Int64(3))
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(t->DeleteByKey(txn, {Value::Int32(1)}).status().code(),
+  EXPECT_EQ(testutil::DeleteKey(t, txn, {Value::Int32(1)}).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(t->MaintenanceLookup(txn, {Value::Int32(1)}).status().code(),
             StatusCode::kFailedPrecondition);
   const BatchKeyOp op{{Value::Int32(1)},
                       [](const std::optional<Row>&) -> Result<NetEffect> {
-                        return NetEffect{NetEffect::Kind::kDelete, {}};
+                        return NetEffect::Delete();
                       }};
   EXPECT_EQ(t->ApplyBatch(txn, {op}).status().code(),
             StatusCode::kFailedPrecondition);
   // Nothing was written: the row is still there, once.
-  Result<std::vector<Row>> rows = t->MaintenanceRows(txn);
+  Result<std::vector<Row>> rows = testutil::MaintenanceRows(*t);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);
   Commit(txn);
@@ -447,7 +453,7 @@ TEST_P(VnlTableTest, InsertRejectsValuesStoredAsOtherNumbers) {
       StatusCode::kInvalidArgument);
   EXPECT_EQ(t->Insert(txn, {Value::Int32(1), Value::Double(2.0)}).code(),
             StatusCode::kInvalidArgument);
-  Result<std::vector<Row>> rows = t->MaintenanceRows(txn);
+  Result<std::vector<Row>> rows = testutil::MaintenanceRows(*t);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
   Commit(txn);
@@ -469,9 +475,7 @@ TEST_P(VnlTableTest, SignedZeroAndNaNKeysAreOrdinaryKeys) {
   EXPECT_EQ(t->Insert(txn, {Value::Double(-nan), Value::Int64(4)}).code(),
             StatusCode::kAlreadyExists);
   Result<bool> updated =
-      t->UpdateByKey(txn, {Value::Double(nan)}, [](const Row& row) {
-        return Result<Row>(Row{row[0], Value::Int64(30)});
-      });
+      testutil::SetKey(t, txn, {Value::Double(nan)}, 1, Value::Int64(30));
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_TRUE(updated.value());
   Commit(txn);
@@ -494,16 +498,157 @@ TEST_P(VnlTableTest, SingleWriterEnforced) {
   ASSERT_TRUE(engine_->Commit(a.value()).ok());
 }
 
-TEST_P(VnlTableTest, UpdateCannotChangeKey) {
+// An update is a list of edits to updatable columns (§3.1): a SET on any
+// other column fails at bind, before any write and whether or not a row
+// matches, and a keyed edit of one fails before its tuple is written.
+TEST_P(VnlTableTest, UpdateCannotChangeNonUpdatables) {
   LoadInitialData();
   MaintenanceTxn* txn = Begin();
-  RowTransform corrupt_key = [](const Row& row) -> Result<Row> {
-    Row next = row;
-    next[0] = Value::String("Renamed");
-    return next;
+  const std::vector<Row> before = testutil::MaintenanceRows(*table_).value();
+  for (const char* sql :
+       {"UPDATE DailySales SET city = 'Renamed' WHERE city = 'Novato'",
+        "UPDATE DailySales SET total_sales = 1, state = 'NV' "
+        "WHERE city = 'Novato'",
+        "UPDATE DailySales SET city = 'Renamed' WHERE city = 'Nowhere'"}) {
+    SCOPED_TRACE(sql);
+    EXPECT_EQ(Exec(txn, sql).status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(testutil::SetKey(table_, txn,
+                             DailyKey("Novato", "rollerblades", 13), 0,
+                             Value::String("Renamed"))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(txn->stats().logical_updates, 0u);
+  const std::vector<Row> after = testutil::MaintenanceRows(*table_).value();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(RowToString(after[i]), RowToString(before[i]));
+  }
+  Commit(txn);
+}
+
+// SET and WHERE keep their error codes: an unknown column is kNotFound (at
+// bind for a SET target, when a row reaches it in WHERE) and a value its
+// column cannot hold is kInvalidArgument.
+TEST_P(VnlTableTest, CursorStatementErrors) {
+  LoadInitialData();
+  MaintenanceTxn* txn = Begin();
+  EXPECT_EQ(Exec(txn, "UPDATE DailySales SET nosuch = 1").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Exec(txn, "DELETE FROM DailySales WHERE nosuch = 1")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Exec(txn, "UPDATE DailySales SET total_sales = 3000000000 "
+                      "WHERE city = 'Novato'")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Exec(txn, "UPDATE DailySales SET total_sales = 'x' "
+                      "WHERE city = 'Novato'")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(txn->stats().logical_updates, 0u);
+  EXPECT_EQ(txn->stats().logical_deletes, 0u);
+  Commit(txn);
+}
+
+// The cursor holds every matching Rid before the first write, so a SET
+// that changes what WHERE tests updates each tuple once.
+TEST_P(VnlTableTest, CursorIsCollectedBeforeItsWrites) {
+  LoadInitialData();
+  MaintenanceTxn* txn = Begin();
+  Result<size_t> n = Exec(txn, "UPDATE DailySales SET total_sales = "
+                               "total_sales + 5000 WHERE total_sales > 0");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, 3u);
+  Result<std::optional<Row>> row =
+      table_->MaintenanceLookup(txn, DailyKey("Novato", "rollerblades", 13));
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((**row)[4].AsInt32(), 13000);
+  Commit(txn);
+}
+
+// The cursor is a maintenance read: a unique-key WHERE is served by the
+// index, and the read counts in the transaction's stats, never in the
+// engine's scan metrics.
+TEST_P(VnlTableTest, CursorReadsCountInTheTransaction) {
+  LoadInitialData();
+  const ScanMetrics scans = engine_->scan_metrics();
+  MaintenanceTxn* txn = Begin();
+  ASSERT_EQ(Exec(txn, "UPDATE DailySales SET total_sales = 1 WHERE city = "
+                      "'Novato' AND state = 'CA' AND product_line = "
+                      "'rollerblades' AND date = '10/13/96'")
+                .value(),
+            1u);
+  EXPECT_EQ(txn->stats().index_probes, 1u);
+  EXPECT_EQ(txn->stats().page_pins, 2u);  // the candidate, then its write
+  ASSERT_EQ(DeleteCity(txn, "Berkeley").value(), 1u);
+  EXPECT_EQ(txn->stats().index_probes, 1u);  // a heap pass probes nothing
+  const ScanMetrics now = engine_->scan_metrics();
+  EXPECT_EQ(now.rows_scanned, scans.rows_scanned);
+  EXPECT_EQ(now.index_lookups, scans.index_lookups);
+  EXPECT_EQ(now.rows_emitted, scans.rows_emitted);
+  Commit(txn);
+}
+
+// Single-writer cross-check: a tuple stamped with a VN the maintenance
+// transaction has not reached means a second writer slipped past
+// BeginMaintenance, and the cursor read fails before any write.
+TEST_P(VnlTableTest, CursorRejectsTuplesFromTheFuture) {
+  LoadInitialData();
+  MaintenanceTxn* txn = Begin();
+  // Forge what such a writer would leave: Novato stamped VN 99.
+  const VersionedSchema& vs = table_->versioned_schema();
+  TableHeap* heap = const_cast<TableHeap*>(table_->physical_table().heap());
+  Rid novato;
+  std::vector<uint8_t> rec(heap->record_size());
+  ASSERT_TRUE(heap->Scan([&](Rid rid, const uint8_t* r) {
+                    if (vs.RawCurrentLogical(r)[0].AsString() != "Novato") {
+                      return true;
+                    }
+                    novato = rid;
+                    std::memcpy(rec.data(), r, rec.size());
+                    return false;
+                  })
+                  .ok());
+  vs.SetSlot(rec.data(), 0, 99, Op::kUpdate);
+  ASSERT_TRUE(heap->Update(novato, rec.data()).ok());
+  EXPECT_EQ(AddSales(txn, "San Jose", 1).status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(DeleteCity(txn, "San Jose").status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(txn->stats().physical_updates, 0u);
+  ASSERT_TRUE(engine_->Abort(txn).ok());
+}
+
+// A logical insert counts once it is applied: a duplicate key and a
+// refused revive leave the counter where it was.
+TEST_P(VnlTableTest, RefusedInsertsAreNotCounted) {
+  Result<VnlTable*> created = engine_->CreateTable(
+      "ksv", Schema({Column::Int64("k"), Column::String("s", 4),
+                     Column::Int64("v", /*updatable=*/true)},
+                    {0}));
+  ASSERT_TRUE(created.ok());
+  VnlTable* t = created.value();
+  auto row = [](int64_t k, const char* s) {
+    return Row{Value::Int64(k), Value::String(s), Value::Int64(1)};
   };
-  Result<size_t> r = table_->Update(txn, CityIs("Novato"), corrupt_key);
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  MaintenanceTxn* txn = Begin();
+  ASSERT_TRUE(t->Insert(txn, row(1, "a")).ok());
+  ASSERT_TRUE(t->Insert(txn, row(2, "a")).ok());
+  Commit(txn);
+  txn = Begin();
+  EXPECT_EQ(t->Insert(txn, row(1, "a")).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(txn->stats().logical_inserts, 0u);
+  ASSERT_TRUE(testutil::DeleteKey(t, txn, {Value::Int64(2)}).value());
+  EXPECT_EQ(t->Insert(txn, row(2, "b")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(txn->stats().logical_inserts, 0u);
+  ASSERT_TRUE(t->Insert(txn, row(2, "a")).ok());
+  EXPECT_EQ(txn->stats().logical_inserts, 1u);
   Commit(txn);
 }
 
@@ -524,8 +669,8 @@ TEST_P(VnlTableTest, TxnStatsTrackOperations) {
   LoadInitialData();
   MaintenanceTxn* txn = Begin();
   ASSERT_TRUE(table_->Insert(txn, DailyRow("Oakland", "tents", 16, 1)).ok());
-  ASSERT_TRUE(table_->Update(txn, CityIs("San Jose"), AddSales(1)).ok());
-  ASSERT_TRUE(table_->Delete(txn, CityIs("Novato")).ok());
+  ASSERT_TRUE(AddSales(txn, "San Jose", 1).ok());
+  ASSERT_TRUE(DeleteCity(txn, "Novato").ok());
   EXPECT_EQ(txn->stats().logical_inserts, 1u);
   EXPECT_EQ(txn->stats().logical_updates, 1u);
   EXPECT_EQ(txn->stats().logical_deletes, 1u);
@@ -555,7 +700,7 @@ TEST_P(VnlTableTest, ReaderIsolationUnderConcurrentMaintenance) {
     int32_t delta = 1;
     while (!stop.load()) {
       ASSERT_TRUE(
-          table_->Update(txn.value(), CityIs("San Jose"), AddSales(delta))
+          AddSales(txn.value(), "San Jose", delta)
               .ok());
     }
     ASSERT_TRUE(engine_->Commit(txn.value()).ok());
@@ -656,7 +801,7 @@ class ReinsertTest : public VnlTableTest {
 
 TEST_P(ReinsertTest, SameTxnReinsertCannotRewriteNonUpdatables) {
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  ASSERT_TRUE(testutil::DeleteKey(ksv_, txn, {Value::Int64(1)}).value());
   ExpectRejected(txn, KSV("b", 20));
   ExpectReads(pinned_, KSV("a", 10));
   Commit(txn);
@@ -668,7 +813,7 @@ TEST_P(ReinsertTest, SameTxnReinsertCannotRewriteNonUpdatables) {
 
 TEST_P(ReinsertTest, SameTxnReinsertWithEqualNonUpdatablesRevives) {
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  ASSERT_TRUE(testutil::DeleteKey(ksv_, txn, {Value::Int64(1)}).value());
   ASSERT_TRUE(ksv_->Insert(txn, KSV("a", 20)).ok());
   ExpectReads(pinned_, KSV("a", 10));
   Commit(txn);
@@ -681,7 +826,7 @@ TEST_P(ReinsertTest, SameTxnReinsertWithEqualNonUpdatablesRevives) {
 
 TEST_P(ReinsertTest, LaterTxnReinsertCannotRewriteNonUpdatables) {
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  ASSERT_TRUE(testutil::DeleteKey(ksv_, txn, {Value::Int64(1)}).value());
   Commit(txn);
   // For n = 2 too: no reader could see the change there, but the rule is
   // one for every n.
@@ -701,7 +846,7 @@ TEST_P(ReinsertTest, LaterTxnReinsertCannotRewriteNonUpdatables) {
 
 TEST_P(ReinsertTest, LaterTxnReinsertWithEqualNonUpdatablesRevives) {
   MaintenanceTxn* txn = Begin();
-  ASSERT_TRUE(ksv_->DeleteByKey(txn, {Value::Int64(1)}).value());
+  ASSERT_TRUE(testutil::DeleteKey(ksv_, txn, {Value::Int64(1)}).value());
   Commit(txn);
   txn = Begin();
   ASSERT_TRUE(ksv_->Insert(txn, KSV("a", 30)).ok());

@@ -66,10 +66,8 @@ TEST_F(ApplyBatchStatsTest, OneProbeOnePinPerKey) {
                    [](const std::optional<Row>& current)
                        -> Result<NetEffect> {
                      WVM_CHECK(current.has_value());
-                     Row next = *current;
-                     next[2] = Value::Int64(next[2].AsInt64() + 100);
-                     return NetEffect{NetEffect::Kind::kUpdate,
-                                      std::move(next)};
+                     return NetEffect::Update(
+                         {{2, Value::Int64((*current)[2].AsInt64() + 100)}});
                    }});
   }
   Result<BatchApplyStats> stats = table_->ApplyBatch(*txn, ops);
@@ -90,9 +88,9 @@ TEST_F(ApplyBatchStatsTest, CountsEachKindAndPinsOnlyPresentKeys) {
     };
   };
   const std::vector<BatchKeyOp> ops = {
-      {{Value::Int64(0)}, fixed({NetEffect::Kind::kUpdate, R(0, "a", 9)})},
-      {{Value::Int64(1)}, fixed({NetEffect::Kind::kDelete, {}})},
-      {{Value::Int64(7)}, fixed({NetEffect::Kind::kInsert, R(7, "g", 7)})},
+      {{Value::Int64(0)}, fixed(NetEffect::Update({{2, Value::Int64(9)}}))},
+      {{Value::Int64(1)}, fixed(NetEffect::Delete())},
+      {{Value::Int64(7)}, fixed(NetEffect::Insert(R(7, "g", 7)))},
       {{Value::Int64(8)}, fixed({})},
   };
   Result<BatchApplyStats> stats = table_->ApplyBatch(*txn, ops);
