@@ -13,6 +13,7 @@
 #include "baselines/s2pl_engine.h"
 #include "baselines/two_v2pl_engine.h"
 #include "baselines/vnl_adapter.h"
+#include "bench/apply_to_key.h"
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -97,9 +98,10 @@ void WriterLoop(baselines::WarehouseEngine* engine, RunStats* stats,
     // Update a spread of tuples, retrying ops that hit lock timeouts.
     for (int i = 0; i < 40; ++i) {
       const int64_t id = rng.Uniform(0, kKeys - 1);
-      Row row = {Value::Int64(id), Value::Int64(rng.Uniform(0, 1000))};
+      const core::NetEffect set_qty =
+          core::NetEffect::Update({{1, Value::Int64(rng.Uniform(0, 1000))}});
       for (;;) {
-        Status s = engine->MaintUpdate({Value::Int64(id)}, row);
+        Status s = bench::ApplyToKey(engine, id, set_qty);
         if (s.ok()) break;
         if (s.code() == StatusCode::kDeadlineExceeded) {
           stats->maint_retries.fetch_add(1);
@@ -124,7 +126,10 @@ void RunEngine(const std::string& name,
   // Preload.
   WVM_CHECK(engine->BeginMaintenance().ok());
   for (int64_t i = 0; i < kKeys; ++i) {
-    WVM_CHECK(engine->MaintInsert({Value::Int64(i), Value::Int64(i)}).ok());
+    WVM_CHECK(bench::ApplyToKey(engine.get(), i,
+                                core::NetEffect::Insert(
+                                    {Value::Int64(i), Value::Int64(i)}))
+                  .ok());
   }
   WVM_CHECK(engine->CommitMaintenance().ok());
 

@@ -13,6 +13,7 @@
 #include "baselines/mv2pl_engine.h"
 #include "baselines/offline_engine.h"
 #include "baselines/vnl_adapter.h"
+#include "bench/apply_to_key.h"
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -75,7 +76,10 @@ void RunEngine(const std::string& name) {
   // Load.
   WVM_CHECK(engine->BeginMaintenance().ok());
   for (int64_t i = 0; i < kRows; ++i) {
-    WVM_CHECK(engine->MaintInsert(MakeRow(i, i)).ok());
+    WVM_CHECK(
+        bench::ApplyToKey(engine.get(), i,
+                          core::NetEffect::Insert(MakeRow(i, i)))
+            .ok());
   }
   WVM_CHECK(engine->CommitMaintenance().ok());
 
@@ -97,8 +101,9 @@ void RunEngine(const std::string& name) {
   WVM_CHECK(engine->BeginMaintenance().ok());
   for (int i = 0; i < kUpdatesPerTxn; ++i) {
     const int64_t id = rng.Uniform(0, kRows - 1);
-    WVM_CHECK(
-        engine->MaintUpdate({Value::Int64(id)}, MakeRow(id, i)).ok());
+    WVM_CHECK(bench::ApplyToKey(engine.get(), id,
+                                core::NetEffect::Update({{2, Value::Int64(i)}}))
+                  .ok());
   }
   WVM_CHECK(engine->CommitMaintenance().ok());
   Phase maint = Delta(&pool, &disk, b0, d0);

@@ -13,6 +13,7 @@
 
 #include "baselines/mv2pl_engine.h"
 #include "baselines/vnl_adapter.h"
+#include "bench/apply_to_key.h"
 #include "bench/bench_json.h"
 #include "common/logging.h"
 #include "common/strings.h"
@@ -41,7 +42,10 @@ void VnlGc(int rows, double delete_fraction, bool pinned_session) {
 
   WVM_CHECK(adapter.BeginMaintenance().ok());
   for (int64_t i = 0; i < rows; ++i) {
-    WVM_CHECK(adapter.MaintInsert({Value::Int64(i), Value::Int64(i)}).ok());
+    WVM_CHECK(bench::ApplyToKey(&adapter, i,
+                                core::NetEffect::Insert(
+                                    {Value::Int64(i), Value::Int64(i)}))
+                  .ok());
   }
   WVM_CHECK(adapter.CommitMaintenance().ok());
 
@@ -55,8 +59,9 @@ void VnlGc(int rows, double delete_fraction, bool pinned_session) {
   const int64_t to_delete = static_cast<int64_t>(rows * delete_fraction);
   WVM_CHECK(adapter.BeginMaintenance().ok());
   for (int64_t i = 0; i < to_delete; ++i) {
-    WVM_CHECK(
-        adapter.MaintDelete({Value::Int64(i * rows / to_delete)}).ok());
+    WVM_CHECK(bench::ApplyToKey(&adapter, i * rows / to_delete,
+                                core::NetEffect::Delete())
+                  .ok());
   }
   WVM_CHECK(adapter.CommitMaintenance().ok());
 
@@ -96,7 +101,10 @@ void Mv2plGc(double update_fraction, int rounds) {
 
   WVM_CHECK(engine.BeginMaintenance().ok());
   for (int64_t i = 0; i < kRows; ++i) {
-    WVM_CHECK(engine.MaintInsert({Value::Int64(i), Value::Int64(i)}).ok());
+    WVM_CHECK(bench::ApplyToKey(&engine, i,
+                                core::NetEffect::Insert(
+                                    {Value::Int64(i), Value::Int64(i)}))
+                  .ok());
   }
   WVM_CHECK(engine.CommitMaintenance().ok());
 
@@ -104,9 +112,10 @@ void Mv2plGc(double update_fraction, int rounds) {
   for (int round = 0; round < rounds; ++round) {
     WVM_CHECK(engine.BeginMaintenance().ok());
     for (int64_t i = 0; i < to_update; ++i) {
-      WVM_CHECK(engine.MaintUpdate({Value::Int64(i)},
-                                   {Value::Int64(i),
-                                    Value::Int64(round)}).ok());
+      WVM_CHECK(bench::ApplyToKey(
+                    &engine, i,
+                    core::NetEffect::Update({{1, Value::Int64(round)}}))
+                    .ok());
     }
     WVM_CHECK(engine.CommitMaintenance().ok());
   }

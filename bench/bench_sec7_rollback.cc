@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "baselines/vnl_adapter.h"
+#include "bench/apply_to_key.h"
 #include "bench/bench_json.h"
 #include "catalog/table.h"
 #include "common/logging.h"
@@ -83,7 +84,10 @@ VnlResult VnlAbort(int n, int txn_size) {
 
   WVM_CHECK(adapter.BeginMaintenance().ok());
   for (int64_t i = 0; i < kRows; ++i) {
-    WVM_CHECK(adapter.MaintInsert({Value::Int64(i), Value::Int64(i)}).ok());
+    WVM_CHECK(bench::ApplyToKey(&adapter, i,
+                                core::NetEffect::Insert(
+                                    {Value::Int64(i), Value::Int64(i)}))
+                  .ok());
   }
   WVM_CHECK(adapter.CommitMaintenance().ok());
 
@@ -91,9 +95,10 @@ VnlResult VnlAbort(int n, int txn_size) {
   // the hard case (tuples whose slot 0 belonged to the previous txn).
   WVM_CHECK(adapter.BeginMaintenance().ok());
   for (int64_t i = 0; i < txn_size; ++i) {
-    WVM_CHECK(adapter.MaintUpdate({Value::Int64(i % kRows)},
-                                  {Value::Int64(i % kRows),
-                                   Value::Int64(100)}).ok());
+    WVM_CHECK(bench::ApplyToKey(
+                  &adapter, i % kRows,
+                  core::NetEffect::Update({{1, Value::Int64(100)}}))
+                  .ok());
   }
   WVM_CHECK(adapter.CommitMaintenance().ok());
 

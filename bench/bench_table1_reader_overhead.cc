@@ -141,8 +141,7 @@ BENCHMARK(BM_VnlRewrittenSqlAggregate)->Arg(2)->Arg(1);
 // Selective predicate over the non-updatable grp column (1 of 16 groups
 // matches): the streaming read path evaluates it on the raw physical row,
 // so ~15/16 of the tuples are never copied. The `reconstructed_per_scan`
-// counter shows how few logical rows one pass actually materializes;
-// `full_materializations` must stay 0 (no snapshot-wide row vector).
+// counter shows how few logical rows one pass actually materializes.
 const char* kSelectiveSql = "SELECT id, qty FROM items WHERE grp = 'g3'";
 
 void BM_VnlSelectiveWhereStreaming(benchmark::State& state) {
@@ -159,10 +158,7 @@ void BM_VnlSelectiveWhereStreaming(benchmark::State& state) {
     benchmark::DoNotOptimize(r.value().rows);
   }
   const core::ScanMetrics m = fx.engine->scan_metrics();
-  WVM_CHECK(m.full_materializations == 0);
   state.SetItemsProcessed(state.iterations() * kRows);
-  state.counters["full_materializations"] =
-      static_cast<double>(m.full_materializations);
   state.counters["reconstructed_per_scan"] =
       static_cast<double>(m.rows_reconstructed) /
       static_cast<double>(state.iterations());
@@ -178,13 +174,14 @@ void BM_VnlSelectiveWhereMaterialized(benchmark::State& state) {
   core::ReaderSession session;
   session.session_vn = state.range(0);
   Result<sql::SelectStmt> stmt = sql::ParseSelect(kSelectiveSql);
-  WVM_CHECK(stmt.ok());
+  Result<sql::SelectStmt> all = sql::ParseSelect("SELECT * FROM items");
+  WVM_CHECK(stmt.ok() && all.ok());
   for (auto _ : state) {
-    Result<std::vector<Row>> rows = fx.table->SnapshotRows(session);
+    Result<query::QueryResult> rows = fx.table->SnapshotSelect(session, *all);
     WVM_CHECK(rows.ok());
     query::RowSource source =
         [&rows](const std::function<bool(const Row&)>& sink) {
-          for (const Row& row : rows.value()) {
+          for (const Row& row : rows->rows) {
             if (!sink(row)) return;
           }
         };

@@ -127,8 +127,8 @@ void RunMaintenanceBench(benchmark::State& state, const std::string& name) {
   if (name == "2vnl") {
     // Acceptance gate: on this skewed (repeated-key) delta workload the
     // per-key step must amortize at least 2x on both probes and pins
-    // relative to the offline engine, which runs the facade's serial
-    // fallback (one facade call per read and per write).
+    // relative to the offline engine, which runs RowEngine's serial
+    // apply (one hook call per read and per write).
     const MaintCounters serial = CountMaintenance("offline");
     WVM_CHECK_MSG(serial.index_probes >= 2 * counters.index_probes,
                   "2VNL apply failed the 2x index-probe amortization");

@@ -9,8 +9,8 @@ constexpr int32_t kNullPage = -1;
 }  // namespace
 
 Mv2plEngine::Mv2plEngine(BufferPool* pool, Schema logical, Options options)
-    : logical_(std::move(logical)), options_(options) {
-  std::vector<Column> main_cols = logical_.columns();
+    : RowEngine(std::move(logical)), options_(options) {
+  std::vector<Column> main_cols = schema_.columns();
   main_cols.push_back(Column::Int64("create_vn"));
   main_cols.push_back(Column::Bool("deleted"));
   main_cols.push_back(Column::Int32("ptr_page"));
@@ -19,16 +19,16 @@ Mv2plEngine::Mv2plEngine(BufferPool* pool, Schema logical, Options options)
     main_cols.push_back(Column::Bool("cache_valid"));
     main_cols.push_back(Column::Int64("cache_vn"));
     main_cols.push_back(Column::Bool("cache_deleted"));
-    for (const Column& c : logical_.columns()) {
+    for (const Column& c : schema_.columns()) {
       Column copy = c;
       copy.name = "cache_" + copy.name;
       copy.updatable = false;
       main_cols.push_back(std::move(copy));
     }
   }
-  main_schema_ = Schema(std::move(main_cols), logical_.key_indices());
+  main_schema_ = Schema(std::move(main_cols), schema_.key_indices());
 
-  std::vector<Column> pool_cols = logical_.columns();
+  std::vector<Column> pool_cols = schema_.columns();
   pool_cols.push_back(Column::Int64("create_vn"));
   pool_cols.push_back(Column::Bool("deleted"));
   pool_cols.push_back(Column::Int32("next_page"));
@@ -50,7 +50,7 @@ Row Mv2plEngine::MakeMainRow(const Row& logical, int64_t vn, bool deleted,
     row.push_back(Value::Bool(false));   // cache_valid
     row.push_back(Value::Int64(0));      // cache_vn
     row.push_back(Value::Bool(false));   // cache_deleted
-    for (const Column& c : logical_.columns()) {
+    for (const Column& c : schema_.columns()) {
       row.push_back(Value::Null(c.type));
     }
   }
@@ -76,7 +76,7 @@ Rid Mv2plEngine::MainPtr(const Row& main) const {
 Result<std::optional<Row>> Mv2plEngine::VersionAt(const Row& main,
                                                   int64_t ts) const {
   auto logical_of = [this](const Row& row) {
-    return Row(row.begin(), row.begin() + logical_.num_columns());
+    return Row(row.begin(), row.begin() + schema_.num_columns());
   };
 
   // Newest version lives in the main tuple.
@@ -89,8 +89,8 @@ Result<std::optional<Row>> Mv2plEngine::VersionAt(const Row& main,
       main[CacheVnCol()].AsInt64() <= ts) {
     if (main[CacheDeletedCol()].AsBool()) return std::optional<Row>();
     Row out;
-    out.reserve(logical_.num_columns());
-    for (size_t i = 0; i < logical_.num_columns(); ++i) {
+    out.reserve(schema_.num_columns());
+    for (size_t i = 0; i < schema_.num_columns(); ++i) {
       out.push_back(main[CacheLogicalCol(i)]);
     }
     return std::optional<Row>(std::move(out));
@@ -199,13 +199,13 @@ Result<std::optional<Row>> Mv2plEngine::MaintReadKey(const Row& key) {
   WVM_ASSIGN_OR_RETURN(Row main, main_table_->GetRow(it->second));
   if (main[MainDeletedCol()].AsBool()) return std::optional<Row>();
   return std::optional<Row>(
-      Row(main.begin(), main.begin() + logical_.num_columns()));
+      Row(main.begin(), main.begin() + schema_.num_columns()));
 }
 
 Result<Row> Mv2plEngine::PushVersion(Row main) {
   const int64_t vn = main[MainVnCol()].AsInt64();
   const bool deleted = main[MainDeletedCol()].AsBool();
-  Row logical(main.begin(), main.begin() + logical_.num_columns());
+  Row logical(main.begin(), main.begin() + schema_.num_columns());
 
   if (!options_.inline_cache) {
     // CFL+82: copy the current version into the pool (one extra write).
@@ -222,8 +222,8 @@ Result<Row> Mv2plEngine::PushVersion(Row main) {
   // current version into the cache slot.
   if (main[CacheValidCol()].AsBool()) {
     Row cached;
-    cached.reserve(logical_.num_columns());
-    for (size_t i = 0; i < logical_.num_columns(); ++i) {
+    cached.reserve(schema_.num_columns());
+    for (size_t i = 0; i < schema_.num_columns(); ++i) {
       cached.push_back(main[CacheLogicalCol(i)]);
     }
     WVM_ASSIGN_OR_RETURN(
@@ -237,7 +237,7 @@ Result<Row> Mv2plEngine::PushVersion(Row main) {
   main[CacheValidCol()] = Value::Bool(true);
   main[CacheVnCol()] = Value::Int64(vn);
   main[CacheDeletedCol()] = Value::Bool(deleted);
-  for (size_t i = 0; i < logical_.num_columns(); ++i) {
+  for (size_t i = 0; i < schema_.num_columns(); ++i) {
     main[CacheLogicalCol(i)] = logical[i];
   }
   return main;
@@ -245,10 +245,7 @@ Result<Row> Mv2plEngine::PushVersion(Row main) {
 
 Status Mv2plEngine::MaintInsert(const Row& row) {
   MutexLock lock(mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
-  const Row key = logical_.KeyOf(row);
+  const Row key = schema_.KeyOf(row);
   auto it = index_.find(key);
   if (it == index_.end()) {
     WVM_ASSIGN_OR_RETURN(
@@ -257,14 +254,12 @@ Status Mv2plEngine::MaintInsert(const Row& row) {
     index_[key] = rid;
     return Status::OK();
   }
+  // A deleted tuple revives in place.
   WVM_ASSIGN_OR_RETURN(Row main, main_table_->GetRow(it->second));
-  if (!main[MainDeletedCol()].AsBool()) {
-    return Status::AlreadyExists("dup key");
-  }
   if (main[MainVnCol()].AsInt64() < writer_vn_) {
     WVM_ASSIGN_OR_RETURN(main, PushVersion(std::move(main)));
   }
-  for (size_t i = 0; i < logical_.num_columns(); ++i) main[i] = row[i];
+  for (size_t i = 0; i < schema_.num_columns(); ++i) main[i] = row[i];
   main[MainVnCol()] = Value::Int64(writer_vn_);
   main[MainDeletedCol()] = Value::Bool(false);
   return main_table_->UpdateRow(it->second, main);
@@ -272,30 +267,22 @@ Status Mv2plEngine::MaintInsert(const Row& row) {
 
 Status Mv2plEngine::MaintUpdate(const Row& key, const Row& row) {
   MutexLock lock(mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
   auto it = index_.find(key);
   if (it == index_.end()) return Status::NotFound("no such key");
   WVM_ASSIGN_OR_RETURN(Row main, main_table_->GetRow(it->second));
-  if (main[MainDeletedCol()].AsBool()) return Status::NotFound("deleted");
   if (main[MainVnCol()].AsInt64() < writer_vn_) {
     WVM_ASSIGN_OR_RETURN(main, PushVersion(std::move(main)));
   }
-  for (size_t i = 0; i < logical_.num_columns(); ++i) main[i] = row[i];
+  for (size_t i = 0; i < schema_.num_columns(); ++i) main[i] = row[i];
   main[MainVnCol()] = Value::Int64(writer_vn_);
   return main_table_->UpdateRow(it->second, main);
 }
 
 Status Mv2plEngine::MaintDelete(const Row& key) {
   MutexLock lock(mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
   auto it = index_.find(key);
   if (it == index_.end()) return Status::NotFound("no such key");
   WVM_ASSIGN_OR_RETURN(Row main, main_table_->GetRow(it->second));
-  if (main[MainDeletedCol()].AsBool()) return Status::NotFound("deleted");
   if (main[MainVnCol()].AsInt64() < writer_vn_) {
     WVM_ASSIGN_OR_RETURN(main, PushVersion(std::move(main)));
   }

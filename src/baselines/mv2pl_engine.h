@@ -5,7 +5,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "baselines/warehouse_engine.h"
+#include "baselines/row_engine.h"
 #include "catalog/table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -28,7 +28,7 @@ namespace wvm::baselines {
 // timestamps are the last committed version number; uncommitted writer
 // versions carry the next version number and are invisible. Session
 // expiration only occurs after pool garbage collection truncates a chain.
-class Mv2plEngine : public WarehouseEngine {
+class Mv2plEngine : public RowEngine {
  public:
   struct Options {
     bool inline_cache;  // false = CFL+82, true = BC92b
@@ -42,7 +42,6 @@ class Mv2plEngine : public WarehouseEngine {
   std::string name() const override {
     return options_.inline_cache ? "mv2pl-bc92" : "mv2pl-cfl82";
   }
-  const Schema& logical_schema() const override { return logical_; }
 
   Result<uint64_t> OpenReader() override;
   Status CloseReader(uint64_t reader) override;
@@ -51,10 +50,6 @@ class Mv2plEngine : public WarehouseEngine {
                                      const Row& key) override;
 
   Status BeginMaintenance() override;
-  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
-  Status MaintInsert(const Row& row) override;
-  Status MaintUpdate(const Row& key, const Row& row) override;
-  Status MaintDelete(const Row& key) override;
   Status CommitMaintenance() override;
 
   EngineStorageStats StorageStats() const override;
@@ -72,8 +67,13 @@ class Mv2plEngine : public WarehouseEngine {
   uint64_t pool_records() const { return pool_table_->num_rows(); }
 
  private:
+  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
+  Status MaintInsert(const Row& row) override;
+  Status MaintUpdate(const Row& key, const Row& row) override;
+  Status MaintDelete(const Row& key) override;
+
   // Column offsets appended after the logical columns in the main table.
-  size_t MainVnCol() const { return logical_.num_columns(); }
+  size_t MainVnCol() const { return schema_.num_columns(); }
   size_t MainDeletedCol() const { return MainVnCol() + 1; }
   size_t MainPtrPageCol() const { return MainVnCol() + 2; }
   size_t MainPtrSlotCol() const { return MainVnCol() + 3; }
@@ -82,7 +82,7 @@ class Mv2plEngine : public WarehouseEngine {
   size_t CacheDeletedCol() const { return MainVnCol() + 6; }
   size_t CacheLogicalCol(size_t i) const { return MainVnCol() + 7 + i; }
   // Pool layout: logical columns + vn + deleted + next_page + next_slot.
-  size_t PoolVnCol() const { return logical_.num_columns(); }
+  size_t PoolVnCol() const { return schema_.num_columns(); }
 
   Row MakeMainRow(const Row& logical, int64_t vn, bool deleted,
                   Rid ptr) const;
@@ -99,7 +99,6 @@ class Mv2plEngine : public WarehouseEngine {
   // (into the cache slot or the pool) and returns the updated row image.
   Result<Row> PushVersion(Row main);
 
-  Schema logical_;
   Options options_;
   Schema main_schema_;
   Schema pool_schema_;

@@ -3,7 +3,7 @@
 namespace wvm::baselines {
 
 OfflineEngine::OfflineEngine(BufferPool* pool, Schema logical)
-    : schema_(std::move(logical)),
+    : RowEngine(std::move(logical)),
       table_(std::make_unique<Table>("offline", schema_, pool)) {}
 
 Result<uint64_t> OfflineEngine::OpenReader() {
@@ -109,13 +109,7 @@ Result<std::optional<Row>> OfflineEngine::MaintReadKey(const Row& key) {
 
 Status OfflineEngine::MaintInsert(const Row& row) {
   MutexLock lock(gate_mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
   const Row key = schema_.KeyOf(row);
-  if (index_.count(key) > 0) {
-    return Status::AlreadyExists("duplicate key");
-  }
   WVM_ASSIGN_OR_RETURN(Rid rid, table_->InsertRow(row));
   index_[key] = rid;
   return Status::OK();
@@ -123,18 +117,12 @@ Status OfflineEngine::MaintInsert(const Row& row) {
 
 Status OfflineEngine::MaintUpdate(const Row& key, const Row& row) {
   MutexLock lock(gate_mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
   WVM_ASSIGN_OR_RETURN(Rid rid, FindKey(key));
   return table_->UpdateRow(rid, row);
 }
 
 Status OfflineEngine::MaintDelete(const Row& key) {
   MutexLock lock(gate_mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
   WVM_ASSIGN_OR_RETURN(Rid rid, FindKey(key));
   WVM_RETURN_IF_ERROR(table_->DeleteRow(rid));
   index_.erase(key);

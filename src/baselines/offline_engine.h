@@ -4,7 +4,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "baselines/warehouse_engine.h"
+#include "baselines/row_engine.h"
 #include "catalog/table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -18,12 +18,11 @@ namespace wvm::baselines {
 // maintenance is active or waiting. Consistency is trivially guaranteed;
 // availability is what it costs, which the availability experiment
 // measures.
-class OfflineEngine : public WarehouseEngine {
+class OfflineEngine : public RowEngine {
  public:
   OfflineEngine(BufferPool* pool, Schema logical);
 
   std::string name() const override { return "offline"; }
-  const Schema& logical_schema() const override { return schema_; }
 
   Result<uint64_t> OpenReader() override;
   Status CloseReader(uint64_t reader) override;
@@ -32,18 +31,18 @@ class OfflineEngine : public WarehouseEngine {
                                      const Row& key) override;
 
   Status BeginMaintenance() override;
-  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
-  Status MaintInsert(const Row& row) override;
-  Status MaintUpdate(const Row& key, const Row& row) override;
-  Status MaintDelete(const Row& key) override;
   Status CommitMaintenance() override;
 
   EngineStorageStats StorageStats() const override;
 
  private:
+  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
+  Status MaintInsert(const Row& row) override;
+  Status MaintUpdate(const Row& key, const Row& row) override;
+  Status MaintDelete(const Row& key) override;
+
   Result<Rid> FindKey(const Row& key) const REQUIRES(gate_mu_);
 
-  Schema schema_;
   std::unique_ptr<Table> table_;
 
   // Database-wide reader/writer gate (counter-based so sessions can span

@@ -4,7 +4,7 @@ namespace wvm::baselines {
 
 S2plEngine::S2plEngine(BufferPool* pool, Schema logical,
                        std::chrono::milliseconds lock_timeout)
-    : schema_(std::move(logical)),
+    : RowEngine(std::move(logical)),
       table_(std::make_unique<Table>("s2pl", schema_, pool)),
       locks_(lock_timeout) {}
 
@@ -115,19 +115,11 @@ Result<std::optional<Row>> S2plEngine::MaintReadKey(const Row& key) {
 }
 
 Status S2plEngine::MaintInsert(const Row& row) {
-  const Row key = schema_.KeyOf(row);
-  {
-    MutexLock lock(mu_);
-    if (!writer_active_) {
-      return Status::FailedPrecondition("no active maintenance");
-    }
-    if (index_.count(key) > 0) return Status::AlreadyExists("dup key");
-  }
   WVM_ASSIGN_OR_RETURN(Rid rid, table_->InsertRow(row));
   WVM_RETURN_IF_ERROR(locks_.Lock(kWriterOwner, RidLockId(rid),
                                   txn::LockManager::Mode::kExclusive));
   MutexLock lock(mu_);
-  index_[key] = rid;
+  index_[schema_.KeyOf(row)] = rid;
   return Status::OK();
 }
 
@@ -135,9 +127,6 @@ Status S2plEngine::MaintUpdate(const Row& key, const Row& row) {
   Rid rid;
   {
     MutexLock lock(mu_);
-    if (!writer_active_) {
-      return Status::FailedPrecondition("no active maintenance");
-    }
     auto it = index_.find(key);
     if (it == index_.end()) return Status::NotFound("no such key");
     rid = it->second;
@@ -151,9 +140,6 @@ Status S2plEngine::MaintDelete(const Row& key) {
   Rid rid;
   {
     MutexLock lock(mu_);
-    if (!writer_active_) {
-      return Status::FailedPrecondition("no active maintenance");
-    }
     auto it = index_.find(key);
     if (it == index_.end()) return Status::NotFound("no such key");
     rid = it->second;

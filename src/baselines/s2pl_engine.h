@@ -4,7 +4,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "baselines/warehouse_engine.h"
+#include "baselines/row_engine.h"
 #include "catalog/table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -18,14 +18,13 @@ namespace wvm::baselines {
 // on tuples sessions have read, and long sessions make both waits long.
 // Lock-wait timeouts surface as kDeadlineExceeded (presumed deadlock);
 // callers abort the session/statement and may retry.
-class S2plEngine : public WarehouseEngine {
+class S2plEngine : public RowEngine {
  public:
   S2plEngine(BufferPool* pool, Schema logical,
              std::chrono::milliseconds lock_timeout =
                  std::chrono::milliseconds(200));
 
   std::string name() const override { return "s2pl"; }
-  const Schema& logical_schema() const override { return schema_; }
 
   Result<uint64_t> OpenReader() override;
   Status CloseReader(uint64_t reader) override;
@@ -34,16 +33,17 @@ class S2plEngine : public WarehouseEngine {
                                      const Row& key) override;
 
   Status BeginMaintenance() override;
-  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
-  Status MaintInsert(const Row& row) override;
-  Status MaintUpdate(const Row& key, const Row& row) override;
-  Status MaintDelete(const Row& key) override;
   Status CommitMaintenance() override;
 
   EngineStorageStats StorageStats() const override;
   txn::LockManager::Stats LockStats() const { return locks_.stats(); }
 
  private:
+  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
+  Status MaintInsert(const Row& row) override;
+  Status MaintUpdate(const Row& key, const Row& row) override;
+  Status MaintDelete(const Row& key) override;
+
   static uint64_t RidLockId(Rid rid) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(rid.page_id))
             << 16) |
@@ -53,7 +53,6 @@ class S2plEngine : public WarehouseEngine {
   // Writer transactions use owner ids above this bound; readers below.
   static constexpr uint64_t kWriterOwner = ~0ULL;
 
-  Schema schema_;
   std::unique_ptr<Table> table_;
   txn::LockManager locks_;
 

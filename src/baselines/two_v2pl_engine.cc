@@ -6,7 +6,7 @@ namespace wvm::baselines {
 
 TwoV2plEngine::TwoV2plEngine(BufferPool* pool, Schema logical,
                              std::chrono::milliseconds certify_block_timeout)
-    : schema_(std::move(logical)),
+    : RowEngine(std::move(logical)),
       table_(std::make_unique<Table>("2v2pl", schema_, pool)),
       certify_block_timeout_(certify_block_timeout) {}
 
@@ -140,44 +140,18 @@ Result<std::optional<Row>> TwoV2plEngine::MaintReadKey(const Row& key) {
 
 Status TwoV2plEngine::MaintInsert(const Row& row) {
   MutexLock lock(mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
-  const Row key = schema_.KeyOf(row);
-  auto shadowed = shadow_.find(key);
-  const bool exists_committed = index_.count(key) > 0;
-  const bool exists =
-      shadowed != shadow_.end() ? shadowed->second.has_value()
-                                : exists_committed;
-  if (exists) return Status::AlreadyExists("dup key");
-  shadow_[key] = row;
+  shadow_[schema_.KeyOf(row)] = row;
   return Status::OK();
 }
 
 Status TwoV2plEngine::MaintUpdate(const Row& key, const Row& row) {
   MutexLock lock(mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
-  auto shadowed = shadow_.find(key);
-  const bool exists = shadowed != shadow_.end()
-                          ? shadowed->second.has_value()
-                          : index_.count(key) > 0;
-  if (!exists) return Status::NotFound("no such key");
   shadow_[key] = row;
   return Status::OK();
 }
 
 Status TwoV2plEngine::MaintDelete(const Row& key) {
   MutexLock lock(mu_);
-  if (!writer_active_) {
-    return Status::FailedPrecondition("no active maintenance");
-  }
-  auto shadowed = shadow_.find(key);
-  const bool exists = shadowed != shadow_.end()
-                          ? shadowed->second.has_value()
-                          : index_.count(key) > 0;
-  if (!exists) return Status::NotFound("no such key");
   shadow_[key] = std::nullopt;
   return Status::OK();
 }

@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "baselines/warehouse_engine.h"
+#include "baselines/row_engine.h"
 #include "catalog/table.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -21,14 +21,13 @@ namespace wvm::baselines {
 // reader that read an old version of a modified tuple has finished, and
 // new readers of those tuples block during certification. This is the
 // "readers delay writer commit" cost 2VNL eliminates.
-class TwoV2plEngine : public WarehouseEngine {
+class TwoV2plEngine : public RowEngine {
  public:
   TwoV2plEngine(BufferPool* pool, Schema logical,
                 std::chrono::milliseconds certify_block_timeout =
                     std::chrono::milliseconds(100));
 
   std::string name() const override { return "2v2pl"; }
-  const Schema& logical_schema() const override { return schema_; }
 
   Result<uint64_t> OpenReader() override;
   Status CloseReader(uint64_t reader) override;
@@ -37,10 +36,6 @@ class TwoV2plEngine : public WarehouseEngine {
                                      const Row& key) override;
 
   Status BeginMaintenance() override;
-  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
-  Status MaintInsert(const Row& row) override;
-  Status MaintUpdate(const Row& key, const Row& row) override;
-  Status MaintDelete(const Row& key) override;
   Status CommitMaintenance() override;
 
   EngineStorageStats StorageStats() const override;
@@ -49,13 +44,17 @@ class TwoV2plEngine : public WarehouseEngine {
   std::chrono::nanoseconds total_certify_wait() const EXCLUDES(mu_);
 
  private:
+  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
+  Status MaintInsert(const Row& row) override;
+  Status MaintUpdate(const Row& key, const Row& row) override;
+  Status MaintDelete(const Row& key) override;
+
   // Records that `reader` read `key`; blocks while the key is certifying
   // (the wait releases and reacquires mu_). Returns kDeadlineExceeded when
   // the wait times out (a certify/S-lock deadlock, resolved by aborting
   // the read as real 2V2PL systems do).
   Status NoteRead(uint64_t reader, const Row& key) REQUIRES(mu_);
 
-  Schema schema_;
   std::unique_ptr<Table> table_;  // committed versions only
 
   mutable Mutex mu_;

@@ -1,7 +1,5 @@
 #include "baselines/vnl_adapter.h"
 
-#include <cmath>
-
 namespace wvm::baselines {
 
 Result<std::unique_ptr<VnlAdapter>> VnlAdapter::Create(BufferPool* pool,
@@ -12,6 +10,13 @@ Result<std::unique_ptr<VnlAdapter>> VnlAdapter::Create(BufferPool* pool,
                        engine->CreateTable("warehouse", std::move(logical)));
   return std::unique_ptr<VnlAdapter>(
       new VnlAdapter(n, std::move(engine), table));
+}
+
+VnlAdapter::VnlAdapter(int n, std::unique_ptr<core::VnlEngine> engine,
+                       core::VnlTable* table)
+    : n_(n), engine_(std::move(engine)), table_(table) {
+  select_all_.select_star = true;
+  select_all_.table = table_->name();
 }
 
 Result<uint64_t> VnlAdapter::OpenReader() {
@@ -30,26 +35,23 @@ Status VnlAdapter::CloseReader(uint64_t reader) {
   return Status::OK();
 }
 
+Result<core::ReaderSession> VnlAdapter::SessionOf(uint64_t reader) const {
+  MutexLock lock(mu_);
+  auto it = sessions_.find(reader);
+  if (it == sessions_.end()) return Status::NotFound("unknown reader");
+  return it->second;
+}
+
 Result<std::vector<Row>> VnlAdapter::ReadAll(uint64_t reader) {
-  core::ReaderSession session;
-  {
-    MutexLock lock(mu_);
-    auto it = sessions_.find(reader);
-    if (it == sessions_.end()) return Status::NotFound("unknown reader");
-    session = it->second;
-  }
-  return table_->SnapshotRows(session);
+  WVM_ASSIGN_OR_RETURN(core::ReaderSession session, SessionOf(reader));
+  WVM_ASSIGN_OR_RETURN(query::QueryResult all,
+                       table_->SnapshotSelect(session, select_all_));
+  return std::move(all.rows);
 }
 
 Result<std::optional<Row>> VnlAdapter::ReadKey(uint64_t reader,
                                                const Row& key) {
-  core::ReaderSession session;
-  {
-    MutexLock lock(mu_);
-    auto it = sessions_.find(reader);
-    if (it == sessions_.end()) return Status::NotFound("unknown reader");
-    session = it->second;
-  }
+  WVM_ASSIGN_OR_RETURN(core::ReaderSession session, SessionOf(reader));
   return table_->SnapshotLookup(session, key);
 }
 
@@ -64,50 +66,8 @@ core::MaintenanceTxn* VnlAdapter::CurrentTxn() const {
   return txn_;
 }
 
-Result<std::optional<Row>> VnlAdapter::MaintReadKey(const Row& key) {
-  return table_->MaintenanceLookup(CurrentTxn(), key);
-}
-
-Status VnlAdapter::MaintInsert(const Row& row) {
-  return table_->Insert(CurrentTxn(), row);
-}
-
-Status VnlAdapter::MaintUpdate(const Row& key, const Row& row) {
-  const Schema& logical = table_->logical_schema();
-  WVM_RETURN_IF_ERROR(logical.ValidateRow(row));
-  // The full row becomes edits of every updatable column and of any other
-  // it changes, which the engine refuses (§3.1). NaN equals NaN here.
-  core::KeyDecider decide =
-      [&](const std::optional<Row>& current) -> Result<core::NetEffect> {
-    core::NetEffect effect = core::NetEffect::Update({});
-    for (size_t i = 0; current.has_value() && i < row.size(); ++i) {
-      const Value& now = (*current)[i];
-      const bool nans = row[i].type() == TypeId::kDouble &&
-                        now.type() == TypeId::kDouble &&
-                        std::isnan(row[i].AsDouble()) &&
-                        std::isnan(now.AsDouble());
-      if (logical.column(i).updatable || (row[i] != now && !nans)) {
-        effect.edits.push_back({i, row[i]});
-      }
-    }
-    return effect;
-  };
-  return table_->ApplyBatch(CurrentTxn(), {{key, std::move(decide)}})
-      .status();
-}
-
-Status VnlAdapter::MaintDelete(const Row& key) {
-  return table_
-      ->ApplyBatch(CurrentTxn(),
-                   {{key,
-                     [](const std::optional<Row>&) -> Result<core::NetEffect> {
-                       return core::NetEffect::Delete();
-                     }}})
-      .status();
-}
-
-Result<WarehouseEngine::MaintBatchStats> VnlAdapter::MaintApplyBatch(
-    const std::vector<MaintBatchOp>& ops) {
+Result<core::BatchApplyStats> VnlAdapter::MaintApplyBatch(
+    const std::vector<core::BatchKeyOp>& ops) {
   return table_->ApplyBatch(CurrentTxn(), ops);
 }
 

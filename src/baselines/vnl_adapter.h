@@ -8,11 +8,15 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/vnl_engine.h"
+#include "sql/ast.h"
 
 namespace wvm::baselines {
 
 // Adapts the paper's nVNL engine to the uniform WarehouseEngine facade so
-// the Section 6 experiments sweep it alongside the baselines.
+// the Section 6 experiments sweep it alongside the baselines. Reads are
+// snapshot reads of the session (ReadAll is `SELECT *` through
+// SnapshotSelect); MaintApplyBatch is core ApplyBatch, which runs the
+// per-key step and CheckNetEffect itself.
 class VnlAdapter : public WarehouseEngine {
  public:
   // `n` = 2 is 2VNL.
@@ -34,15 +38,9 @@ class VnlAdapter : public WarehouseEngine {
                                      const Row& key) override;
 
   Status BeginMaintenance() override;
-  Result<std::optional<Row>> MaintReadKey(const Row& key) override;
-  Status MaintInsert(const Row& row) override;
-  Status MaintUpdate(const Row& key, const Row& row) override;
-  Status MaintDelete(const Row& key) override;
+  Result<core::BatchApplyStats> MaintApplyBatch(
+      const std::vector<core::BatchKeyOp>& ops) override;
   Status CommitMaintenance() override;
-  // Forwards to core ApplyBatch: real probe/pin counters from the
-  // maintenance transaction.
-  Result<MaintBatchStats> MaintApplyBatch(
-      const std::vector<MaintBatchOp>& ops) override;
 
   EngineStorageStats StorageStats() const override;
 
@@ -51,18 +49,18 @@ class VnlAdapter : public WarehouseEngine {
 
  private:
   VnlAdapter(int n, std::unique_ptr<core::VnlEngine> engine,
-             core::VnlTable* table)
-      : n_(n), engine_(std::move(engine)), table_(table) {}
+             core::VnlTable* table);
 
-  // Snapshot of the active txn pointer taken under mu_ (the Maint* paths
-  // previously read txn_ unlocked, relying on the caller to serialize
-  // maintenance with Begin/Commit — the annotation pass made that
-  // explicit).
+  // The session of `reader`, or kNotFound.
+  Result<core::ReaderSession> SessionOf(uint64_t reader) const
+      EXCLUDES(mu_);
+  // The active maintenance transaction, read under mu_.
   core::MaintenanceTxn* CurrentTxn() const EXCLUDES(mu_);
 
   const int n_;
   std::unique_ptr<core::VnlEngine> engine_;
   core::VnlTable* table_;
+  sql::SelectStmt select_all_;  // ReadAll's `SELECT *`, built once
 
   mutable Mutex mu_;
   std::unordered_map<uint64_t, core::ReaderSession> sessions_

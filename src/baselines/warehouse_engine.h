@@ -29,6 +29,8 @@ struct EngineStorageStats {
 //   mv2pl    — transient versioning with a chained version pool (CFL+82)
 //   bc92     — mv2pl plus an on-page version cache (BC92b)
 //   2vnl/nvnl — the paper's algorithm (adapter over core::VnlEngine)
+// The first five hold logical Rows and share RowEngine's checked apply
+// (row_engine.h).
 //
 // One maintenance transaction runs at a time (the warehouse assumption);
 // any number of reader sessions run concurrently from other threads.
@@ -53,36 +55,19 @@ class WarehouseEngine {
 
   // --- Maintenance transaction ----------------------------------------------
   virtual Status BeginMaintenance() = 0;
-  // Reads the *latest* version of `key`, including this transaction's own
-  // uncommitted writes (what the incremental view-maintenance loop needs).
-  virtual Result<std::optional<Row>> MaintReadKey(const Row& key) = 0;
-  virtual Status MaintInsert(const Row& row) = 0;
-  // `row` carries the new full logical tuple; its key, and every other
-  // non-updatable attribute, must equal the stored tuple's.
-  virtual Status MaintUpdate(const Row& key, const Row& row) = 0;
-  virtual Status MaintDelete(const Row& key) = 0;
+  // The one key-addressed maintenance write: per op, in `ops` order, reads
+  // the key's latest row (this transaction's own writes included; nullopt
+  // when absent or deleted), hands it to the op's decider and applies the
+  // core::NetEffect it returns once core::CheckNetEffect accepts it (§3.1:
+  // an insert row the schema holds carrying the op's key, edits of
+  // updatable columns only; kInvalidArgument or kNotFound, nothing
+  // written). Stops at the first failing key, the keys before it applied.
+  // The stats count the probes and page pins it took: the 2VNL adapter
+  // reports core ApplyBatch's, RowEngine one probe per read or write and
+  // one pin per row read or rewritten.
+  virtual Result<core::BatchApplyStats> MaintApplyBatch(
+      const std::vector<core::BatchKeyOp>& ops) = 0;
   virtual Status CommitMaintenance() = 0;
-
-  // --- Batched maintenance ----------------------------------------------------
-
-  // The per-key maintenance types are the core engine's (see
-  // core/decision_tables.h): a net action of none / insert (a full row) /
-  // update (edits to updatable columns) / delete, an op pairing a key with
-  // the callback that decides that action from the key's current row, and
-  // the batch's counts.
-  using MaintNetAction = core::NetEffect;
-  using MaintBatchOp = core::BatchKeyOp;
-  using MaintBatchStats = core::BatchApplyStats;
-
-  // Applies one per-key decision per op. The default implementation is
-  // the serial fallback the locking and offline engines run:
-  // MaintReadKey + MaintInsert/MaintUpdate/MaintDelete per key (an
-  // update's edits merged into the row MaintReadKey returned), with
-  // facade-call accounting (one probe per call, one pin per row actually
-  // read or rewritten). The 2VNL adapter runs core ApplyBatch and reports
-  // the engine's real counters.
-  virtual Result<MaintBatchStats> MaintApplyBatch(
-      const std::vector<MaintBatchOp>& ops);
 
   virtual EngineStorageStats StorageStats() const = 0;
 };

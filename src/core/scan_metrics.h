@@ -24,10 +24,6 @@ struct ScanMetrics {
   uint64_t rows_filtered = 0;
   uint64_t rows_emitted = 0;        // rows handed to the sink/executor
   uint64_t bytes_copied = 0;        // declared attribute bytes reconstructed
-  // Scans that buffered the whole snapshot into a vector before use.
-  // SnapshotRows (a materializing API by contract) counts; the streaming
-  // SnapshotSelect path must keep this at zero.
-  uint64_t full_materializations = 0;
   // Always 0: snapshot reads are one serial heap pass since the
   // partitioned pass was removed. Kept until the perfbench report that
   // prints it (core.parallel_scans) drops its guard on it.
@@ -42,14 +38,13 @@ struct ScanMetrics {
   std::string ToString() const {
     return StrPrintf(
         "scanned=%llu reconstructed=%llu filtered=%llu emitted=%llu "
-        "bytes_copied=%llu full_materializations=%llu parallel_scans=%llu "
+        "bytes_copied=%llu parallel_scans=%llu "
         "index_lookups=%llu index_served_rows=%llu scans_avoided=%llu",
         static_cast<unsigned long long>(rows_scanned),
         static_cast<unsigned long long>(rows_reconstructed),
         static_cast<unsigned long long>(rows_filtered),
         static_cast<unsigned long long>(rows_emitted),
         static_cast<unsigned long long>(bytes_copied),
-        static_cast<unsigned long long>(full_materializations),
         static_cast<unsigned long long>(parallel_scans),
         static_cast<unsigned long long>(index_lookups),
         static_cast<unsigned long long>(index_served_rows),
@@ -70,9 +65,6 @@ class ScanMetricsSink {
     rows_emitted_.fetch_add(emitted, std::memory_order_relaxed);
     bytes_copied_.fetch_add(bytes, std::memory_order_relaxed);
   }
-  void RecordFullMaterialization() {
-    full_materializations_.fetch_add(1, std::memory_order_relaxed);
-  }
   void RecordIndexRoute(uint64_t lookups, uint64_t served_rows,
                         uint64_t scans_avoided) {
     index_lookups_.fetch_add(lookups, std::memory_order_relaxed);
@@ -88,8 +80,6 @@ class ScanMetricsSink {
     m.rows_filtered = rows_filtered_.load(std::memory_order_relaxed);
     m.rows_emitted = rows_emitted_.load(std::memory_order_relaxed);
     m.bytes_copied = bytes_copied_.load(std::memory_order_relaxed);
-    m.full_materializations =
-        full_materializations_.load(std::memory_order_relaxed);
     m.index_lookups = index_lookups_.load(std::memory_order_relaxed);
     m.index_served_rows =
         index_served_rows_.load(std::memory_order_relaxed);
@@ -103,7 +93,6 @@ class ScanMetricsSink {
     rows_filtered_.store(0, std::memory_order_relaxed);
     rows_emitted_.store(0, std::memory_order_relaxed);
     bytes_copied_.store(0, std::memory_order_relaxed);
-    full_materializations_.store(0, std::memory_order_relaxed);
     index_lookups_.store(0, std::memory_order_relaxed);
     index_served_rows_.store(0, std::memory_order_relaxed);
     scans_avoided_.store(0, std::memory_order_relaxed);
@@ -115,7 +104,6 @@ class ScanMetricsSink {
   std::atomic<uint64_t> rows_filtered_{0};
   std::atomic<uint64_t> rows_emitted_{0};
   std::atomic<uint64_t> bytes_copied_{0};
-  std::atomic<uint64_t> full_materializations_{0};
   std::atomic<uint64_t> index_lookups_{0};
   std::atomic<uint64_t> index_served_rows_{0};
   std::atomic<uint64_t> scans_avoided_{0};

@@ -234,21 +234,14 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
   // see: present and not a logically deleted corpse.
   const bool visible =
       target.has_value() && target->state.op != Op::kDelete;
-  const Schema& logical = vschema_.logical();
+  WVM_RETURN_IF_ERROR(
+      CheckNetEffect(vschema_.logical(), key_codec_, key, visible, effect));
   MaintenanceDecision d;
   size_t* applied = nullptr;
   switch (effect.kind) {
     case NetEffect::Kind::kNone:
       return Status::OK();
     case NetEffect::Kind::kInsert: {
-      WVM_RETURN_IF_ERROR(logical.ValidateRow(effect.row));
-      std::string row_key;
-      if (key.has_value() &&
-          (!key_codec_.FromValues(effect.row, &row_key, /*whole_row=*/true) ||
-           row_key != *key)) {
-        return Status::InvalidArgument(
-            "inserted row's key differs from the key it is applied to");
-      }
       std::optional<TupleVersionState> existing;
       if (target.has_value()) existing = target->state;
       WVM_ASSIGN_OR_RETURN(d, DecideInsert(txn->vn(), existing));
@@ -256,26 +249,11 @@ Status VnlTable::ApplyEffect(MaintenanceTxn* txn,
       break;
     }
     case NetEffect::Kind::kUpdate: {
-      if (!visible) return Status::NotFound("no such key");
-      // An update edits updatable attributes only: a tuple's others were
-      // fixed at its insert (§3.1).
-      for (const ColumnEdit& e : effect.edits) {
-        const Column* col = e.column < logical.num_columns()
-                                ? &logical.column(e.column)
-                                : nullptr;
-        if (col == nullptr || !col->updatable) {
-          return Status::InvalidArgument(StrPrintf(
-              "update edits '%s', not an updatable attribute",
-              col != nullptr ? col->name.c_str() : "no column"));
-        }
-        WVM_RETURN_IF_ERROR(CheckColumnValue(*col, e.value));
-      }
       WVM_ASSIGN_OR_RETURN(d, DecideUpdate(txn->vn(), target->state));
       applied = &txn->stats_.logical_updates;
       break;
     }
     case NetEffect::Kind::kDelete: {
-      if (!visible) return Status::NotFound("no such key");
       WVM_ASSIGN_OR_RETURN(d, DecideDelete(txn->vn(), target->state));
       applied = &txn->stats_.logical_deletes;
       break;
@@ -299,8 +277,8 @@ Result<NetEffect::Kind> VnlTable::ApplyKey(MaintenanceTxn* txn,
   if (rid.has_value()) {
     WVM_ASSIGN_OR_RETURN(target, FetchTarget(txn, *rid));
   }
-  // The decider sees what MaintenanceLookup would return: the current
-  // logical row, or nullopt for absent keys and corpses.
+  // The decider sees the current logical row, or nullopt for absent keys
+  // and corpses.
   std::optional<Row> current;
   if (target.has_value() && target->state.op != Op::kDelete) {
     current = vschema_.RawCurrentLogical(target->rec.data());
@@ -385,22 +363,6 @@ Result<BatchApplyStats> VnlTable::ApplyBatch(
   out.index_probes = txn->stats_.index_probes - probes_before;
   out.page_pins = txn->stats_.page_pins - pins_before;
   return out;
-}
-
-Result<std::optional<Row>> VnlTable::MaintenanceLookup(
-    MaintenanceTxn* txn, const Row& key) const {
-  WVM_RETURN_IF_ERROR(CheckTxn(txn));
-  if (!vschema_.logical().has_unique_key()) {
-    return Status::FailedPrecondition("table has no unique key");
-  }
-  std::string bytes;
-  key_codec_.FromValues(key, &bytes);
-  std::optional<Rid> rid = IndexLookup(bytes);
-  ++txn->stats_.index_probes;
-  if (!rid.has_value()) return std::optional<Row>();
-  WVM_ASSIGN_OR_RETURN(Target target, FetchTarget(txn, *rid));
-  if (target.state.op == Op::kDelete) return std::optional<Row>();
-  return std::optional<Row>(vschema_.RawCurrentLogical(target.rec.data()));
 }
 
 namespace {
@@ -675,23 +637,6 @@ Status VnlTable::StreamCandidates(const std::vector<Rid>& rids,
     metrics_->RecordIndexRoute(lookups, emitted, scans_avoided);
   }
   return step->status();
-}
-
-Result<std::vector<Row>> VnlTable::SnapshotRows(
-    const ReaderSession& session, SnapshotScanStats* stats) const {
-  ReaderStep step(vschema_, session.session_vn);
-  std::vector<Row> rows;
-  WVM_RETURN_IF_ERROR(StreamSnapshot(
-      &step,
-      [&rows](const Row& row, std::string_view) {
-        rows.push_back(row);
-        return true;
-      },
-      stats));
-  // SnapshotRows is a materializing API by contract; callers that want the
-  // streaming path should use SnapshotSelect.
-  if (metrics_ != nullptr) metrics_->RecordFullMaterialization();
-  return rows;
 }
 
 Result<std::optional<Row>> VnlTable::SnapshotLookup(

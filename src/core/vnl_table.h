@@ -117,32 +117,17 @@ class VnlTable {
   Result<size_t> Delete(MaintenanceTxn* txn, const sql::DeleteStmt& stmt,
                         const query::ParamMap& params = {});
 
-  // Current logical row for `key`, as the maintenance txn sees it
-  // (nullopt when absent or logically deleted). Keys compare as KeyCodec
-  // bytes, so a value the key column cannot hold matches no tuple.
-  // Requires a unique key (kFailedPrecondition otherwise).
-  Result<std::optional<Row>> MaintenanceLookup(MaintenanceTxn* txn,
-                                               const Row& key) const;
-
   // Runs the per-key step for each op, in `ops` order: one index probe,
   // at most one page pin and one decision-table transition per key, with
-  // `decide` handed the row MaintenanceLookup would return. kUpdate /
-  // kDelete on an absent or logically deleted key are kNotFound("no such
-  // key"); a kInsert row with another key, and an edit of a non-updatable
-  // column or with a value its column cannot hold, are kInvalidArgument.
-  // Stops at the first failing key, the keys before it applied. On a table
-  // without a unique key the first op fails with kFailedPrecondition.
+  // `decide` handed the key's current logical row (nullopt when absent or
+  // logically deleted). Each effect must pass CheckNetEffect (kNotFound or
+  // kInvalidArgument, nothing written). Stops at the first failing key,
+  // the keys before it applied. On a table without a unique key the first
+  // op fails with kFailedPrecondition.
   Result<BatchApplyStats> ApplyBatch(MaintenanceTxn* txn,
                                      const std::vector<BatchKeyOp>& ops);
 
   // --- Reader operations (§3.2, Table 1) ----------------------------------
-
-  // Every logical row of the snapshot the session is pinned to, in heap
-  // order (a materializing read: counts one full materialization). Detects
-  // expiration at tuple granularity (§3.2 case 3) and returns
-  // kSessionExpired.
-  Result<std::vector<Row>> SnapshotRows(
-      const ReaderSession& session, SnapshotScanStats* stats = nullptr) const;
 
   // Key lookup within the session's snapshot: a one-candidate index read
   // through the same reader step as SnapshotSelect, so point reads share
@@ -211,8 +196,9 @@ class VnlTable {
                                    const KeyDecider& decide);
 
   // The validate-decide-apply tail of ApplyKey and the cursor statements:
-  // checks `effect` against `target` (nullopt: no tuple; `key`, when set,
-  // is what a kInsert row must carry) and applies its Tables 2-4 cell. A
+  // runs CheckNetEffect on `effect` against `target` (nullopt: no tuple;
+  // `key`, when set, is what a kInsert row must carry) and applies its
+  // Tables 2-4 cell. A
   // logical action counts once it is applied.
   Status ApplyEffect(MaintenanceTxn* txn, std::optional<std::string_view> key,
                      const NetEffect& effect, std::optional<Target> target);

@@ -83,12 +83,11 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
   // first-seen order and kGroupsPerBatch groups per call. The callback
   // runs the support arithmetic against the current row the engine
   // fetched with its single probe.
-  using baselines::WarehouseEngine;
-  std::vector<WarehouseEngine::MaintBatchOp> ops;
+  std::vector<core::BatchKeyOp> ops;
   ops.reserve(std::min(kGroupsPerBatch, deltas.size()));
   auto flush = [&]() -> Status {
     if (ops.empty()) return Status::OK();
-    WVM_ASSIGN_OR_RETURN(WarehouseEngine::MaintBatchStats batch_stats,
+    WVM_ASSIGN_OR_RETURN(core::BatchApplyStats batch_stats,
                          engine->MaintApplyBatch(ops));
     stats.inserts += batch_stats.inserts;
     stats.updates += batch_stats.updates;
@@ -104,13 +103,13 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
     // `deltas` outlives every flush, so the callback holds a pointer.
     const GroupDelta* d = &delta;
     auto decide = [this, d](const std::optional<Row>& current)
-        -> Result<WarehouseEngine::MaintNetAction> {
+        -> Result<core::NetEffect> {
       if (!current.has_value()) {
         if (d->support <= 0) {
           return Status::InvalidArgument(
               "retraction for a group absent from the view");
         }
-        return WarehouseEngine::MaintNetAction::Insert(
+        return core::NetEffect::Insert(
             MakeRow(d->dims, d->total, d->support));
       }
       const int64_t new_total = (*current)[total_col()].AsInt64() + d->total;
@@ -120,11 +119,11 @@ Result<SummaryView::ApplyStats> SummaryView::ApplyDelta(
         return Status::InvalidArgument("view support underflow");
       }
       if (new_support == 0) {
-        return WarehouseEngine::MaintNetAction::Delete();
+        return core::NetEffect::Delete();
       }
       // Self-maintainable: the new row is the old one with its two
       // aggregate columns edited.
-      return WarehouseEngine::MaintNetAction::Update(
+      return core::NetEffect::Update(
           {{total_col(), Value::Int64(new_total)},
            {support_col(), Value::Int64(new_support)}});
     };

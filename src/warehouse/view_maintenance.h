@@ -53,8 +53,8 @@ class SummaryView {
     size_t keys_coalesced = 0;
     size_t events_folded = 0;
     // Amortization: maintenance-path index probes and heap page pins the
-    // apply cost (real engine counters on the 2VNL adapter; facade-call
-    // accounting on engines using the serial fallback).
+    // apply cost (real engine counters on the 2VNL adapter; one per hook
+    // call on a RowEngine).
     size_t index_probes = 0;
     size_t page_pins = 0;
   };

@@ -7,9 +7,11 @@
 namespace wvm::baselines {
 namespace {
 
-using testutil::Item;
+using testutil::Delete;
+using testutil::Insert;
 using testutil::ItemSchema;
 using testutil::Key;
+using testutil::SetQty;
 
 class Mv2plEngineTest : public ::testing::TestWithParam<bool> {
  protected:
@@ -20,7 +22,7 @@ class Mv2plEngineTest : public ::testing::TestWithParam<bool> {
   void Load(int count) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
     for (int i = 0; i < count; ++i) {
-      ASSERT_TRUE(engine_.MaintInsert(Item(i, i * 10)).ok());
+      ASSERT_TRUE(Insert(&engine_, i, i * 10).ok());
     }
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
@@ -36,7 +38,7 @@ TEST_P(Mv2plEngineTest, ReadersPinTheirTimestamp) {
   ASSERT_TRUE(old_reader.ok());
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 999)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 1, 999).ok());
 
   // Uncommitted writes invisible.
   EXPECT_EQ((**engine_.ReadKey(*old_reader, Key(1)))[1].AsInt64(), 10);
@@ -62,7 +64,7 @@ TEST_P(Mv2plEngineTest, ManyVersionsRemainReadable) {
     ASSERT_TRUE(r.ok());
     readers.push_back(*r);
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
-    ASSERT_TRUE(engine_.MaintUpdate(Key(0), Item(0, v * 100)).ok());
+    ASSERT_TRUE(SetQty(&engine_, 0, v * 100).ok());
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
   // Reader i (opened before update i+1) sees the value as of then —
@@ -82,7 +84,7 @@ TEST_P(Mv2plEngineTest, OldReadersChaseVersions) {
   ASSERT_TRUE(reader.ok());
   for (int v = 1; v <= 3; ++v) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
-    ASSERT_TRUE(engine_.MaintUpdate(Key(0), Item(0, v)).ok());
+    ASSERT_TRUE(SetQty(&engine_, 0, v).ok());
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
   const uint64_t before = engine_.pool_version_reads();
@@ -103,7 +105,7 @@ TEST_P(Mv2plEngineTest, CacheAbsorbsOneVersionOfHistory) {
   Result<uint64_t> reader = engine_.OpenReader();  // ts = 1
   ASSERT_TRUE(reader.ok());
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(0), Item(0, 7)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 0, 7).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 
   const uint64_t before = engine_.pool_version_reads();
@@ -123,11 +125,11 @@ TEST_P(Mv2plEngineTest, DeleteAndReinsert) {
   ASSERT_TRUE(old_reader.ok());
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintDelete(Key(1)).ok());
+  ASSERT_TRUE(Delete(&engine_, 1).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintInsert(Item(1, 42)).ok());
+  ASSERT_TRUE(Insert(&engine_, 1, 42).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 
   EXPECT_EQ((**engine_.ReadKey(*old_reader, Key(1)))[1].AsInt64(), 10);
@@ -143,7 +145,7 @@ TEST_P(Mv2plEngineTest, PoolGarbageCollection) {
   Load(1);
   for (int v = 1; v <= 5; ++v) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
-    ASSERT_TRUE(engine_.MaintUpdate(Key(0), Item(0, v)).ok());
+    ASSERT_TRUE(SetQty(&engine_, 0, v).ok());
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
   EXPECT_GT(engine_.pool_records(), 0u);
@@ -165,7 +167,7 @@ TEST_P(Mv2plEngineTest, GcKeepsVersionsLiveReadersNeed) {
   ASSERT_TRUE(old_reader.ok());
   for (int v = 1; v <= 3; ++v) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
-    ASSERT_TRUE(engine_.MaintUpdate(Key(0), Item(0, v)).ok());
+    ASSERT_TRUE(SetQty(&engine_, 0, v).ok());
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
   ASSERT_TRUE(engine_.CollectPoolGarbage().ok());

@@ -10,9 +10,11 @@
 namespace wvm::baselines {
 namespace {
 
-using testutil::Item;
+using testutil::Delete;
+using testutil::Insert;
 using testutil::ItemSchema;
 using testutil::Key;
+using testutil::SetQty;
 
 class OfflineEngineTest : public ::testing::Test {
  protected:
@@ -21,7 +23,7 @@ class OfflineEngineTest : public ::testing::Test {
   void Load(int count) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
     for (int i = 0; i < count; ++i) {
-      ASSERT_TRUE(engine_.MaintInsert(Item(i, i * 10)).ok());
+      ASSERT_TRUE(Insert(&engine_, i, i * 10).ok());
     }
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
@@ -44,8 +46,8 @@ TEST_F(OfflineEngineTest, BasicCrud) {
   ASSERT_TRUE(engine_.CloseReader(*reader).ok());
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 99)).ok());
-  ASSERT_TRUE(engine_.MaintDelete(Key(2)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 1, 99).ok());
+  ASSERT_TRUE(Delete(&engine_, 2).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 
   Result<uint64_t> r2 = engine_.OpenReader();
@@ -64,7 +66,7 @@ TEST_F(OfflineEngineTest, MaintenanceWaitsForReaders) {
   std::thread writer([&] {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());  // blocks on the reader
     maintenance_started.store(true);
-    ASSERT_TRUE(engine_.MaintInsert(Item(100, 1)).ok());
+    ASSERT_TRUE(Insert(&engine_, 100, 1).ok());
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -95,7 +97,7 @@ TEST_F(OfflineEngineTest, ReadersBlockedWhileMaintenanceRuns) {
 }
 
 TEST_F(OfflineEngineTest, ErrorsOutsideMaintenance) {
-  EXPECT_EQ(engine_.MaintInsert(Item(1, 1)).code(),
+  EXPECT_EQ(Insert(&engine_, 1, 1).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(engine_.CommitMaintenance().code(),
             StatusCode::kFailedPrecondition);
@@ -104,11 +106,11 @@ TEST_F(OfflineEngineTest, ErrorsOutsideMaintenance) {
 TEST_F(OfflineEngineTest, DuplicateAndMissingKeys) {
   Load(2);
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  EXPECT_EQ(engine_.MaintInsert(Item(1, 5)).code(),
+  EXPECT_EQ(Insert(&engine_, 1, 5).code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(engine_.MaintUpdate(Key(42), Item(42, 1)).code(),
+  EXPECT_EQ(SetQty(&engine_, 42, 1).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(engine_.MaintDelete(Key(42)).code(), StatusCode::kNotFound);
+  EXPECT_EQ(Delete(&engine_, 42).code(), StatusCode::kNotFound);
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 }
 

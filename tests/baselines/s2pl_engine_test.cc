@@ -10,9 +10,11 @@
 namespace wvm::baselines {
 namespace {
 
-using testutil::Item;
+using testutil::Delete;
+using testutil::Insert;
 using testutil::ItemSchema;
 using testutil::Key;
+using testutil::SetQty;
 
 class S2plEngineTest : public ::testing::Test {
  protected:
@@ -23,7 +25,7 @@ class S2plEngineTest : public ::testing::Test {
   void Load(int count) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
     for (int i = 0; i < count; ++i) {
-      ASSERT_TRUE(engine_.MaintInsert(Item(i, i * 10)).ok());
+      ASSERT_TRUE(Insert(&engine_, i, i * 10).ok());
     }
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
@@ -42,8 +44,8 @@ TEST_F(S2plEngineTest, BasicCrud) {
   ASSERT_TRUE(engine_.CloseReader(*reader).ok());
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(2), Item(2, 99)).ok());
-  ASSERT_TRUE(engine_.MaintDelete(Key(0)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 2, 99).ok());
+  ASSERT_TRUE(Delete(&engine_, 0).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 
   Result<uint64_t> r2 = engine_.OpenReader();
@@ -62,12 +64,12 @@ TEST_F(S2plEngineTest, WriterBlocksOnReaderLock) {
   ASSERT_TRUE(engine_.ReadKey(*reader, Key(1)).ok());  // S lock held
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  Status blocked = engine_.MaintUpdate(Key(1), Item(1, 77));
+  Status blocked = SetQty(&engine_, 1, 77);
   EXPECT_EQ(blocked.code(), StatusCode::kDeadlineExceeded);
 
   // Once the session ends, the update goes through.
   ASSERT_TRUE(engine_.CloseReader(*reader).ok());
-  EXPECT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 77)).ok());
+  EXPECT_TRUE(SetQty(&engine_, 1, 77).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
   EXPECT_GE(engine_.LockStats().timeouts, 1u);
 }
@@ -75,7 +77,7 @@ TEST_F(S2plEngineTest, WriterBlocksOnReaderLock) {
 TEST_F(S2plEngineTest, ReaderBlocksOnWriterLock) {
   Load(3);
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 77)).ok());  // X lock
+  ASSERT_TRUE(SetQty(&engine_, 1, 77).ok());  // X lock
 
   Result<uint64_t> reader = engine_.OpenReader();
   ASSERT_TRUE(reader.ok());
@@ -100,7 +102,7 @@ TEST_F(S2plEngineTest, WriterReleasedByReaderClose) {
   std::thread writer([&] {
     // Retry loop, as a real system would after a deadlock timeout.
     for (;;) {
-      Status s = engine_.MaintUpdate(Key(0), Item(0, 5));
+      Status s = SetQty(&engine_, 0, 5);
       if (s.ok()) break;
       ASSERT_EQ(s.code(), StatusCode::kDeadlineExceeded);
     }

@@ -10,9 +10,11 @@
 namespace wvm::baselines {
 namespace {
 
-using testutil::Item;
+using testutil::Delete;
+using testutil::Insert;
 using testutil::ItemSchema;
 using testutil::Key;
+using testutil::SetQty;
 
 class TwoV2plEngineTest : public ::testing::Test {
  protected:
@@ -21,7 +23,7 @@ class TwoV2plEngineTest : public ::testing::Test {
   void Load(int count) {
     ASSERT_TRUE(engine_.BeginMaintenance().ok());
     for (int i = 0; i < count; ++i) {
-      ASSERT_TRUE(engine_.MaintInsert(Item(i, i * 10)).ok());
+      ASSERT_TRUE(Insert(&engine_, i, i * 10).ok());
     }
     ASSERT_TRUE(engine_.CommitMaintenance().ok());
   }
@@ -37,7 +39,7 @@ TEST_F(TwoV2plEngineTest, ReadersSeeCommittedVersionDuringWrite) {
   ASSERT_TRUE(reader.ok());
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 999)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 1, 999).ok());
 
   // The active writer never blocks this read, and the read returns the
   // committed (old) version.
@@ -63,9 +65,9 @@ TEST_F(TwoV2plEngineTest, ReadersSeeCommittedVersionDuringWrite) {
 TEST_F(TwoV2plEngineTest, CommitAppliesShadowVersions) {
   Load(3);
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 111)).ok());
-  ASSERT_TRUE(engine_.MaintDelete(Key(2)).ok());
-  ASSERT_TRUE(engine_.MaintInsert(Item(9, 90)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 1, 111).ok());
+  ASSERT_TRUE(Delete(&engine_, 2).ok());
+  ASSERT_TRUE(Insert(&engine_, 9, 90).ok());
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 
   Result<uint64_t> reader = engine_.OpenReader();
@@ -81,11 +83,11 @@ TEST_F(TwoV2plEngineTest, CommitAppliesShadowVersions) {
 TEST_F(TwoV2plEngineTest, WriterSeesItsOwnShadow) {
   Load(2);
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintDelete(Key(1)).ok());
+  ASSERT_TRUE(Delete(&engine_, 1).ok());
   // Re-insert after delete within the txn works against the shadow.
-  EXPECT_TRUE(engine_.MaintInsert(Item(1, 55)).ok());
+  EXPECT_TRUE(Insert(&engine_, 1, 55).ok());
   // Double insert conflicts with the shadow.
-  EXPECT_EQ(engine_.MaintInsert(Item(1, 56)).code(),
+  EXPECT_EQ(Insert(&engine_, 1, 56).code(),
             StatusCode::kAlreadyExists);
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
 }
@@ -97,16 +99,16 @@ TEST_F(TwoV2plEngineTest, ReadersNotTouchingModifiedTuplesDontDelay) {
   ASSERT_TRUE(engine_.ReadKey(*reader, Key(0)).ok());  // reads key 0 only
 
   ASSERT_TRUE(engine_.BeginMaintenance().ok());
-  ASSERT_TRUE(engine_.MaintUpdate(Key(1), Item(1, 999)).ok());
+  ASSERT_TRUE(SetQty(&engine_, 1, 999).ok());
   // Commit must not wait: the reader holds no lock on key 1.
   ASSERT_TRUE(engine_.CommitMaintenance().ok());
   ASSERT_TRUE(engine_.CloseReader(*reader).ok());
 }
 
 TEST_F(TwoV2plEngineTest, ErrorsOutsideMaintenance) {
-  EXPECT_EQ(engine_.MaintInsert(Item(1, 1)).code(),
+  EXPECT_EQ(Insert(&engine_, 1, 1).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine_.MaintUpdate(Key(1), Item(1, 1)).code(),
+  EXPECT_EQ(SetQty(&engine_, 1, 1).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(engine_.CommitMaintenance().code(),
             StatusCode::kFailedPrecondition);

@@ -9,9 +9,13 @@
 namespace wvm::baselines {
 namespace {
 
-using testutil::Item;
+using testutil::Apply;
+using testutil::Delete;
+using testutil::Insert;
 using testutil::ItemSchema;
 using testutil::Key;
+using testutil::LatestRow;
+using testutil::SetQty;
 
 class VnlAdapterTest : public ::testing::Test {
  protected:
@@ -35,20 +39,20 @@ TEST_F(VnlAdapterTest, NameReflectsN) {
 
 TEST_F(VnlAdapterTest, CrudThroughTheFacade) {
   ASSERT_TRUE(adapter_->BeginMaintenance().ok());
-  ASSERT_TRUE(adapter_->MaintInsert(Item(1, 10)).ok());
-  ASSERT_TRUE(adapter_->MaintInsert(Item(2, 20)).ok());
+  ASSERT_TRUE(Insert(adapter_.get(), 1, 10).ok());
+  ASSERT_TRUE(Insert(adapter_.get(), 2, 20).ok());
   // Writer sees its own uncommitted writes.
-  Result<std::optional<Row>> own = adapter_->MaintReadKey(Key(1));
+  Result<std::optional<Row>> own = LatestRow(adapter_.get(), Key(1));
   ASSERT_TRUE(own.ok());
   EXPECT_EQ((**own)[1].AsInt64(), 10);
   ASSERT_TRUE(adapter_->CommitMaintenance().ok());
 
   ASSERT_TRUE(adapter_->BeginMaintenance().ok());
-  ASSERT_TRUE(adapter_->MaintUpdate(Key(1), Item(1, 11)).ok());
-  ASSERT_TRUE(adapter_->MaintDelete(Key(2)).ok());
-  EXPECT_EQ(adapter_->MaintUpdate(Key(99), Item(99, 1)).code(),
+  ASSERT_TRUE(SetQty(adapter_.get(), 1, 11).ok());
+  ASSERT_TRUE(Delete(adapter_.get(), 2).ok());
+  EXPECT_EQ(SetQty(adapter_.get(), 99, 1).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(adapter_->MaintDelete(Key(99)).code(), StatusCode::kNotFound);
+  EXPECT_EQ(Delete(adapter_.get(), 99).code(), StatusCode::kNotFound);
   ASSERT_TRUE(adapter_->CommitMaintenance().ok());
 
   Result<uint64_t> reader = adapter_->OpenReader();
@@ -60,30 +64,22 @@ TEST_F(VnlAdapterTest, CrudThroughTheFacade) {
   ASSERT_TRUE(adapter_->CloseReader(*reader).ok());
 }
 
-// The facade's full row becomes edits of updatable columns: a row that
-// changes the key is refused before anything is written, and a NaN that
-// stays a NaN is no change.
-TEST_F(VnlAdapterTest, MaintUpdateChangesOnlyUpdatableColumns) {
-  ASSERT_TRUE(adapter_->BeginMaintenance().ok());
-  ASSERT_TRUE(adapter_->MaintInsert(Item(1, 10)).ok());
-  EXPECT_EQ(adapter_->MaintUpdate(Key(1), Item(2, 11)).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(adapter_->MaintUpdate(Key(1), {Value::Int64(1)}).code(),
-            StatusCode::kInvalidArgument);
-  Result<std::optional<Row>> row = adapter_->MaintReadKey(Key(1));
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ((**row)[1].AsInt64(), 10);
-  ASSERT_TRUE(adapter_->CommitMaintenance().ok());
-
+// Keys compare as record bytes, so a NaN key finds the tuple it inserted.
+TEST_F(VnlAdapterTest, NanKeyFindsItsTuple) {
   auto doubles = VnlAdapter::Create(
       &pool_, Schema({Column::Double("k"), Column::Int64("v", true)}, {0}));
   ASSERT_TRUE(doubles.ok());
+  WarehouseEngine* engine = doubles->get();
   const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
-  ASSERT_TRUE((*doubles)->BeginMaintenance().ok());
-  ASSERT_TRUE((*doubles)->MaintInsert({nan, Value::Int64(1)}).ok());
-  ASSERT_TRUE((*doubles)->MaintUpdate({nan}, {nan, Value::Int64(2)}).ok());
-  EXPECT_EQ((**(*doubles)->MaintReadKey({nan}))[1].AsInt64(), 2);
-  ASSERT_TRUE((*doubles)->CommitMaintenance().ok());
+  ASSERT_TRUE(engine->BeginMaintenance().ok());
+  ASSERT_TRUE(
+      Apply(engine, {nan}, core::NetEffect::Insert({nan, Value::Int64(1)}))
+          .ok());
+  ASSERT_TRUE(
+      Apply(engine, {nan}, core::NetEffect::Update({{1, Value::Int64(2)}}))
+          .ok());
+  EXPECT_EQ((**LatestRow(engine, {nan}))[1].AsInt64(), 2);
+  ASSERT_TRUE(engine->CommitMaintenance().ok());
 }
 
 TEST_F(VnlAdapterTest, UnknownReaderRejected) {
@@ -103,7 +99,7 @@ TEST_F(VnlAdapterTest, StorageStatsExposeWidenedTuple) {
 
 TEST_F(VnlAdapterTest, ExposesUnderlyingEngineForCoreFeatures) {
   ASSERT_TRUE(adapter_->BeginMaintenance().ok());
-  ASSERT_TRUE(adapter_->MaintInsert(Item(5, 50)).ok());
+  ASSERT_TRUE(Insert(adapter_.get(), 5, 50).ok());
   ASSERT_TRUE(adapter_->CommitMaintenance().ok());
   // GC and session checks come from the wrapped core engine.
   EXPECT_EQ(adapter_->engine()->current_vn(), 1);

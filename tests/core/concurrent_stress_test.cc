@@ -15,6 +15,7 @@
 #include "common/strings.h"
 #include "core/vnl_engine.h"
 #include "tests/support/keyed_maintenance.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -60,7 +61,8 @@ TEST_P(ConcurrentStressTest, SessionsAlwaysSeeACommittedState) {
         // Several reads within one session; all must agree with the
         // model state at session_vn.
         for (int q = 0; q < 4; ++q) {
-          Result<std::vector<Row>> rows = table.SnapshotRows(session);
+          Result<std::vector<Row>> rows =
+              testutil::SnapshotRows(table, session);
           if (!rows.ok()) {
             // Tuple-level expiration — must also fail the global check
             // eventually; just count it.
@@ -180,7 +182,7 @@ TEST_P(ConcurrentStressTest, SessionsAlwaysSeeACommittedState) {
   EXPECT_GT(reads_checked.load(), 0u);
   // Sanity: the final committed state equals the model.
   ReaderSession final_session = engine.OpenSession();
-  Result<std::vector<Row>> rows = table.SnapshotRows(final_session);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(table, final_session);
   ASSERT_TRUE(rows.ok());
   State got;
   for (const Row& row : *rows) got[row[0].AsInt64()] = row[1].AsInt64();

@@ -24,6 +24,7 @@
 #include "core/vnl_engine.h"
 #include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -112,7 +113,7 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
   void CheckIndexAgainstScan(VnlEngine* engine, const VnlTable& table,
                              int64_t keys) {
     ReaderSession s = engine->OpenSession();
-    Result<std::vector<Row>> rows = table.SnapshotRows(s);
+    Result<std::vector<Row>> rows = testutil::SnapshotRows(table, s);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     std::map<int64_t, Row> scanned;
     for (const Row& row : *rows) scanned.emplace(row[0].AsInt64(), row);
@@ -173,7 +174,7 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
           for (int e = 0; e < count; ++e) {
             const int64_t id = rng.Uniform(0, keys - 1);
             Result<std::optional<Row>> cur =
-                table->MaintenanceLookup(txn, Key(id));
+                testutil::CurrentRow(table, txn, Key(id));
             ASSERT_TRUE(cur.ok());
             if (!cur->has_value()) {
               // Over a corpse this is a Table-2 revive, which must keep the
@@ -207,7 +208,7 @@ class GcDiffTest : public ::testing::TestWithParam<int> {
             auto it = view.find(id);
             if (it == view.end()) {
               Result<std::optional<Row>> cur =
-                  table->MaintenanceLookup(txn, Key(id));
+                  testutil::CurrentRow(table, txn, Key(id));
               ASSERT_TRUE(cur.ok());
               it = view.emplace(id, *cur).first;
             }

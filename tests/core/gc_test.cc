@@ -10,6 +10,7 @@
 #include "query/executor.h"
 #include "sql/parser.h"
 #include "tests/support/keyed_maintenance.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -86,7 +87,7 @@ TEST_P(GcTest, KeepsTuplesVisibleToActiveSessions) {
   EXPECT_EQ(stats.tuples_reclaimed, 0u);
   EXPECT_EQ(stats.tuples_pending, 5u);
 
-  Result<std::vector<Row>> rows = table_->SnapshotRows(old_session);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, old_session);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 10u);
 
@@ -291,7 +292,7 @@ TEST_P(GcTest, SessionsAtCurrentVersionNeverBlockGc) {
   ReaderSession fresh = engine_->OpenSession();  // VN 2, ignores deletes
   VnlEngine::GcStats stats = engine_->CollectGarbage().value();
   EXPECT_EQ(stats.tuples_reclaimed, 2u);
-  Result<std::vector<Row>> rows = table_->SnapshotRows(fresh);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, fresh);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
   engine_->CloseSession(fresh);

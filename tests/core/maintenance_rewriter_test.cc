@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "core/vnl_engine.h"
 #include "tests/support/keyed_maintenance.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -219,7 +220,7 @@ TEST_F(MaintenanceRewriterTest, DeleteThenInsertIsARevive) {
   ASSERT_TRUE(new_row.ok());
   EXPECT_EQ((**new_row)[4].AsInt32(), 6000);
   VnlTable* stores = engine_->GetTable("Stores").value();
-  Result<std::vector<Row>> rows = stores->SnapshotRows(after);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(*stores, after);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ(RowToString((*rows)[0]), "(1, W, 11)");

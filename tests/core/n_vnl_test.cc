@@ -9,6 +9,7 @@
 #include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "tests/support/row_reference.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -236,7 +237,7 @@ TEST_F(NVnlTest, RandomHistoryMatchesReferenceModel) {
       for (Vn vn = 1; vn <= round; ++vn) {
         ReaderSession s;
         s.session_vn = vn;
-        Result<std::vector<Row>> rows = table_->SnapshotRows(s);
+        Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, s);
         if (!rows.ok()) {
           ASSERT_EQ(rows.status().code(), StatusCode::kSessionExpired);
           // Expiration can only strike sessions older than n-1 commits.

@@ -12,6 +12,7 @@
 #include "core/maintenance_rewriter.h"
 #include "core/vnl_engine.h"
 #include "tests/support/row_reference.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -157,7 +158,7 @@ TEST_F(PaperExamplesTest, Example32ReaderAtSession3) {
   BuildFigure4();
   ReaderSession s;
   s.session_vn = 3;  // the paper pins the session at VN 3
-  Result<std::vector<Row>> rows = table_->SnapshotRows(s);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, s);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 3u);
 
@@ -223,13 +224,13 @@ TEST_F(PaperExamplesTest, SessionsStraddlingFigure5) {
       Remove(t5, "Berkeley", "racquetball", 14));
   Commit(t5);
 
-  Result<std::vector<Row>> rows4 = table_->SnapshotRows(at4);
+  Result<std::vector<Row>> rows4 = testutil::SnapshotRows(*table_, at4);
   ASSERT_TRUE(rows4.ok());
   // VN 4 logical state: SJ-14 10000, SJ-15 1500, Berkeley 12000.
   ASSERT_EQ(rows4->size(), 3u);
 
   ReaderSession at5 = engine_->OpenSession();
-  Result<std::vector<Row>> rows5 = table_->SnapshotRows(at5);
+  Result<std::vector<Row>> rows5 = testutil::SnapshotRows(*table_, at5);
   ASSERT_TRUE(rows5.ok());
   // VN 5 logical state: SJ-14 10200, SJ-15 1500, SJ-16 11000.
   ASSERT_EQ(rows5->size(), 3u);

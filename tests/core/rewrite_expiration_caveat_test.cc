@@ -12,6 +12,7 @@
 #include "query/executor.h"
 #include "sql/parser.h"
 #include "tests/support/keyed_maintenance.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -45,7 +46,7 @@ TEST(RewriteExpirationCaveatTest, RewriteServesStaleDataGlobalCheckSaves) {
   }
 
   // Native path: tuple-level detection fires (§3.2 case 3).
-  Result<std::vector<Row>> native = table->SnapshotRows(session);
+  Result<std::vector<Row>> native = testutil::SnapshotRows(*table, session);
   EXPECT_EQ(native.status().code(), StatusCode::kSessionExpired);
 
   // Rewrite path: the query executes "successfully" but returns the

@@ -10,6 +10,7 @@
 #include "core/vnl_engine.h"
 #include "tests/support/keyed_maintenance.h"
 #include "tests/support/row_reference.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -65,7 +66,7 @@ class RollbackTest : public ::testing::TestWithParam<int> {
   std::map<int64_t, int64_t> StateAt(Vn vn) {
     ReaderSession s;
     s.session_vn = vn;
-    Result<std::vector<Row>> rows = table_->SnapshotRows(s);
+    Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, s);
     WVM_CHECK(rows.ok());
     std::map<int64_t, int64_t> out;
     for (const Row& row : *rows) out[row[0].AsInt64()] = row[1].AsInt64();
@@ -232,7 +233,7 @@ TEST_P(RollbackTest, AbortOfSameTxnDeleteReinsertRestoresTheRow) {
 
     txn = Begin();
     Result<std::optional<Row>> current =
-        ksv->MaintenanceLookup(txn, {Value::Int64(1)});
+        testutil::CurrentRow(ksv, txn, {Value::Int64(1)});
     ASSERT_TRUE(current.ok());
     ASSERT_TRUE(current->has_value());
     EXPECT_EQ(RowToString(**current), RowToString(ksv_row("a", 10)));

@@ -3,7 +3,6 @@
 // reconstructed}, so
 //   rows_scanned >= rows_filtered + rows_reconstructed
 //   rows_emitted <= rows_reconstructed
-//   full_materializations == 0           (SnapshotSelect never buffers)
 // for any SnapshotSelect.
 #include <gtest/gtest.h>
 
@@ -111,7 +110,6 @@ TEST_P(ScanMetricsInvariantTest, InvariantsHoldForEveryScan) {
       const ScanMetrics m = RunAndSnapshot(*s, sql);
       EXPECT_GE(m.rows_scanned, m.rows_reconstructed + m.rows_filtered);
       EXPECT_LE(m.rows_emitted, m.rows_reconstructed);
-      EXPECT_EQ(m.full_materializations, 0u);
       EXPECT_EQ(m.rows_scanned, table_->physical_rows());
     }
   }

@@ -2,8 +2,8 @@
 // Table-1 versions, evaluate pushed-down predicates, and project in one
 // heap pass — no snapshot-wide row vector, no Row copies for tuples a
 // version-invariant predicate rejects — while remaining byte-equivalent
-// (results *and* expiration behavior) to running the executor over a fully
-// materialized SnapshotRows vector.
+// (results *and* expiration behavior) to running the executor over the
+// fully materialized `SELECT *` snapshot (tests/support/snapshot_rows.h).
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -17,6 +17,7 @@
 #include "core/vnl_table.h"
 #include "query/executor.h"
 #include "sql/parser.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -87,7 +88,7 @@ class StreamingScanTest : public ::testing::TestWithParam<int> {
     ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
 
     Result<query::QueryResult> streamed = table_->SnapshotSelect(s, *stmt);
-    Result<std::vector<Row>> snapshot = table_->SnapshotRows(s);
+    Result<std::vector<Row>> snapshot = testutil::SnapshotRows(*table_, s);
     ASSERT_EQ(streamed.ok(), snapshot.ok());
     if (!snapshot.ok()) {
       EXPECT_EQ(streamed.status().code(), snapshot.status().code());
@@ -142,8 +143,6 @@ TEST_P(StreamingScanTest, SelectiveWhereIsSinglePassAndCopiesOnlyMatches) {
   // physically present): 16 inserts + 1 new insert = 17.
   EXPECT_EQ(m.rows_scanned, table_->physical_rows());
   EXPECT_EQ(m.rows_scanned, 17u);
-  // No intermediate snapshot vector anywhere on the path.
-  EXPECT_EQ(m.full_materializations, 0u);
   // Only the 4 matching rows were ever copied out of the heap; the other
   // 12 visible tuples were rejected pre-reconstruction and the deleted
   // tuple was ignored by Table-1 classification.
@@ -170,7 +169,6 @@ TEST_P(StreamingScanTest, UpdatableColumnPredicateSeesSessionVersion) {
       "SELECT id FROM items WHERE qty > 50000");
   ASSERT_TRUE(stmt.ok());
 
-  engine_->ResetScanMetrics();
   // Old session: no tuple had qty > 50000 at its version.
   Result<query::QueryResult> old_r = table_->SnapshotSelect(old_s, *stmt);
   ASSERT_TRUE(old_r.ok()) << old_r.status().ToString();
@@ -182,9 +180,6 @@ TEST_P(StreamingScanTest, UpdatableColumnPredicateSeesSessionVersion) {
   EXPECT_EQ(new_r->rows[0][0].AsInt64(), 1);
   EXPECT_EQ(new_r->rows[1][0].AsInt64(), 5);
   EXPECT_EQ(new_r->rows[2][0].AsInt64(), 9);
-  // Both scans streamed (the reconstruction-dependent filter still runs
-  // inside the pass, never over a buffered snapshot).
-  EXPECT_EQ(engine_->scan_metrics().full_materializations, 0u);
 }
 
 TEST_P(StreamingScanTest, StreamedMatchesMaterializedAcrossTable1States) {
@@ -293,15 +288,6 @@ TEST_P(StreamingScanTest, SnapshotLookupRecordsStats) {
   EXPECT_EQ(m.rows_scanned, 1u);
   EXPECT_EQ(m.rows_reconstructed, 1u);
   EXPECT_EQ(m.rows_emitted, 1u);
-}
-
-// SnapshotRows is the one deliberately materializing API; the counter
-// exists so the SELECT path can prove it never goes through it.
-TEST_P(StreamingScanTest, SnapshotRowsCountsAsFullMaterialization) {
-  ReaderSession s = engine_->OpenSession();
-  engine_->ResetScanMetrics();
-  ASSERT_TRUE(table_->SnapshotRows(s).ok());
-  EXPECT_EQ(engine_->scan_metrics().full_materializations, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllN, StreamingScanTest, ::testing::Values(2, 3),

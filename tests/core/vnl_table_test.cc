@@ -17,6 +17,7 @@
 #include "core/vnl_engine.h"
 #include "sql/parser.h"
 #include "tests/support/keyed_maintenance.h"
+#include "tests/support/snapshot_rows.h"
 
 namespace wvm::core {
 namespace {
@@ -106,7 +107,7 @@ TEST_P(VnlTableTest, InsertAndSnapshotRead) {
   LoadInitialData();
   ReaderSession s = engine_->OpenSession();
   EXPECT_EQ(s.session_vn, 1);
-  Result<std::vector<Row>> rows = table_->SnapshotRows(s);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, s);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
 }
@@ -127,7 +128,7 @@ TEST_P(VnlTableTest, ReaderSeesPreUpdateVersionDuringMaintenance) {
 
   // The maintenance transaction itself reads the latest version.
   Result<std::optional<Row>> m =
-      table_->MaintenanceLookup(txn, DailyKey("San Jose", "golf equip", 14));
+      testutil::CurrentRow(table_, txn, DailyKey("San Jose", "golf equip", 14));
   ASSERT_TRUE(m.ok());
   EXPECT_EQ((**m)[4].AsInt32(), 15000);
 
@@ -298,13 +299,13 @@ TEST_P(VnlTableTest, SessionExpiresAfterTwoOverlapsAtN2) {
   MaintenanceTxn* txn = Begin();
   ASSERT_TRUE(AddSales(txn, "San Jose", 1).ok());
   Commit(txn);
-  ASSERT_TRUE(table_->SnapshotRows(s).ok());
+  ASSERT_TRUE(testutil::SnapshotRows(*table_, s).ok());
 
   // Maintenance txn 3 modifies it again: the session can no longer
   // reconstruct version 1 — tuple-level detection fires.
   MaintenanceTxn* txn3 = Begin();
   ASSERT_TRUE(AddSales(txn3, "San Jose", 1).ok());
-  Result<std::vector<Row>> rows = table_->SnapshotRows(s);
+  Result<std::vector<Row>> rows = testutil::SnapshotRows(*table_, s);
   EXPECT_FALSE(rows.ok());
   EXPECT_EQ(rows.status().code(), StatusCode::kSessionExpired);
   // The global pessimistic check agrees.
@@ -388,7 +389,7 @@ TEST_P(VnlTableTest, ProbesWithValuesTheKeyCannotHoldFindNothing) {
     Result<bool> deleted = testutil::DeleteKey(t, txn, {k});
     ASSERT_TRUE(deleted.ok());
     EXPECT_FALSE(deleted.value());
-    Result<std::optional<Row>> current = t->MaintenanceLookup(txn, {k});
+    Result<std::optional<Row>> current = testutil::CurrentRow(t, txn, {k});
     ASSERT_TRUE(current.ok());
     EXPECT_FALSE(current->has_value());
   }
@@ -424,7 +425,7 @@ TEST_P(VnlTableTest, KeyAddressedWritesNeedAUniqueKey) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(testutil::DeleteKey(t, txn, {Value::Int32(1)}).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(t->MaintenanceLookup(txn, {Value::Int32(1)}).status().code(),
+  EXPECT_EQ(testutil::CurrentRow(t, txn, {Value::Int32(1)}).status().code(),
             StatusCode::kFailedPrecondition);
   const BatchKeyOp op{{Value::Int32(1)},
                       [](const std::optional<Row>&) -> Result<NetEffect> {
@@ -565,7 +566,7 @@ TEST_P(VnlTableTest, CursorIsCollectedBeforeItsWrites) {
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, 3u);
   Result<std::optional<Row>> row =
-      table_->MaintenanceLookup(txn, DailyKey("Novato", "rollerblades", 13));
+      testutil::CurrentRow(table_, txn, DailyKey("Novato", "rollerblades", 13));
   ASSERT_TRUE(row.ok());
   EXPECT_EQ((**row)[4].AsInt32(), 13000);
   Commit(txn);
@@ -745,7 +746,7 @@ class ReinsertTest : public VnlTableTest {
   Result<std::optional<Row>> Read(const ReaderSession& session) {
     Result<std::optional<Row>> point =
         ksv_->SnapshotLookup(session, {Value::Int64(1)});
-    Result<std::vector<Row>> rows = ksv_->SnapshotRows(session);
+    Result<std::vector<Row>> rows = testutil::SnapshotRows(*ksv_, session);
     EXPECT_EQ(point.status().code(), rows.status().code());
     if (point.ok() && rows.ok()) {
       EXPECT_EQ(point->has_value(), rows->size() == 1);

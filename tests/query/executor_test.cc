@@ -5,11 +5,12 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "catalog/catalog.h"
+#include "catalog/table.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -20,7 +21,7 @@ namespace {
 
 class ExecutorTest : public ::testing::Test {
  protected:
-  ExecutorTest() : pool_(256, &disk_), catalog_(&pool_) {
+  ExecutorTest() : pool_(256, &disk_) {
     Schema schema(
         {
             Column::String("city", 20),
@@ -30,9 +31,7 @@ class ExecutorTest : public ::testing::Test {
             Column::Int64("total_sales", /*updatable=*/true),
         },
         {0, 1, 2, 3});
-    Result<Table*> t = catalog_.CreateTable("DailySales", schema);
-    WVM_CHECK(t.ok());
-    table_ = t.value();
+    table_ = std::make_unique<Table>("DailySales", schema, &pool_);
 
     Insert("San Jose", "CA", "golf equip", 19961014, 10000);
     Insert("San Jose", "CA", "golf equip", 19961015, 1500);
@@ -59,8 +58,7 @@ class ExecutorTest : public ::testing::Test {
 
   DiskManager disk_;
   BufferPool pool_;
-  Catalog catalog_;
-  Table* table_;
+  std::unique_ptr<Table> table_;
 };
 
 TEST_F(ExecutorTest, SelectStarReturnsAllRows) {

@@ -62,6 +62,23 @@ inline Result<bool> DeleteKey(VnlTable* table, MaintenanceTxn* txn,
   return applied.deletes == 1;
 }
 
+// The current logical row of `key` as the maintenance transaction sees it
+// (nullopt when absent or logically deleted): a one-key batch whose
+// decider writes nothing, so it costs one probe and at most one pin.
+inline Result<std::optional<Row>> CurrentRow(VnlTable* table,
+                                             MaintenanceTxn* txn,
+                                             const Row& key) {
+  std::optional<Row> row;
+  KeyDecider read =
+      [&row](const std::optional<Row>& current) -> Result<NetEffect> {
+    row = current;
+    return NetEffect{};
+  };
+  WVM_RETURN_IF_ERROR(
+      table->ApplyBatch(txn, {{key, std::move(read)}}).status());
+  return row;
+}
+
 // Every logical row the maintenance transaction sees — each tuple's
 // current version, logically deleted tuples skipped — in heap order.
 inline Result<std::vector<Row>> MaintenanceRows(const VnlTable& table) {

@@ -166,7 +166,8 @@ TEST(SummaryViewDeltaTest, TwoVnlMatchesSerialFallbackAcrossSeeds) {
       EXPECT_EQ(so->keys_coalesced, sv->keys_coalesced);
       EXPECT_EQ(so->events_folded, sv->events_folded);
       // The per-key step must amortize: at most half the probes and pins
-      // of the serial fallback once groups mostly exist (days 2+).
+      // of the offline engine's RowEngine apply once groups mostly exist
+      // (days 2+).
       if (day > 1) {
         EXPECT_LE(2 * sv->index_probes, so->index_probes);
         EXPECT_LE(2 * sv->page_pins, so->page_pins);

@@ -7,6 +7,7 @@
 
 #include "baselines/vnl_adapter.h"
 #include "common/logging.h"
+#include "tests/baselines/engine_test_util.h"
 
 namespace wvm::warehouse {
 namespace {
@@ -132,8 +133,8 @@ TEST_F(ViewMaintenanceTest, WrongDimensionCountFailsBeforeApplying) {
   Result<SummaryView::ApplyStats> stats =
       two_dims.ApplyDelta(engine->get(), batch);
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
-  Result<std::optional<Row>> fremont = (*engine)->MaintReadKey(
-      {Value::String("Fremont"), Value::String("CA")});
+  Result<std::optional<Row>> fremont = baselines::testutil::LatestRow(
+      engine->get(), {Value::String("Fremont"), Value::String("CA")});
   ASSERT_TRUE(fremont.ok());
   EXPECT_FALSE(fremont->has_value());
   ASSERT_TRUE((*engine)->CommitMaintenance().ok());
